@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,28 +27,22 @@ import numpy as np
 from . import presets
 from .diagnostics import fejer_check
 from .operators import (
-    AsymptoticallyNonexpansive,
-    AsymptoticallyQuasiNonexpansive,
+    CLASS_TOKENS,
     ClassMismatch,
-    Contraction,
-    Demicontractive,
-    Directed,
-    FirmlyQuasiNonexpansive,
-    Gauge,
-    Lipschitzian,
-    Nonexpansive,
-    QuasiNonexpansive,
     SequenceSpec,
-    StrictlyPseudocontractive,
-    StronglyMonotone,
-    TotalAsymptoticallyNonexpansive,
-    TotalQuasiAsymptoticallyNonexpansive,
-    UniformlyLipschitzian,
+    class_from_token,
     map_from_rule,
     operator_catalog,
     verify_class,
 )
-from .problems import IterationTrace, ProblemSpec, StoppingRule, TraceRecord, ValidationError
+from .problems import (
+    FAMILIES,
+    IterationTrace,
+    ProblemSpec,
+    StoppingRule,
+    TraceRecord,
+    ValidationError,
+)
 from .projections import Ball, Box, Halfspace, Intersection, WholeSpace
 from .rules import rule_from_config
 from .solvers import SolverError, run
@@ -88,49 +83,6 @@ def _set_from_config(doc):
     raise ValidationError("unknown set description %r" % (doc,))
 
 
-_SIMPLE_CLASSES = {
-    "nonexpansive": Nonexpansive,
-    "quasi_nonexpansive": QuasiNonexpansive,
-    "firmly_quasi_nonexpansive": FirmlyQuasiNonexpansive,
-    "directed": Directed,
-}
-_K_CLASSES = {
-    "contraction": (Contraction, "k", 0.9),
-    "demicontractive": (Demicontractive, "k", 0.0),
-    "strictly_pseudocontractive": (StrictlyPseudocontractive, "k", 0.0),
-    "lipschitzian": (Lipschitzian, "K", 1.0),
-    "uniformly_lipschitzian": (UniformlyLipschitzian, "K", 1.0),
-    "strongly_monotone": (StronglyMonotone, "eta", 1.0),
-}
-
-
-def _class_from_token(token):
-    """Parse a class token like ``demicontractive:0.5`` with a default parameter.
-
-    Asymptotic classes need sequence data and default to the quadratic
-    gauge with unit sequences; they are primarily addressed through an
-    operator's own declaration (token ``declared``).
-    """
-    name, _, param = token.partition(":")
-    if name in _SIMPLE_CLASSES:
-        return _SIMPLE_CLASSES[name]()
-    if name in _K_CLASSES:
-        cls, field_name, default = _K_CLASSES[name]
-        value = float(param) if param else default
-        return cls(**{field_name: value})
-    one = SequenceSpec.const(1.0)
-    zero = SequenceSpec.const(0.0)
-    if name == "asymptotically_nonexpansive":
-        return AsymptoticallyNonexpansive(one)
-    if name == "asymptotically_quasi_nonexpansive":
-        return AsymptoticallyQuasiNonexpansive(one)
-    if name == "total_asymptotically_nonexpansive":
-        return TotalAsymptoticallyNonexpansive(zero, zero, Gauge("t^2"))
-    if name == "total_quasi_asymptotically_nonexpansive":
-        return TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge("t^2"))
-    raise ValidationError("unknown operator class %r" % (token,))
-
-
 def _operator_from_config(doc, cat):
     if isinstance(doc, str):
         doc = {"catalog": doc}
@@ -141,8 +93,8 @@ def _operator_from_config(doc, cat):
         return cat[name]
     rule = rule_from_config(doc)
     domain = _set_from_config(doc["domain"]) if "domain" in doc else WholeSpace(1)
-    declared = _class_from_token(doc["class"]) if "class" in doc else None
-    extra = tuple(_class_from_token(t) for t in doc.get("extra_classes", ()))
+    declared = class_from_token(doc["class"]) if "class" in doc else None
+    extra = tuple(class_from_token(t) for t in doc.get("extra_classes", ()))
     return map_from_rule(
         rule,
         domain,
@@ -151,10 +103,6 @@ def _operator_from_config(doc, cat):
         name=doc.get("name", "inline"),
         extra_classes=extra,
     )
-
-
-def _seq_from_config(doc):
-    return SequenceSpec.from_config(doc)
 
 
 def build_spec_from_config(problem):
@@ -182,7 +130,7 @@ def build_spec_from_config(problem):
             kwargs[set_slot] = _set_from_config(problem[set_slot])
     for seq_slot in ("alpha", "beta", "lam", "gamma_seq"):
         if seq_slot in problem:
-            kwargs[seq_slot] = _seq_from_config(problem[seq_slot])
+            kwargs[seq_slot] = SequenceSpec.from_config(problem[seq_slot])
     for scalar_slot in ("gamma", "mu", "gamma_visc", "cut_cap"):
         if scalar_slot in problem:
             kwargs[scalar_slot] = problem[scalar_slot]
@@ -194,12 +142,27 @@ def build_spec_from_config(problem):
     return ProblemSpec(**kwargs)
 
 
+# run-config flag -> the ProblemSpec field it sets
+_FLAG_FIELDS = {
+    "wq_branch": "branch_assignment",
+    "gamma_bound": "gamma_bound_choice",
+    "cut_cap": "cut_cap",
+}
+
+
 def _load_run_config(path, args):
+    """Read a run config into (spec, start, rule, outputs).
+
+    Flags and command-line overrides build new specs and rules through
+    ``dataclasses.replace``, so they are validated like any other field.
+    """
     with open(path) as fh:
         config = json.load(fh)
-    flags = config.get("flags", {})
+    flags = dict(config.get("flags", {}))
     if args.wq_branch:
         flags["wq_branch"] = args.wq_branch
+    if "cut_cap" in flags:
+        flags["cut_cap"] = int(flags["cut_cap"])
 
     problem = config["problem"]
     start = config.get("start", {})
@@ -215,14 +178,10 @@ def _load_run_config(path, args):
     else:
         spec = build_spec_from_config(problem)
         rule = None
-    if "wq_branch" in flags:
-        spec.branch_assignment = flags["wq_branch"]
-        if hasattr(spec, "_effective_ops"):
-            del spec._effective_ops
-    if "gamma_bound" in flags:
-        spec.gamma_bound_choice = flags["gamma_bound"]
-    if "cut_cap" in flags:
-        spec.cut_cap = int(flags["cut_cap"])
+    overrides = {field: flags[flag] for flag, field in _FLAG_FIELDS.items()
+                 if flag in flags}
+    if overrides:
+        spec = replace(spec, **overrides)
 
     stopping = config.get("stopping", {})
     if stopping or rule is None:
@@ -233,11 +192,9 @@ def _load_run_config(path, args):
             target_tol=stopping.get("target_tol"),
         )
     if args.max_iters is not None:
-        rule.max_iters = args.max_iters
-        if rule.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        rule = replace(rule, max_iters=args.max_iters)
     if args.tol is not None:
-        rule.residual_tol = args.tol
+        rule = replace(rule, residual_tol=args.tol)
     outputs = config.get("outputs", {})
     return spec, start, rule, outputs
 
@@ -253,22 +210,16 @@ def _fmt(v):
 def _trace_columns(trace):
     first = trace.records[0]
     cols = ["n"]
-    dx = first.x.shape[0]
-    cols += ["x_%d" % i for i in range(dx)]
+    cols += ["x_%d" % i for i in range(first.x.shape[0])]
     if first.y is not None:
         cols += ["y_%d" % i for i in range(first.y.shape[0])]
-    for slot in ("u", "z", "w", "r"):
-        if slot in trace.intermediates:
-            dim = dx if slot in ("u", "z", "w") or first.y is None else None
-            # intermediate dims follow their block: u/r live in the y block
-            # for the equality families, z/w in the x block
-            if first.y is not None and slot in ("u", "r") and trace.family in (
-                "sffpep", "scfpep"
-            ):
-                dim = first.y.shape[0]
-            elif dim is None:
-                dim = dx
-            cols += ["%s_%d" % (slot, i) for i in range(dim)]
+    # each intermediate has the dimension of the block it belongs to; a
+    # parsed trace has no family, and its slots take the x dimension
+    family = FAMILIES.get(trace.family)
+    y_block = family.y_block if family else ""
+    for slot in trace.intermediates:
+        vec = first.y if slot in y_block else first.x
+        cols += ["%s_%d" % (slot, i) for i in range(vec.shape[0])]
     cols += ["step", "residual_primary", "residual_coupling", "dist_to_target",
              "cut_count"]
     return cols
@@ -486,7 +437,7 @@ def cmd_run(args):
             "max_uptick": report.max_uptick,
             "first_violation": report.first_violation,
         }
-    if trace.family == "extragradient_sffpp":
+    if FAMILIES[spec.family].accumulates_cuts:
         x0 = trace.records[0].x
         departures = [float(np.linalg.norm(rec.x - x0)) for rec in trace.records]
         summary["departure_from_start"] = {
@@ -518,7 +469,7 @@ def cmd_reproduce(args):
         return _EXIT_CONFIG
     example = presets.get_example(_TABLE_IDS[table])
     try:
-        trace = presets.run_example(example.id)
+        trace = example.run()
     except SolverError as err:
         print("numerical breakdown: %s" % err, file=sys.stderr)
         return _EXIT_BREAKDOWN
@@ -561,8 +512,8 @@ def cmd_verify(args):
             return _EXIT_CONFIG
     else:
         try:
-            claimed = _class_from_token(args.cls)
-        except (ValidationError, ValueError) as err:
+            claimed = class_from_token(args.cls)
+        except ValueError as err:
             print("unknown class: %s" % err, file=sys.stderr)
             return _EXIT_CONFIG
     try:
@@ -619,8 +570,9 @@ def main(argv=None):
     p_ver = sub.add_parser("verify", help="sampling-check an operator class")
     p_ver.add_argument("operator", help="catalog operator id")
     p_ver.add_argument("cls", metavar="class",
-                       help="class token (e.g. quasi_nonexpansive, "
-                            "demicontractive:0.5) or 'declared'")
+                       help="'declared' or a class token, optionally with "
+                            "a parameter (demicontractive:0.5): %s"
+                            % ", ".join(CLASS_TOKENS))
     p_ver.add_argument("--samples", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)

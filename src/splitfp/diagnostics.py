@@ -13,7 +13,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .problems import (
-    EXTRAGRADIENT_SFFPP,
     SCFPP,
     SCFPP_ADAPTIVE,
     SCFPEP,
@@ -266,38 +265,29 @@ def _pow_eval(rule_eval, n, v):
     return cur
 
 
-def _equality_ops(spec):
-    """Decimal closures for the two block operators, honoring the branch flag."""
-    if spec.family == SFFPEP:
-        u_eval = _rule_eval(spec.U, "U")
-        t_eval = _rule_eval(spec.T, "T")
-    else:
-        def _combined(members, relax_weights, weights):
-            evals = [_rule_eval(m, m.name or "member") for m in members]
-            gammas = [Decimal(float(g)) for g in relax_weights]
-            deltas = [Decimal(float(w)) for w in weights]
-            one = Decimal(1)
+def _combined_eval(members, relax_weights, weights):
+    """Decimal closure for sum_i w_i ((1 - g_i) v + g_i T_i(v))."""
+    evals = [_rule_eval(m, m.name or "member") for m in members]
+    gammas = [Decimal(float(g)) for g in relax_weights]
+    deltas = [Decimal(float(w)) for w in weights]
+    one = Decimal(1)
 
-            def apply(v):
-                acc = Decimal(0)
-                for ev, g, d in zip(evals, gammas, deltas):
-                    acc += d * ((one - g) * v + g * ev(v))
-                return acc
+    def apply(v):
+        acc = Decimal(0)
+        for ev, g, d in zip(evals, gammas, deltas):
+            acc += d * ((one - g) * v + g * ev(v))
+        return acc
 
-            return apply
+    return apply
 
-        u_eval = _combined(spec.U_family, spec.u_relax, spec.u_weights)
-        t_eval = _combined(spec.T_family, spec.t_relax, spec.t_weights)
+
+def _run_equality(spec, x0, y0, config, u_eval, t_eval, projected):
+    if y0 is None:
+        raise OracleUnsupported("two-block family needs y0")
     if spec.branch_assignment == "swapped":
-        return t_eval, u_eval
-    return u_eval, t_eval
-
-
-def _run_equality(spec, x0, y0, config):
+        u_eval, t_eval = t_eval, u_eval
     a = _scalar_of(spec.A, "A")
     b = _scalar_of(spec.B, "B")
-    u_eval, t_eval = _equality_ops(spec)
-    projected = spec.family == SFFPEP
     c_bounds = _interval_of(spec.C) if projected else (None, None)
     q_bounds = _interval_of(spec.Q) if projected else (None, None)
     one = Decimal(1)
@@ -322,7 +312,18 @@ def _run_equality(spec, x0, y0, config):
     return records
 
 
-def _run_scfpp(spec, x0, config):
+def _run_sffpep(spec, x0, y0, config):
+    u_eval, t_eval = _rule_eval(spec.U, "U"), _rule_eval(spec.T, "T")
+    return _run_equality(spec, x0, y0, config, u_eval, t_eval, projected=True)
+
+
+def _run_scfpep(spec, x0, y0, config):
+    u_eval = _combined_eval(spec.U_family, spec.u_relax, spec.u_weights)
+    t_eval = _combined_eval(spec.T_family, spec.t_relax, spec.t_weights)
+    return _run_equality(spec, x0, y0, config, u_eval, t_eval, projected=False)
+
+
+def _run_scfpp(spec, x0, y0, config):
     a = _scalar_of(spec.A, "A")
     t_eval = _rule_eval(spec.T, "T")
     g_eval = _rule_eval(spec.G, "G")
@@ -341,7 +342,7 @@ def _run_scfpp(spec, x0, config):
     return records
 
 
-def _run_adaptive(spec, x0, config):
+def _run_adaptive(spec, x0, y0, config):
     a = _scalar_of(spec.A, "A")
     t_eval = _rule_eval(spec.T, "T")
     u_eval = _rule_eval(spec.U, "U")
@@ -366,7 +367,7 @@ def _run_adaptive(spec, x0, config):
     return records
 
 
-def _run_synchronal(spec, x0, config):
+def _run_synchronal(spec, x0, y0, config):
     t_eval = _rule_eval(spec.T, "T")
     f_eval = _rule_eval(spec.f, "f")
     g_eval = _rule_eval(spec.G, "G")
@@ -385,6 +386,17 @@ def _run_synchronal(spec, x0, config):
     return records
 
 
+# family -> decimal re-execution of its recurrence; the extra-gradient
+# family (cut accumulation) is outside the re-executable fragment
+_ORACLE_RUNNERS = {
+    SCFPP: _run_scfpp,
+    SCFPP_ADAPTIVE: _run_adaptive,
+    SYNCHRONAL_VIP: _run_synchronal,
+    SFFPEP: _run_sffpep,
+    SCFPEP: _run_scfpep,
+}
+
+
 def reexecute_high_precision(spec, x0, y0=None, config=None):
     """Re-run a recurrence in decimal arithmetic at a fixed digit budget.
 
@@ -395,21 +407,10 @@ def reexecute_high_precision(spec, x0, y0=None, config=None):
     """
     if config is None:
         config = PrecisionOracleConfig()
-    fam = spec.family
-    if fam == EXTRAGRADIENT_SFFPP:
-        raise OracleUnsupported("extra-gradient runs are not re-executable")
+    runner = _ORACLE_RUNNERS.get(spec.family)
+    if runner is None:
+        raise OracleUnsupported("%s runs are not re-executable" % spec.family)
     with localcontext() as ctx:
         ctx.prec = config.digits
-        if fam in (SFFPEP, SCFPEP):
-            if y0 is None:
-                raise OracleUnsupported("two-block family needs y0")
-            records = _run_equality(spec, x0, y0, config)
-        elif fam == SCFPP:
-            records = _run_scfpp(spec, x0, config)
-        elif fam == SCFPP_ADAPTIVE:
-            records = _run_adaptive(spec, x0, config)
-        elif fam == SYNCHRONAL_VIP:
-            records = _run_synchronal(spec, x0, config)
-        else:
-            raise OracleUnsupported("family %r not supported" % fam)
-    return HighPrecisionTrace(fam, config.digits, records)
+        records = runner(spec, x0, y0, config)
+    return HighPrecisionTrace(spec.family, config.digits, records)

@@ -4,7 +4,10 @@ sampling-based class verifiers.
 An operator is a :class:`FixedPointMap`: an evaluation rule together with a
 domain, a declared regularity class, and (when known) fixed points.  The
 class taxonomy covers contractions through total quasi-asymptotically
-nonexpansive maps; each class knows its defining inequality, and
+nonexpansive maps.  Each class is one record, a subclass of
+:class:`OperatorClass` that carries its own defining inequality
+(``sides``), whether it is pairwise or quantified over the fixed points,
+whether it is asymptotic, and its command-line token (:data:`CLASS_TOKENS`).
 :func:`verify_class` falsification-tests a declared class by deterministic
 sampling.  The sampler is a fixed 64-bit linear congruential generator so
 reports are bit-reproducible across platforms.
@@ -12,6 +15,7 @@ reports are bit-reproducible across platforms.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +26,9 @@ from .spaces import inner, norm
 __all__ = [
     "SequenceSpec",
     "Gauge",
+    "OperatorClass",
+    "CLASS_TOKENS",
+    "class_from_token",
     "Contraction",
     "Nonexpansive",
     "QuasiNonexpansive",
@@ -204,68 +211,142 @@ def _check_unit_interval(k, lo_open, name):
         raise ValueError("%s requires k in %s, got %r" % (name, bracket, k))
 
 
+# command-line token -> class record, filled as the records are defined
+CLASS_TOKENS = {}
+
+
+class OperatorClass:
+    """Base of the class records; its ``ClassVar``s are set from the keywords
+    of each class statement, so a record's fields, ``repr`` and equality
+    stay its parameters only.
+
+    ``pairwise`` classes implement ``sides(x, z, tx, tz, n)`` over point
+    pairs, the others ``sides(x, p, tx, n)`` over the fixed points: the
+    ``(lhs, rhs)`` of the defining inequality ``lhs <= rhs`` at power ``n``.
+    ``asymptotic`` classes are checked at every power up to a bound, the
+    rest at n = 1.  ``token`` names the class on the command line and
+    ``default`` is the scalar parameter a token without one stands for.
+    """
+
+    token: ClassVar[str | None] = None
+    pairwise: ClassVar[bool] = True
+    asymptotic: ClassVar[bool] = False
+    default: ClassVar[float | None] = None
+
+    def __init_subclass__(cls, token=None, pairwise=True, asymptotic=False,
+                          default=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.token, cls.pairwise, cls.asymptotic = token, pairwise, asymptotic
+        cls.default = default
+        if token:
+            CLASS_TOKENS[token] = cls
+
+    @classmethod
+    def from_token(cls, param):
+        if cls.default is None:
+            return cls()
+        return cls(float(param) if param else cls.default)
+
+
 @dataclass(frozen=True)
-class Contraction:
+class Contraction(OperatorClass, token="contraction", default=0.9):
     k: float
 
     def __post_init__(self):
         _check_unit_interval(self.k, True, "Contraction")
 
-
-@dataclass(frozen=True)
-class Nonexpansive:
-    pass
+    def sides(self, x, z, tx, tz, n):
+        return norm(tx - tz), self.k * norm(x - z)
 
 
 @dataclass(frozen=True)
-class QuasiNonexpansive:
-    pass
+class Nonexpansive(OperatorClass, token="nonexpansive"):
+    def sides(self, x, z, tx, tz, n):
+        return norm(tx - tz), norm(x - z)
 
 
 @dataclass(frozen=True)
-class FirmlyQuasiNonexpansive:
-    pass
+class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=False):
+    def sides(self, x, p, tx, n):
+        return norm(tx - p), norm(x - p)
 
 
 @dataclass(frozen=True)
-class Demicontractive:
+class FirmlyQuasiNonexpansive(OperatorClass, token="firmly_quasi_nonexpansive",
+                              pairwise=False):
+    def sides(self, x, p, tx, n):
+        return norm(tx - p) ** 2, norm(x - p) ** 2 - norm(tx - x) ** 2
+
+
+@dataclass(frozen=True)
+class Demicontractive(OperatorClass, token="demicontractive", default=0.0,
+                      pairwise=False):
     k: float
 
     def __post_init__(self):
         _check_unit_interval(self.k, False, "Demicontractive")
 
+    def sides(self, x, p, tx, n):
+        return norm(tx - p) ** 2, norm(x - p) ** 2 + self.k * norm(tx - x) ** 2
+
 
 @dataclass(frozen=True)
-class StrictlyPseudocontractive:
+class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive",
+                                default=0.0):
     k: float
 
     def __post_init__(self):
         _check_unit_interval(self.k, False, "StrictlyPseudocontractive")
 
+    def sides(self, x, z, tx, tz, n):
+        return (
+            norm(tx - tz) ** 2,
+            norm(x - z) ** 2 + self.k * norm((x - tx) - (z - tz)) ** 2,
+        )
+
 
 @dataclass(frozen=True)
-class Directed:
-    pass
+class Directed(OperatorClass, token="directed", pairwise=False):
+    def sides(self, x, p, tx, n):
+        return inner(p - tx, x - tx), 0.0
 
 
 @dataclass(frozen=True)
-class AsymptoticallyNonexpansive:
+class AsymptoticallyNonexpansive(
+        OperatorClass, token="asymptotically_nonexpansive", asymptotic=True):
     k_seq: SequenceSpec
 
     def __post_init__(self):
         _check_at_least_one(self.k_seq, "AsymptoticallyNonexpansive k_n")
 
+    @classmethod
+    def from_token(cls, param):
+        return cls(_ONE)
+
+    def sides(self, x, z, tx, tz, n):
+        return norm(tx - tz), self.k_seq(n) * norm(x - z)
+
 
 @dataclass(frozen=True)
-class AsymptoticallyQuasiNonexpansive:
+class AsymptoticallyQuasiNonexpansive(
+        OperatorClass, token="asymptotically_quasi_nonexpansive",
+        pairwise=False, asymptotic=True):
     t_seq: SequenceSpec
 
     def __post_init__(self):
         _check_at_least_one(self.t_seq, "AsymptoticallyQuasiNonexpansive t_n")
 
+    @classmethod
+    def from_token(cls, param):
+        return cls(_ONE)
+
+    def sides(self, x, p, tx, n):
+        return norm(tx - p) ** 2, self.t_seq(n) * norm(x - p) ** 2
+
 
 @dataclass(frozen=True)
-class TotalAsymptoticallyNonexpansive:
+class TotalAsymptoticallyNonexpansive(
+        OperatorClass, token="total_asymptotically_nonexpansive", asymptotic=True):
     v_seq: SequenceSpec
     mu_seq: SequenceSpec
     gauge: Gauge
@@ -274,9 +355,21 @@ class TotalAsymptoticallyNonexpansive:
         _check_nonnegative(self.v_seq, "v_n")
         _check_nonnegative(self.mu_seq, "mu_n")
 
+    @classmethod
+    def from_token(cls, param):
+        return cls(_ZERO, _ZERO, Gauge("t^2"))
+
+    def sides(self, x, z, tx, tz, n):
+        return (
+            norm(tx - tz) ** 2,
+            norm(x - z) ** 2 + self.v_seq(n) * self.gauge(norm(x - z)) + self.mu_seq(n),
+        )
+
 
 @dataclass(frozen=True)
-class TotalQuasiAsymptoticallyNonexpansive:
+class TotalQuasiAsymptoticallyNonexpansive(
+        OperatorClass, token="total_quasi_asymptotically_nonexpansive",
+        pairwise=False, asymptotic=True):
     v_seq: SequenceSpec
     mu_seq: SequenceSpec
     gauge: Gauge
@@ -287,9 +380,19 @@ class TotalQuasiAsymptoticallyNonexpansive:
         _check_nonnegative(self.v_seq, "v_n")
         _check_nonnegative(self.mu_seq, "mu_n")
 
+    @classmethod
+    def from_token(cls, param):
+        return cls(_ZERO, _ZERO, Gauge("t^2"))
+
+    def sides(self, x, p, tx, n):
+        return (
+            norm(tx - p) ** 2,
+            norm(x - p) ** 2 + self.v_seq(n) * self.gauge(norm(x - p)) + self.mu_seq(n),
+        )
+
 
 @dataclass(frozen=True)
-class TotalAsymStrictPseudocontraction:
+class TotalAsymStrictPseudocontraction(OperatorClass, asymptotic=True):
     k: float
     mu_seq: SequenceSpec
     xi_seq: SequenceSpec
@@ -300,32 +403,58 @@ class TotalAsymStrictPseudocontraction:
         _check_nonnegative(self.mu_seq, "mu_n")
         _check_nonnegative(self.xi_seq, "xi_n")
 
+    def sides(self, x, z, tx, tz, n):
+        return (
+            norm(tx - tz) ** 2,
+            norm(x - z) ** 2
+            + self.k * norm((x - tx) - (z - tz)) ** 2
+            + self.mu_seq(n) * self.gauge(norm(x - z))
+            + self.xi_seq(n),
+        )
+
 
 @dataclass(frozen=True)
-class Lipschitzian:
+class Lipschitzian(OperatorClass, token="lipschitzian", default=1.0):
     K: float
 
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError("Lipschitz constant must be positive")
 
-
-@dataclass(frozen=True)
-class UniformlyLipschitzian:
-    K: float
-
-    def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError("Lipschitz constant must be positive")
+    def sides(self, x, z, tx, tz, n):
+        return norm(tx - tz), self.K * norm(x - z)
 
 
 @dataclass(frozen=True)
-class StronglyMonotone:
+class UniformlyLipschitzian(Lipschitzian, token="uniformly_lipschitzian",
+                            default=1.0, asymptotic=True):
+    """Every iterate power T^n is K-Lipschitzian (checked at each power)."""
+
+
+@dataclass(frozen=True)
+class StronglyMonotone(OperatorClass, token="strongly_monotone", default=1.0):
     eta: float
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("strong-monotonicity modulus must be positive")
+
+    def sides(self, x, z, tx, tz, n):
+        # sign flipped so the check is uniformly lhs <= rhs
+        return self.eta * norm(x - z) ** 2, inner(tx - tz, x - z)
+
+
+def class_from_token(token):
+    """Parse a class token like ``demicontractive:0.5``.
+
+    A missing parameter takes the class's default.  Asymptotic classes need
+    sequence data and default to unit sequences and the quadratic gauge;
+    they are primarily addressed through an operator's own declaration.
+    """
+    name, _, param = token.partition(":")
+    if name not in CLASS_TOKENS:
+        raise ValueError("unknown operator class %r" % (token,))
+    return CLASS_TOKENS[name].from_token(param)
 
 
 # class constraints quantify over iterate powers, which start at n = 1
@@ -666,105 +795,6 @@ class ClassReport:
         return "\n".join(lines) + "\n"
 
 
-def _needs_fixed_points(cls):
-    return isinstance(
-        cls,
-        (
-            QuasiNonexpansive,
-            FirmlyQuasiNonexpansive,
-            Demicontractive,
-            Directed,
-            AsymptoticallyQuasiNonexpansive,
-            TotalQuasiAsymptoticallyNonexpansive,
-        ),
-    )
-
-
-def _is_pairwise(cls):
-    return isinstance(
-        cls,
-        (
-            Contraction,
-            Nonexpansive,
-            StrictlyPseudocontractive,
-            Lipschitzian,
-            UniformlyLipschitzian,
-            StronglyMonotone,
-            AsymptoticallyNonexpansive,
-            TotalAsymptoticallyNonexpansive,
-            TotalAsymStrictPseudocontraction,
-        ),
-    )
-
-
-def _is_asymptotic(cls):
-    return isinstance(
-        cls,
-        (
-            AsymptoticallyNonexpansive,
-            AsymptoticallyQuasiNonexpansive,
-            TotalAsymptoticallyNonexpansive,
-            TotalQuasiAsymptoticallyNonexpansive,
-            TotalAsymStrictPseudocontraction,
-            UniformlyLipschitzian,
-        ),
-    )
-
-
-def _pair_sides(cls, x, z, tx, tz, n):
-    """(lhs, rhs) of the defining inequality for two-point classes at power n."""
-    if isinstance(cls, Contraction):
-        return norm(tx - tz), cls.k * norm(x - z)
-    if isinstance(cls, Nonexpansive):
-        return norm(tx - tz), norm(x - z)
-    if isinstance(cls, Lipschitzian) or isinstance(cls, UniformlyLipschitzian):
-        return norm(tx - tz), cls.K * norm(x - z)
-    if isinstance(cls, StrictlyPseudocontractive):
-        return (
-            norm(tx - tz) ** 2,
-            norm(x - z) ** 2 + cls.k * norm((x - tx) - (z - tz)) ** 2,
-        )
-    if isinstance(cls, StronglyMonotone):
-        # sign flipped so the check is uniformly lhs <= rhs
-        return cls.eta * norm(x - z) ** 2, inner(tx - tz, x - z)
-    if isinstance(cls, AsymptoticallyNonexpansive):
-        return norm(tx - tz), cls.k_seq(n) * norm(x - z)
-    if isinstance(cls, TotalAsymptoticallyNonexpansive):
-        return (
-            norm(tx - tz) ** 2,
-            norm(x - z) ** 2 + cls.v_seq(n) * cls.gauge(norm(x - z)) + cls.mu_seq(n),
-        )
-    if isinstance(cls, TotalAsymStrictPseudocontraction):
-        return (
-            norm(tx - tz) ** 2,
-            norm(x - z) ** 2
-            + cls.k * norm((x - tx) - (z - tz)) ** 2
-            + cls.mu_seq(n) * cls.gauge(norm(x - z))
-            + cls.xi_seq(n),
-        )
-    raise ClassMismatch("unsupported pair class %r" % (cls,))
-
-
-def _fix_sides(cls, x, p, tx, n):
-    """(lhs, rhs) for classes quantified over the fixed-point set."""
-    if isinstance(cls, QuasiNonexpansive):
-        return norm(tx - p), norm(x - p)
-    if isinstance(cls, FirmlyQuasiNonexpansive):
-        return norm(tx - p) ** 2, norm(x - p) ** 2 - norm(tx - x) ** 2
-    if isinstance(cls, Demicontractive):
-        return norm(tx - p) ** 2, norm(x - p) ** 2 + cls.k * norm(tx - x) ** 2
-    if isinstance(cls, Directed):
-        return inner(p - tx, x - tx), 0.0
-    if isinstance(cls, AsymptoticallyQuasiNonexpansive):
-        return norm(tx - p) ** 2, cls.t_seq(n) * norm(x - p) ** 2
-    if isinstance(cls, TotalQuasiAsymptoticallyNonexpansive):
-        return (
-            norm(tx - p) ** 2,
-            norm(x - p) ** 2 + cls.v_seq(n) * cls.gauge(norm(x - p)) + cls.mu_seq(n),
-        )
-    raise ClassMismatch("unsupported fixed-point class %r" % (cls,))
-
-
 def _iterates(T, x, n_max):
     """x, Tx, T^2 x, ..., T^{n_max} x computed incrementally."""
     out = [np.atleast_1d(np.asarray(x, dtype=float))]
@@ -787,9 +817,11 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    pairwise = _is_pairwise(claimed)
-    asymptotic = _is_asymptotic(claimed)
-    if _needs_fixed_points(claimed) and not T.known_fixed_points:
+    if not isinstance(claimed, OperatorClass):
+        raise ClassMismatch("unsupported operator class %r" % (claimed,))
+    pairwise = claimed.pairwise
+    asymptotic = claimed.asymptotic
+    if not pairwise and not T.known_fixed_points:
         raise ClassMismatch(
             "class %r quantifies over Fix(T) but the operator declares none"
             % (claimed,)
@@ -813,34 +845,21 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
 
     records = []
     for idx, (x, z) in enumerate(tasks):
-        worst = None
+        xs = _iterates(T, x, max(powers))
         if pairwise:
-            xs = _iterates(T, x, max(powers))
             zs = _iterates(T, z, max(powers))
-            for n in powers:
-                lhs, rhs = _pair_sides(claimed, x, z, xs[n], zs[n], n)
-                margin = lhs - rhs
-                if worst is None or margin > worst[0]:
-                    worst = (margin, lhs, rhs, n)
+            cases = ((z, n, claimed.sides(x, z, xs[n], zs[n], n)) for n in powers)
         else:
-            xs = _iterates(T, x, max(powers))
-            for p in T.known_fixed_points:
-                for n in powers:
-                    lhs, rhs = _fix_sides(claimed, x, p, xs[n], n)
-                    margin = lhs - rhs
-                    if worst is None or margin > worst[0]:
-                        worst = (margin, lhs, rhs, n, p)
-        margin, lhs, rhs = worst[0], worst[1], worst[2]
-        n_used = worst[3] if asymptotic else None
-        partner = (
-            z.tolist()
-            if pairwise
-            else (worst[4].tolist() if len(worst) > 4 else None)
-        )
+            cases = ((p, n, claimed.sides(x, p, xs[n], n))
+                     for p in T.known_fixed_points for n in powers)
+        worst = None
+        for partner, n, (lhs, rhs) in cases:
+            if worst is None or lhs - rhs > worst[0]:
+                worst = (lhs - rhs, lhs, rhs, n, partner)
+        margin, lhs, rhs, n, partner = worst
         ok = margin <= slack * (1.0 + abs(rhs))
-        records.append(
-            CheckRecord(idx, x.tolist(), partner, n_used, lhs, rhs, ok)
-        )
+        records.append(CheckRecord(idx, x.tolist(), partner.tolist(),
+                                   n if asymptotic else None, lhs, rhs, ok))
     violations = [r for r in records if not r.passed]
     return ClassReport(
         T.name or "unnamed",

@@ -18,7 +18,9 @@ theoretical parameter ranges, exactly as published:
   what ``wq_t3`` pins (see the solver module notes).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,14 +69,19 @@ class ExpectedRow:
             raise ValueError("provenance must be tabulated|derived")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NamedExample:
     id: str
     spec: ProblemSpec
-    starts: list                   # [(x0,) or (x0, y0), ...]
+    starts: tuple                  # ((x0,) or (x0, y0), ...)
     default_rule: StoppingRule
-    expected: list = field(default_factory=list)
+    expected: tuple = ()
     notes: str = ""
+
+    def run(self, start_index=0, rule=None):
+        """Run from one of the registered starts, by default under ``default_rule``."""
+        return run(self.spec, *self.starts[start_index],
+                   rule=rule or self.default_rule)
 
     def to_doc(self):
         """Structured description for listings and machine consumption."""
@@ -213,23 +220,28 @@ def _extragradient_spec():
     )
 
 
+@cache
 def catalog():
-    """All named examples, keyed by id."""
+    """All named examples, keyed by id.
+
+    Built once per process and shared: examples and their specs are frozen,
+    and the mapping is read-only.
+    """
     examples = {}
 
     examples["bnm_t1"] = NamedExample(
         id="bnm_t1",
         spec=_bnm_spec(),
-        starts=[([10.0], [15.0])],
+        starts=(((10.0,), (15.0,)),),
         default_rule=StoppingRule(max_iters=250),
-        expected=[
+        expected=(
             ExpectedRow(1, (9.898293685, 12.74500000), (1e-6, 1e-6), TABULATED),
             ExpectedRow(2, (9.797736851, 10.85982000), (1e-6, 1e-6), TABULATED),
             ExpectedRow(3, (9.698337655, 9.283809520), (1e-6, 1e-6), TABULATED),
             ExpectedRow(248, (5.001051418, 1.250000002), (1e-4, 1e-6), TABULATED),
             ExpectedRow(249, (5.001012726, 1.250000002), (1e-4, 1e-6), TABULATED),
             ExpectedRow(250, (5.000975458, 1.250000002), (1e-4, 1e-6), TABULATED),
-        ],
+        ),
         notes=(
             "Equality problem with decoupled blocks (lam = 0, matching the "
             "published simplification); converges to (5, 5/4)."
@@ -238,23 +250,23 @@ def catalog():
     examples["bnm_t2"] = NamedExample(
         id="bnm_t2",
         spec=_bnm_spec(),
-        starts=[([5.0], [1.25])],
+        starts=(((5.0,), (1.25,)),),
         default_rule=StoppingRule(max_iters=100),
-        expected=[
+        expected=tuple(
             ExpectedRow(n, (5.0, 1.25), (1e-9, 1e-9), TABULATED)
             for n in range(0, 101)
-        ],
+        ),
         notes="Started at the solution; every iterate stays put.",
     )
     examples["wq_t3"] = NamedExample(
         id="wq_t3",
         spec=_wq_spec("swapped"),
-        starts=[([5.0], [5.0])],
+        starts=(((5.0,), (5.0,)),),
         default_rule=StoppingRule(max_iters=2000),
-        expected=[
+        expected=(
             ExpectedRow(1, (4.916472663,), (1e-6,), TABULATED),
             ExpectedRow(2000, (1.0, 1.0), (1e-3, 1e-3), DERIVED),
-        ],
+        ),
         notes=(
             "Only the first x row of the reference table is reproducible, and "
             "only under the swapped block assignment; the y column matches "
@@ -265,9 +277,8 @@ def catalog():
     examples["wq_t4"] = NamedExample(
         id="wq_t4",
         spec=_wq_spec("swapped"),
-        starts=[([-5.0], [-5.0])],
+        starts=(((-5.0,), (-5.0,)),),
         default_rule=StoppingRule(max_iters=149),
-        expected=[],
         notes=(
             "Negative start: the piecewise operator is evaluated on its zero "
             "branch below the breakpoint.  The trajectory is recorded for "
@@ -278,17 +289,16 @@ def catalog():
     examples["scfpp_smallS"] = NamedExample(
         id="scfpp_smallS",
         spec=_scfpp_spec(),
-        starts=[([10.0],)],
+        starts=(((10.0,),),),
         default_rule=StoppingRule(max_iters=200, residual_tol=1e-12),
-        expected=[ExpectedRow(1, (4.4,), (1e-12,), DERIVED)],
+        expected=(ExpectedRow(1, (4.4,), (1e-12,), DERIVED),),
         notes="Iterate-power splitting with both operators the affine map (x+5)/5.",
     )
     examples["adaptive_demo"] = NamedExample(
         id="adaptive_demo",
         spec=_adaptive_spec(),
-        starts=[([1.0, 1.0, 1.0],)],
+        starts=(((1.0, 1.0, 1.0),),),
         default_rule=StoppingRule(max_iters=5000, residual_tol=1e-10),
-        expected=[],
         notes=(
             "Norm-free step choice on the scaled negation (demicontractive "
             "constant 3/7) against a diagonal coupling map."
@@ -297,9 +307,9 @@ def catalog():
     examples["synchronal_demo"] = NamedExample(
         id="synchronal_demo",
         spec=_synchronal_spec(),
-        starts=[([4.0],)],
+        starts=(((4.0,),),),
         default_rule=StoppingRule(max_iters=100000, target_tol=1e-4),
-        expected=[ExpectedRow(1, (2.0,), (1e-12,), DERIVED)],
+        expected=(ExpectedRow(1, (2.0,), (1e-12,), DERIVED),),
         notes=(
             "Viscosity step toward the unique point of Fix((x+2)/3) = {1}; "
             "the harmonic weight sequence makes convergence O(1/n)."
@@ -308,17 +318,15 @@ def catalog():
     examples["extragradient_1d"] = NamedExample(
         id="extragradient_1d",
         spec=_extragradient_spec(),
-        starts=[([10.0],)],
+        starts=(((10.0,),),),
         default_rule=StoppingRule(max_iters=500, residual_tol=1e-9),
-        expected=[
-            ExpectedRow(1, (8.25,), (1e-12,), DERIVED),
-        ],
+        expected=(ExpectedRow(1, (8.25,), (1e-12,), DERIVED),),
         notes=(
             "Cut-accumulating run on the half-line; the limit 1.0 is the "
             "unique point of C intersected with the fixed points of (x+2)/3."
         ),
     )
-    return examples
+    return MappingProxyType(examples)
 
 
 def get_example(example_id):
@@ -332,9 +340,4 @@ def get_example(example_id):
 
 def run_example(example_id, start_index=0, rule=None):
     """Run a named example from one of its registered starts."""
-    ex = get_example(example_id)
-    start = ex.starts[start_index]
-    rule = rule or ex.default_rule
-    if ex.spec.two_variable:
-        return run(ex.spec, start[0], start[1], rule=rule)
-    return run(ex.spec, start[0], rule=rule)
+    return get_example(example_id).run(start_index, rule)

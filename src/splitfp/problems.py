@@ -1,13 +1,17 @@
-"""Problem descriptions, stopping rules, and iteration traces.
+"""Problem descriptions, solver families, stopping rules, and iteration traces.
 
-A :class:`ProblemSpec` names one of six solver families and carries the
-operators, linear maps, sets, and parameter sequences that family needs.
-Construction checks completeness; parameter-range checks against the
-convergence theory are collected as warnings and raised only when
+Each solver family is one :class:`Family` record in :data:`FAMILIES`: the
+slots a spec must fill, the range checks against the convergence theory,
+the trace layout, and whether cuts accumulate.  A frozen
+:class:`ProblemSpec` names one family and carries the operators, linear
+maps, sets, and parameter sequences it needs; construction validates it,
+and a changed spec is a new one (``dataclasses.replace``), validated again.
+Range checks are collected as warnings and raised only when
 ``enforce_ranges`` is set (the bundled reference configurations knowingly
 sit outside the theoretical ranges and disable enforcement).
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +28,8 @@ from .operators import (
     SequenceSpec,
     StronglyMonotone,
     UniformlyLipschitzian,
+    convex_combine,
+    relax,
 )
 from .projections import ConvexBody
 from .spaces import LinearMap, estimate_norm_squared
@@ -35,6 +41,7 @@ __all__ = [
     "SFFPEP",
     "SCFPEP",
     "EXTRAGRADIENT_SFFPP",
+    "Family",
     "FAMILIES",
     "ProblemSpec",
     "StoppingRule",
@@ -49,11 +56,6 @@ SYNCHRONAL_VIP = "synchronal_vip"
 SFFPEP = "sffpep"
 SCFPEP = "scfpep"
 EXTRAGRADIENT_SFFPP = "extragradient_sffpp"
-
-FAMILIES = (SCFPP, SCFPP_ADAPTIVE, SYNCHRONAL_VIP, SFFPEP, SCFPEP,
-            EXTRAGRADIENT_SFFPP)
-
-_TWO_VARIABLE = (SFFPEP, SCFPEP)
 
 
 class ValidationError(ValueError):
@@ -97,7 +99,144 @@ def _seq_range_ok(seq, lo, hi, upto=100):
     return None
 
 
-@dataclass
+# ---------------------------------------------------------------------------
+# per-family range checks: check(spec, warn) raises ValidationError for a
+# malformed spec and calls warn(message) for a parameter outside the theory
+
+
+def _check_seq_in(spec, warn, name, lo, hi):
+    bad = _seq_range_ok(getattr(spec, name), lo, hi)
+    if bad is not None:
+        warn("%s(n=%d) = %g outside (%g, %g)" % (name, bad[0], bad[1], lo, hi))
+
+
+def _check_scfpp(spec, warn):
+    if spec.gamma is None:
+        raise ValidationError("scfpp needs the scalar step gamma")
+    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
+    bound = spec.gamma_cap()
+    if not 0.0 < spec.gamma < bound:
+        warn("gamma = %g outside (0, %g)" % (spec.gamma, bound))
+
+
+def _check_scfpp_adaptive(spec, warn):
+    k = spec.demicontractive_k()
+    _check_seq_in(spec, warn, "alpha", 0.0, min(1.0, 1.0 - k))
+
+
+def _check_synchronal(spec, warn):
+    if spec.mu is None or spec.gamma_visc is None:
+        raise ValidationError("synchronal needs mu and gamma_visc")
+    if not isinstance(spec.f.declared_class, Contraction):
+        raise ValidationError("f must declare Contraction(k)")
+    eta = _strong_monotonicity(spec.G)
+    lip = _lipschitz_constant(spec.G)
+    if eta is None or lip is None:
+        raise ValidationError(
+            "G must declare a strong-monotonicity modulus and a "
+            "Lipschitz constant"
+        )
+    if not 0.0 < spec.mu < 2.0 * eta / lip ** 2:
+        warn("mu = %g outside (0, %g)" % (spec.mu, 2.0 * eta / lip ** 2))
+    tau = spec.synchronal_tau()
+    kf = spec.f.declared_class.k
+    if not 0.0 < spec.gamma_visc < tau / kf:
+        warn("gamma_visc = %g outside (0, %g)" % (spec.gamma_visc, tau / kf))
+    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
+    k_t = getattr(spec.T.declared_class, "k", 0.0) or 0.0
+    bad = _seq_range_ok(spec.beta, max(0.0, k_t) - 1e-15, 1.0)
+    if bad is not None:
+        warn("beta(n=%d) = %g outside [%g, 1)" % (bad[0], bad[1], max(0.0, k_t)))
+
+
+def _check_sffpep(spec, warn):
+    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
+    _check_seq_in(spec, warn, "beta", 0.0, 1.0)
+    cap = 2.0 / (estimate_norm_squared(spec.A) + estimate_norm_squared(spec.B))
+    _check_seq_in(spec, warn, "lam", 0.0, cap)
+
+
+def _check_scfpep(spec, warn):
+    for nm, weights in (("u_weights", spec.u_weights),
+                        ("t_weights", spec.t_weights)):
+        if not weights:
+            raise ValidationError("scfpep needs %s" % nm)
+        if any(w <= 0 for w in weights):
+            raise ValidationError("%s must be positive" % nm)
+        if abs(sum(weights) - 1.0) > 1e-12:
+            raise ValidationError("%s must sum to 1" % nm)
+    for nm, rel, fam_ops in (("u_relax", spec.u_relax, spec.U_family),
+                             ("t_relax", spec.t_relax, spec.T_family)):
+        if len(rel) != len(fam_ops):
+            raise ValidationError("%s must match its operator family" % nm)
+        if any(not 0.0 < r < 1.0 for r in rel):
+            warn("%s entries must lie in (0, 1)" % nm)
+    _check_sffpep(spec, warn)
+
+
+def _check_extragradient(spec, warn):
+    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
+    _check_seq_in(spec, warn, "beta", 0.0, 1.0)
+    _check_seq_in(spec, warn, "gamma_seq", 0.0, 1.0 / estimate_norm_squared(spec.A))
+    if spec.cut_cap < 3:
+        raise ValidationError("cut_cap must allow at least one iteration")
+
+
+def _scfpep_blocks(spec):
+    """U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i T_{tau_i}."""
+    return tuple(
+        convex_combine([relax(m, g) for m, g in zip(members, rel)], weights)
+        for members, rel, weights in (
+            (spec.U_family, spec.u_relax, spec.u_weights),
+            (spec.T_family, spec.t_relax, spec.t_weights),
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# the family records
+
+
+@dataclass(frozen=True)
+class Family:
+    """One solver family: the slots a spec of it must fill, its range checks
+    ``check(spec, warn)``, the trace slots a step fills (``intermediates``,
+    of which those in ``y_block`` have the y block's dimension), whether it
+    carries a growing cut list, and, for the two-variable families,
+    ``blocks(spec)``: the x-block and y-block operators as printed.
+    """
+
+    name: str
+    required: tuple
+    check: Callable
+    intermediates: str = "u"
+    y_block: str = ""
+    accumulates_cuts: bool = False
+    blocks: Callable | None = None
+
+    @property
+    def two_variable(self):
+        return self.blocks is not None
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family(SCFPP, ("T", "G", "A", "alpha"), _check_scfpp),
+        Family(SCFPP_ADAPTIVE, ("U", "T", "A", "alpha"), _check_scfpp_adaptive),
+        Family(SYNCHRONAL_VIP, ("T", "f", "G", "alpha", "beta"), _check_synchronal),
+        Family(SFFPEP, ("U", "T", "A", "B", "C", "Q", "alpha", "beta", "lam"),
+               _check_sffpep, "uzwr", "ur", blocks=lambda spec: (spec.U, spec.T)),
+        Family(SCFPEP, ("U_family", "T_family", "A", "B", "alpha", "beta", "lam"),
+               _check_scfpep, "uzwr", "ur", blocks=_scfpep_blocks),
+        Family(EXTRAGRADIENT_SFFPP,
+               ("T", "G", "A", "C", "Q", "alpha", "beta", "gamma_seq"),
+               _check_extragradient, "uzwr", accumulates_cuts=True),
+    )
+}
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """One of the six split fixed-point problem families.
 
@@ -117,6 +256,10 @@ class ProblemSpec:
       weights and convex-combination weights; no projections.
     - ``extragradient_sffpp``: ``T`` primal, ``G`` image, sets ``C``, ``Q``,
       step sequence ``gamma_seq``; accumulates distance-dominance cuts.
+
+    Construction records the range ``warnings`` and, for the two-variable
+    families, builds ``block_operators``: the (x-block, y-block) operators
+    after ``branch_assignment`` (for ``scfpep``, the combined families).
     """
 
     family: str
@@ -146,145 +289,47 @@ class ProblemSpec:
     gamma_bound_choice: str = "l_star"     # or "lipschitz": cap for gamma
     cut_cap: int = 10000
     enforce_ranges: bool = True
-    warnings: list = field(default_factory=list)
+    warnings: tuple = field(default=(), init=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        record = FAMILIES.get(self.family)
+        if record is None:
             raise ValidationError("unknown family %r" % (self.family,))
         if self.branch_assignment not in ("as_printed", "swapped"):
             raise ValidationError("branch_assignment must be as_printed|swapped")
         if self.gamma_bound_choice not in ("l_star", "lipschitz"):
             raise ValidationError("gamma_bound_choice must be l_star|lipschitz")
-        if self.reference_solution is not None:
-            ref = self.reference_solution
-            if self.two_variable:
-                x_ref = np.atleast_1d(np.asarray(ref[0], dtype=float))
-                y_ref = np.atleast_1d(np.asarray(ref[1], dtype=float))
-                self.reference_solution = (x_ref, y_ref)
-            else:
-                self.reference_solution = (
-                    np.atleast_1d(np.asarray(ref, dtype=float)),
-                )
-        self.validate()
+        ref = self.reference_solution
+        if ref is not None:
+            # reshape, not atleast_1d: replace() passes the normalized tuple in
+            parts = (ref[0], ref[1]) if record.two_variable else (ref,)
+            object.__setattr__(self, "reference_solution", tuple(
+                np.asarray(r, dtype=float).reshape(-1) for r in parts))
 
-    # -- structural helpers -------------------------------------------------
-
-    @property
-    def two_variable(self):
-        return self.family in _TWO_VARIABLE
-
-    def _require(self, names):
-        missing = [n for n in names if not getattr(self, n)]
+        missing = [n for n in record.required if not getattr(self, n)]
         if missing:
             raise ValidationError(
                 "family %r requires %s" % (self.family, ", ".join(missing))
             )
+        warnings = []
 
-    def _range_warning(self, message):
-        self.warnings.append(message)
-        if self.enforce_ranges:
-            raise ValidationError(message)
+        def warn(message):
+            warnings.append(message)
+            if self.enforce_ranges:
+                raise ValidationError(message)
 
-    def _check_seq_in(self, name, lo, hi):
-        seq = getattr(self, name)
-        bad = _seq_range_ok(seq, lo, hi)
-        if bad is not None:
-            self._range_warning(
-                "%s(n=%d) = %g outside (%g, %g)" % (name, bad[0], bad[1], lo, hi)
-            )
+        record.check(self, warn)
+        object.__setattr__(self, "warnings", tuple(warnings))
+        blocks = None
+        if record.two_variable:
+            blocks = record.blocks(self)
+            if self.branch_assignment == "swapped":
+                blocks = blocks[::-1]
+        object.__setattr__(self, "block_operators", blocks)
 
-    # -- validation ----------------------------------------------------------
-
-    def validate(self):
-        fam = self.family
-        if fam == SCFPP:
-            self._require(["T", "G", "A", "alpha"])
-            if self.gamma is None:
-                raise ValidationError("scfpp needs the scalar step gamma")
-            self._check_seq_in("alpha", 0.0, 1.0)
-            bound = self.gamma_cap()
-            if not 0.0 < self.gamma < bound:
-                self._range_warning(
-                    "gamma = %g outside (0, %g)" % (self.gamma, bound)
-                )
-        elif fam == SCFPP_ADAPTIVE:
-            self._require(["U", "T", "A", "alpha"])
-            k = self.demicontractive_k()
-            self._check_seq_in("alpha", 0.0, min(1.0, 1.0 - k))
-        elif fam == SYNCHRONAL_VIP:
-            self._require(["T", "f", "G", "alpha", "beta"])
-            if self.mu is None or self.gamma_visc is None:
-                raise ValidationError("synchronal needs mu and gamma_visc")
-            if not isinstance(self.f.declared_class, Contraction):
-                raise ValidationError("f must declare Contraction(k)")
-            eta = _strong_monotonicity(self.G)
-            lip = _lipschitz_constant(self.G)
-            if eta is None or lip is None:
-                raise ValidationError(
-                    "G must declare a strong-monotonicity modulus and a "
-                    "Lipschitz constant"
-                )
-            if not 0.0 < self.mu < 2.0 * eta / lip ** 2:
-                self._range_warning(
-                    "mu = %g outside (0, %g)" % (self.mu, 2.0 * eta / lip ** 2)
-                )
-            tau = self.synchronal_tau()
-            kf = self.f.declared_class.k
-            if not 0.0 < self.gamma_visc < tau / kf:
-                self._range_warning(
-                    "gamma_visc = %g outside (0, %g)" % (self.gamma_visc, tau / kf)
-                )
-            self._check_seq_in("alpha", 0.0, 1.0)
-            k_t = getattr(self.T.declared_class, "k", 0.0) or 0.0
-            bad = _seq_range_ok(self.beta, max(0.0, k_t) - 1e-15, 1.0)
-            if bad is not None:
-                self._range_warning(
-                    "beta(n=%d) = %g outside [%g, 1)" % (bad[0], bad[1], max(0.0, k_t))
-                )
-        elif fam == SFFPEP:
-            self._require(["U", "T", "A", "B", "C", "Q", "alpha", "beta", "lam"])
-            self._check_seq_in("alpha", 0.0, 1.0)
-            self._check_seq_in("beta", 0.0, 1.0)
-            self._check_lambda_cap()
-        elif fam == SCFPEP:
-            self._require(["U_family", "T_family", "A", "B", "alpha", "beta", "lam"])
-            for nm, weights in (("u_weights", self.u_weights),
-                                ("t_weights", self.t_weights)):
-                if not weights:
-                    raise ValidationError("scfpep needs %s" % nm)
-                if any(w <= 0 for w in weights):
-                    raise ValidationError("%s must be positive" % nm)
-                if abs(sum(weights) - 1.0) > 1e-12:
-                    raise ValidationError("%s must sum to 1" % nm)
-            for nm, rel, fam_ops in (("u_relax", self.u_relax, self.U_family),
-                                     ("t_relax", self.t_relax, self.T_family)):
-                if len(rel) != len(fam_ops):
-                    raise ValidationError("%s must match its operator family" % nm)
-                if any(not 0.0 < r < 1.0 for r in rel):
-                    self._range_warning("%s entries must lie in (0, 1)" % nm)
-            self._check_seq_in("alpha", 0.0, 1.0)
-            self._check_seq_in("beta", 0.0, 1.0)
-            self._check_lambda_cap()
-        elif fam == EXTRAGRADIENT_SFFPP:
-            self._require(["T", "G", "A", "C", "Q", "alpha", "beta", "gamma_seq"])
-            self._check_seq_in("alpha", 0.0, 1.0)
-            self._check_seq_in("beta", 0.0, 1.0)
-            cap = 1.0 / estimate_norm_squared(self.A)
-            bad = _seq_range_ok(self.gamma_seq, 0.0, cap)
-            if bad is not None:
-                self._range_warning(
-                    "gamma_seq(n=%d) = %g outside (0, %g)" % (bad[0], bad[1], cap)
-                )
-            if self.cut_cap < 3:
-                raise ValidationError("cut_cap must allow at least one iteration")
-
-    def _check_lambda_cap(self):
-        cap = 2.0 / (estimate_norm_squared(self.A) + estimate_norm_squared(self.B))
-        bad = _seq_range_ok(self.lam, 0.0, cap)
-        if bad is not None:
-            self._range_warning(
-                "lam(n=%d) = %g outside (0, %g)" % (bad[0], bad[1], cap)
-            )
+    @property
+    def two_variable(self):
+        return FAMILIES[self.family].two_variable
 
     # -- derived constants ---------------------------------------------------
 
@@ -324,7 +369,7 @@ class ProblemSpec:
         return self.mu * (eta - self.mu * lip ** 2 / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoppingRule:
     """Loop control: any enabled criterion stops the run.
 

@@ -1,8 +1,11 @@
 """The iteration step functions and the shared run driver.
 
 Each family's update is a pure function: current state in, next state plus
-the step's intermediates and residuals out.  The driver applies a step
-repeatedly, records a self-describing trace, and stops on the first enabled
+the step's intermediates and residuals out.  :data:`_FAMILY_STEPS` maps each
+family to its initial residual and its step; everything else the driver
+needs to know about a family comes from its record in
+:data:`splitfp.problems.FAMILIES`.  The driver applies a step repeatedly,
+records a self-describing trace, and stops on the first enabled
 criterion.  The recorded residuals are exactly the quantities the
 convergence analyses drive to zero, so residual decay is a meaningful
 diagnostic for every family.
@@ -12,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DomainEscape, convex_combine, power_apply, relax
+from .operators import DomainEscape, power_apply
 from .problems import (
     EXTRAGRADIENT_SFFPP,
+    FAMILIES,
     SCFPP,
     SCFPP_ADAPTIVE,
     SCFPEP,
@@ -175,13 +179,8 @@ def step_synchronal(spec, x, n):
 # two-variable (equality) families
 
 
-def _block_operators(spec, u_op, t_op):
-    if spec.branch_assignment == "swapped":
-        return t_op, u_op
-    return u_op, t_op
-
-
-def _equality_step(spec, x, y, n, u_op, t_op, project_blocks):
+def _equality_step(spec, x, y, n, project_blocks):
+    u_op, t_op = spec.block_operators
     A, B = spec.A, spec.B
     lam = spec.lam(n)
     alpha = spec.alpha(n)
@@ -220,36 +219,19 @@ def step_sffpep(spec, x, y, n):
     The x block moves against A*(Ax - By), projects onto C, and applies U in
     an inner/outer averaged pattern; the y block mirrors it with B, Q, T.
     """
-    u_op, t_op = _block_operators(spec, spec.U, spec.T)
-    return _equality_step(spec, x, y, n, u_op, t_op, project_blocks=True)
-
-
-def _scfpep_effective(spec):
-    if not hasattr(spec, "_effective_ops"):
-        u_eff = convex_combine(
-            [relax(m, g) for m, g in zip(spec.U_family, spec.u_relax)],
-            spec.u_weights,
-        )
-        t_eff = convex_combine(
-            [relax(m, t) for m, t in zip(spec.T_family, spec.t_relax)],
-            spec.t_weights,
-        )
-        spec._effective_ops = (u_eff, t_eff)
-    return spec._effective_ops
+    return _equality_step(spec, x, y, n, project_blocks=True)
 
 
 def step_scfpep(spec, x, y, n):
     """Equality step over convex combinations of relaxed operator families.
 
-    Builds U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i T_{tau_i}
-    once, then runs the unprojected equality update.  ``branch_assignment``
-    chooses which block receives which combined operator; the published
-    reference table for this family matches the swapped assignment, not the
-    printed one, so both are available.
+    The spec builds U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i
+    T_{tau_i} once; this runs the unprojected equality update with them.
+    ``branch_assignment`` chooses which block receives which combined
+    operator; the published reference table for this family matches the
+    swapped assignment, not the printed one, so both are available.
     """
-    u_eff, t_eff = _scfpep_effective(spec)
-    u_op, t_op = _block_operators(spec, u_eff, t_eff)
-    return _equality_step(spec, x, y, n, u_op, t_op, project_blocks=False)
+    return _equality_step(spec, x, y, n, project_blocks=False)
 
 
 # ---------------------------------------------------------------------------
@@ -305,61 +287,52 @@ def step_extragradient(spec, x, cuts, x0, n):
 # ---------------------------------------------------------------------------
 # driver
 
-_INTERMEDIATE_SLOTS = {
-    SCFPP: ("u",),
-    SCFPP_ADAPTIVE: ("u",),
-    SYNCHRONAL_VIP: ("u",),
-    SFFPEP: ("u", "z", "w", "r"),
-    SCFPEP: ("u", "z", "w", "r"),
-    EXTRAGRADIENT_SFFPP: ("u", "z", "w", "r"),
-}
-
-
 def _distance_to_reference(spec, x, y):
     if spec.reference_solution is None:
         return None
-    if spec.two_variable:
+    if y is not None:
         x_ref, y_ref = spec.reference_solution
         return float(np.sqrt(norm(x - x_ref) ** 2 + norm(y - y_ref) ** 2))
     (x_ref,) = spec.reference_solution
     return norm(x - x_ref)
 
 
-def _initial_residual(spec, x, y):
-    fam = spec.family
-    if fam == SCFPP:
-        ax = spec.A.apply(x)
-        return max(norm(spec.G(x) - x), norm(spec.T(ax) - ax))
-    if fam == SCFPP_ADAPTIVE:
-        ax = spec.A.apply(x)
-        return max(norm(spec.U(x) - x), norm(spec.T(ax) - ax))
-    if fam == SYNCHRONAL_VIP:
-        return norm(spec.T(x) - x)
-    if fam in (SFFPEP, SCFPEP):
-        if fam == SCFPEP:
-            u_op, t_op = _block_operators(spec, *_scfpep_effective(spec))
-        else:
-            u_op, t_op = _block_operators(spec, spec.U, spec.T)
-        gap = norm(spec.A.apply(x) - spec.B.apply(y))
-        return max(gap, norm(u_op(x) - x), norm(t_op(y) - y))
-    # extra-gradient: the per-step residual ||x_{n+1} - x_n|| has no n = 0
-    # analogue, so the initial record carries the fixed-point residual
+def _image_residual(spec, x):
+    ax = spec.A.apply(x)
+    return norm(spec.T(ax) - ax)
+
+
+def _fixed_point_residual(spec, x, y):
     return norm(spec.T(x) - x)
 
 
-def _step_once(spec, x, y, cuts, x0, n):
-    fam = spec.family
-    if fam == SCFPP:
-        return step_scfpp(spec, x, n)
-    if fam == SCFPP_ADAPTIVE:
-        return step_scfpp_adaptive(spec, x, n)
-    if fam == SYNCHRONAL_VIP:
-        return step_synchronal(spec, x, n)
-    if fam == SFFPEP:
-        return step_sffpep(spec, x, y, n)
-    if fam == SCFPEP:
-        return step_scfpep(spec, x, y, n)
-    return step_extragradient(spec, x, cuts, x0, n)
+def _equality_residual(spec, x, y):
+    u_op, t_op = spec.block_operators
+    gap = norm(spec.A.apply(x) - spec.B.apply(y))
+    return max(gap, norm(u_op(x) - x), norm(t_op(y) - y))
+
+
+# family -> (residual of the starting point, one step).  The steps are
+# called through this module's global names, so a wrapper installed on
+# ``step_*`` sees every call.  The extra-gradient per-step residual
+# ||x_{n+1} - x_n|| has no n = 0 analogue, so its initial record carries the
+# fixed-point residual.
+_FAMILY_STEPS = {
+    SCFPP: (lambda spec, x, y: max(norm(spec.G(x) - x), _image_residual(spec, x)),
+            lambda spec, x, y, cuts, x0, n: step_scfpp(spec, x, n)),
+    SCFPP_ADAPTIVE: (
+        lambda spec, x, y: max(norm(spec.U(x) - x), _image_residual(spec, x)),
+        lambda spec, x, y, cuts, x0, n: step_scfpp_adaptive(spec, x, n)),
+    SYNCHRONAL_VIP: (_fixed_point_residual,
+                     lambda spec, x, y, cuts, x0, n: step_synchronal(spec, x, n)),
+    SFFPEP: (_equality_residual,
+             lambda spec, x, y, cuts, x0, n: step_sffpep(spec, x, y, n)),
+    SCFPEP: (_equality_residual,
+             lambda spec, x, y, cuts, x0, n: step_scfpep(spec, x, y, n)),
+    EXTRAGRADIENT_SFFPP: (
+        _fixed_point_residual,
+        lambda spec, x, y, cuts, x0, n: step_extragradient(spec, x, cuts, x0, n)),
+}
 
 
 def run(spec, x0, y0=None, rule=None):
@@ -374,31 +347,32 @@ def run(spec, x0, y0=None, rule=None):
     """
     if rule is None:
         raise ValidationError("a stopping rule is required")
+    family = FAMILIES[spec.family]
+    initial_residual, step = _FAMILY_STEPS[spec.family]
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if spec.two_variable:
+    if family.two_variable:
         if y0 is None:
             raise ValidationError("family %r iterates two blocks; y0 missing"
                                   % spec.family)
         y = np.atleast_1d(np.asarray(y0, dtype=float))
     else:
         y = None
-    is_extragradient = spec.family == EXTRAGRADIENT_SFFPP
-    cuts = [] if is_extragradient else None
+    cuts = [] if family.accumulates_cuts else None
 
     records = [
         TraceRecord(
             n=0,
             x=x,
             y=y,
-            residual_primary=_initial_residual(spec, x, y),
+            residual_primary=initial_residual(spec, x, y),
             dist_to_target=_distance_to_reference(spec, x, y),
-            cut_count=0 if is_extragradient else None,
+            cut_count=None if cuts is None else 0,
         )
     ]
     stop_reason = "max_iters"
     for n in range(rule.max_iters):
         try:
-            result = _step_once(spec, x, y, cuts, records[0].x, n)
+            result = step(spec, x, y, cuts, records[0].x, n)
         except _STEP_FAILURES as err:
             raise SolverError("iteration %d: %s" % (n, err), n) from err
         moved = norm(result.x - x) if y is None else float(
@@ -406,7 +380,7 @@ def run(spec, x0, y0=None, rule=None):
         )
         x = result.x
         y = result.y
-        if is_extragradient:
+        if cuts is not None:
             cuts = result.cuts
         dist = _distance_to_reference(spec, x, y)
         records.append(
@@ -422,7 +396,7 @@ def run(spec, x0, y0=None, rule=None):
                 residual_primary=result.residual_primary,
                 residual_coupling=result.residual_coupling,
                 dist_to_target=dist,
-                cut_count=len(cuts) if is_extragradient else None,
+                cut_count=None if cuts is None else len(cuts),
             )
         )
         if rule.residual_tol is not None and result.residual_primary <= rule.residual_tol:
@@ -438,5 +412,5 @@ def run(spec, x0, y0=None, rule=None):
         family=spec.family,
         records=records,
         stop_reason=stop_reason,
-        intermediates=_INTERMEDIATE_SLOTS[spec.family],
+        intermediates=tuple(family.intermediates),
     )

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, trace round-trips, outputs."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splitfp.cli import main, parse_trace_csv, write_trace_csv
+from splitfp.operators import CLASS_TOKENS
 from splitfp.presets import run_example
 from splitfp.problems import StoppingRule
 
@@ -137,6 +140,46 @@ def test_run_numerical_breakdown_exit_3(tmp_path):
     assert code == 3
 
 
+SCFPP_INLINE = {
+    "problem": {
+        "family": "scfpp",
+        "T": {"num": [5.0, 1.0], "den": [5.0], "class": "quasi_nonexpansive",
+              "extra_classes": ["lipschitzian:4"], "fixed_points": [1.25]},
+        "G": {"catalog": "smallS"},
+        "A": [[1.0]],
+        "alpha": {"constant": 0.5},
+        "gamma": 0.5,
+    },
+    "start": {"x": [10.0]},
+    "stopping": {"max_iters": 5},
+}
+
+
+@pytest.mark.parametrize("doc, extra_args", [
+    ({"problem": {"example": "extragradient_1d"}, "flags": {"cut_cap": 1}}, []),
+    (dict(SCFPP_INLINE, flags={"gamma_bound": "bogus"}), []),
+    ({"problem": {"example": "wq_t3"}, "flags": {"wq_branch": "sideways"}}, []),
+    (BNM_CONFIG, ["--tol", "-1"]),
+    (BNM_CONFIG, ["--max-iters", "0"]),
+], ids=["cut_cap", "gamma_bound", "wq_branch", "tol", "max_iters"])
+def test_run_flags_and_overrides_are_validated(tmp_path, doc, extra_args):
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]
+                + extra_args) == 2
+
+
+def test_run_gamma_bound_flag_sets_the_gamma_cap(tmp_path, capsys):
+    # gamma = 0.5 lies below 1/||AA*|| = 1 but above 1/K = 1/4 for the
+    # declared Lipschitz constant K = 4 of T
+    cfg = write_config(tmp_path, SCFPP_INLINE, name="l_star.json")
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    doc = dict(SCFPP_INLINE, flags={"gamma_bound": "lipschitz"})
+    cfg = write_config(tmp_path, doc, name="lipschitz.json")
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "gamma = 0.5 outside (0, 0.25)" in capsys.readouterr().err
+
+
 def test_run_extragradient_summary_reports_departure(tmp_path, capsys):
     cfg = write_config(tmp_path, {"problem": {"example": "extragradient_1d"}})
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
@@ -228,6 +271,12 @@ def test_verify_identity_across_classes(capsys):
     for cls in classes:
         assert main(["verify", "identity", cls, "--samples", "100"]) == 0, cls
         capsys.readouterr()
+
+
+def test_readme_lists_the_class_tokens():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `([a-z_]+)` \|", readme, flags=re.M)
+    assert listed == list(CLASS_TOKENS)
 
 
 def test_list_examples_formats(capsys):

@@ -1,5 +1,7 @@
 """Named configurations: validation, pinned rows, and catalog export."""
 
+import dataclasses
+
 import pytest
 
 from splitfp.presets import DERIVED, TABULATED, ExpectedRow, catalog, get_example, run_example
@@ -55,6 +57,18 @@ def test_catalog_export_is_structured():
                             "expected_rows", "notes"}
         for row in doc["expected_rows"]:
             assert set(row) == {"n", "values", "tolerances", "provenance"}
+
+
+def test_examples_are_shared_and_frozen():
+    ex = get_example("wq_t3")
+    assert get_example("wq_t3") is ex
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ex.spec.branch_assignment = "as_printed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ex.default_rule.max_iters = 1
+    with pytest.raises(TypeError):
+        catalog()["wq_t3"] = ex
+    assert ex.spec.branch_assignment == "swapped"
 
 
 def test_get_example_unknown_id():

@@ -1,5 +1,6 @@
 """Step functions and the run driver: hand-derived values and invariants."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -243,10 +244,7 @@ def test_step_sffpep_consensus_freeze():
 
 
 def _wq_first_x(branch):
-    ex_spec = get_example("wq_t3").spec
-    ex_spec.branch_assignment = branch
-    if hasattr(ex_spec, "_effective_ops"):
-        del ex_spec._effective_ops
+    ex_spec = replace(get_example("wq_t3").spec, branch_assignment=branch)
     from splitfp.solvers import step_scfpep
 
     res = step_scfpep(ex_spec, np.array([5.0]), np.array([5.0]), 0)
@@ -387,8 +385,7 @@ def test_extragradient_monotone_departure_and_cut_membership():
 
 
 def test_extragradient_cut_cap_aborts():
-    spec = get_example("extragradient_1d").spec
-    spec.cut_cap = 5
+    spec = replace(get_example("extragradient_1d").spec, cut_cap=5)
     with pytest.raises(SolverError) as exc:
         run(spec, [10.0], rule=StoppingRule(max_iters=10))
     assert exc.value.iteration == 1
