@@ -159,6 +159,10 @@ def _load_run_config(path, args):
     with open(path) as fh:
         config = json.load(fh)
     flags = dict(config.get("flags", {}))
+    unknown = sorted(set(flags) - set(_FLAG_FIELDS))
+    if unknown:
+        raise ValidationError("unknown flags %s (known: %s)"
+                              % (", ".join(unknown), ", ".join(_FLAG_FIELDS)))
     if args.wq_branch:
         flags["wq_branch"] = args.wq_branch
     if "cut_cap" in flags:
@@ -170,14 +174,12 @@ def _load_run_config(path, args):
         example = presets.get_example(problem["example"])
         spec = example.spec
         if not start:
-            pair = example.starts[0]
-            start = {"x": np.asarray(pair[0], dtype=float).tolist()}
-            if len(pair) > 1:
-                start["y"] = np.asarray(pair[1], dtype=float).tolist()
+            start = dict(zip(("x", "y"), example.starts[0]))
         rule = example.default_rule
     else:
         spec = build_spec_from_config(problem)
         rule = None
+    start = {key: np.asarray(value, dtype=float) for key, value in start.items()}
     overrides = {field: flags[flag] for flag, field in _FLAG_FIELDS.items()
                  if flag in flags}
     if overrides:
@@ -379,7 +381,8 @@ def write_residual_svg(trace, path, width=640, height=400):
 def cmd_run(args):
     try:
         spec, start, rule, outputs = _load_run_config(args.config, args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, KeyError, ValueError, TypeError) as err:
+        # TypeError: a config value of the wrong JSON type
         print("configuration error: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
     out_dir = Path(args.out_dir)

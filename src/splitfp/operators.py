@@ -483,7 +483,13 @@ class FixedPointMap:
     configuration format and the high-precision oracle).  ``extra_classes``
     lists additional regularity declarations beyond the primary one, e.g.
     a Lipschitz constant alongside a strong-monotonicity modulus.
+    ``scalar_rule`` is set only by :func:`map_from_rule`: ``eval_fn(x)`` is
+    then exactly ``[scalar_rule(float(x[0]))]``, which :func:`power_apply`
+    relies on.  ``rule`` is no such promise (:func:`relax` keeps an exact
+    rational there for the oracle but evaluates differently).
     """
+
+    scalar_rule = None
 
     def __init__(self, eval_fn, domain, declared_class=None,
                  known_fixed_points=(), name=None, rule=None, extra_classes=()):
@@ -524,8 +530,15 @@ def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
     def eval_fn(x):
         return np.array([rule(float(x[0]))])
 
-    return FixedPointMap(eval_fn, domain, declared_class, known_fixed_points,
-                         name=name, rule=rule, extra_classes=extra_classes)
+    T = FixedPointMap(eval_fn, domain, declared_class, known_fixed_points,
+                      name=name, rule=rule, extra_classes=extra_classes)
+    T.scalar_rule = rule
+    return T
+
+
+def _domain_escape(i, n, point):
+    return DomainEscape("iterate left the domain before application %d of %d: %s"
+                        % (i + 1, n, point.tolist()))
 
 
 def power_apply(T, n, x, check_domain=True):
@@ -535,16 +548,32 @@ def power_apply(T, n, x, check_domain=True):
     is bit-exactly fixed (further applications are the identity on it).
     With ``check_domain`` the current point is required to lie in T's domain
     before every application, and the offending step is named on escape.
+
+    Two loops compute the same thing.  When T has a ``scalar_rule`` (only
+    :func:`map_from_rule` sets one) and x has one element, the loop runs on
+    a Python float and calls the rule directly: the same IEEE operations
+    ``T``'s ``eval_fn`` performs, without wrapping every iterate in an
+    array.  Every other map, and every d > 1, takes the array loop through
+    ``T.__call__``.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
     cur = np.atleast_1d(np.asarray(x, dtype=float))
+    rule = T.scalar_rule
+    if rule is not None and cur.shape == (1,):
+        v = float(cur[0])
+        for i in range(n):
+            if check_domain:
+                point = np.array([v])
+                if not contains(T.domain, point, tol=1e-9):
+                    raise _domain_escape(i, n, point)
+            v, prev = float(rule(v)), v
+            if v == prev:
+                break
+        return np.array([v])
     for i in range(n):
         if check_domain and not contains(T.domain, cur, tol=1e-9):
-            raise DomainEscape(
-                "iterate left the domain before application %d of %d: %s"
-                % (i + 1, n, cur.tolist())
-            )
+            raise _domain_escape(i, n, cur)
         nxt = T(cur)
         if np.array_equal(nxt, cur):
             return nxt

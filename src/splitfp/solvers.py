@@ -11,6 +11,7 @@ convergence analyses drive to zero, so residual decay is a meaningful
 diagnostic for every family.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "SolverError",
     "AdjointInconsistency",
     "CutCapExceeded",
+    "NonFiniteState",
 ]
 
 
@@ -68,10 +70,49 @@ class CutCapExceeded(SolverError):
     """The extra-gradient cut list outgrew the configured cap."""
 
 
+class NonFiniteState(SolverError):
+    """An iterate or a residual became NaN or infinite.
+
+    ``last_finite`` is the last trace record whose state was finite, or
+    None when the starting record itself is not.
+    """
+
+    def __init__(self, message, iteration, last_finite):
+        super().__init__(message, iteration)
+        self.last_finite = last_finite
+
+
 # failures a step can legitimately surface; the driver annotates them with
-# the iteration index
+# the iteration index.  Python floats raise ZeroDivisionError where numpy
+# returns inf, so a rule evaluated at its pole lands here.
 _STEP_FAILURES = (SolverError, InfeasibleIntersection, DykstraNoConvergence,
-                  DomainEscape)
+                  DomainEscape, ZeroDivisionError)
+
+
+def _breakdown(err, n):
+    if isinstance(err, ZeroDivisionError):
+        err = "division by zero, an operator rule evaluated at its pole (%s)" % err
+    return SolverError("iteration %d: %s" % (n, err), n)
+
+
+def _state(rec):
+    text = "x=%s" % rec.x.tolist()
+    if rec.y is not None:
+        text += ", y=%s" % rec.y.tolist()
+    return text + ", residual=%r" % rec.residual_primary
+
+
+def _check_finite(rec, last, n):
+    """Raise :class:`NonFiniteState` unless rec's iterates and residuals are finite."""
+    values = rec.x.tolist() + ([] if rec.y is None else rec.y.tolist())
+    values += [v for v in (rec.residual_primary, rec.residual_coupling)
+               if v is not None]
+    if all(map(math.isfinite, values)):
+        return
+    before = ("the start" if last is None
+              else "last finite state n=%d: %s" % (last.n, _state(last)))
+    raise NonFiniteState("iteration %d: non-finite state %s; %s"
+                         % (n, _state(rec), before), n, last)
 
 
 @dataclass
@@ -343,7 +384,9 @@ def run(spec, x0, y0=None, rule=None):
     criteria are checked after each step in the order residual, stagnation,
     target; the trace records which one fired.  Domain membership of the
     starting point is the caller's concern: the recurrences evaluate the
-    operators wherever they lead, as the published trajectories do.
+    operators wherever they lead, as the published trajectories do.  A
+    start must be finite; a NaN or infinite iterate or residual later
+    raises :class:`NonFiniteState`, and a rule's pole a :class:`SolverError`.
     """
     if rule is None:
         raise ValidationError("a stopping rule is required")
@@ -357,24 +400,31 @@ def run(spec, x0, y0=None, rule=None):
         y = np.atleast_1d(np.asarray(y0, dtype=float))
     else:
         y = None
+    if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
+        raise ValidationError("the start point must be finite")
     cuts = [] if family.accumulates_cuts else None
 
+    try:
+        residual = initial_residual(spec, x, y)
+    except ZeroDivisionError as err:
+        raise _breakdown(err, 0) from err
     records = [
         TraceRecord(
             n=0,
             x=x,
             y=y,
-            residual_primary=initial_residual(spec, x, y),
+            residual_primary=residual,
             dist_to_target=_distance_to_reference(spec, x, y),
             cut_count=None if cuts is None else 0,
         )
     ]
+    _check_finite(records[0], None, 0)
     stop_reason = "max_iters"
     for n in range(rule.max_iters):
         try:
             result = step(spec, x, y, cuts, records[0].x, n)
         except _STEP_FAILURES as err:
-            raise SolverError("iteration %d: %s" % (n, err), n) from err
+            raise _breakdown(err, n) from err
         moved = norm(result.x - x) if y is None else float(
             np.sqrt(norm(result.x - x) ** 2 + norm(result.y - y) ** 2)
         )
@@ -399,6 +449,7 @@ def run(spec, x0, y0=None, rule=None):
                 cut_count=None if cuts is None else len(cuts),
             )
         )
+        _check_finite(records[-1], records[-2], n)
         if rule.residual_tol is not None and result.residual_primary <= rule.residual_tol:
             stop_reason = "residual_tol"
             break

@@ -168,6 +168,54 @@ def test_run_flags_and_overrides_are_validated(tmp_path, doc, extra_args):
                 + extra_args) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"problem": {"example": "extragradient_1d"}, "flags": {"cut_cap": None}},
+    dict(SCFPP_INLINE, problem=dict(SCFPP_INLINE["problem"], gamma="abc")),
+    dict(SCFPP_INLINE, start={"x": "abc"}),
+], ids=["cut_cap_null", "gamma_string", "start_string"])
+def test_run_wrong_typed_config_values_exit_2(tmp_path, doc, capsys):
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_run_unknown_flag_exits_2(tmp_path, capsys):
+    doc = {"problem": {"example": "bnm_t1"}, "flags": {"wq-branch": "sideways"}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "unknown flags wq-branch" in capsys.readouterr().err
+
+
+SYNCHRONAL_INLINE = {
+    "problem": {
+        "family": "synchronal_vip",
+        "f": {"num": [0.0, 0.5], "class": "contraction:0.5", "fixed_points": [0.0]},
+        "G": {"num": [0.0, 1.0], "class": "strongly_monotone:1",
+              "extra_classes": ["lipschitzian:1"]},
+        "alpha": {"formula": "1/(n+2)"},
+        "beta": {"constant": 0.5},
+        "mu": 1.0,
+        "gamma_visc": 0.5,
+        "enforce_ranges": False,
+    },
+    "stopping": {"max_iters": 50},
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("T, x0, message", [
+    ({"num": [0.0, 0.0, 3.0]}, 2.0, "iteration 3: non-finite state"),
+    ({"num": [1.0], "den": [1.0, -1.0]}, 1.0, "iteration 0: division by zero"),
+], ids=["nan", "pole"])
+def test_run_breakdown_exits_3_without_a_summary(tmp_path, capsys, T, x0, message):
+    doc = dict(SYNCHRONAL_INLINE, start={"x": [x0]},
+               problem=dict(SYNCHRONAL_INLINE["problem"], T=T))
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_run_gamma_bound_flag_sets_the_gamma_cap(tmp_path, capsys):
     # gamma = 0.5 lies below 1/||AA*|| = 1 but above 1/K = 1/4 for the
     # declared Lipschitz constant K = 4 of T

@@ -18,6 +18,7 @@ from splitfp.operators import (
     QuasiNonexpansive,
     SequenceSpec,
     StrictlyPseudocontractive,
+    _Lcg,
     check_power_inequality_equivalences,
     check_strong_monotonicity_of_complement,
     convex_combine,
@@ -28,7 +29,7 @@ from splitfp.operators import (
     relax,
     verify_class,
 )
-from splitfp.projections import Box, WholeSpace
+from splitfp.projections import Box, WholeSpace, contains
 from splitfp.rules import Rational1D
 from splitfp.spaces import norm
 
@@ -100,6 +101,76 @@ def test_power_apply_domain_escape():
     with pytest.raises(DomainEscape) as exc:
         power_apply(shift_down, 3, np.array([2.0]))
     assert "application 2 of 3" in str(exc.value)
+
+
+def _power_apply_arrays(T, n, x, check_domain=True):
+    """power_apply's array loop, the reference its scalar loop must match."""
+    cur = np.atleast_1d(np.asarray(x, dtype=float))
+    for i in range(n):
+        if check_domain and not contains(T.domain, cur, tol=1e-9):
+            raise DomainEscape(
+                "iterate left the domain before application %d of %d: %s"
+                % (i + 1, n, cur.tolist())
+            )
+        nxt = T(cur)
+        if np.array_equal(nxt, cur):
+            return nxt
+        cur = nxt
+    return cur
+
+
+def _outcome(power, T, n, x, check_domain):
+    try:
+        out = power(T, n, x, check_domain=check_domain)
+    except (DomainEscape, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return out.dtype, out.shape, out.tobytes()   # bits: tells -0.0 and NaNs apart
+
+
+RULE_MAPS = ("heDu", "bigU", "smallS", "wqT", "wqU", "identity")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", RULE_MAPS + ("relax(wqT, 0.3)",))
+def test_power_apply_scalar_loop_matches_array_loop(name):
+    cat = operator_catalog()
+    T = relax(cat["wqT"], 0.3) if name.startswith("relax") else cat[name]
+    lcg = _Lcg(7)
+    # seeded starts over [-2, 10) (negatives leave the nonnegative domains),
+    # signed zeros, non-finite values, the pole -1 of heDu/bigU, the wqU
+    # breakpoint and the catalog fixed points
+    starts = [12.0 * lcg.next_double() - 2.0 for _ in range(6)]
+    starts += [0.0, -0.0, np.nan, np.inf, -np.inf, -1.0, 1.0, 1.25, 2.0, 5.0]
+    escapes = 0
+    for x in starts:
+        for check_domain in (True, False):
+            for n in range(1, 61):
+                want = _outcome(_power_apply_arrays, T, n, [x], check_domain)
+                assert _outcome(power_apply, T, n, [x], check_domain) == want, \
+                    (x, check_domain, n)
+                escapes += want[0] is DomainEscape
+    assert escapes > 0
+
+
+def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
+    wqT = operator_catalog()["wqT"]
+    # relax keeps an exact rational as ``rule``, but its map evaluates
+    # (1-a)x + aT(x), which rounds differently: it must take the array loop
+    relaxed = relax(wqT, 0.3)
+    assert wqT.scalar_rule is wqT.rule
+    assert relaxed.rule is not None and relaxed.scalar_rule is None
+    calls = []
+    original = FixedPointMap.__call__
+
+    def counting(self, x):
+        calls.append(self.name)
+        return original(self, x)
+
+    monkeypatch.setattr(FixedPointMap, "__call__", counting)
+    power_apply(wqT, 5, np.array([4.0]))
+    assert calls == []
+    power_apply(relaxed, 5, np.array([4.0]))
+    assert relaxed.name in calls
 
 
 def test_relax_alpha_one_is_same_map():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splitfp.operators import SequenceSpec, operator_catalog
+from splitfp.operators import SequenceSpec, map_from_rule, operator_catalog
 from splitfp.presets import catalog as preset_catalog
 from splitfp.presets import get_example, run_example
 from splitfp.problems import (
@@ -15,12 +15,15 @@ from splitfp.problems import (
     SCFPP,
     SCFPP_ADAPTIVE,
     SFFPEP,
+    SYNCHRONAL_VIP,
     ProblemSpec,
     StoppingRule,
     ValidationError,
 )
 from splitfp.projections import Box, WholeSpace, contains
+from splitfp.rules import Rational1D
 from splitfp.solvers import (
+    NonFiniteState,
     SolverError,
     run,
     step_extragradient,
@@ -423,6 +426,48 @@ def test_run_stop_reasons():
     assert tr.stop_reason == "stagnation_tol"
     tr = run(spec, [10.0], rule=StoppingRule(max_iters=3))
     assert tr.stop_reason == "max_iters"
+
+
+def synchronal_with(T):
+    """The synchronal demo problem with T swapped for an unchecked rule map."""
+    base = get_example("synchronal_demo").spec
+    return replace(base, T=map_from_rule(T, WholeSpace(1)), enforce_ranges=False)
+
+
+@pytest.mark.parametrize("T, x0, iteration", [
+    (Rational1D([1.0], [1.0, -1.0]), 1.0, 0),   # 1/(1-x): pole at the start
+    # -6/x: T(2) = -3 puts x_1 at exactly 0, where T^2 divides by zero
+    (Rational1D([-6.0], [0.0, 1.0]), 2.0, 1),
+])
+def test_run_reports_a_rule_pole_as_solver_error(T, x0, iteration):
+    with pytest.raises(SolverError) as exc:
+        run(synchronal_with(T), [x0], rule=StoppingRule(max_iters=5))
+    assert exc.value.iteration == iteration
+    assert str(exc.value).startswith("iteration %d: division by zero" % iteration)
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_raises_on_a_non_finite_state():
+    # T(x) = 3x^2 from 2 overflows to inf, then inf - inf gives NaN
+    spec = synchronal_with(Rational1D([0.0, 0.0, 3.0]))
+    with pytest.raises(NonFiniteState) as exc:
+        run(spec, [2.0], rule=StoppingRule(max_iters=50))
+    err = exc.value
+    last = err.last_finite
+    assert err.iteration == last.n == 3
+    assert np.isfinite(last.x).all() and np.isfinite(last.residual_primary)
+    assert "iteration 3: non-finite state" in str(err)
+    assert "last finite state n=3: x=%s" % last.x.tolist() in str(err)
+
+
+def test_run_rejects_a_non_finite_start():
+    for x0 in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="start point must be finite"):
+            run(scfpp_spec(), [x0], rule=StoppingRule(max_iters=1))
+    with pytest.raises(ValidationError, match="start point must be finite"):
+        run(get_example("bnm_t1").spec, [1.0], [np.nan],
+            rule=StoppingRule(max_iters=1))
 
 
 def test_run_bit_reproducible():
