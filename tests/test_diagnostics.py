@@ -1,5 +1,6 @@
 """Distance monitors, fixed-point scans, and the decimal re-execution oracle."""
 
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -12,7 +13,7 @@ from splitfp.diagnostics import (
     find_fixed_points_1d,
     reexecute_high_precision,
 )
-from splitfp.operators import SequenceSpec, operator_catalog
+from splitfp.operators import SequenceSpec, operator_catalog, relax
 from splitfp.presets import get_example, run_example
 from splitfp.problems import IterationTrace, SFFPEP, ProblemSpec, StoppingRule, TraceRecord
 from splitfp.projections import WholeSpace
@@ -181,6 +182,20 @@ def test_oracle_supports_one_variable_families():
                                   config=PrecisionOracleConfig(digits=30, max_n=30))
     for rec, hp_rec in zip(tr.records, hp.records):
         assert abs(Decimal(rec.x[0]) - hp_rec.x[0]) <= Decimal("1e-12")
+
+
+
+def test_oracle_re_executes_a_relaxed_rule_map():
+    ops = operator_catalog()
+    spec = replace(get_example("bnm_t1").spec, U=relax(ops["bigU"], 0.3),
+                   lam=SequenceSpec.const(0.05))
+    trace = run(spec, [10.0], [15.0], rule=StoppingRule(max_iters=100))
+    hp = reexecute_high_precision(spec, [10.0], [15.0],
+                                  PrecisionOracleConfig(digits=30, max_n=100))
+    assert len(hp.records) == len(trace.records) == 101
+    for rec, hp_rec in zip(trace.records, hp.records):
+        for got, want in ((rec.x[0], hp_rec.x[0]), (rec.y[0], hp_rec.y[0])):
+            assert abs(Decimal(got) - want) <= Decimal("1e-9") * (1 + abs(want))
 
 
 def test_oracle_rejects_unsupported_problems():

@@ -1,6 +1,7 @@
 """Operator taxonomy, combinators, sampling verifiers, and the catalog."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,32 @@ def test_sequence_config_round_trip():
                 SequenceSpec.from_formula("1/(n+2)")):
         clone = SequenceSpec.from_config(seq.to_config())
         assert [clone(n) for n in range(5)] == [seq(n) for n in range(5)]
+
+
+
+# exact value of each registry formula
+EXACT_FORMULAS = {
+    "1/(n+1)": lambda n: Fraction(1, n + 1),
+    "1/(n+2)": lambda n: Fraction(1, n + 2),
+    "1/(n+1)^2": lambda n: Fraction(1, (n + 1) ** 2),
+    "1+1/(n+1)^2": lambda n: 1 + Fraction(1, (n + 1) ** 2),
+}
+
+
+def test_formula_registry_matches_the_exact_values():
+    assert sorted(EXACT_FORMULAS) == sorted(SequenceSpec._FORMULAS)
+    for name, exact in EXACT_FORMULAS.items():
+        seq = SequenceSpec.from_formula(name)
+        for n in range(51):
+            want = exact(n)
+            got = seq(n)
+            assert isinstance(got, float)
+            assert abs(Fraction(got) - want) <= Fraction(2) ** -52 * want, (name, n)
+            with localcontext() as ctx:
+                ctx.prec = 30
+                dec = seq.eval_decimal(n)
+            assert isinstance(dec, Decimal)
+            assert abs(Fraction(dec) - want) <= Fraction(1, 10 ** 25), (name, n)
 
 
 # ---------------------------------------------------------------------------

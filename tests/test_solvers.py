@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splitfp.operators import SequenceSpec, map_from_rule, operator_catalog
+from splitfp.operators import (
+    CLASS_TOKENS,
+    Contraction,
+    Lipschitzian,
+    SequenceSpec,
+    StronglyMonotone,
+    class_from_token,
+    map_from_rule,
+    operator_catalog,
+)
 from splitfp.presets import catalog as preset_catalog
 from splitfp.presets import get_example, run_example
 from splitfp.problems import (
@@ -103,6 +112,94 @@ def test_scfpp_gamma_cap_lipschitz_choice():
         gamma_bound_choice="lipschitz",
     )
     assert spec.gamma_cap() == pytest.approx(1.0)
+
+
+
+# ---------------------------------------------------------------------------
+# the constants each operator class implies, as the specs read them
+
+_NO_DEMI = "m must declare a demicontractive-type class"
+_NO_LIP = ("gamma_bound_choice='lipschitz' needs declared Lipschitz "
+           "constants on T and G")
+_NO_G = "G must declare a strong-monotonicity modulus and a Lipschitz constant"
+
+# token -> (demicontractive_k of scfpp_adaptive, lipschitz gamma_cap of scfpp,
+# synchronal tau with G declaring the class and extras Lipschitzian(2),
+# StronglyMonotone(3); the same with the class as G's first extra and no
+# declared class; the class alone), each a value or the ValidationError text
+CLASS_CONSTANTS = {
+    "asymptotically_nonexpansive": (_NO_DEMI, _NO_LIP, 0.27999999999999997,
+                                    0.27999999999999997, _NO_G),
+    "asymptotically_quasi_nonexpansive": (_NO_DEMI, _NO_LIP, 0.27999999999999997,
+                                          0.27999999999999997, _NO_G),
+    "contraction": (_NO_DEMI, 1.1111111111111112, 0.29595, 0.29595, _NO_G),
+    "demicontractive": (0.0, _NO_LIP, 0.27999999999999997, 0.27999999999999997,
+                        _NO_G),
+    "directed": (-1.0, _NO_LIP, 0.27999999999999997, 0.27999999999999997, _NO_G),
+    "firmly_quasi_nonexpansive": (-1.0, _NO_LIP, 0.27999999999999997,
+                                  0.27999999999999997, _NO_G),
+    "lipschitzian": (_NO_DEMI, 1.0, 0.29500000000000004, 0.29500000000000004,
+                     _NO_G),
+    "nonexpansive": (_NO_DEMI, 1.0, 0.29500000000000004, 0.29500000000000004,
+                     _NO_G),
+    "quasi_nonexpansive": (0.0, _NO_LIP, 0.27999999999999997,
+                           0.27999999999999997, _NO_G),
+    "strictly_pseudocontractive": (_NO_DEMI, _NO_LIP, 0.27999999999999997,
+                                   0.27999999999999997, _NO_G),
+    "strongly_monotone": (_NO_DEMI, _NO_LIP, 0.08000000000000002,
+                          0.08000000000000002, _NO_G),
+    "total_asymptotically_nonexpansive": (_NO_DEMI, _NO_LIP, 0.27999999999999997,
+                                          0.27999999999999997, _NO_G),
+    "total_quasi_asymptotically_nonexpansive": (
+        _NO_DEMI, _NO_LIP, 0.27999999999999997, 0.27999999999999997, _NO_G),
+    "uniformly_lipschitzian": (_NO_DEMI, 1.0, 0.29500000000000004,
+                               0.29500000000000004, _NO_G),
+}
+
+
+def _declaring(declared, extra=()):
+    return map_from_rule(Rational1D([0.0, 0.5]), WholeSpace(1),
+                         declared_class=declared, known_fixed_points=([0.0],),
+                         name="m", extra_classes=extra)
+
+
+def _value_or_error(build):
+    try:
+        return build()
+    except ValidationError as err:
+        return str(err)
+
+
+def test_class_constants_cover_every_token():
+    assert sorted(CLASS_CONSTANTS) == sorted(CLASS_TOKENS)
+
+
+@pytest.mark.parametrize("token", sorted(CLASS_CONSTANTS))
+def test_class_constants_as_the_specs_read_them(token):
+    cls = class_from_token(token)
+    one = scalar_map(1.0)
+    demi = _value_or_error(lambda: ProblemSpec(
+        family=SCFPP_ADAPTIVE, U=_declaring(cls), T=_declaring(cls), A=one,
+        alpha=SequenceSpec.const(0.1), enforce_ranges=False,
+    ).demicontractive_k())
+    cap = _value_or_error(lambda: ProblemSpec(
+        family=SCFPP, T=_declaring(cls), G=_declaring(cls), A=one,
+        alpha=SequenceSpec.const(0.5), gamma=0.1,
+        gamma_bound_choice="lipschitz", enforce_ranges=False,
+    ).gamma_cap())
+
+    def tau(G):
+        return _value_or_error(lambda: ProblemSpec(
+            family=SYNCHRONAL_VIP, T=_declaring(None),
+            f=_declaring(Contraction(0.5)), G=G,
+            alpha=SequenceSpec.const(0.5), beta=SequenceSpec.const(0.5),
+            mu=0.1, gamma_visc=0.01, enforce_ranges=False,
+        ).synchronal_tau())
+
+    moduli = (Lipschitzian(2.0), StronglyMonotone(3.0))
+    got = (demi, cap, tau(_declaring(cls, moduli)),
+           tau(_declaring(None, (cls,) + moduli)), tau(_declaring(cls)))
+    assert got == CLASS_CONSTANTS[token]
 
 
 # ---------------------------------------------------------------------------
