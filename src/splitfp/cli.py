@@ -385,12 +385,6 @@ def cmd_run(args):
         # TypeError: a config value of the wrong JSON type
         print("configuration error: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print("cannot create output directory: %s" % err, file=sys.stderr)
-        return _EXIT_CONFIG
     try:
         x0 = start["x"]
         y0 = start.get("y")
@@ -400,6 +394,12 @@ def cmd_run(args):
         return _EXIT_BREAKDOWN
     except (ValidationError, KeyError) as err:
         print("configuration error: %s" % err, file=sys.stderr)
+        return _EXIT_CONFIG
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print("cannot create output directory: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
 
     trace_name = outputs.get("trace", "trace.%s" % args.format)

@@ -15,12 +15,13 @@ reports are bit-reproducible across platforms.
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import ClassVar
 
 import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
-from .rules import Piecewise1D, Rational1D
+from .rules import Piecewise1D, Rational1D, Relaxed1D
 from .spaces import inner, norm
 
 __all__ = [
@@ -75,40 +76,48 @@ class ClassMismatch(ValueError):
 # parameter sequences and gauge functions
 
 
+@dataclass(frozen=True, repr=False)
 class SequenceSpec:
     """Evaluable scalar sequence: constant, table with tail, or registry formula.
 
     Formulas are drawn from a fixed registry of closed forms, all evaluable
     at every n >= 0 (shifted where the textbook form would divide by zero).
+    Each formula is written once over a unit ``one``: ``1.0`` evaluates it in
+    float64, ``Decimal(1)`` in decimal arithmetic.
     """
 
-    _FORMULAS = {
-        "1/(n+1)": lambda n: 1.0 / (n + 1),
-        "1/(n+2)": lambda n: 1.0 / (n + 2),
-        "1/(n+1)^2": lambda n: 1.0 / (n + 1) ** 2,
-        "1+1/(n+1)^2": lambda n: 1.0 + 1.0 / (n + 1) ** 2,
+    _FORMULAS: ClassVar[dict] = {
+        "1/(n+1)": lambda n, one: one / (n + 1),
+        "1/(n+2)": lambda n, one: one / (n + 2),
+        "1/(n+1)^2": lambda n, one: one / (n + 1) ** 2,
+        "1+1/(n+1)^2": lambda n, one: one + one / (n + 1) ** 2,
     }
 
-    def __init__(self, kind, constant=None, values=None, tail=None, formula=None):
-        self.kind = kind
-        self.constant_value = constant
-        self.values = tuple(float(v) for v in values) if values is not None else None
-        self.tail = float(tail) if tail is not None else None
-        self.formula = formula
-        if kind == "constant":
-            if constant is None:
+    kind: str
+    constant: float | None = None
+    values: tuple | None = None
+    tail: float | None = None
+    formula: str | None = None
+
+    def __post_init__(self):
+        if self.values is not None:
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if self.tail is not None:
+            object.__setattr__(self, "tail", float(self.tail))
+        if self.kind == "constant":
+            if self.constant is None:
                 raise ValueError("constant sequence needs a value")
-        elif kind == "table":
+        elif self.kind == "table":
             if not self.values or self.tail is None:
                 raise ValueError("table sequence needs values and a tail")
-        elif kind == "formula":
-            if formula not in self._FORMULAS:
+        elif self.kind == "formula":
+            if self.formula not in self._FORMULAS:
                 raise ValueError(
                     "unknown formula %r; registry: %s"
-                    % (formula, sorted(self._FORMULAS))
+                    % (self.formula, sorted(self._FORMULAS))
                 )
         else:
-            raise ValueError("unknown sequence kind %r" % kind)
+            raise ValueError("unknown sequence kind %r" % self.kind)
 
     @classmethod
     def const(cls, c):
@@ -122,37 +131,25 @@ class SequenceSpec:
     def from_formula(cls, name):
         return cls("formula", formula=name)
 
-    def __call__(self, n):
+    def _eval(self, n, one):
         if n < 0:
             raise ValueError("sequence index must be >= 0")
         if self.kind == "constant":
-            return self.constant_value
+            return self.constant
         if self.kind == "table":
             return self.values[n] if n < len(self.values) else self.tail
-        return self._FORMULAS[self.formula](n)
+        return self._FORMULAS[self.formula](n, one)
+
+    def __call__(self, n):
+        return self._eval(n, 1.0)
 
     def eval_decimal(self, n):
         """Evaluate in decimal arithmetic under the active context."""
-        from decimal import Decimal
-
-        if n < 0:
-            raise ValueError("sequence index must be >= 0")
-        if self.kind == "constant":
-            return Decimal(self.constant_value)
-        if self.kind == "table":
-            return Decimal(self.values[n] if n < len(self.values) else self.tail)
-        one = Decimal(1)
-        if self.formula == "1/(n+1)":
-            return one / (n + 1)
-        if self.formula == "1/(n+2)":
-            return one / (n + 2)
-        if self.formula == "1/(n+1)^2":
-            return one / Decimal((n + 1) ** 2)
-        return one + one / Decimal((n + 1) ** 2)
+        return Decimal(self._eval(n, Decimal(1)))
 
     def to_config(self):
         if self.kind == "constant":
-            return {"constant": self.constant_value}
+            return {"constant": self.constant}
         if self.kind == "table":
             return {"table": list(self.values), "tail": self.tail}
         return {"formula": self.formula}
@@ -171,6 +168,7 @@ class SequenceSpec:
         return "SequenceSpec(%r)" % (self.to_config(),)
 
 
+@dataclass(frozen=True, repr=False)
 class Gauge:
     """Strictly increasing continuous gauge with gauge(0) = 0.
 
@@ -178,13 +176,15 @@ class Gauge:
     only one the verified inequalities ever need.
     """
 
-    def __init__(self, kind="t^2", c=1.0):
-        if kind not in ("t", "t^2", "c*t^2"):
+    kind: str = "t^2"
+    c: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("t", "t^2", "c*t^2"):
             raise ValueError("gauge registry: 't', 't^2', 'c*t^2'")
-        if kind == "c*t^2" and c <= 0:
+        if self.kind == "c*t^2" and self.c <= 0:
             raise ValueError("gauge scale must be positive")
-        self.kind = kind
-        self.c = float(c)
+        object.__setattr__(self, "c", float(self.c))
 
     def __call__(self, t):
         if self.kind == "t":
@@ -199,6 +199,7 @@ class Gauge:
 
 _ZERO = SequenceSpec.const(0.0)
 _ONE = SequenceSpec.const(1.0)
+_QUADRATIC = Gauge("t^2")
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +227,23 @@ class OperatorClass:
     ``asymptotic`` classes are checked at every power up to a bound, the
     rest at n = 1.  ``token`` names the class on the command line and
     ``default`` is the scalar parameter a token without one stands for.
+
+    The constants a class implies are class attributes or properties, None
+    where it implies none: ``lipschitz`` (1 for nonexpansive maps),
+    ``demicontractive`` (0 for quasi-nonexpansive maps, -1 for firmly
+    quasi-nonexpansive and directed ones), ``strong_monotonicity``, and
+    ``total_quasi``, the class as a total quasi-asymptotically nonexpansive
+    record.
     """
 
     token: ClassVar[str | None] = None
     pairwise: ClassVar[bool] = True
     asymptotic: ClassVar[bool] = False
     default: ClassVar[float | None] = None
+    lipschitz: ClassVar[float | None] = None
+    demicontractive: ClassVar[float | None] = None
+    strong_monotonicity: ClassVar[float | None] = None
+    total_quasi: ClassVar["TotalQuasiAsymptoticallyNonexpansive | None"] = None
 
     def __init_subclass__(cls, token=None, pairwise=True, asymptotic=False,
                           default=None, **kwargs):
@@ -255,18 +267,28 @@ class Contraction(OperatorClass, token="contraction", default=0.9):
     def __post_init__(self):
         _check_unit_interval(self.k, True, "Contraction")
 
+    lipschitz = property(lambda self: self.k)
+
     def sides(self, x, z, tx, tz, n):
         return norm(tx - tz), self.k * norm(x - z)
 
 
 @dataclass(frozen=True)
 class Nonexpansive(OperatorClass, token="nonexpansive"):
+    lipschitz: ClassVar[float] = 1.0
+
     def sides(self, x, z, tx, tz, n):
         return norm(tx - tz), norm(x - z)
 
 
 @dataclass(frozen=True)
 class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=False):
+    demicontractive: ClassVar[float] = 0.0
+
+    @property
+    def total_quasi(self):
+        return TotalQuasiAsymptoticallyNonexpansive(_ZERO, _ZERO, _QUADRATIC)
+
     def sides(self, x, p, tx, n):
         return norm(tx - p), norm(x - p)
 
@@ -274,6 +296,8 @@ class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=Fals
 @dataclass(frozen=True)
 class FirmlyQuasiNonexpansive(OperatorClass, token="firmly_quasi_nonexpansive",
                               pairwise=False):
+    demicontractive: ClassVar[float] = -1.0
+
     def sides(self, x, p, tx, n):
         return norm(tx - p) ** 2, norm(x - p) ** 2 - norm(tx - x) ** 2
 
@@ -285,6 +309,8 @@ class Demicontractive(OperatorClass, token="demicontractive", default=0.0,
 
     def __post_init__(self):
         _check_unit_interval(self.k, False, "Demicontractive")
+
+    demicontractive = property(lambda self: self.k)
 
     def sides(self, x, p, tx, n):
         return norm(tx - p) ** 2, norm(x - p) ** 2 + self.k * norm(tx - x) ** 2
@@ -307,6 +333,8 @@ class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive
 
 @dataclass(frozen=True)
 class Directed(OperatorClass, token="directed", pairwise=False):
+    demicontractive: ClassVar[float] = -1.0
+
     def sides(self, x, p, tx, n):
         return inner(p - tx, x - tx), 0.0
 
@@ -340,6 +368,12 @@ class AsymptoticallyQuasiNonexpansive(
     def from_token(cls, param):
         return cls(_ONE)
 
+    @property
+    def total_quasi(self):
+        # v_n = t_n - 1
+        return TotalQuasiAsymptoticallyNonexpansive(
+            lambda n: self.t_seq(n) - 1.0, _ZERO, _QUADRATIC)
+
     def sides(self, x, p, tx, n):
         return norm(tx - p) ** 2, self.t_seq(n) * norm(x - p) ** 2
 
@@ -357,7 +391,7 @@ class TotalAsymptoticallyNonexpansive(
 
     @classmethod
     def from_token(cls, param):
-        return cls(_ZERO, _ZERO, Gauge("t^2"))
+        return cls(_ZERO, _ZERO, _QUADRATIC)
 
     def sides(self, x, z, tx, tz, n):
         return (
@@ -373,8 +407,6 @@ class TotalQuasiAsymptoticallyNonexpansive(
     v_seq: SequenceSpec
     mu_seq: SequenceSpec
     gauge: Gauge
-    gauge_bound_m: float | None = None      # M with gauge(k) <= gauge(M) + M* k^2
-    gauge_bound_mstar: float | None = None
 
     def __post_init__(self):
         _check_nonnegative(self.v_seq, "v_n")
@@ -382,7 +414,9 @@ class TotalQuasiAsymptoticallyNonexpansive(
 
     @classmethod
     def from_token(cls, param):
-        return cls(_ZERO, _ZERO, Gauge("t^2"))
+        return cls(_ZERO, _ZERO, _QUADRATIC)
+
+    total_quasi = property(lambda self: self)
 
     def sides(self, x, p, tx, n):
         return (
@@ -421,6 +455,8 @@ class Lipschitzian(OperatorClass, token="lipschitzian", default=1.0):
         if self.K <= 0:
             raise ValueError("Lipschitz constant must be positive")
 
+    lipschitz = property(lambda self: self.K)
+
     def sides(self, x, z, tx, tz, n):
         return norm(tx - tz), self.K * norm(x - z)
 
@@ -438,6 +474,8 @@ class StronglyMonotone(OperatorClass, token="strongly_monotone", default=1.0):
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("strong-monotonicity modulus must be positive")
+
+    strong_monotonicity = property(lambda self: self.eta)
 
     def sides(self, x, z, tx, tz, n):
         # sign flipped so the check is uniformly lhs <= rhs
@@ -479,17 +517,13 @@ class FixedPointMap:
     """A nonlinear map with domain, declared class, and known fixed points.
 
     ``eval_fn`` takes and returns 1-D float arrays.  ``rule``, when present,
-    is the portable scalar update rule the map was built from (used by the
-    configuration format and the high-precision oracle).  ``extra_classes``
-    lists additional regularity declarations beyond the primary one, e.g.
-    a Lipschitz constant alongside a strong-monotonicity modulus.
-    ``scalar_rule`` is set only by :func:`map_from_rule`: ``eval_fn(x)`` is
-    then exactly ``[scalar_rule(float(x[0]))]``, which :func:`power_apply`
-    relies on.  ``rule`` is no such promise (:func:`relax` keeps an exact
-    rational there for the oracle but evaluates differently).
+    is the portable scalar rule the map evaluates: ``eval_fn(x)`` is exactly
+    ``[rule(float(x[0]))]`` (:func:`map_from_rule` builds such maps).  The
+    high-precision oracle re-evaluates it in Decimal and :func:`power_apply`
+    iterates it on Python floats.  ``extra_classes`` lists additional
+    regularity declarations beyond the primary one, e.g. a Lipschitz
+    constant alongside a strong-monotonicity modulus.
     """
-
-    scalar_rule = None
 
     def __init__(self, eval_fn, domain, declared_class=None,
                  known_fixed_points=(), name=None, rule=None, extra_classes=()):
@@ -530,10 +564,8 @@ def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
     def eval_fn(x):
         return np.array([rule(float(x[0]))])
 
-    T = FixedPointMap(eval_fn, domain, declared_class, known_fixed_points,
-                      name=name, rule=rule, extra_classes=extra_classes)
-    T.scalar_rule = rule
-    return T
+    return FixedPointMap(eval_fn, domain, declared_class, known_fixed_points,
+                         name=name, rule=rule, extra_classes=extra_classes)
 
 
 def _domain_escape(i, n, point):
@@ -549,17 +581,16 @@ def power_apply(T, n, x, check_domain=True):
     With ``check_domain`` the current point is required to lie in T's domain
     before every application, and the offending step is named on escape.
 
-    Two loops compute the same thing.  When T has a ``scalar_rule`` (only
-    :func:`map_from_rule` sets one) and x has one element, the loop runs on
-    a Python float and calls the rule directly: the same IEEE operations
-    ``T``'s ``eval_fn`` performs, without wrapping every iterate in an
-    array.  Every other map, and every d > 1, takes the array loop through
-    ``T.__call__``.
+    Two loops compute the same thing.  When T has a ``rule`` and x has one
+    element, the loop runs on a Python float and calls the rule directly:
+    the same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
+    every iterate in an array.  Every other map, and every d > 1, takes the
+    array loop through ``T.__call__``.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
     cur = np.atleast_1d(np.asarray(x, dtype=float))
-    rule = T.scalar_rule
+    rule = T.rule
     if rule is not None and cur.shape == (1,):
         v = float(cur[0])
         for i in range(n):
@@ -591,35 +622,11 @@ def power_map(T, n, name=None):
     )
 
 
-def _relax_rational(r, alpha):
-    # (1-a) x + a p(x)/q(x)  ==  ((1-a) x q(x) + a p(x)) / q(x)
-    shifted = [0.0] + list(r.den)
-    width = max(len(shifted), len(r.num))
-    num = [0.0] * width
-    for i, c in enumerate(shifted):
-        num[i] += (1.0 - alpha) * c
-    for i, c in enumerate(r.num):
-        num[i] += alpha * c
-    return Rational1D(num, r.den)
-
-
-def _relax_rule(rule, alpha):
-    if isinstance(rule, Rational1D):
-        return _relax_rational(rule, alpha)
-    if isinstance(rule, Piecewise1D):
-        return Piecewise1D(
-            rule.breakpoint,
-            _relax_rational(rule.left, alpha),
-            _relax_rational(rule.right, alpha),
-            rule.left_closed,
-        )
-    return None
-
-
 def relax(T, alpha):
     """Averaged map x -> (1-alpha) x + alpha T(x) for alpha in (0, 1].
 
-    Preserves the fixed-point set; stays quasi-nonexpansive when T is.
+    Preserves the fixed-point set; stays quasi-nonexpansive when T is.  A
+    rule-backed T gives a rule-backed map, its rule a :class:`Relaxed1D`.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("relaxation weight must lie in (0, 1]")
@@ -630,14 +637,16 @@ def relax(T, alpha):
         if isinstance(T.declared_class, QuasiNonexpansive)
         else None
     )
-    rule = _relax_rule(T.rule, alpha) if T.rule is not None else None
+    name = "relax(%s, %g)" % (T.name or "T", alpha)
+    if T.rule is not None:
+        return map_from_rule(Relaxed1D(T.rule, alpha), T.domain, declared,
+                             T.known_fixed_points, name=name)
     return FixedPointMap(
         lambda x: (1.0 - alpha) * x + alpha * T(x),
         T.domain,
         declared_class=declared,
         known_fixed_points=T.known_fixed_points,
-        name="relax(%s, %g)" % (T.name or "T", alpha),
-        rule=rule,
+        name=name,
     )
 
 
@@ -904,30 +913,6 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
 # inequality oracles used by the test suite
 
 
-class _SeqShift:
-    """v_n = t_n - 1 adapter for asymptotically quasi-nonexpansive maps."""
-
-    def __init__(self, t_seq):
-        self.t_seq = t_seq
-
-    def __call__(self, n):
-        return self.t_seq(n) - 1.0
-
-
-def _total_quasi_params(cls):
-    """View a declared class as total quasi-asymptotically nonexpansive."""
-    if isinstance(cls, TotalQuasiAsymptoticallyNonexpansive):
-        return cls.v_seq, cls.mu_seq, cls.gauge
-    if isinstance(cls, QuasiNonexpansive):
-        return _ZERO, _ZERO, Gauge("t^2")
-    if isinstance(cls, AsymptoticallyQuasiNonexpansive):
-        return _SeqShift(cls.t_seq), _ZERO, Gauge("t^2")
-    raise ClassMismatch(
-        "operator must be (total quasi-)asymptotically nonexpansive or "
-        "quasi-nonexpansive, got %r" % (cls,)
-    )
-
-
 @dataclass
 class PowerInequalityReport:
     """The three equivalent inequalities evaluated at one (x, y, n) triple."""
@@ -958,14 +943,19 @@ def check_power_inequality_equivalences(G, y, x, n, slack=1e-9):
     ``implication_ok`` asserts the equivalence direction testable at a single
     sample: the distance form implies both inner-product forms.
     """
-    v_seq, mu_seq, gauge = _total_quasi_params(G.declared_class)
+    view = getattr(G.declared_class, "total_quasi", None)
+    if view is None:
+        raise ClassMismatch(
+            "operator must be (total quasi-)asymptotically nonexpansive or "
+            "quasi-nonexpansive, got %r" % (G.declared_class,)
+        )
     y = np.atleast_1d(np.asarray(y, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if norm(G(y) - y) > _FIXED_POINT_TOL:
         raise ValueError("y is not a fixed point of G")
     gx = power_apply(G, n, x, check_domain=False)
-    vn, mun = v_seq(n), mu_seq(n)
-    bump = vn * gauge(norm(x - y)) + mun
+    vn, mun = view.v_seq(n), view.mu_seq(n)
+    bump = vn * view.gauge(norm(x - y)) + mun
     d_lhs = norm(gx - y) ** 2
     d_rhs = norm(x - y) ** 2 + bump
     f_lhs = 2.0 * inner(x - gx, x - y)

@@ -18,16 +18,8 @@ import numpy as np
 
 from .operators import (
     Contraction,
-    Demicontractive,
-    Directed,
-    FirmlyQuasiNonexpansive,
     FixedPointMap,
-    Lipschitzian,
-    Nonexpansive,
-    QuasiNonexpansive,
     SequenceSpec,
-    StronglyMonotone,
-    UniformlyLipschitzian,
     convex_combine,
     relax,
 )
@@ -62,31 +54,12 @@ class ValidationError(ValueError):
     """Problem description incomplete or out of range."""
 
 
-def _demicontractive_constant(cls):
-    if isinstance(cls, Demicontractive):
-        return cls.k
-    if isinstance(cls, QuasiNonexpansive):
-        return 0.0
-    if isinstance(cls, (FirmlyQuasiNonexpansive, Directed)):
-        return -1.0
-    return None
-
-
-def _lipschitz_constant(m):
+def _declared(m, constant):
+    """The first value of ``constant`` that m's declared classes imply, or None."""
     for cls in (m.declared_class, *m.extra_classes):
-        if isinstance(cls, (Lipschitzian, UniformlyLipschitzian)):
-            return cls.K
-        if isinstance(cls, Contraction):
-            return cls.k
-        if isinstance(cls, Nonexpansive):
-            return 1.0
-    return None
-
-
-def _strong_monotonicity(m):
-    for cls in (m.declared_class, *m.extra_classes):
-        if isinstance(cls, StronglyMonotone):
-            return cls.eta
+        value = getattr(cls, constant, None)
+        if value is not None:
+            return value
     return None
 
 
@@ -129,8 +102,8 @@ def _check_synchronal(spec, warn):
         raise ValidationError("synchronal needs mu and gamma_visc")
     if not isinstance(spec.f.declared_class, Contraction):
         raise ValidationError("f must declare Contraction(k)")
-    eta = _strong_monotonicity(spec.G)
-    lip = _lipschitz_constant(spec.G)
+    eta = _declared(spec.G, "strong_monotonicity")
+    lip = _declared(spec.G, "lipschitz")
     if eta is None or lip is None:
         raise ValidationError(
             "G must declare a strong-monotonicity modulus and a "
@@ -342,7 +315,7 @@ class ProblemSpec:
         """
         if self.gamma_bound_choice == "l_star":
             return 1.0 / estimate_norm_squared(self.A)
-        ls = [c for c in (_lipschitz_constant(self.T), _lipschitz_constant(self.G))
+        ls = [c for c in (_declared(self.T, "lipschitz"), _declared(self.G, "lipschitz"))
               if c is not None]
         if not ls:
             raise ValidationError(
@@ -354,7 +327,7 @@ class ProblemSpec:
     def demicontractive_k(self):
         ks = []
         for m in (self.U, self.T):
-            k = _demicontractive_constant(m.declared_class)
+            k = getattr(m.declared_class, "demicontractive", None)
             if k is None:
                 raise ValidationError(
                     "%s must declare a demicontractive-type class" % (m.name or "map",)
@@ -364,8 +337,8 @@ class ProblemSpec:
 
     def synchronal_tau(self):
         """tau = mu (eta - mu L^2 / 2), from G's declared moduli."""
-        eta = _strong_monotonicity(self.G)
-        lip = _lipschitz_constant(self.G)
+        eta = _declared(self.G, "strong_monotonicity")
+        lip = _declared(self.G, "lipschitz")
         return self.mu * (eta - self.mu * lip ** 2 / 2.0)
 
 

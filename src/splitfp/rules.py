@@ -1,16 +1,18 @@
-"""Portable scalar update rules: rational functions and one-breakpoint piecewise.
+"""Portable scalar update rules: rational functions, one-breakpoint
+piecewise rules, and relaxations of either.
 
 Every operator appearing in the bundled reference configurations is a
 rational function of one variable, possibly glued at a single breakpoint.
 Keeping the rule as data (coefficient lists) rather than opaque code lets
 the same operator be evaluated in float64 by the solvers, re-evaluated in
 ``decimal.Decimal`` by the high-precision oracle, and round-tripped through
-the JSON configuration format.
+the JSON configuration format.  Rules are immutable.
 """
 
+from dataclasses import dataclass
 from decimal import Decimal
 
-__all__ = ["Rational1D", "Piecewise1D", "rule_from_config"]
+__all__ = ["Rational1D", "Piecewise1D", "Relaxed1D", "rule_from_config"]
 
 
 def _horner(coeffs, v):
@@ -20,12 +22,16 @@ def _horner(coeffs, v):
     return acc
 
 
+@dataclass(frozen=True, repr=False)
 class Rational1D:
     """p(x)/q(x) with coefficient lists in ascending powers of x."""
 
-    def __init__(self, num, den=(1.0,)):
-        self.num = tuple(float(c) for c in num)
-        self.den = tuple(float(c) for c in den)
+    num: tuple
+    den: tuple = (1.0,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "num", tuple(float(c) for c in self.num))
+        object.__setattr__(self, "den", tuple(float(c) for c in self.den))
         if not self.num or not self.den:
             raise ValueError("coefficient lists must be nonempty")
         if not any(self.den):
@@ -35,12 +41,8 @@ class Rational1D:
         return _horner(self.num, v) / _horner(self.den, v)
 
     def eval_decimal(self, v):
-        if not hasattr(self, "_dec"):
-            self._dec = (
-                tuple(Decimal(c) for c in self.num),
-                tuple(Decimal(c) for c in self.den),
-            )
-        num, den = self._dec
+        num = tuple(map(Decimal, self.num))
+        den = tuple(map(Decimal, self.den))
         return _horner(num, v) / _horner(den, v)
 
     def to_config(self):
@@ -50,6 +52,7 @@ class Rational1D:
         return "Rational1D(num=%r, den=%r)" % (list(self.num), list(self.den))
 
 
+@dataclass(frozen=True, repr=False)
 class Piecewise1D:
     """Two rational branches split at one breakpoint.
 
@@ -57,11 +60,14 @@ class Piecewise1D:
     when ``left_closed`` is False), the right branch otherwise.
     """
 
-    def __init__(self, breakpoint, left, right, left_closed=True):
-        self.breakpoint = float(breakpoint)
-        self.left = left
-        self.right = right
-        self.left_closed = bool(left_closed)
+    breakpoint: float
+    left: Rational1D
+    right: Rational1D
+    left_closed: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoint", float(self.breakpoint))
+        object.__setattr__(self, "left_closed", bool(self.left_closed))
 
     def _is_left(self, v):
         return v <= self.breakpoint if self.left_closed else v < self.breakpoint
@@ -87,6 +93,26 @@ class Piecewise1D:
             self.left,
             self.right,
         )
+
+
+@dataclass(frozen=True)
+class Relaxed1D:
+    """The averaged rule v -> (1 - alpha) v + alpha rule(v).
+
+    In float64 this performs exactly the operations of the array form
+    ``(1 - alpha) * x + alpha * T(x)`` on a one-element x; in Decimal the
+    weight is the exact value of the float ``alpha``.
+    """
+
+    rule: object
+    alpha: float
+
+    def __call__(self, v):
+        return (1.0 - self.alpha) * v + self.alpha * self.rule(v)
+
+    def eval_decimal(self, v):
+        alpha = Decimal(self.alpha)
+        return (1 - alpha) * v + alpha * self.rule.eval_decimal(v)
 
 
 def rule_from_config(doc):

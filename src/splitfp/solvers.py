@@ -376,6 +376,9 @@ _FAMILY_STEPS = {
 }
 
 
+# overflow and invalid operations are reported by _check_finite as a typed
+# NonFiniteState, so numpy's warnings about them are silenced
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(spec, x0, y0=None, rule=None):
     """Drive a family's step function under a stopping rule.
 

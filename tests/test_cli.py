@@ -202,7 +202,6 @@ SYNCHRONAL_INLINE = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("T, x0, message", [
     ({"num": [0.0, 0.0, 3.0]}, 2.0, "iteration 3: non-finite state"),
     ({"num": [1.0], "den": [1.0, -1.0]}, 1.0, "iteration 0: division by zero"),
@@ -214,6 +213,10 @@ def test_run_breakdown_exits_3_without_a_summary(tmp_path, capsys, T, x0, messag
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+    # an output directory is created only for a run that completes
+    out_dir = tmp_path / "not-yet"
+    assert main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 3
+    assert not out_dir.exists()
 
 
 def test_run_gamma_bound_flag_sets_the_gamma_cap(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Operator taxonomy, combinators, sampling verifiers, and the catalog."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,15 +11,18 @@ from numpy.testing import assert_allclose
 
 from splitfp.diagnostics import find_fixed_points_1d
 from splitfp.operators import (
+    AsymptoticallyQuasiNonexpansive,
     ClassMismatch,
     Contraction,
     Demicontractive,
     DomainEscape,
     FixedPointMap,
+    Gauge,
     Nonexpansive,
     QuasiNonexpansive,
     SequenceSpec,
     StrictlyPseudocontractive,
+    TotalQuasiAsymptoticallyNonexpansive,
     _Lcg,
     check_power_inequality_equivalences,
     check_strong_monotonicity_of_complement,
@@ -31,7 +35,7 @@ from splitfp.operators import (
     verify_class,
 )
 from splitfp.projections import Box, WholeSpace, contains
-from splitfp.rules import Rational1D
+from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 from splitfp.spaces import norm
 
 
@@ -180,12 +184,14 @@ def test_power_apply_scalar_loop_matches_array_loop(name):
 
 
 def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
-    wqT = operator_catalog()["wqT"]
-    # relax keeps an exact rational as ``rule``, but its map evaluates
-    # (1-a)x + aT(x), which rounds differently: it must take the array loop
+    # the scalar loop is keyed on ``rule``, the rule a map evaluates: catalog
+    # maps and relaxed rule-backed maps carry one, a closure map does not
+    cat = operator_catalog()
+    wqT = cat["wqT"]
     relaxed = relax(wqT, 0.3)
-    assert wqT.scalar_rule is wqT.rule
-    assert relaxed.rule is not None and relaxed.scalar_rule is None
+    closure = power_map(wqT, 2)
+    assert relaxed.rule == Relaxed1D(wqT.rule, 0.3)
+    assert closure.rule is None
     calls = []
     original = FixedPointMap.__call__
 
@@ -194,10 +200,36 @@ def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(FixedPointMap, "__call__", counting)
-    power_apply(wqT, 5, np.array([4.0]))
+    for T in (wqT, relaxed, cat["wqU"]):
+        power_apply(T, 5, np.array([4.0]))
     assert calls == []
-    power_apply(relaxed, 5, np.array([4.0]))
-    assert relaxed.name in calls
+    power_apply(closure, 5, np.array([4.0]))
+    assert closure.name in calls
+
+
+
+@pytest.mark.parametrize("name, alpha", [("wqT", 0.3), ("wqU", 1.0 / 3.0),
+                                         ("heDu", 0.4)])
+def test_relaxed_rule_map_rounds_as_the_array_form(name, alpha):
+    # Relaxed1D performs the operations of (1 - a) x + a T(x) on arrays
+    T = operator_catalog()[name]
+    R = relax(T, alpha)
+    lcg = _Lcg(3)
+    for v in [20.0 * lcg.next_double() for _ in range(200)] + [0.0, 1.0, 2.0]:
+        x = np.array([v])
+        assert R(x).tobytes() == ((1.0 - alpha) * x + alpha * T(x)).tobytes(), v
+
+
+def test_rules_sequences_and_gauges_are_immutable():
+    r = Rational1D([2.0, 1.0], [3.0])
+    for obj, attr in ((r, "num"), (Piecewise1D(1.0, r, r), "breakpoint"),
+                      (Relaxed1D(r, 0.5), "alpha"),
+                      (SequenceSpec.const(0.5), "constant"),
+                      (Gauge("t^2"), "c")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, 0.0)
+    r.eval_decimal(Decimal(2))
+    assert vars(r) == {"num": (2.0, 1.0), "den": (3.0,)}
 
 
 def test_relax_alpha_one_is_same_map():
@@ -439,6 +471,34 @@ def test_power_inequalities_first_row_values():
     )
     assert rep.distance_lhs == pytest.approx(3.0625)
     assert rep.distance_rhs == pytest.approx(76.5625)
+
+
+
+def test_total_quasi_view_of_each_class():
+    t_seq = SequenceSpec.from_formula("1+1/(n+1)^2")
+    zero = SequenceSpec.const(0.0)
+    tqan = TotalQuasiAsymptoticallyNonexpansive(t_seq, zero, Gauge("t^2"))
+    assert tqan.total_quasi is tqan
+    assert QuasiNonexpansive().total_quasi == TotalQuasiAsymptoticallyNonexpansive(
+        zero, zero, Gauge("t^2"))
+    view = AsymptoticallyQuasiNonexpansive(t_seq).total_quasi
+    assert [view.v_seq(n) for n in range(30)] == [t_seq(n) - 1.0 for n in range(30)]
+    assert (view.mu_seq, view.gauge) == (zero, Gauge("t^2"))
+    for cls in (Nonexpansive(), Demicontractive(0.0), Contraction(0.5)):
+        assert cls.total_quasi is None
+
+
+def test_power_inequalities_of_an_asymptotically_quasi_declaration():
+    # smallS declared with t_n = 1 + 1/(n+1)^2: the distance side gains
+    # (t_n - 1) ||x - y||^2
+    S = operator_catalog()["smallS"]
+    t_seq = SequenceSpec.from_formula("1+1/(n+1)^2")
+    T = map_from_rule(S.rule, S.domain,
+                      declared_class=AsymptoticallyQuasiNonexpansive(t_seq),
+                      known_fixed_points=([1.25],))
+    rep = check_power_inequality_equivalences(T, [1.25], [10.0], n=3)
+    assert rep.distance_rhs == 8.75 ** 2 + (t_seq(3) - 1.0) * 8.75 ** 2
+    assert rep.distance_holds and rep.implication_ok
 
 
 def test_power_inequalities_class_mismatch():

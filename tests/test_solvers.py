@@ -1,5 +1,6 @@
 """Step functions and the run driver: hand-derived values and invariants."""
 
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -544,11 +545,12 @@ def test_run_reports_a_rule_pole_as_solver_error(T, x0, iteration):
     assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_raises_on_a_non_finite_state():
-    # T(x) = 3x^2 from 2 overflows to inf, then inf - inf gives NaN
+    # T(x) = 3x^2 from 2 overflows to inf, then inf - inf gives NaN; the
+    # typed error reports it, without a numpy warning first
     spec = synchronal_with(Rational1D([0.0, 0.0, 3.0]))
-    with pytest.raises(NonFiniteState) as exc:
+    with warnings.catch_warnings(), pytest.raises(NonFiniteState) as exc:
+        warnings.simplefilter("error")
         run(spec, [2.0], rule=StoppingRule(max_iters=50))
     err = exc.value
     last = err.last_finite
