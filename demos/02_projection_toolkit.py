@@ -2,8 +2,10 @@
 Projection toolkit
 ==================
 
-Closed-form metric projections, Dykstra's method on intersections, and the
-distance-dominance halfspaces the extra-gradient solver cuts with.
+Closed-form metric projections, the three ways an intersection projects
+(an analytic interval in 1-D, an exact active-set method for boxes and
+halfspaces, Dykstra's method otherwise), and the distance-dominance
+halfspaces the extra-gradient solver cuts with.
 """
 
 import numpy as np
@@ -21,13 +23,21 @@ print("P_{z1<=0}(2, 3)      =", project(wall, [2.0, 3.0]))
 disc = Ball([0.0, 0.0], 1.0)
 print("P_disc(2, 0)         =", project(disc, [2.0, 0.0]))
 
-# Dykstra on a genuine intersection: a box cut by a diagonal halfspace.
-# Plain alternating projection would only find *a* feasible point; Dykstra's
-# correction terms recover the nearest one.
+# A box cut by a diagonal halfspace is a polyhedron {z : N z <= b}, so its
+# projection is exact: the dual active-set method of Goldfarb & Idnani
+# enters the most violated row until none is left, and its multipliers
+# certify the nearest point.
 wedge = Intersection([Box([-2.0, -2.0], [2.0, 2.0]), Halfspace([1.0, 1.0], 1.0)])
 x = np.array([3.0, 2.5])
 p = project(wedge, x)
 print("P_wedge(3, 2.5)      =", p, " (feasible:", contains(wedge, p), ")")
+
+# A ball is not polyhedral, so a box cut by a disc goes to Dykstra's method.
+# Plain alternating projection would only find *a* feasible point; Dykstra's
+# correction terms recover the nearest one.
+rounded = Intersection([Box([-2.0, -2.0], [2.0, 2.0]), Ball([1.0, 1.0], 2.0)])
+p = project(rounded, [-3.0, 2.5])
+print("P_rounded(-3, 2.5)   =", p, " (feasible:", contains(rounded, p), ")")
 
 # One-dimensional intersections collapse analytically before projecting,
 # which keeps the reference runs exact.

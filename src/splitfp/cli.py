@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -591,7 +592,8 @@ def main(argv=None):
         print("numerical breakdown: %s" % err, file=sys.stderr)
         return _EXIT_BREAKDOWN
     except Exception as err:  # keep the exit-code contract: {0, 1, 2, 3}
-        print("error: %s" % err, file=sys.stderr)
+        print("internal error: %s" % err, file=sys.stderr)
+        traceback.print_exc()
         return _EXIT_BREAKDOWN
 
 

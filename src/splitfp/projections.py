@@ -1,11 +1,14 @@
 """Projectable convex sets and metric projections.
 
-Closed forms for boxes, halfspaces and balls; Dykstra's corrected cyclic
-projection for intersections, with an analytic fast path when every member
-of a one-dimensional intersection is an interval-like set.
+Closed forms for boxes, halfspaces and balls.  An intersection projects
+by one of three paths: an analytic interval when it is one-dimensional and
+every member is interval-like; the exact dual active-set method of
+Goldfarb & Idnani when every member is a box, a halfspace or the whole
+space; otherwise Dykstra's corrected cyclic projection.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,24 +26,45 @@ __all__ = [
     "halfspace_from_distance_dominance",
     "check_projection_inequalities",
     "InfeasibleIntersection",
+    "ProjectionNoConvergence",
     "DykstraNoConvergence",
 ]
 
 
 class InfeasibleIntersection(RuntimeError):
-    """Dykstra's cycle gap stayed bounded away from zero: empty intersection."""
+    """The intersection is empty.
+
+    On the polyhedral path ``certificate`` is a Farkas vector y >= 0 with
+    y^T N = 0 and y^T b < 0 for the intersection's rows ``polyhedron =
+    (N, b)``; on the interval and Dykstra paths it is None.
+    """
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
-class DykstraNoConvergence(RuntimeError):
-    """Dykstra did not reach the requested tolerance; carries the residual."""
+class ProjectionNoConvergence(RuntimeError):
+    """An iterative projection stopped short of its tolerance; carries the residual."""
 
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
 
 
+class DykstraNoConvergence(ProjectionNoConvergence):
+    """Dykstra did not reach the requested tolerance."""
+
+
 class ConvexBody:
-    """Base class; concrete sets implement ``_project`` and ``dim``."""
+    """Base class; concrete sets implement ``_project`` and ``dim``.
+
+    ``polyhedron`` is ``(N, b)``, read-only arrays with unit-norm rows such
+    that the body is {z : N z <= b}, for a box, a halfspace, the whole space
+    and an intersection of those; None for any other body.
+    """
+
+    polyhedron = None
 
     def project(self, x):
         return project(self, x)
@@ -52,6 +76,10 @@ class WholeSpace(ConvexBody):
 
     def _project(self, x):
         return x.copy()
+
+    @cached_property
+    def polyhedron(self):
+        return _rows(np.zeros((0, self.dim)), np.zeros(0))
 
 
 class Box(ConvexBody):
@@ -75,6 +103,14 @@ class Box(ConvexBody):
 
     def _project(self, x):
         return np.clip(x, self.lower, self.upper)
+
+    @cached_property
+    def polyhedron(self):
+        """One +-e_j row per finite bound."""
+        eye = np.eye(self.dim)
+        upper, lower = np.isfinite(self.upper), np.isfinite(self.lower)
+        return _rows(np.concatenate([eye[upper], -eye[lower]]),
+                     np.concatenate([self.upper[upper], -self.lower[lower]]))
 
     def __repr__(self):
         return "Box(%s, %s)" % (self.lower.tolist(), self.upper.tolist())
@@ -108,6 +144,14 @@ class Halfspace(ConvexBody):
             return x.copy()
         return x - (slack / self._norm_sq) * self.a
 
+    @cached_property
+    def polyhedron(self):
+        """The normalized row, or no row for a zero normal."""
+        if self.is_whole_space:
+            return _rows(np.zeros((0, self.dim)), np.zeros(0))
+        scale = np.sqrt(self._norm_sq)
+        return _rows((self.a / scale)[None, :], np.array([self.b / scale]))
+
     def __repr__(self):
         return "Halfspace(a=%s, b=%s)" % (self.a.tolist(), self.b)
 
@@ -137,6 +181,12 @@ class Ball(ConvexBody):
 
 
 class Intersection(ConvexBody):
+    """Intersection of convex bodies of one dimension.
+
+    Its ``polyhedron`` stacks the rows of its members (nested intersections
+    included), and is None when any member has none.
+    """
+
     def __init__(self, bodies):
         bodies = tuple(bodies)
         if not bodies:
@@ -153,6 +203,14 @@ class Intersection(ConvexBody):
     def __repr__(self):
         return "Intersection(%d bodies)" % len(self.bodies)
 
+    @cached_property
+    def polyhedron(self):
+        parts = [body.polyhedron for body in self.bodies]
+        if any(part is None for part in parts):
+            return None
+        return _rows(np.concatenate([N for N, _ in parts]),
+                     np.concatenate([b for _, b in parts]))
+
     def _project(self, x):
         interval = _as_interval_1d(self)
         if interval is not None:
@@ -162,7 +220,93 @@ class Intersection(ConvexBody):
                     "1-D intersection is empty: [%g, %g]" % (lo, hi)
                 )
             return np.clip(x, lo, hi)
+        if self.polyhedron is not None:
+            return _project_polyhedron(*self.polyhedron, x)
         return _dykstra(self.bodies, x)
+
+
+def _rows(N, b):
+    N.flags.writeable = False
+    b.flags.writeable = False
+    return N, b
+
+
+# A row counts as violated when z lies beyond it by more than this times
+# 1 + max(||x||, max |b|); an entering row whose part orthogonal to the
+# active rows is shorter than _DEPENDENT (rows have unit norm) is taken as
+# their linear combination.
+_VIOLATION_TOL = 1e-12
+_DEPENDENT = 1e-12
+
+
+def _project_polyhedron(N, b, x):
+    """Exact projection of ``x`` onto {z : N z <= b}, N with unit-norm rows.
+
+    The dual active-set method of Goldfarb & Idnani (1983) for
+    min ||z - x||^2 / 2: start from z = x with no active row, repeatedly
+    enter the most violated row p and raise its multiplier, moving z along
+    the part d of N_p orthogonal to the active rows while their multipliers
+    change by -t r (N_A^T r = the rest of N_p).  The full step makes row p
+    tight and active; a partial step stops where an active multiplier
+    reaches zero and drops that row.  Active rows stay linearly
+    independent, so at most ``len(x)`` are active.  When d = 0 and no
+    multiplier decreases, N_p lies in the cone of the negated active rows:
+    y = e_p - r on the active rows is a Farkas certificate of emptiness.
+    """
+    z = x.copy()
+    if not b.size:
+        return z
+    tol = _VIOLATION_TOL * (1.0 + max(float(np.linalg.norm(x)),
+                                      float(np.max(np.abs(b)))))
+    u = np.zeros(b.size)
+    active = []
+    slack = N @ z - b
+    p = int(np.argmax(slack))
+    max_steps = 10 * (b.size + x.size)
+    for _ in range(max_steps):
+        if not slack[p] > tol:   # a NaN point comes back as it went in
+            return z
+        if active:
+            columns = N[active].T
+            r = np.linalg.lstsq(columns, N[p], rcond=None)[0]
+            d = N[p] - columns @ r
+        else:
+            r = np.zeros(0)
+            d = N[p]
+        dd = float(d @ d)
+        full = float(N[p] @ z - b[p]) / dd if dd > _DEPENDENT ** 2 else np.inf
+        partial, block = np.inf, None
+        for k, rk in zip(active, r):
+            if rk > 0.0 and u[k] / rk < partial:
+                partial, block = u[k] / rk, k
+        if block is None and full == np.inf:
+            y = np.zeros(b.size)
+            y[p] = 1.0
+            y[active] = -r
+            if float(y @ b) < 0.0:
+                y.flags.writeable = False
+                raise InfeasibleIntersection(
+                    "polyhedral intersection is empty: row %d lies in the cone "
+                    "of the negated active rows (Farkas y^T b = %.3e)"
+                    % (p, float(y @ b)), certificate=y)
+            raise ProjectionNoConvergence(
+                "row %d depends on the active rows but gives no Farkas "
+                "certificate; violation %.3e" % (p, slack[p]), float(slack[p]))
+        t = min(full, partial)
+        z = z - t * d
+        u[active] -= t * r
+        u[p] += t
+        if full <= partial:
+            active.append(p)
+            slack = N @ z - b
+            p = int(np.argmax(slack))
+        else:
+            active.remove(block)
+            u[block] = 0.0
+    violation = float(np.max(N @ z - b))
+    raise ProjectionNoConvergence(
+        "active-set projection stopped after %d steps with violation %.3e"
+        % (max_steps, violation), violation)
 
 
 def _as_interval_1d(body):

@@ -30,9 +30,9 @@ from .problems import (
     ValidationError,
 )
 from .projections import (
-    DykstraNoConvergence,
     InfeasibleIntersection,
     Intersection,
+    ProjectionNoConvergence,
     halfspace_from_distance_dominance,
     project,
 )
@@ -85,7 +85,7 @@ class NonFiniteState(SolverError):
 # failures a step can legitimately surface; the driver annotates them with
 # the iteration index.  Python floats raise ZeroDivisionError where numpy
 # returns inf, so a rule evaluated at its pole lands here.
-_STEP_FAILURES = (SolverError, InfeasibleIntersection, DykstraNoConvergence,
+_STEP_FAILURES = (SolverError, InfeasibleIntersection, ProjectionNoConvergence,
                   DomainEscape, ZeroDivisionError)
 
 
@@ -388,8 +388,10 @@ def run(spec, x0, y0=None, rule=None):
     target; the trace records which one fired.  Domain membership of the
     starting point is the caller's concern: the recurrences evaluate the
     operators wherever they lead, as the published trajectories do.  A
-    start must be finite; a NaN or infinite iterate or residual later
-    raises :class:`NonFiniteState`, and a rule's pole a :class:`SolverError`.
+    start must be finite, and ``x0`` (``y0``) must have as many entries as
+    ``A`` (``B``) has columns where the family has that slot; a NaN or
+    infinite iterate or residual later raises :class:`NonFiniteState`, and a
+    rule's pole a :class:`SolverError`.
     """
     if rule is None:
         raise ValidationError("a stopping rule is required")
@@ -405,6 +407,10 @@ def run(spec, x0, y0=None, rule=None):
         y = None
     if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
         raise ValidationError("the start point must be finite")
+    for name, start, slot in (("x0", x, "A"), ("y0", y, "B")):
+        if slot in family.required and start.shape[0] != getattr(spec, slot).cols:
+            raise ValidationError("%s has %d entries; %s expects %d" % (
+                name, start.shape[0], slot, getattr(spec, slot).cols))
     cuts = [] if family.accumulates_cuts else None
 
     try:

@@ -186,6 +186,29 @@ def test_run_unknown_flag_exits_2(tmp_path, capsys):
     assert "unknown flags wq-branch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start, message", [
+    ({"x": [1.0, 2.0], "y": [1.0]}, "x0 has 2 entries; A expects 1"),
+    ({"x": [1.0], "y": [1.0, 2.0]}, "y0 has 2 entries; B expects 1"),
+], ids=["x", "y"])
+def test_run_start_of_the_wrong_dimension_exits_2(tmp_path, capsys, start, message):
+    doc = {"problem": {"example": "bnm_t1"}, "start": start}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_with_a_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr("splitfp.cli.cmd_list_examples", broken)
+    assert main(["list-examples"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: planted fault")
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: planted fault" in err
+
+
 SYNCHRONAL_INLINE = {
     "problem": {
         "family": "synchronal_vip",

@@ -1,4 +1,5 @@
-"""Metric projections, the halfspace builder, and Dykstra's method."""
+"""Metric projections, the halfspace builder, the exact polyhedral
+projection and Dykstra's method."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from numpy.testing import assert_allclose
 from splitfp.projections import (
     Ball,
     Box,
+    DykstraNoConvergence,
     Halfspace,
     InfeasibleIntersection,
     Intersection,
     WholeSpace,
+    _dykstra,
     check_projection_inequalities,
     contains,
     halfspace_from_distance_dominance,
@@ -179,3 +182,88 @@ def test_empty_intersection_dykstra_detection():
     S = Intersection([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
     with pytest.raises(InfeasibleIntersection):
         project(S, [0.0, 0.0])
+
+
+def _assert_farkas(S, certificate):
+    N, b = S.polyhedron
+    y = certificate
+    assert y.shape == b.shape and np.all(y >= 0.0)
+    assert_allclose(y @ N, 0.0, atol=1e-12)
+    assert y @ b < 0.0
+
+
+def test_empty_polyhedron_carries_a_farkas_certificate():
+    S = Intersection([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(S, [0.0, 0.0])
+    _assert_farkas(S, exc.value.certificate)
+    # the unit cube cut by x + y + z >= 4: the certificate needs three box rows
+    S = Intersection([Box([0.0] * 3, [1.0] * 3), Halfspace([-1.0, -1.0, -1.0], -4.0)])
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(S, [5.0, -2.0, 0.5])
+    _assert_farkas(S, exc.value.certificate)
+    assert np.count_nonzero(exc.value.certificate) == 4
+
+
+def test_polyhedron_rows():
+    S = Intersection([
+        Intersection([Box([0.0, -np.inf], [np.inf, 3.0]), WholeSpace(2)]),
+        Halfspace([3.0, 4.0], 10.0),
+        Halfspace([0.0, 0.0], 1.0),
+    ])
+    N, b = S.polyhedron
+    assert_allclose(N, [[0.0, 1.0], [-1.0, 0.0], [0.6, 0.8]])
+    assert_allclose(b, [3.0, 0.0, 2.0])
+    assert not N.flags.writeable and not b.flags.writeable
+    assert Intersection([Box([0.0, 0.0], [1.0, 1.0]), Ball([0.0, 0.0], 1.0)]).polyhedron is None
+    assert Intersection([S, Ball([0.0, 0.0], 1.0)]).polyhedron is None
+
+
+def test_polyhedral_projection_passes_nan_through():
+    S = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 1.5)])
+    assert np.isnan(project(S, [np.nan, 0.5])).any()
+
+
+def _seeded_polyhedra(seed, count):
+    """Box (some sides open) cut by 1-4 halfspaces around an interior point."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dim = 2 + k % 2
+        lower = rng.uniform(-3.0, -0.5, dim)
+        upper = rng.uniform(0.5, 3.0, dim)
+        lower[rng.random(dim) < 0.2] = -np.inf
+        upper[rng.random(dim) < 0.2] = np.inf
+        center = rng.uniform(-0.4, 0.4, dim)
+        cuts = []
+        for _ in range(rng.integers(1, 5)):
+            a = rng.normal(size=dim)
+            cuts.append(Halfspace(a, a @ center + rng.uniform(0.05, 1.0)))
+        yield Intersection([Box(lower, upper), *cuts]), rng.normal(scale=4.0, size=(5, dim))
+
+
+def test_polyhedral_projection_satisfies_kkt():
+    for S, points in _seeded_polyhedra(21, 200):
+        N, b = S.polyhedron
+        for x in points:
+            z = project(S, x)
+            slack = N @ z - b
+            assert slack.max() <= 1e-9
+            for body in S.bodies:
+                assert contains(body, z, tol=1e-9)
+            active = slack > -1e-9
+            u = np.linalg.lstsq(N[active].T, x - z, rcond=None)[0]
+            assert np.all(u >= -1e-9)
+            assert norm(x - z - N[active].T @ u) <= 1e-9 * (1.0 + norm(x))
+
+
+def test_polyhedral_projection_agrees_with_dykstra():
+    compared = 0
+    for S, points in _seeded_polyhedra(34, 200):
+        for x in points:
+            try:
+                reference = _dykstra(S.bodies, x)
+            except (InfeasibleIntersection, DykstraNoConvergence):
+                continue
+            assert norm(project(S, x) - reference) <= 1e-9 * (1.0 + norm(x))
+            compared += 1
+    assert compared >= 950

@@ -11,7 +11,10 @@ from numpy.testing import assert_allclose
 from splitfp.operators import (
     CLASS_TOKENS,
     Contraction,
+    FixedPointMap,
     Lipschitzian,
+    Nonexpansive,
+    QuasiNonexpansive,
     SequenceSpec,
     StronglyMonotone,
     class_from_token,
@@ -492,6 +495,32 @@ def test_extragradient_cut_cap_aborts():
     assert exc.value.iteration == 1
 
 
+def test_extragradient_orthant_run_reaches_500_iterations():
+    # the 2-D run whose cuts with C (the nonnegative orthant) make a polyhedron;
+    # (1, 2) is feasible throughout, so no step may find the set empty
+    plane = WholeSpace(2)
+    shift = np.array([1.0, 2.0])
+    spec = ProblemSpec(
+        family=EXTRAGRADIENT_SFFPP,
+        T=FixedPointMap(lambda x: (x + shift) / 2.0, plane, QuasiNonexpansive(),
+                        known_fixed_points=([1.0, 2.0],)),
+        G=FixedPointMap(lambda x: x, plane, Nonexpansive(),
+                        known_fixed_points=([0.0, 0.0],)),
+        A=LinearMap(np.eye(2)), C=Box([0.0, 0.0], [np.inf, np.inf]), Q=plane,
+        alpha=SequenceSpec.const(0.5), beta=SequenceSpec.const(0.5),
+        gamma_seq=SequenceSpec.const(0.5),
+    )
+    tr = run(spec, [10.0, -3.0], rule=StoppingRule(max_iters=500))
+    assert len(tr.records) == 501 and tr.stop_reason == "max_iters"
+    x0 = tr.records[0].x
+    departures = [norm(r.x - x0) for r in tr.records]
+    assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(departures, departures[1:]))
+    for rec in tr.records[1:]:
+        assert rec.x.min() >= -1e-12
+        assert rec.cut_count == 3 * rec.n
+    assert norm(tr.final.x - np.array([1.0, 2.0])) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -505,6 +534,16 @@ def test_run_requires_valid_rule_and_counts_records():
     assert tr.records[0].n == 0 and tr.records[1].n == 1
     with pytest.raises(ValidationError):
         run(spec, [10.0], rule=None)
+
+
+def test_run_rejects_a_start_of_the_wrong_dimension():
+    ex = get_example("bnm_t1")
+    with pytest.raises(ValidationError, match="x0 has 2 entries; A expects 1"):
+        run(ex.spec, [10.0, 1.0], [15.0], rule=StoppingRule(max_iters=1))
+    with pytest.raises(ValidationError, match="y0 has 2 entries; B expects 1"):
+        run(ex.spec, [10.0], [15.0, 1.0], rule=StoppingRule(max_iters=1))
+    with pytest.raises(ValidationError, match="x0 has 2 entries; A expects 1"):
+        run(scfpp_spec(), [10.0, 1.0], rule=StoppingRule(max_iters=1))
 
 
 def test_run_two_variable_requires_y0():
