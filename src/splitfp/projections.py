@@ -35,8 +35,11 @@ class InfeasibleIntersection(RuntimeError):
     """The intersection is empty.
 
     On the polyhedral path ``certificate`` is a Farkas vector y >= 0 with
-    y^T N = 0 and y^T b < 0 for the intersection's rows ``polyhedron =
-    (N, b)``; on the interval and Dykstra paths it is None.
+    y^T b < 0 for the intersection's rows ``polyhedron = (N, b)``, and y^T N
+    zero up to the dependence threshold: it proves that no point of the set
+    lies within -y^T b / ||y^T N|| of the origin (everywhere when y^T N = 0),
+    so nearly parallel rows that cross farther out are taken as empty.  On
+    the interval and Dykstra paths it is None.
     """
 
     def __init__(self, message, certificate=None):
@@ -106,7 +109,9 @@ class Box(ConvexBody):
 
     @cached_property
     def polyhedron(self):
-        """One +-e_j row per finite bound."""
+        """One +-e_j row per finite bound; None for a NaN bound."""
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            return None
         eye = np.eye(self.dim)
         upper, lower = np.isfinite(self.upper), np.isfinite(self.lower)
         return _rows(np.concatenate([eye[upper], -eye[lower]]),
@@ -146,7 +151,9 @@ class Halfspace(ConvexBody):
 
     @cached_property
     def polyhedron(self):
-        """The normalized row, or no row for a zero normal."""
+        """The normalized row, no row for a zero normal, None if not finite."""
+        if not (np.isfinite(self.b) and np.isfinite(self.a).all()):
+            return None
         if self.is_whole_space:
             return _rows(np.zeros((0, self.dim)), np.zeros(0))
         scale = np.sqrt(self._norm_sq)
@@ -231,10 +238,10 @@ def _rows(N, b):
     return N, b
 
 
-# A row counts as violated when z lies beyond it by more than this times
-# 1 + max(||x||, max |b|); an entering row whose part orthogonal to the
-# active rows is shorter than _DEPENDENT (rows have unit norm) is taken as
-# their linear combination.
+# Row p counts as violated when z lies beyond it by more than this times
+# 1 + max(||x||, ||z||) + |b_p|, the scale of the rounding in its slack; an
+# entering row whose part orthogonal to the active rows is shorter than
+# _DEPENDENT (rows have unit norm) is taken as their linear combination.
 _VIOLATION_TOL = 1e-12
 _DEPENDENT = 1e-12
 
@@ -250,21 +257,28 @@ def _project_polyhedron(N, b, x):
     tight and active; a partial step stops where an active multiplier
     reaches zero and drops that row.  Active rows stay linearly
     independent, so at most ``len(x)`` are active.  When d = 0 and no
-    multiplier decreases, N_p lies in the cone of the negated active rows:
-    y = e_p - r on the active rows is a Farkas certificate of emptiness.
+    multiplier decreases, N_p lies in the cone of the negated active rows
+    (up to _DEPENDENT): y = e_p - r on the active rows is a Farkas
+    certificate of emptiness.
     """
     z = x.copy()
     if not b.size:
         return z
-    tol = _VIOLATION_TOL * (1.0 + max(float(np.linalg.norm(x)),
-                                      float(np.max(np.abs(b)))))
+    x_norm = float(np.linalg.norm(x))
+    row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
+
+    def excess(z):
+        """How far z lies beyond each row, less the row's tolerance."""
+        scale = max(x_norm, float(np.linalg.norm(z)))
+        return N @ z - b - row_tol - _VIOLATION_TOL * scale
+
     u = np.zeros(b.size)
     active = []
-    slack = N @ z - b
-    p = int(np.argmax(slack))
+    over = excess(z)
+    p = int(np.argmax(over))
     max_steps = 10 * (b.size + x.size)
     for _ in range(max_steps):
-        if not slack[p] > tol:   # a NaN point comes back as it went in
+        if not over[p] > 0.0:   # a NaN point comes back as it went in
             return z
         if active:
             columns = N[active].T
@@ -274,7 +288,8 @@ def _project_polyhedron(N, b, x):
             r = np.zeros(0)
             d = N[p]
         dd = float(d @ d)
-        full = float(N[p] @ z - b[p]) / dd if dd > _DEPENDENT ** 2 else np.inf
+        violation = float(N[p] @ z - b[p])
+        full = violation / dd if dd > _DEPENDENT ** 2 else np.inf
         partial, block = np.inf, None
         for k, rk in zip(active, r):
             if rk > 0.0 and u[k] / rk < partial:
@@ -287,19 +302,21 @@ def _project_polyhedron(N, b, x):
                 y.flags.writeable = False
                 raise InfeasibleIntersection(
                     "polyhedral intersection is empty: row %d lies in the cone "
-                    "of the negated active rows (Farkas y^T b = %.3e)"
-                    % (p, float(y @ b)), certificate=y)
+                    "of the negated active rows (Farkas y^T b = %.3e, "
+                    "||y^T N|| = %.3e)" % (p, float(y @ b),
+                                          float(np.linalg.norm(y @ N))),
+                    certificate=y)
             raise ProjectionNoConvergence(
                 "row %d depends on the active rows but gives no Farkas "
-                "certificate; violation %.3e" % (p, slack[p]), float(slack[p]))
+                "certificate; violation %.3e" % (p, violation), violation)
         t = min(full, partial)
         z = z - t * d
         u[active] -= t * r
         u[p] += t
         if full <= partial:
             active.append(p)
-            slack = N @ z - b
-            p = int(np.argmax(slack))
+            over = excess(z)
+            p = int(np.argmax(over))
         else:
             active.remove(block)
             u[block] = 0.0

@@ -178,10 +178,32 @@ def test_empty_intersection_1d():
 
 
 def test_empty_intersection_dykstra_detection():
-    # parallel disjoint halfspaces in 2-D force the cyclic path to stall
+    # parallel disjoint halfspaces in 2-D: the exact path certifies the
+    # emptiness, and the cyclic path, run directly, stalls
     S = Intersection([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
     with pytest.raises(InfeasibleIntersection):
         project(S, [0.0, 0.0])
+    with pytest.raises(InfeasibleIntersection):
+        _dykstra(S.bodies, np.array([0.0, 0.0]))
+    # a ball keeps the intersection on the cyclic path
+    S = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -2.0)])
+    assert S.polyhedron is None
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(S, [0.0, 0.0])
+    assert exc.value.certificate is None
+
+
+def test_dykstra_hyperplane_pair_and_nonexpansive():
+    S = Intersection([Halfspace([-1.0, 0.0], -1.0), Halfspace([1.0, 0.0], 1.0)])
+    assert_allclose(_dykstra(S.bodies, np.array([0.0, 5.0])), [1.0, 5.0], atol=1e-10)
+    rng = np.random.default_rng(9)
+    S = Intersection([Box([-2.0, -2.0], [2.0, 2.0]), Ball([0.5, 0.0], 1.5),
+                      Halfspace([1.0, 1.0], 1.0)])
+    assert S.polyhedron is None
+    for _ in range(300):
+        x = rng.normal(scale=4.0, size=2)
+        y = rng.normal(scale=4.0, size=2)
+        assert norm(project(S, x) - project(S, y)) <= norm(x - y) + 1e-10
 
 
 def _assert_farkas(S, certificate):
@@ -203,6 +225,37 @@ def test_empty_polyhedron_carries_a_farkas_certificate():
         project(S, [5.0, -2.0, 0.5])
     _assert_farkas(S, exc.value.certificate)
     assert np.count_nonzero(exc.value.certificate) == 4
+
+
+def test_row_tolerance_ignores_the_bounds_of_other_rows():
+    # a far box bound must not loosen the test of the cut through the origin
+    S = Intersection([Box([-1e15] * 2, [1e15] * 2), Halfspace([1.0, 0.0], 0.0)])
+    assert_allclose(project(S, [500.0, 0.0]), [0.0, 0.0], atol=1e-12)
+    S = Intersection([Box([-1e6] * 3, [1e6] * 3), Halfspace([1.0, 1.0, 0.0], 1.0),
+                      Halfspace([0.0, 0.0, -1.0], 0.0)])
+    z = project(S, [3.0, 4.0, -1e-7])
+    assert_allclose(z, [0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_non_finite_members_leave_the_exact_path():
+    # an infinite offset or a NaN bound has no row; Dykstra handles them as before
+    assert Halfspace([1.0, 0.0], np.inf).polyhedron is None
+    assert Box([np.nan, 0.0], [1.0, 1.0]).polyhedron is None
+    S = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 0.0], np.inf)])
+    assert S.polyhedron is None
+    assert_allclose(project(S, [2.0, -1.0]), [1.0, 0.0], atol=1e-12)
+
+
+def test_certificate_bounds_the_radius_it_excludes():
+    # nearly parallel rows crossing at z_1 <= -2e13 are taken as empty; the
+    # certificate still shows that no point lies within 1e13 of the origin
+    S = Intersection([Halfspace([0.0, 1.0], -1.0), Halfspace([1e-13, -1.0], -1.0)])
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(S, [0.0, 0.0])
+    N, b = S.polyhedron
+    y = exc.value.certificate
+    assert np.all(y >= 0.0) and y @ b < 0.0
+    assert -(y @ b) >= 1e13 * norm(y @ N)
 
 
 def test_polyhedron_rows():
