@@ -2,10 +2,11 @@
 Projection toolkit
 ==================
 
-Closed-form metric projections, the three ways an intersection projects
-(an analytic interval in 1-D, an exact active-set method for boxes and
-halfspaces, Dykstra's method otherwise), and the distance-dominance
-halfspaces the extra-gradient solver cuts with.
+Closed-form metric projections, the ways an intersection projects (an
+analytic interval in 1-D, an exact active-set method for boxes and
+halfspaces, the same method with one ball added, the meeting of two
+spheres for two balls, Dykstra's method otherwise), and the
+distance-dominance halfspaces the extra-gradient solver cuts with.
 """
 
 import numpy as np
@@ -32,12 +33,20 @@ x = np.array([3.0, 2.5])
 p = project(wedge, x)
 print("P_wedge(3, 2.5)      =", p, " (feasible:", contains(wedge, p), ")")
 
-# A ball is not polyhedral, so a box cut by a disc goes to Dykstra's method.
-# Plain alternating projection would only find *a* feasible point; Dykstra's
-# correction terms recover the nearest one.
+# A box cut by a disc is exact too: the nearest point is the box's projection
+# of x + s (c - x), for the smallest s in [0, 1] that lands in the disc, and
+# on each face of the box that is a quadratic in s.
 rounded = Intersection([Box([-2.0, -2.0], [2.0, 2.0]), Ball([1.0, 1.0], 2.0)])
 p = project(rounded, [-3.0, 2.5])
 print("P_rounded(-3, 2.5)   =", p, " (feasible:", contains(rounded, p), ")")
+
+# Two discs and a halfspace have no closed form here, so they go to Dykstra's
+# method.  Plain alternating projection would only find *a* feasible point;
+# Dykstra's correction terms recover the nearest one.
+cut_lens = Intersection([Ball([0.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5),
+                         Halfspace([0.0, 1.0], 0.5)])
+p = project(cut_lens, [3.0, 1.0])
+print("P_cut_lens(3, 1)     =", p, " (feasible:", contains(cut_lens, p), ")")
 
 # One-dimensional intersections collapse analytically before projecting,
 # which keeps the reference runs exact.

@@ -1,10 +1,17 @@
 """Projectable convex sets and metric projections.
 
 Closed forms for boxes, halfspaces and balls.  An intersection projects
-by one of three paths: an analytic interval when it is one-dimensional and
-every member is interval-like; the exact dual active-set method of
-Goldfarb & Idnani when every member is a box, a halfspace or the whole
-space; otherwise Dykstra's corrected cyclic projection.
+by the first of these paths that fits it (nested intersections are
+flattened):
+
+- an analytic interval, when it is one-dimensional and every member is
+  interval-like;
+- the exact dual active-set method of Goldfarb & Idnani, when every member
+  is a box, a halfspace or the whole space;
+- that method along the path x + s (c - x), when the members are such a
+  polyhedron and one ball B(c, r);
+- the intersection of the two spheres, for two balls and no row;
+- otherwise Dykstra's corrected cyclic projection.
 """
 
 from dataclasses import dataclass
@@ -26,6 +33,7 @@ __all__ = [
     "halfspace_from_distance_dominance",
     "check_projection_inequalities",
     "InfeasibleIntersection",
+    "SeparatingHyperplane",
     "ProjectionNoConvergence",
     "DykstraNoConvergence",
 ]
@@ -34,17 +42,39 @@ __all__ = [
 class InfeasibleIntersection(RuntimeError):
     """The intersection is empty.
 
-    On the polyhedral path ``certificate`` is a Farkas vector y >= 0 with
-    y^T b < 0 for the intersection's rows ``polyhedron = (N, b)``, and y^T N
-    zero up to the dependence threshold: it proves that no point of the set
-    lies within -y^T b / ||y^T N|| of the origin (everywhere when y^T N = 0),
-    so nearly parallel rows that cross farther out are taken as empty.  On
-    the interval and Dykstra paths it is None.
+    ``certificate`` is one of:
+
+    - a Farkas vector y >= 0 with y^T b < 0 for the rows (N, b) of the
+      polyhedral members (the intersection's ``polyhedron`` when it has
+      one), and y^T N zero up to the dependence threshold: it proves that no
+      point of the set lies within -y^T b / ||y^T N|| of the origin
+      (everywhere when y^T N = 0), so nearly parallel rows that cross
+      farther out are taken as empty;
+    - a ``SeparatingHyperplane`` between the polyhedral members and the
+      ball, or between two balls;
+    - None on the interval and Dykstra paths.
     """
 
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+@dataclass(frozen=True)
+class SeparatingHyperplane:
+    """<normal, z> <= offset on one part and >= offset + gap on the other.
+
+    ``normal`` is a read-only unit vector and ``gap`` > 0.  The first part
+    is the polyhedron of an intersection with one ball, or the first of two
+    balls; the second is the (other) ball.
+    """
+
+    normal: np.ndarray
+    offset: float
+    gap: float
+
+    def __post_init__(self):
+        self.normal.flags.writeable = False
 
 
 class ProjectionNoConvergence(RuntimeError):
@@ -211,12 +241,34 @@ class Intersection(ConvexBody):
         return "Intersection(%d bodies)" % len(self.bodies)
 
     @cached_property
+    def _parts(self):
+        """``((N, b), balls)``: the stacked rows of the members that have
+        them and the balls, nested intersections flattened; None when some
+        member is neither, or a ball is not finite."""
+        rows, balls = [(np.zeros((0, self.dim)), np.zeros(0))], []
+        for body in self.bodies:
+            if isinstance(body, Intersection):
+                parts = body._parts
+                if parts is None:
+                    return None
+                rows.append(parts[0])
+                balls.extend(parts[1])
+            elif isinstance(body, Ball):
+                if not (np.isfinite(body.center).all() and np.isfinite(body.radius)):
+                    return None
+                balls.append(body)
+            elif body.polyhedron is None:
+                return None
+            else:
+                rows.append(body.polyhedron)
+        return (_rows(np.concatenate([N for N, _ in rows]),
+                      np.concatenate([b for _, b in rows])), tuple(balls))
+
+    @cached_property
     def polyhedron(self):
-        parts = [body.polyhedron for body in self.bodies]
-        if any(part is None for part in parts):
+        if self._parts is None or self._parts[1]:
             return None
-        return _rows(np.concatenate([N for N, _ in parts]),
-                     np.concatenate([b for _, b in parts]))
+        return self._parts[0]
 
     def _project(self, x):
         interval = _as_interval_1d(self)
@@ -227,8 +279,14 @@ class Intersection(ConvexBody):
                     "1-D intersection is empty: [%g, %g]" % (lo, hi)
                 )
             return np.clip(x, lo, hi)
-        if self.polyhedron is not None:
-            return _project_polyhedron(*self.polyhedron, x)
+        if self._parts is not None:
+            (N, b), balls = self._parts
+            if not balls:
+                return _project_polyhedron(N, b, x)[0]
+            if len(balls) == 1:
+                return _project_polyhedron_ball(N, b, balls[0], x)
+            if len(balls) == 2 and not b.size:
+                return _project_lens(*balls, x)
         return _dykstra(self.bodies, x)
 
 
@@ -259,11 +317,12 @@ def _project_polyhedron(N, b, x):
     independent, so at most ``len(x)`` are active.  When d = 0 and no
     multiplier decreases, N_p lies in the cone of the negated active rows
     (up to _DEPENDENT): y = e_p - r on the active rows is a Farkas
-    certificate of emptiness.
+    certificate of emptiness.  Returns z and the list of active rows.
     """
     z = x.copy()
+    active = []
     if not b.size:
-        return z
+        return z, active
     x_norm = float(np.linalg.norm(x))
     row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
 
@@ -273,13 +332,12 @@ def _project_polyhedron(N, b, x):
         return N @ z - b - row_tol - _VIOLATION_TOL * scale
 
     u = np.zeros(b.size)
-    active = []
     over = excess(z)
     p = int(np.argmax(over))
     max_steps = 10 * (b.size + x.size)
     for _ in range(max_steps):
         if not over[p] > 0.0:   # a NaN point comes back as it went in
-            return z
+            return z, active
         if active:
             columns = N[active].T
             r = np.linalg.lstsq(columns, N[p], rcond=None)[0]
@@ -324,6 +382,105 @@ def _project_polyhedron(N, b, x):
     raise ProjectionNoConvergence(
         "active-set projection stopped after %d steps with violation %.3e"
         % (max_steps, violation), violation)
+
+
+# Steps of the search for the ball multiplier; each costs one projection
+# onto the polyhedron, and plain bisection of [0, 1] reaches the spacing of
+# doubles near 1 within 53.
+_BALL_STEPS = 100
+
+
+def _project_polyhedron_ball(N, b, ball, x):
+    """Exact projection of ``x`` onto K ∩ ball, K = {z : N z <= b}.
+
+    The KKT point with ball multiplier mu is P_K(x + s (c - x)) with
+    s = mu / (1 + mu), and ||P_K(x + s (c - x)) - c|| does not increase
+    with s, so the projection is the image at the smallest s in [0, 1]
+    whose image lies in the ball.  The set is empty exactly when
+    ||P_K(c) - c|| > r; the hyperplane through P_K(c) normal to c - P_K(c)
+    then separates K from the ball.  On each affine piece of P_K (a fixed
+    active row set) the image moves along the part of c - x orthogonal to
+    the active rows, so reaching the sphere is a quadratic in s, solved in
+    closed form and confirmed by one more projection onto K; a candidate
+    outside the bracket of s values seen on either side is replaced by the
+    bracket's midpoint.
+    """
+    c, r = ball.center, ball.radius
+    scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(c)))
+    tol = _VIOLATION_TOL * (1.0 + scale + r)
+    z, active = _project_polyhedron(N, b, x)
+    gap = float(np.linalg.norm(z - c)) - r
+    if not gap > tol:   # in the ball, or a NaN point
+        return z
+    nearest, _ = _project_polyhedron(N, b, c)
+    reach = float(np.linalg.norm(c - nearest))
+    if reach > r:
+        normal = (c - nearest) / reach
+        raise InfeasibleIntersection(
+            "the ball lies %.3e beyond the polyhedron" % (reach - r),
+            certificate=SeparatingHyperplane(normal, float(normal @ nearest), reach - r))
+    direction = c - x
+    lo, hi, s = 0.0, 1.0, 0.0
+    for _ in range(_BALL_STEPS):
+        rate = direction
+        if active:
+            rows = N[active].T
+            rate = direction - rows @ np.linalg.lstsq(rows, direction, rcond=None)[0]
+        s_next = s + _sphere_crossing(z - c, rate, r)
+        s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
+        z, active = _project_polyhedron(N, b, x + s * direction)
+        gap = float(np.linalg.norm(z - c)) - r
+        if abs(gap) <= tol:
+            return z
+        if gap > 0.0:
+            lo = s
+        else:
+            hi = s
+    raise ProjectionNoConvergence(
+        "ball multiplier search stopped after %d steps %.3e from the sphere"
+        % (_BALL_STEPS, abs(gap)), abs(gap))
+
+
+def _sphere_crossing(p, v, r):
+    """The smaller t with ||p + t v|| = r, or NaN when there is none."""
+    a, h, q = float(v @ v), float(p @ v), float(p @ p) - r * r
+    disc = h * h - a * q
+    if not (a > 0.0 and disc >= 0.0):
+        return np.nan
+    root = np.sqrt(disc)
+    # the two forms avoid cancelling -h against the root
+    return q / (root - h) if h < 0.0 else (-h - root) / a
+
+
+def _project_lens(first, second, x):
+    """Exact projection of ``x`` onto the intersection of two balls.
+
+    When neither ball's own projection lies in the other ball, both
+    constraints are active and the projection is the nearest point of the
+    intersection of the two spheres: the sphere of radius sqrt(r1^2 - t^2)
+    about c1 + t u in the hyperplane normal to u = (c2 - c1) / ||c2 - c1||.
+    The balls are disjoint exactly when ||c2 - c1|| > r1 + r2.
+    """
+    c1, r1, c2, r2 = first.center, first.radius, second.center, second.radius
+    apart = float(np.linalg.norm(c2 - c1))
+    if apart > r1 + r2:
+        normal = (c2 - c1) / apart
+        raise InfeasibleIntersection(
+            "the balls lie %.3e apart" % (apart - r1 - r2),
+            certificate=SeparatingHyperplane(normal, float(normal @ c1) + r1,
+                                             apart - r1 - r2))
+    scale = max(float(np.linalg.norm(v)) for v in (x, c1, c2))
+    tol = _VIOLATION_TOL * (1.0 + scale + r1 + r2)
+    for ball, other in ((first, second), (second, first)):
+        z = ball._project(x)
+        if not float(np.linalg.norm(z - other.center)) > other.radius + tol:
+            return z
+    u = (c2 - c1) / apart
+    t = (apart * apart + r1 * r1 - r2 * r2) / (2.0 * apart)
+    centre = c1 + t * u
+    v = x - centre
+    v = v - float(v @ u) * u
+    return centre + (np.sqrt(max(r1 * r1 - t * t, 0.0)) / float(np.linalg.norm(v))) * v
 
 
 def _as_interval_1d(body):

@@ -1,5 +1,5 @@
-"""Metric projections, the halfspace builder, the exact polyhedral
-projection and Dykstra's method."""
+"""Metric projections, the halfspace builder, the exact polyhedral and
+ball projections and Dykstra's method."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from splitfp.projections import (
     Halfspace,
     InfeasibleIntersection,
     Intersection,
+    SeparatingHyperplane,
     WholeSpace,
     _dykstra,
     check_projection_inequalities,
@@ -185,11 +186,15 @@ def test_empty_intersection_dykstra_detection():
         project(S, [0.0, 0.0])
     with pytest.raises(InfeasibleIntersection):
         _dykstra(S.bodies, np.array([0.0, 0.0]))
-    # a ball keeps the intersection on the cyclic path
+    # a ball and a halfspace: the exact path separates them, and the cyclic
+    # path, run directly, stalls without a certificate
     S = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -2.0)])
     assert S.polyhedron is None
     with pytest.raises(InfeasibleIntersection) as exc:
         project(S, [0.0, 0.0])
+    _assert_separates(exc.value.certificate, S.bodies[1], S.bodies[0])
+    with pytest.raises(InfeasibleIntersection) as exc:
+        _dykstra(S.bodies, np.array([0.0, 0.0]))
     assert exc.value.certificate is None
 
 
@@ -204,6 +209,7 @@ def test_dykstra_hyperplane_pair_and_nonexpansive():
         x = rng.normal(scale=4.0, size=2)
         y = rng.normal(scale=4.0, size=2)
         assert norm(project(S, x) - project(S, y)) <= norm(x - y) + 1e-10
+        assert norm(_dykstra(S.bodies, x) - _dykstra(S.bodies, y)) <= norm(x - y) + 1e-10
 
 
 def _assert_farkas(S, certificate):
@@ -243,6 +249,10 @@ def test_non_finite_members_leave_the_exact_path():
     assert Box([np.nan, 0.0], [1.0, 1.0]).polyhedron is None
     S = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 0.0], np.inf)])
     assert S.polyhedron is None
+    assert_allclose(project(S, [2.0, -1.0]), [1.0, 0.0], atol=1e-12)
+    # so does a ball that is not finite
+    S = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Ball([0.0, 0.0], np.inf)])
+    assert S._parts is None
     assert_allclose(project(S, [2.0, -1.0]), [1.0, 0.0], atol=1e-12)
 
 
@@ -320,3 +330,118 @@ def test_polyhedral_projection_agrees_with_dykstra():
             assert norm(project(S, x) - reference) <= 1e-9 * (1.0 + norm(x))
             compared += 1
     assert compared >= 950
+
+
+def _ball_sets(seed, count):
+    """Box (some sides open) cut by 1-3 halfspaces and a ball, every fourth
+    set two balls instead, all around an interior point; 5 points each."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dim = 2 + k % 2
+        center = rng.uniform(-0.4, 0.4, dim)
+        balls = []
+        for _ in range(2 if k % 4 == 3 else 1):
+            radius = rng.uniform(0.2, 2.5)
+            balls.append(Ball(center + rng.uniform(-0.5, 0.5, dim) * radius, radius))
+        members = balls
+        if k % 4 != 3:
+            lower = rng.uniform(-3.0, -0.5, dim)
+            upper = rng.uniform(0.5, 3.0, dim)
+            lower[rng.random(dim) < 0.2] = -np.inf
+            upper[rng.random(dim) < 0.2] = np.inf
+            cuts = []
+            for _ in range(rng.integers(1, 4)):
+                a = rng.normal(size=dim)
+                cuts.append(Halfspace(a, a @ center + rng.uniform(0.05, 1.0)))
+            # nested every other time, as C ∩ cuts is built
+            polyhedral = [Box(lower, upper), *cuts]
+            members = ([Intersection(polyhedral)] if k % 2 else polyhedral) + balls
+        yield Intersection(members), rng.normal(scale=4.0, size=(5, dim))
+
+
+def test_ball_projection_satisfies_kkt():
+    for S, points in _ball_sets(41, 200):
+        (N, b), balls = S._parts
+        for x in points:
+            z = project(S, x)
+            slack = N @ z - b
+            assert slack.size == 0 or slack.max() <= 1e-9
+            for ball in balls:
+                assert norm(z - ball.center) <= ball.radius + 1e-9
+            active = slack > -1e-9
+            on_sphere = [ball for ball in balls
+                         if norm(z - ball.center) >= ball.radius - 1e-9]
+            columns = np.column_stack([N[active].T]
+                                      + [z - ball.center for ball in on_sphere])
+            u = np.linalg.lstsq(columns, x - z, rcond=None)[0]
+            assert np.all(u >= -1e-9)
+            assert norm(x - z - columns @ u) <= 1e-9 * (1.0 + norm(x))
+
+
+def test_ball_projection_agrees_with_dykstra():
+    compared = 0
+    for S, points in _ball_sets(52, 100):
+        for x in points:
+            try:
+                reference = _dykstra(S.bodies, x)
+            except (InfeasibleIntersection, DykstraNoConvergence):
+                continue
+            assert norm(project(S, x) - reference) <= 1e-9 * (1.0 + norm(x))
+            compared += 1
+    assert compared >= 450
+
+
+def test_ball_projection_nonexpansive():
+    rng = np.random.default_rng(63)
+    for S, _ in _ball_sets(63, 40):
+        for _ in range(50):
+            x = rng.normal(scale=4.0, size=S.dim)
+            y = x + rng.normal(scale=10.0 ** rng.uniform(-6.0, 0.0), size=S.dim)
+            assert norm(project(S, x) - project(S, y)) <= norm(x - y) * (1.0 + 1e-9) + 1e-12
+
+
+def test_ball_projections_pass_nan_through():
+    for S in (Intersection([Box([0.0, 0.0], [1.0, 1.0]), Ball([0.0, 0.0], 1.2)]),
+              Intersection([Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)])):
+        assert np.isnan(project(S, [np.nan, 0.5])).any()
+
+
+def _assert_separates(certificate, first, second):
+    """Every point of ``first`` lies at or below the hyperplane, every point
+    of ``second`` (a ball) at or above it, with a gap between."""
+    assert isinstance(certificate, SeparatingHyperplane)
+    normal, offset = certificate.normal, certificate.offset
+    assert norm(normal) == pytest.approx(1.0, abs=1e-15)
+    assert not normal.flags.writeable and certificate.gap > 0.0
+    assert normal @ second.center - second.radius >= offset + certificate.gap - 1e-12
+    if isinstance(first, Ball):
+        assert normal @ first.center + first.radius <= offset + 1e-12
+    else:   # sample the polyhedron through its own projection
+        rng = np.random.default_rng(0)
+        for x in rng.normal(scale=10.0, size=(200, first.dim)):
+            assert normal @ project(first, x) <= offset + 1e-12
+
+
+def test_empty_ball_intersections_carry_a_separating_hyperplane():
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    ball = Ball([3.0, 2.5], 2.0)
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(Intersection([box, ball]), [0.5, 0.5])
+    _assert_separates(exc.value.certificate, box, ball)
+    first, second = Ball([0.0, 0.0, 0.0], 1.0), Ball([1.0, 2.0, 2.0], 1.9)
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(Intersection([first, second]), [0.0, 0.0, 5.0])
+    _assert_separates(exc.value.certificate, first, second)
+    # an empty polyhedral part keeps its Farkas vector
+    S = Intersection([Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)])
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(Intersection([S, Ball([0.0, 0.0], 5.0)]), [0.0, 0.0])
+    _assert_farkas(S, exc.value.certificate)
+
+
+def test_lens_projection_is_not_declared_empty():
+    S = Intersection([Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.01)])
+    x = np.array([1.0, 3.0])
+    z = project(S, x)
+    assert norm(z) <= 1.0 + 1e-9 and norm(z - [2.0, 0.0]) <= 1.01 + 1e-9
+    assert norm(z - x) <= norm(np.array([1.0, 0.0]) - x)

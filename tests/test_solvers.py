@@ -33,7 +33,7 @@ from splitfp.problems import (
     StoppingRule,
     ValidationError,
 )
-from splitfp.projections import Box, WholeSpace, contains
+from splitfp.projections import Ball, Box, Intersection, WholeSpace, contains
 from splitfp.rules import Rational1D
 from splitfp.solvers import (
     NonFiniteState,
@@ -495,9 +495,9 @@ def test_extragradient_cut_cap_aborts():
     assert exc.value.iteration == 1
 
 
-def test_extragradient_orthant_run_reaches_500_iterations():
-    # the 2-D run whose cuts with C (the nonnegative orthant) make a polyhedron;
-    # (1, 2) is feasible throughout, so no step may find the set empty
+def _halfway_extragradient_run(C):
+    """500 iterations of the 2-D extra-gradient run T(x) = (x + (1, 2))/2,
+    G = id, A = I from (10, -3)."""
     plane = WholeSpace(2)
     shift = np.array([1.0, 2.0])
     spec = ProblemSpec(
@@ -506,19 +506,39 @@ def test_extragradient_orthant_run_reaches_500_iterations():
                         known_fixed_points=([1.0, 2.0],)),
         G=FixedPointMap(lambda x: x, plane, Nonexpansive(),
                         known_fixed_points=([0.0, 0.0],)),
-        A=LinearMap(np.eye(2)), C=Box([0.0, 0.0], [np.inf, np.inf]), Q=plane,
+        A=LinearMap(np.eye(2)), C=C, Q=plane,
         alpha=SequenceSpec.const(0.5), beta=SequenceSpec.const(0.5),
         gamma_seq=SequenceSpec.const(0.5),
     )
-    tr = run(spec, [10.0, -3.0], rule=StoppingRule(max_iters=500))
+    return run(spec, [10.0, -3.0], rule=StoppingRule(max_iters=500))
+
+
+def _assert_reaches_the_fixed_point(tr, in_C):
     assert len(tr.records) == 501 and tr.stop_reason == "max_iters"
     x0 = tr.records[0].x
     departures = [norm(r.x - x0) for r in tr.records]
     assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(departures, departures[1:]))
     for rec in tr.records[1:]:
-        assert rec.x.min() >= -1e-12
+        assert in_C(rec.x)
         assert rec.cut_count == 3 * rec.n
     assert norm(tr.final.x - np.array([1.0, 2.0])) <= 1e-6
+
+
+def test_extragradient_orthant_run_reaches_500_iterations():
+    # the 2-D run whose cuts with C (the nonnegative orthant) make a polyhedron;
+    # (1, 2) is feasible throughout, so no step may find the set empty
+    tr = _halfway_extragradient_run(Box([0.0, 0.0], [np.inf, np.inf]))
+    _assert_reaches_the_fixed_point(tr, lambda x: x.min() >= -1e-12)
+
+
+def test_extragradient_disc_orthant_run_reaches_500_iterations():
+    # C = quarter disc of radius 3: C and the cuts are a polyhedron and one
+    # ball, projected exactly; (1, 2) stays feasible, so no step may find the
+    # set empty
+    C = Intersection([Ball([0.0, 0.0], 3.0), Box([0.0, 0.0], [np.inf, np.inf])])
+    tr = _halfway_extragradient_run(C)
+    _assert_reaches_the_fixed_point(
+        tr, lambda x: x.min() >= -1e-12 and norm(x) <= 3.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
