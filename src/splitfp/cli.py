@@ -47,7 +47,7 @@ from .problems import (
 from .projections import Ball, Box, Halfspace, Intersection, WholeSpace
 from .rules import rule_from_config
 from .solvers import SolverError, run
-from .spaces import LinearMap
+from .spaces import LinearMap, norm
 
 __all__ = ["main", "write_trace_csv", "parse_trace_csv", "write_trace_json",
            "write_residual_svg", "build_spec_from_config"]
@@ -443,7 +443,7 @@ def cmd_run(args):
         }
     if FAMILIES[spec.family].accumulates_cuts:
         x0 = trace.records[0].x
-        departures = [float(np.linalg.norm(rec.x - x0)) for rec in trace.records]
+        departures = [norm(rec.x - x0) for rec in trace.records]
         summary["departure_from_start"] = {
             "non_decreasing": all(
                 b >= a - 1e-12 for a, b in zip(departures, departures[1:])

@@ -48,7 +48,6 @@ __all__ = [
     "FixedPointMap",
     "map_from_rule",
     "power_apply",
-    "power_map",
     "relax",
     "convex_combine",
     "verify_class",
@@ -517,21 +516,25 @@ class FixedPointMap:
     """A nonlinear map with domain, declared class, and known fixed points.
 
     ``eval_fn`` takes and returns 1-D float arrays.  ``rule``, when present,
-    is the portable scalar rule the map evaluates: ``eval_fn(x)`` is exactly
-    ``[rule(float(x[0]))]`` (:func:`map_from_rule` builds such maps).  The
-    high-precision oracle re-evaluates it in Decimal and :func:`power_apply`
-    iterates it on Python floats.  ``extra_classes`` lists additional
-    regularity declarations beyond the primary one, e.g. a Lipschitz
-    constant alongside a strong-monotonicity modulus.
+    is the portable scalar rule the map evaluates and ``kernel`` its
+    compiled ``rule.float_kernel()``: ``eval_fn(x)`` is exactly
+    ``[kernel(float(x[0]))]`` (:func:`map_from_rule` builds such maps).  The
+    high-precision oracle re-evaluates the rule in Decimal and
+    :func:`power_apply` iterates the kernel on Python floats.
+    ``extra_classes`` lists additional regularity declarations beyond the
+    primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
+    modulus.
     """
 
     def __init__(self, eval_fn, domain, declared_class=None,
-                 known_fixed_points=(), name=None, rule=None, extra_classes=()):
+                 known_fixed_points=(), name=None, rule=None, kernel=None,
+                 extra_classes=()):
         self.eval_fn = eval_fn
         self.domain = domain
         self.declared_class = declared_class
         self.name = name
         self.rule = rule
+        self.kernel = kernel
         self.extra_classes = tuple(extra_classes)
         pts = []
         for p in known_fixed_points:
@@ -559,13 +562,18 @@ class FixedPointMap:
 
 def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
                   name=None, extra_classes=()):
-    """Wrap a scalar rule as a one-dimensional :class:`FixedPointMap`."""
+    """Wrap a scalar rule as a one-dimensional :class:`FixedPointMap`.
+
+    The rule's float kernel is compiled here, once per map.
+    """
+    kernel = rule.float_kernel()
 
     def eval_fn(x):
-        return np.array([rule(float(x[0]))])
+        return np.array([kernel(float(x[0]))])
 
     return FixedPointMap(eval_fn, domain, declared_class, known_fixed_points,
-                         name=name, rule=rule, extra_classes=extra_classes)
+                         name=name, rule=rule, kernel=kernel,
+                         extra_classes=extra_classes)
 
 
 def _domain_escape(i, n, point):
@@ -581,24 +589,25 @@ def power_apply(T, n, x, check_domain=True):
     With ``check_domain`` the current point is required to lie in T's domain
     before every application, and the offending step is named on escape.
 
-    Two loops compute the same thing.  When T has a ``rule`` and x has one
-    element, the loop runs on a Python float and calls the rule directly:
-    the same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
+    Two loops compute the same thing.  When T has a ``kernel`` (the float
+    kernel of its rule, compiled once by :func:`map_from_rule`) and x has
+    one element, the loop runs on a Python float and calls the kernel: the
+    same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
     every iterate in an array.  Every other map, and every d > 1, takes the
     array loop through ``T.__call__``.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
     cur = np.atleast_1d(np.asarray(x, dtype=float))
-    rule = T.rule
-    if rule is not None and cur.shape == (1,):
+    kernel = T.kernel
+    if kernel is not None and cur.shape == (1,):
         v = float(cur[0])
         for i in range(n):
             if check_domain:
                 point = np.array([v])
                 if not contains(T.domain, point, tol=1e-9):
                     raise _domain_escape(i, n, point)
-            v, prev = float(rule(v)), v
+            v, prev = float(kernel(v)), v
             if v == prev:
                 break
         return np.array([v])
@@ -606,20 +615,10 @@ def power_apply(T, n, x, check_domain=True):
         if check_domain and not contains(T.domain, cur, tol=1e-9):
             raise _domain_escape(i, n, cur)
         nxt = T(cur)
-        if np.array_equal(nxt, cur):
+        if nxt.shape == cur.shape and (nxt == cur).all():
             return nxt
         cur = nxt
     return cur
-
-
-def power_map(T, n, name=None):
-    """The n-th iterate power of T as a map in its own right."""
-    return FixedPointMap(
-        lambda x: power_apply(T, n, x, check_domain=False),
-        T.domain,
-        known_fixed_points=T.known_fixed_points,
-        name=name or ("%s^%d" % (T.name or "T", n)),
-    )
 
 
 def relax(T, alpha):
@@ -773,7 +772,7 @@ def _sample_pair(body, lcg, index, scale):
         return x, sample_point(body, lcg, scale)
     delta = _NEAR_OFFSETS[(index // 2) % len(_NEAR_OFFSETS)] * scale
     direction = np.array([2.0 * lcg.next_double() - 1.0 for _ in range(body.dim)])
-    nd = np.linalg.norm(direction)
+    nd = norm(direction)
     if nd == 0.0:
         direction = np.zeros(body.dim)
         direction[0] = 1.0

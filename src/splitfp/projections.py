@@ -208,7 +208,7 @@ class Ball(ConvexBody):
 
     def _project(self, x):
         d = x - self.center
-        dist = np.linalg.norm(d)
+        dist = norm(d)
         if dist <= self.radius:
             return x.copy()
         return self.center + (self.radius / dist) * d
@@ -323,12 +323,12 @@ def _project_polyhedron(N, b, x):
     active = []
     if not b.size:
         return z, active
-    x_norm = float(np.linalg.norm(x))
+    x_norm = norm(x)
     row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
 
     def excess(z):
         """How far z lies beyond each row, less the row's tolerance."""
-        scale = max(x_norm, float(np.linalg.norm(z)))
+        scale = max(x_norm, norm(z))
         return N @ z - b - row_tol - _VIOLATION_TOL * scale
 
     u = np.zeros(b.size)
@@ -362,7 +362,7 @@ def _project_polyhedron(N, b, x):
                     "polyhedral intersection is empty: row %d lies in the cone "
                     "of the negated active rows (Farkas y^T b = %.3e, "
                     "||y^T N|| = %.3e)" % (p, float(y @ b),
-                                          float(np.linalg.norm(y @ N))),
+                                          norm(y @ N)),
                     certificate=y)
             raise ProjectionNoConvergence(
                 "row %d depends on the active rows but gives no Farkas "
@@ -406,14 +406,14 @@ def _project_polyhedron_ball(N, b, ball, x):
     bracket's midpoint.
     """
     c, r = ball.center, ball.radius
-    scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(c)))
+    scale = max(norm(x), norm(c))
     tol = _VIOLATION_TOL * (1.0 + scale + r)
     z, active = _project_polyhedron(N, b, x)
-    gap = float(np.linalg.norm(z - c)) - r
+    gap = norm(z - c) - r
     if not gap > tol:   # in the ball, or a NaN point
         return z
     nearest, _ = _project_polyhedron(N, b, c)
-    reach = float(np.linalg.norm(c - nearest))
+    reach = norm(c - nearest)
     if reach > r:
         normal = (c - nearest) / reach
         raise InfeasibleIntersection(
@@ -429,7 +429,7 @@ def _project_polyhedron_ball(N, b, ball, x):
         s_next = s + _sphere_crossing(z - c, rate, r)
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
         z, active = _project_polyhedron(N, b, x + s * direction)
-        gap = float(np.linalg.norm(z - c)) - r
+        gap = norm(z - c) - r
         if abs(gap) <= tol:
             return z
         if gap > 0.0:
@@ -462,25 +462,25 @@ def _project_lens(first, second, x):
     The balls are disjoint exactly when ||c2 - c1|| > r1 + r2.
     """
     c1, r1, c2, r2 = first.center, first.radius, second.center, second.radius
-    apart = float(np.linalg.norm(c2 - c1))
+    apart = norm(c2 - c1)
     if apart > r1 + r2:
         normal = (c2 - c1) / apart
         raise InfeasibleIntersection(
             "the balls lie %.3e apart" % (apart - r1 - r2),
             certificate=SeparatingHyperplane(normal, float(normal @ c1) + r1,
                                              apart - r1 - r2))
-    scale = max(float(np.linalg.norm(v)) for v in (x, c1, c2))
+    scale = max(norm(v) for v in (x, c1, c2))
     tol = _VIOLATION_TOL * (1.0 + scale + r1 + r2)
     for ball, other in ((first, second), (second, first)):
         z = ball._project(x)
-        if not float(np.linalg.norm(z - other.center)) > other.radius + tol:
+        if not norm(z - other.center) > other.radius + tol:
             return z
     u = (c2 - c1) / apart
     t = (apart * apart + r1 * r1 - r2 * r2) / (2.0 * apart)
     centre = c1 + t * u
     v = x - centre
     v = v - float(v @ u) * u
-    return centre + (np.sqrt(max(r1 * r1 - t * t, 0.0)) / float(np.linalg.norm(v))) * v
+    return centre + (np.sqrt(max(r1 * r1 - t * t, 0.0)) / norm(v)) * v
 
 
 def _as_interval_1d(body):
@@ -537,7 +537,7 @@ def _dykstra(bodies, x, tol=1e-12, max_sweeps=10000,
             z = y - corrections[i]
             moved = body._project(z)
             corrections[i] = moved - z
-            gap = max(gap, float(np.linalg.norm(moved - y)))
+            gap = max(gap, norm(moved - y))
             y = moved
         if gap <= tol:
             return y
@@ -555,20 +555,31 @@ def _dykstra(bodies, x, tol=1e-12, max_sweeps=10000,
     )
 
 
-def project(S, x):
-    """Metric projection of ``x`` onto the convex body ``S``."""
+def _point_of(S, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != S.dim:
         raise DimensionMismatch(
             "point dimension %d does not match set dimension %d" % (x.shape[0], S.dim)
         )
-    return S._project(x)
+    return x
+
+
+def project(S, x):
+    """Metric projection of ``x`` onto the convex body ``S``."""
+    return S._project(_point_of(S, x))
 
 
 def contains(S, x, tol=1e-10):
-    """Membership test via the projection: x in S iff project(S, x) == x."""
+    """Membership test via the projection: x in S iff project(S, x) == x.
+
+    The whole space is answered without projecting: its projection moves a
+    finite x by exactly 0, and a NaN or infinite entry gives a NaN distance,
+    so x is in it iff every entry is finite.
+    """
+    if isinstance(S, WholeSpace):
+        return bool(np.isfinite(_point_of(S, x)).all()) and 0.0 <= tol
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.linalg.norm(project(S, x) - x)) <= tol
+    return norm(project(S, x) - x) <= tol
 
 
 def halfspace_from_distance_dominance(near, far):

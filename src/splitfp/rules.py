@@ -7,10 +7,19 @@ Keeping the rule as data (coefficient lists) rather than opaque code lets
 the same operator be evaluated in float64 by the solvers, re-evaluated in
 ``decimal.Decimal`` by the high-precision oracle, and round-tripped through
 the JSON configuration format.  Rules are immutable.
+
+``rule.float_kernel()`` returns a new function of one Python float that
+performs exactly the IEEE operations of ``rule(v)``, in the same order, so
+its result has the same bits (and a pole raises the same
+``ZeroDivisionError``).  A rational rule's kernel is straight-line Horner
+code, compiled once per pair of degrees; piecewise and relaxed rules compose
+their children's kernels.  The kernel is never cached on the rule: a map
+built by ``operators.map_from_rule`` compiles it once and keeps it.
 """
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 
 __all__ = ["Rational1D", "Piecewise1D", "Relaxed1D", "rule_from_config"]
 
@@ -20,6 +29,27 @@ def _horner(coeffs, v):
     for c in reversed(coeffs[:-1]):
         acc = acc * v + c
     return acc
+
+
+@cache
+def _rational_factory(num_terms, den_terms):
+    """Compile ``lambda n0, .., d0, ..: lambda v: p(v) / q(v)`` in Horner form.
+
+    The coefficients are bound as closure variables, not written as
+    literals, so that inf, nan and -0.0 keep their exact values.
+    """
+
+    def horner(prefix, terms):
+        acc = "%s%d" % (prefix, terms - 1)
+        for i in reversed(range(terms - 1)):
+            acc = "(%s * v + %s%d)" % (acc, prefix, i)
+        return acc
+
+    params = ["n%d" % i for i in range(num_terms)]
+    params += ["d%d" % i for i in range(den_terms)]
+    source = "lambda %s: lambda v: %s / %s" % (
+        ", ".join(params), horner("n", num_terms), horner("d", den_terms))
+    return eval(source, {})
 
 
 @dataclass(frozen=True, repr=False)
@@ -39,6 +69,9 @@ class Rational1D:
 
     def __call__(self, v):
         return _horner(self.num, v) / _horner(self.den, v)
+
+    def float_kernel(self):
+        return _rational_factory(len(self.num), len(self.den))(*self.num, *self.den)
 
     def eval_decimal(self, v):
         num = tuple(map(Decimal, self.num))
@@ -75,6 +108,13 @@ class Piecewise1D:
     def __call__(self, v):
         return self.left(v) if self._is_left(v) else self.right(v)
 
+    def float_kernel(self):
+        left, right = self.left.float_kernel(), self.right.float_kernel()
+        at = self.breakpoint
+        if self.left_closed:
+            return lambda v: left(v) if v <= at else right(v)
+        return lambda v: left(v) if v < at else right(v)
+
     def eval_decimal(self, v):
         branch = self.left if self._is_left(v) else self.right
         return branch.eval_decimal(v)
@@ -109,6 +149,11 @@ class Relaxed1D:
 
     def __call__(self, v):
         return (1.0 - self.alpha) * v + self.alpha * self.rule(v)
+
+    def float_kernel(self):
+        inner, alpha = self.rule.float_kernel(), self.alpha
+        keep = 1.0 - alpha
+        return lambda v: keep * v + alpha * inner(v)
 
     def eval_decimal(self, v):
         alpha = Decimal(self.alpha)

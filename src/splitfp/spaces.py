@@ -6,6 +6,8 @@ the adjoint and a write-once cache for the spectral norm estimated by
 power iteration.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -64,8 +66,17 @@ def inner(a, b):
 
 
 def norm(a):
-    """Norm induced by :func:`inner`."""
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(a, dtype=float))))
+    """Norm induced by :func:`inner`, bit for bit ``np.linalg.norm``.
+
+    A vector takes numpy's own formula for a real array, ``sqrt(a.a)``,
+    without the ``linalg`` dispatch; any other array keeps
+    ``np.linalg.norm`` (the Frobenius norm).
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim == 1:
+        a = a.ravel(order="K")   # a dot over a strided view can round differently
+        return math.sqrt(a.dot(a))
+    return float(np.linalg.norm(a))
 
 
 def polarization_check(x, y, alpha):
@@ -170,7 +181,7 @@ def estimate_norm_squared(A, tol=1e-10, max_iters=10000):
     restart_axis = 0
     for _ in range(max_iters):
         w = M @ v
-        nw = np.linalg.norm(w)
+        nw = norm(w)
         if nw == 0.0:
             # current vector sits in the kernel: restart along basis axes
             v = np.zeros(n)

@@ -26,7 +26,6 @@ from splitfp.operators import (
     check_strong_monotonicity_of_complement,
     map_from_rule,
     operator_catalog,
-    power_map,
     verify_class,
 )
 from splitfp.projections import check_projection_inequalities
@@ -44,6 +43,8 @@ from splitfp.projections import (
 from splitfp.rules import Rational1D
 from splitfp.solvers import run, step_extragradient
 from splitfp.spaces import inner, norm
+
+from helpers import power_map
 
 
 def _announce(number, description):

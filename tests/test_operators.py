@@ -30,13 +30,15 @@ from splitfp.operators import (
     map_from_rule,
     operator_catalog,
     power_apply,
-    power_map,
     relax,
     verify_class,
 )
-from splitfp.projections import Box, WholeSpace, contains
+from splitfp import projections
+from splitfp.projections import Box, WholeSpace, contains, project
 from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
-from splitfp.spaces import norm
+from splitfp.spaces import DimensionMismatch, norm
+
+from helpers import power_map
 
 
 def affine_map(a, b, domain=None, **kw):
@@ -184,8 +186,9 @@ def test_power_apply_scalar_loop_matches_array_loop(name):
 
 
 def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
-    # the scalar loop is keyed on ``rule``, the rule a map evaluates: catalog
-    # maps and relaxed rule-backed maps carry one, a closure map does not
+    # the scalar loop is keyed on ``kernel``, compiled from the rule a map
+    # evaluates: catalog maps and relaxed rule-backed maps carry one, a
+    # closure map does not
     cat = operator_catalog()
     wqT = cat["wqT"]
     relaxed = relax(wqT, 0.3)
@@ -205,6 +208,64 @@ def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
     assert calls == []
     power_apply(closure, 5, np.array([4.0]))
     assert closure.name in calls
+
+
+def test_power_apply_scalar_loop_calls_the_kernel_not_the_rule(monkeypatch):
+    cat = operator_catalog()
+    maps = [cat["wqT"], cat["wqU"], relax(cat["heDu"], 0.4)]
+    want = [power_apply(T, 30, np.array([4.0])).tobytes() for T in maps]
+
+    def refuse(self, v):
+        raise AssertionError("the power loop called a rule")
+
+    monkeypatch.setattr(Rational1D, "__call__", refuse)
+    monkeypatch.setattr(Piecewise1D, "__call__", refuse)
+    monkeypatch.setattr(Relaxed1D, "__call__", refuse)
+    assert [power_apply(T, 30, np.array([4.0])).tobytes() for T in maps] == want
+    assert [T(np.array([4.0])).tobytes() for T in maps] == [
+        np.array([T.kernel(4.0)]).tobytes() for T in maps]
+
+
+def test_power_apply_on_the_whole_space_checks_without_projecting(monkeypatch):
+    # membership in the whole space is finiteness of every entry, so the
+    # array loop checks the domain before each application without projecting
+    calls = []
+    real = projections.project
+
+    def counting(S, x):
+        calls.append(S)
+        return real(S, x)
+
+    monkeypatch.setattr(projections, "project", counting)
+    turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+    T = FixedPointMap(lambda x: turn @ x, WholeSpace(2), name="turn")
+    x = np.array([1.0, 2.0])
+    assert power_apply(T, 40, x, check_domain=True).tobytes() == \
+        power_apply(T, 40, x, check_domain=False).tobytes()
+    assert calls == []
+    boxed = FixedPointMap(lambda x: turn @ x, Box([-5.0, -5.0], [5.0, 5.0]))
+    power_apply(boxed, 3, x)
+    assert len(calls) == 3      # the counter sees the projections of a box
+
+    blowup = FixedPointMap(lambda x: 1e200 * x, WholeSpace(2), name="blowup")
+    with np.errstate(over="ignore"), pytest.raises(DomainEscape) as exc:
+        power_apply(blowup, 5, np.array([1e200, -3.0]))
+    assert str(exc.value) == ("iterate left the domain before application 2 of 5: "
+                              "[inf, -3e+200]")
+    with pytest.raises(DimensionMismatch):
+        contains(WholeSpace(2), np.zeros(3))
+
+
+def test_whole_space_membership_matches_the_projection_test():
+    plane = WholeSpace(2)
+    points = [[0.0, -0.0], [1e308, -1e308], [5e-324, 3.0], [np.nan, 0.0],
+              [np.inf, 1.0], [-np.inf, np.nan]]
+    with np.errstate(invalid="ignore"):
+        for p in points:
+            p = np.array(p)
+            for tol in (1e-10, 0.0, -1.0):
+                assert contains(plane, p, tol) is \
+                    (norm(project(plane, p) - p) <= tol), (p, tol)
 
 
 

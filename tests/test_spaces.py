@@ -1,5 +1,7 @@
 """Inner products, linear maps, adjoints, and the spectral estimator."""
 
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -48,6 +50,27 @@ def test_inner_symmetric_bilinear():
             inner(s * a + t * b, c), s * inner(a, c) + t * inner(b, c),
             rtol=1e-12, atol=1e-12,
         )
+
+
+def test_norm_has_the_bits_of_numpy_norm():
+    # magnitudes 1e-200 .. 1e200, so squares underflow to subnormals or
+    # zero and overflow to inf; strided and reversed views, lists, scalars
+    rng = np.random.default_rng(17)
+    cases = [0.0, -0.0, [0.0, -0.0], 5e-324, [3.0, 4.0], 7]
+    for dim in range(1, 6):
+        for _ in range(300):
+            v = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(-200.0, 200.0, dim)
+            cases += [v, v.tolist()]
+        wide = rng.normal(size=2 * dim) * 10.0 ** rng.uniform(-200.0, 200.0, 2 * dim)
+        cases += [wide[::2], wide[::-1], wide.reshape(2, dim)]
+    # long strided views: numpy sums a copied contiguous vector, and a dot
+    # over the strided view itself can round differently
+    long = rng.normal(size=400)
+    cases += [long[::2], long[::-1], long[1::3]]
+    with np.errstate(over="ignore"):
+        for v in cases:
+            want = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
+            assert struct.pack("d", norm(v)) == struct.pack("d", want), v
 
 
 def test_polarization_trivial_cases():
