@@ -516,25 +516,29 @@ class FixedPointMap:
     """A nonlinear map with domain, declared class, and known fixed points.
 
     ``eval_fn`` takes and returns 1-D float arrays.  ``rule``, when present,
-    is the portable scalar rule the map evaluates and ``kernel`` its
-    compiled ``rule.float_kernel()``: ``eval_fn(x)`` is exactly
-    ``[kernel(float(x[0]))]`` (:func:`map_from_rule` builds such maps).  The
-    high-precision oracle re-evaluates the rule in Decimal and
-    :func:`power_apply` iterates the kernel on Python floats.
+    is the portable scalar rule the map evaluates, and ``kernel`` is its
+    ``rule.float_kernel()``, compiled once here.  ``eval_fn`` may then be
+    None, and the map evaluates ``[kernel(float(x[0]))]``; a given
+    ``eval_fn`` must compute exactly that (:func:`map_from_rule` builds
+    such maps).  The high-precision oracle re-evaluates the rule in Decimal
+    and :func:`power_apply` iterates the kernel on Python floats.
     ``extra_classes`` lists additional regularity declarations beyond the
     primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
     modulus.
     """
 
     def __init__(self, eval_fn, domain, declared_class=None,
-                 known_fixed_points=(), name=None, rule=None, kernel=None,
-                 extra_classes=()):
+                 known_fixed_points=(), name=None, rule=None, extra_classes=()):
+        self.rule = rule
+        self.kernel = None if rule is None else rule.float_kernel()
+        if eval_fn is None:
+            if rule is None:
+                raise ValueError("a map needs an eval_fn or a rule")
+            eval_fn = _kernel_eval_fn(self.kernel)
         self.eval_fn = eval_fn
         self.domain = domain
         self.declared_class = declared_class
         self.name = name
-        self.rule = rule
-        self.kernel = kernel
         self.extra_classes = tuple(extra_classes)
         pts = []
         for p in known_fixed_points:
@@ -560,20 +564,21 @@ class FixedPointMap:
         return "FixedPointMap(%s)" % (self.name or "unnamed")
 
 
+def _kernel_eval_fn(kernel):
+    def eval_fn(x):
+        return np.array([kernel(float(x[0]))])
+
+    return eval_fn
+
+
 def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
                   name=None, extra_classes=()):
     """Wrap a scalar rule as a one-dimensional :class:`FixedPointMap`.
 
-    The rule's float kernel is compiled here, once per map.
+    The map compiles the rule's float kernel once and evaluates it.
     """
-    kernel = rule.float_kernel()
-
-    def eval_fn(x):
-        return np.array([kernel(float(x[0]))])
-
-    return FixedPointMap(eval_fn, domain, declared_class, known_fixed_points,
-                         name=name, rule=rule, kernel=kernel,
-                         extra_classes=extra_classes)
+    return FixedPointMap(None, domain, declared_class, known_fixed_points,
+                         name=name, rule=rule, extra_classes=extra_classes)
 
 
 def _domain_escape(i, n, point):
@@ -590,8 +595,8 @@ def power_apply(T, n, x, check_domain=True):
     before every application, and the offending step is named on escape.
 
     Two loops compute the same thing.  When T has a ``kernel`` (the float
-    kernel of its rule, compiled once by :func:`map_from_rule`) and x has
-    one element, the loop runs on a Python float and calls the kernel: the
+    kernel of its rule, compiled once when the map is built) and x has one
+    element, the loop runs on a Python float and calls the kernel: the
     same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
     every iterate in an array.  Every other map, and every d > 1, takes the
     array loop through ``T.__call__``.

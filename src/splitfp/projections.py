@@ -576,9 +576,9 @@ def contains(S, x, tol=1e-10):
     finite x by exactly 0, and a NaN or infinite entry gives a NaN distance,
     so x is in it iff every entry is finite.
     """
+    x = _point_of(S, x)
     if isinstance(S, WholeSpace):
-        return bool(np.isfinite(_point_of(S, x)).all()) and 0.0 <= tol
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+        return bool(np.isfinite(x).all()) and 0.0 <= tol
     return norm(project(S, x) - x) <= tol
 
 

@@ -12,9 +12,10 @@ the JSON configuration format.  Rules are immutable.
 performs exactly the IEEE operations of ``rule(v)``, in the same order, so
 its result has the same bits (and a pole raises the same
 ``ZeroDivisionError``).  A rational rule's kernel is straight-line Horner
-code, compiled once per pair of degrees; piecewise and relaxed rules compose
-their children's kernels.  The kernel is never cached on the rule: a map
-built by ``operators.map_from_rule`` compiles it once and keeps it.
+code, one statement per term, compiled once per pair of degrees; piecewise
+and relaxed rules compose their children's kernels.  The kernel is never
+cached on the rule: an ``operators.FixedPointMap`` given a rule compiles it
+once and keeps it.
 """
 
 from dataclasses import dataclass
@@ -33,23 +34,33 @@ def _horner(coeffs, v):
 
 @cache
 def _rational_factory(num_terms, den_terms):
-    """Compile ``lambda n0, .., d0, ..: lambda v: p(v) / q(v)`` in Horner form.
+    """Compile the Horner kernel of p/q for these numbers of coefficients.
 
+    The result takes the coefficients ``n0, .., d0, ..`` and returns
+    ``kernel(v)``, which runs one statement ``p = p * v + n_i`` per term in
+    the order of :func:`_horner`, so no degree nests too deep to compile.
     The coefficients are bound as closure variables, not written as
     literals, so that inf, nan and -0.0 keep their exact values.
     """
 
-    def horner(prefix, terms):
-        acc = "%s%d" % (prefix, terms - 1)
-        for i in reversed(range(terms - 1)):
-            acc = "(%s * v + %s%d)" % (acc, prefix, i)
-        return acc
+    def horner(acc, prefix, terms):
+        if terms == 1:
+            return ["        %s = %s0" % (acc, prefix)]
+        lines = ["        %s = %s%d * v + %s%d"
+                 % (acc, prefix, terms - 1, prefix, terms - 2)]
+        lines += ["        %s = %s * v + %s%d" % (acc, acc, prefix, i)
+                  for i in reversed(range(terms - 2))]
+        return lines
 
     params = ["n%d" % i for i in range(num_terms)]
     params += ["d%d" % i for i in range(den_terms)]
-    source = "lambda %s: lambda v: %s / %s" % (
-        ", ".join(params), horner("n", num_terms), horner("d", den_terms))
-    return eval(source, {})
+    source = "\n".join(
+        ["def factory(%s):" % ", ".join(params), "    def kernel(v):"]
+        + horner("p", "n", num_terms) + horner("q", "d", den_terms)
+        + ["        return p / q", "    return kernel"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["factory"]
 
 
 @dataclass(frozen=True, repr=False)

@@ -68,15 +68,11 @@ def inner(a, b):
 def norm(a):
     """Norm induced by :func:`inner`, bit for bit ``np.linalg.norm``.
 
-    A vector takes numpy's own formula for a real array, ``sqrt(a.a)``,
-    without the ``linalg`` dispatch; any other array keeps
-    ``np.linalg.norm`` (the Frobenius norm).
+    This is numpy's own formula for a real array, ``sqrt(a.a)`` over
+    ``ravel(order='K')``, without the ``linalg`` dispatch.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.ndim == 1:
-        a = a.ravel(order="K")   # a dot over a strided view can round differently
-        return math.sqrt(a.dot(a))
-    return float(np.linalg.norm(a))
+    a = np.atleast_1d(np.asarray(a, dtype=float)).ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def polarization_check(x, y, alpha):

@@ -226,6 +226,26 @@ def test_power_apply_scalar_loop_calls_the_kernel_not_the_rule(monkeypatch):
         np.array([T.kernel(4.0)]).tobytes() for T in maps]
 
 
+def test_a_map_given_a_rule_compiles_its_kernel(monkeypatch):
+    # the map compiles the kernel from ``rule`` itself, so a map built with a
+    # rule and its own eval_fn still takes the scalar loop
+    rule = Rational1D([2.0, 1.0], [3.0])
+    T = FixedPointMap(lambda x: np.array([rule(float(x[0]))]), WholeSpace(1),
+                      rule=rule)
+    built = map_from_rule(rule, WholeSpace(1))
+    assert T.kernel is not None and built.kernel is not None
+    assert T.kernel(4.0) == built.kernel(4.0) == rule(4.0) == 2.0
+    want = power_apply(built, 7, np.array([4.0])).tobytes()
+
+    def refuse(self, x):
+        raise AssertionError("the scalar loop called the map")
+
+    monkeypatch.setattr(FixedPointMap, "__call__", refuse)
+    assert power_apply(T, 7, np.array([4.0])).tobytes() == want
+    with pytest.raises(ValueError, match="eval_fn or a rule"):
+        FixedPointMap(None, WholeSpace(1))
+
+
 def test_power_apply_on_the_whole_space_checks_without_projecting(monkeypatch):
     # membership in the whole space is finiteness of every entry, so the
     # array loop checks the domain before each application without projecting

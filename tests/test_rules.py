@@ -91,3 +91,15 @@ def test_kernel_is_a_new_function_and_leaves_the_rule_unchanged():
     assert first is not second
     assert first(4.0) == second(4.0) == rule(4.0) == 2.0
     assert vars(rule) == {"num": (2.0, 1.0), "den": (3.0,)}
+
+
+def test_kernel_of_a_high_degree_rule_has_the_bits_of_the_rule():
+    # one statement per term: a degree far beyond any expression nesting
+    # limit still compiles
+    lcg = _Lcg(250)
+    num = [2.0 * lcg.next_double() - 1.0 for _ in range(251)]
+    den = [2.0 * lcg.next_double() - 1.0 for _ in range(300)]
+    rule = Rational1D(num, den)
+    values = EDGES + [v / 10.0 for v in _samples(7, count=50)] + _around(1.0)
+    _assert_kernel_matches(rule, values)
+    _assert_kernel_matches(Relaxed1D(rule, 0.25), values)
