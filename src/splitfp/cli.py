@@ -559,9 +559,6 @@ def main(argv=None):
     p_run.add_argument("--max-iters", type=int, default=None)
     p_run.add_argument("--tol", type=float, default=None,
                        help="override the residual tolerance")
-    p_run.add_argument("--seed", type=int, default=1,
-                       help="accepted for interface parity; runs are "
-                            "deterministic and ignore it")
     p_run.add_argument("--wq-branch", choices=["as_printed", "swapped"],
                        default=None)
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -51,8 +51,6 @@ __all__ = [
     "relax",
     "convex_combine",
     "verify_class",
-    "check_power_inequality_equivalences",
-    "check_strong_monotonicity_of_complement",
     "operator_catalog",
     "scaled_negation",
     "shift_square_ball_map",
@@ -322,6 +320,9 @@ class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive
 
     def __post_init__(self):
         _check_unit_interval(self.k, False, "StrictlyPseudocontractive")
+
+    # with a fixed point, a k-strict pseudocontraction is k-demicontractive
+    demicontractive = property(lambda self: self.k)
 
     def sides(self, x, z, tx, tz, n):
         return (
@@ -632,6 +633,7 @@ def relax(T, alpha):
     Preserves the fixed-point set; stays quasi-nonexpansive when T is.  A
     rule-backed T gives a rule-backed map, its rule a :class:`Relaxed1D`.
     """
+    alpha = float(alpha)  # a numpy float32 weight would make the kernel float32
     if not 0.0 < alpha <= 1.0:
         raise ValueError("relaxation weight must lie in (0, 1]")
     if alpha == 1.0:
@@ -911,100 +913,6 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
         records,
         violations,
     )
-
-
-# ---------------------------------------------------------------------------
-# inequality oracles used by the test suite
-
-
-@dataclass
-class PowerInequalityReport:
-    """The three equivalent inequalities evaluated at one (x, y, n) triple."""
-
-    distance_lhs: float
-    distance_rhs: float
-    distance_holds: bool
-    forward_lhs: float
-    forward_rhs: float
-    forward_holds: bool
-    backward_lhs: float
-    backward_rhs: float
-    backward_holds: bool
-
-    @property
-    def implication_ok(self):
-        """Whenever the distance form holds, the two inner-product forms do."""
-        if not self.distance_holds:
-            return True
-        return self.forward_holds and self.backward_holds
-
-
-def check_power_inequality_equivalences(G, y, x, n, slack=1e-9):
-    """Evaluate the three equivalent iterate-power inequalities at (x, y, n).
-
-    ``y`` must be a fixed point of G and G must declare a
-    (total quasi-)asymptotically nonexpansive class.  Returns a report whose
-    ``implication_ok`` asserts the equivalence direction testable at a single
-    sample: the distance form implies both inner-product forms.
-    """
-    view = getattr(G.declared_class, "total_quasi", None)
-    if view is None:
-        raise ClassMismatch(
-            "operator must be (total quasi-)asymptotically nonexpansive or "
-            "quasi-nonexpansive, got %r" % (G.declared_class,)
-        )
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if norm(G(y) - y) > _FIXED_POINT_TOL:
-        raise ValueError("y is not a fixed point of G")
-    gx = power_apply(G, n, x, check_domain=False)
-    vn, mun = view.v_seq(n), view.mu_seq(n)
-    bump = vn * view.gauge(norm(x - y)) + mun
-    d_lhs = norm(gx - y) ** 2
-    d_rhs = norm(x - y) ** 2 + bump
-    f_lhs = 2.0 * inner(x - gx, x - y)
-    f_rhs = norm(gx - x) ** 2 - bump
-    b_lhs = 2.0 * inner(x - gx, y - gx)
-    b_rhs = norm(gx - x) ** 2 + bump
-    tol = slack * (1.0 + abs(d_rhs))
-    return PowerInequalityReport(
-        d_lhs, d_rhs, d_lhs <= d_rhs + tol,
-        f_lhs, f_rhs, f_lhs >= f_rhs - tol,
-        b_lhs, b_rhs, b_lhs <= b_rhs + tol,
-    )
-
-
-@dataclass
-class MonotonicityReport:
-    samples: int
-    seed: int
-    modulus: float
-    violations: list
-
-    @property
-    def passed(self):
-        return not self.violations
-
-
-def check_strong_monotonicity_of_complement(f, samples=1000, seed=1, slack=1e-9,
-                                            scale=10.0):
-    """Check that (I - f) is (1-k)-strongly monotone for a declared contraction.
-
-    Samples pairs (w, z) and tests
-    <(I-f)w - (I-f)z, w - z>  >=  (1-k) ||w - z||^2.
-    """
-    if not isinstance(f.declared_class, Contraction):
-        raise ClassMismatch("operator must declare Contraction(k)")
-    k = f.declared_class.k
-    lcg = _Lcg(seed)
-    violations = []
-    for i in range(samples):
-        w, z = _sample_pair(f.domain, lcg, i, scale)
-        lhs = inner((w - f(w)) - (z - f(z)), w - z)
-        rhs = (1.0 - k) * norm(w - z) ** 2
-        if lhs < rhs - slack * (1.0 + abs(rhs)):
-            violations.append((i, w.tolist(), z.tolist(), lhs, rhs))
-    return MonotonicityReport(samples, seed, 1.0 - k, violations)
 
 
 # ---------------------------------------------------------------------------

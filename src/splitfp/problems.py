@@ -116,10 +116,10 @@ def _check_synchronal(spec, warn):
     if not 0.0 < spec.gamma_visc < tau / kf:
         warn("gamma_visc = %g outside (0, %g)" % (spec.gamma_visc, tau / kf))
     _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
-    k_t = getattr(spec.T.declared_class, "k", 0.0) or 0.0
-    bad = _seq_range_ok(spec.beta, max(0.0, k_t) - 1e-15, 1.0)
+    k_t = max(0.0, _declared(spec.T, "demicontractive") or 0.0)
+    bad = _seq_range_ok(spec.beta, k_t - 1e-15, 1.0)
     if bad is not None:
-        warn("beta(n=%d) = %g outside [%g, 1)" % (bad[0], bad[1], max(0.0, k_t)))
+        warn("beta(n=%d) = %g outside [%g, 1)" % (bad[0], bad[1], k_t))
 
 
 def _check_sffpep(spec, warn):
@@ -400,9 +400,6 @@ class IterationTrace:
     @property
     def final(self):
         return self.records[-1]
-
-    def iterates(self):
-        return [r.x for r in self.records]
 
     def __len__(self):
         return len(self.records)

@@ -14,12 +14,13 @@ flattened):
 - otherwise Dykstra's corrected cyclic projection.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .spaces import DimensionMismatch, inner, norm
+from .spaces import DimensionMismatch, norm
 
 __all__ = [
     "ConvexBody",
@@ -31,7 +32,6 @@ __all__ = [
     "project",
     "contains",
     "halfspace_from_distance_dominance",
-    "check_projection_inequalities",
     "InfeasibleIntersection",
     "SeparatingHyperplane",
     "ProjectionNoConvergence",
@@ -151,15 +151,33 @@ class Box(ConvexBody):
         return "Box(%s, %s)" % (self.lower.tolist(), self.upper.tolist())
 
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
 class Halfspace(ConvexBody):
-    """{z : <a, z> <= b}.  A zero normal is the whole space (requires b >= 0)."""
+    """{z : <a, z> <= b}.  A zero normal is the whole space (requires b >= 0).
+
+    A finite nonzero normal whose ``a.a`` underflows to a subnormal or zero,
+    or overflows, is stored with (a, b) scaled by one power of two, which
+    brings its largest component into [1/2, 1) and describes the same set.
+    Every other halfspace keeps the bits it was given.
+    """
 
     def __init__(self, a, b):
         a = np.atleast_1d(np.asarray(a, dtype=float)).copy()
+        b = float(b)
+        with np.errstate(over="ignore", under="ignore"):
+            norm_sq = float(np.dot(a, a))
+            if not _SMALLEST_NORMAL <= norm_sq < np.inf:
+                top = float(np.abs(a).max(initial=0.0))
+                if 0.0 < top < np.inf:
+                    shift = -math.frexp(top)[1]
+                    a, b = np.ldexp(a, shift), float(np.ldexp(b, shift))
+                    norm_sq = float(np.dot(a, a))
         a.flags.writeable = False
         self.a = a
-        self.b = float(b)
-        self._norm_sq = float(np.dot(a, a))
+        self.b = b
+        self._norm_sq = norm_sq
         if self._norm_sq == 0.0 and self.b < 0.0:
             raise ValueError("zero normal with negative offset describes the empty set")
 
@@ -598,48 +616,3 @@ def halfspace_from_distance_dominance(near, far):
     a = 2.0 * (far - near)
     b = float(np.dot(far, far) - np.dot(near, near))
     return Halfspace(a, b)
-
-
-@dataclass
-class ProjectionInequalityReport:
-    """Both sides of the projection inequalities at one (x, y) pair."""
-
-    shrink_lhs: float          # ||x - P(x)||^2
-    shrink_rhs: float          # ||y - x||^2 - ||y - P(x)||^2
-    shrink_holds: bool
-    anchored_checked: bool     # hypothesis <x - y, x - P(x)> <= 0 held
-    anchored_lhs: float | None  # ||P(x) - x||
-    anchored_rhs: float | None  # ||P(x) - y||
-    anchored_holds: bool | None
-
-    @property
-    def passed(self):
-        if not self.shrink_holds:
-            return False
-        return self.anchored_holds is not False
-
-
-def check_projection_inequalities(S, x, y, slack=1e-9):
-    """Check the two metric-projection inequalities at (x, y) with y in S.
-
-    The first states ||x - P(x)||^2 <= ||y - x||^2 - ||y - P(x)||^2 for any
-    y in S.  The second, ||P(x) - x|| <= ||P(x) - y||, is conditional on
-    <x - y, x - P(x)> <= 0 and is flagged as skipped when that inner-product
-    hypothesis fails at (x, y).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not contains(S, y):
-        raise ValueError("y is not a member of S (projection moves it)")
-    px = project(S, x)
-    lhs = norm(x - px) ** 2
-    rhs = norm(y - x) ** 2 - norm(y - px) ** 2
-    shrink_holds = lhs <= rhs + slack
-    hypothesis = inner(x - y, x - px) <= slack
-    if hypothesis:
-        a_lhs = norm(px - x)
-        a_rhs = norm(px - y)
-        return ProjectionInequalityReport(
-            lhs, rhs, shrink_holds, True, a_lhs, a_rhs, a_lhs <= a_rhs + slack
-        )
-    return ProjectionInequalityReport(lhs, rhs, shrink_holds, False, None, None, None)

@@ -14,7 +14,6 @@ __all__ = [
     "point",
     "inner",
     "norm",
-    "polarization_check",
     "DimensionMismatch",
     "PowerIterationError",
     "LinearMap",
@@ -73,30 +72,6 @@ def norm(a):
     """
     a = np.atleast_1d(np.asarray(a, dtype=float)).ravel(order="K")
     return math.sqrt(a.dot(a))
-
-
-def polarization_check(x, y, alpha):
-    """Evaluate both sides of the two norm-expansion identities.
-
-    Returns ``((lhs1, rhs1), (lhs2, rhs2))`` where the first pair is the
-    expansion of ||x+y||^2 and the second the convex-combination identity at
-    weight ``alpha``.  Intended as a test oracle; the two members of each
-    pair agree up to rounding.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    _check_same_dim(x, y)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-
-    def sq(v):  # squared norm via the inner product, no sqrt round-trip
-        return inner(v, v)
-
-    lhs1 = sq(x + y)
-    rhs1 = sq(x) + 2.0 * inner(x, y) + sq(y)
-    lhs2 = sq(alpha * x + (1.0 - alpha) * y)
-    rhs2 = alpha * sq(x) + (1.0 - alpha) * sq(y) - alpha * (1.0 - alpha) * sq(x - y)
-    return (lhs1, rhs1), (lhs2, rhs2)
 
 
 class LinearMap:

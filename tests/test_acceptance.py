@@ -22,13 +22,10 @@ from splitfp.operators import (
     FixedPointMap,
     Nonexpansive,
     StrictlyPseudocontractive,
-    check_power_inequality_equivalences,
-    check_strong_monotonicity_of_complement,
     map_from_rule,
     operator_catalog,
     verify_class,
 )
-from splitfp.projections import check_projection_inequalities
 from splitfp.presets import get_example, run_example
 from splitfp.problems import StoppingRule
 from splitfp.projections import (
@@ -45,6 +42,11 @@ from splitfp.solvers import run, step_extragradient
 from splitfp.spaces import inner, norm
 
 from helpers import power_map
+from lemmas import (
+    check_power_inequality_equivalences,
+    check_projection_inequalities,
+    strong_monotonicity_of_complement,
+)
 
 
 def _announce(number, description):
@@ -229,12 +231,12 @@ def test_criterion_08_lemma_suite():
     halving = map_from_rule(Rational1D([0.0, 0.5], [1.0]), WholeSpace(1),
                             declared_class=Contraction(0.5),
                             known_fixed_points=([0.0],))
-    assert check_strong_monotonicity_of_complement(halving, 1000, seed=1).passed
+    assert strong_monotonicity_of_complement(halving, 1000, seed=1).passed
     sine_half = FixedPointMap(
         lambda v: np.array([0.5 * math.sin(v[0])]), Box([-1.0], [1.0]),
         declared_class=Contraction(0.5), known_fixed_points=([0.0],),
     )
-    assert check_strong_monotonicity_of_complement(sine_half, 1000, seed=1).passed
+    assert strong_monotonicity_of_complement(sine_half, 1000, seed=1).passed
 
     for beta in (0.1, 0.5, 0.9):
         for n in (1, 2, 4):

@@ -284,9 +284,9 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_repeated_runs_byte_identical(tmp_path):
     cfg = write_config(tmp_path, BNM_CONFIG)
     main(["run", "--config", cfg, "--out-dir", str(tmp_path / "a"),
-          "--max-iters", "60", "--seed", "1"])
+          "--max-iters", "60"])
     main(["run", "--config", cfg, "--out-dir", str(tmp_path / "b"),
-          "--max-iters", "60", "--seed", "1"])
+          "--max-iters", "60"])
     a = (tmp_path / "a" / "trace.csv").read_bytes()
     b = (tmp_path / "b" / "trace.csv").read_bytes()
     assert a == b

@@ -22,10 +22,9 @@ from splitfp.operators import (
     QuasiNonexpansive,
     SequenceSpec,
     StrictlyPseudocontractive,
+    StronglyMonotone,
     TotalQuasiAsymptoticallyNonexpansive,
     _Lcg,
-    check_power_inequality_equivalences,
-    check_strong_monotonicity_of_complement,
     convex_combine,
     map_from_rule,
     operator_catalog,
@@ -39,6 +38,10 @@ from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 from splitfp.spaces import DimensionMismatch, norm
 
 from helpers import power_map
+from lemmas import (
+    check_power_inequality_equivalences,
+    strong_monotonicity_of_complement,
+)
 
 
 def affine_map(a, b, domain=None, **kw):
@@ -299,6 +302,17 @@ def test_relaxed_rule_map_rounds_as_the_array_form(name, alpha):
     for v in [20.0 * lcg.next_double() for _ in range(200)] + [0.0, 1.0, 2.0]:
         x = np.array([v])
         assert R(x).tobytes() == ((1.0 - alpha) * x + alpha * T(x)).tobytes(), v
+
+
+def test_relax_computes_in_float64_for_a_float32_weight():
+    T = operator_catalog()["wqT"]
+    a = float(np.float32(0.3))
+    x = np.array([4.0])
+    want = ((1 - a) * x + a * T(x)).tobytes()
+    assert relax(T, np.float32(0.3))(x).tobytes() == want
+    # the same map without a rule takes the array form
+    bare = FixedPointMap(lambda v: (v + 2.0) / 3.0, T.domain)
+    assert relax(bare, np.float32(0.3))(x).tobytes() == want
 
 
 def test_rules_sequences_and_gauges_are_immutable():
@@ -592,15 +606,15 @@ def test_strong_monotonicity_constant_map():
     const = map_from_rule(Rational1D([3.0], [1.0]), WholeSpace(1),
                           declared_class=Contraction(0.01),
                           known_fixed_points=([3.0],))
-    assert check_strong_monotonicity_of_complement(const, samples=500, seed=1).passed
+    assert strong_monotonicity_of_complement(const, samples=500, seed=1).passed
 
 
 def test_strong_monotonicity_halving_is_tight():
     half = map_from_rule(Rational1D([0.0, 0.5], [1.0]), WholeSpace(1),
                          declared_class=Contraction(0.5),
                          known_fixed_points=([0.0],))
-    rep = check_strong_monotonicity_of_complement(half, samples=1000, seed=2)
-    assert rep.passed and rep.modulus == 0.5
+    rep = strong_monotonicity_of_complement(half, samples=1000, seed=2)
+    assert rep.passed and rep.claimed == repr(StronglyMonotone(0.5))
 
 
 def test_strong_monotonicity_sine_contraction():
@@ -611,14 +625,23 @@ def test_strong_monotonicity_sine_contraction():
         known_fixed_points=([0.0],),
         name="sine-half",
     )
-    assert check_strong_monotonicity_of_complement(
+    assert strong_monotonicity_of_complement(
         sine_half, samples=1000, seed=3
     ).passed
 
 
+def test_strong_monotonicity_catches_a_mislabelled_contraction():
+    # f = 2x declared Contraction(0.5): I - f = -x is not monotone at all
+    doubling = map_from_rule(Rational1D([0.0, 2.0]), WholeSpace(1),
+                             declared_class=Contraction(0.5),
+                             known_fixed_points=([0.0],))
+    rep = strong_monotonicity_of_complement(doubling, samples=1000, seed=1)
+    assert len(rep.violations) == 1000
+
+
 def test_strong_monotonicity_requires_contraction():
     with pytest.raises(ClassMismatch):
-        check_strong_monotonicity_of_complement(operator_catalog()["heDu"])
+        strong_monotonicity_of_complement(operator_catalog()["heDu"])
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])

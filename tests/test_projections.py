@@ -1,6 +1,8 @@
 """Metric projections, the halfspace builder, the exact polyhedral and
 ball projections and Dykstra's method."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,12 +17,13 @@ from splitfp.projections import (
     SeparatingHyperplane,
     WholeSpace,
     _dykstra,
-    check_projection_inequalities,
     contains,
     halfspace_from_distance_dominance,
     project,
 )
 from splitfp.spaces import inner, norm
+
+from lemmas import check_projection_inequalities
 
 
 def test_box_halfline():
@@ -47,6 +50,31 @@ def test_degenerate_halfspace_is_whole_space():
     assert_allclose(project(S, [5.0, -3.0]), [5.0, -3.0])
     with pytest.raises(ValueError):
         Halfspace([0.0], -1.0)
+
+
+@pytest.mark.parametrize("a0, b, normal, offset", [
+    (1e200, 0.0, 1.0, 0.0),         # a.a overflows
+    (1e-170, 0.0, 1.0, 0.0),        # a.a underflows to zero
+    (1e-200, -1e-200, 1.0, -1.0),   # the set is {z_1 <= -1}, not empty
+    (-1e-160, 1e-160, -1.0, 1.0),   # a.a is subnormal
+])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_halfspace_with_a_huge_or_tiny_normal(a0, b, normal, offset, dim):
+    # the set is {z : normal z_1 <= offset}; x lies outside it
+    pad = [0.0] * (dim - 1)
+    x = np.array([3.0 * normal] + [2.0] * (dim - 1))
+    want = [offset * normal] + [2.0] * (dim - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = Halfspace([a0] + pad, b)
+        assert not H.is_whole_space
+        N, c = H.polyhedron
+        assert N.tolist() == [[normal] + pad] and c.tolist() == [offset]
+        assert_allclose(H._project(x), want, rtol=0, atol=1e-15)
+        assert_allclose(project(Intersection([H, Box([-5.0] * dim, [5.0] * dim)]), x),
+                        want, rtol=0, atol=1e-12)
+    # a normal in range keeps its bits
+    assert Halfspace([2.0 ** -400] + pad, 1e-300).a[0] == 2.0 ** -400
 
 
 def test_intersection_hyperplane_pair():

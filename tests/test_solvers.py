@@ -16,6 +16,7 @@ from splitfp.operators import (
     Nonexpansive,
     QuasiNonexpansive,
     SequenceSpec,
+    StrictlyPseudocontractive,
     StronglyMonotone,
     class_from_token,
     map_from_rule,
@@ -148,7 +149,7 @@ CLASS_CONSTANTS = {
                      _NO_G),
     "quasi_nonexpansive": (0.0, _NO_LIP, 0.27999999999999997,
                            0.27999999999999997, _NO_G),
-    "strictly_pseudocontractive": (_NO_DEMI, _NO_LIP, 0.27999999999999997,
+    "strictly_pseudocontractive": (0.0, _NO_LIP, 0.27999999999999997,
                                    0.27999999999999997, _NO_G),
     "strongly_monotone": (_NO_DEMI, _NO_LIP, 0.08000000000000002,
                           0.08000000000000002, _NO_G),
@@ -308,6 +309,23 @@ def test_synchronal_parameter_guards():
             alpha=base.alpha, beta=base.beta, mu=1.0,
             gamma_visc=1.5,  # > tau / k_f = 1
         )
+
+
+def test_synchronal_beta_bound_is_the_declared_demicontractive_constant():
+    # beta_n must lie in [k, 1) for a k-demicontractive T; the demo's
+    # beta = 0.5
+    base = get_example("synchronal_demo").spec
+
+    def T(declared):
+        return map_from_rule(Rational1D([0.0, 0.9]), WholeSpace(1),
+                             declared_class=declared, known_fixed_points=([0.0],))
+
+    # a contraction with a fixed point is quasi-nonexpansive: the bound is 0
+    assert replace(base, T=T(Contraction(0.9))).beta == base.beta
+    assert replace(base, T=T(StrictlyPseudocontractive(0.3))).beta == base.beta
+    with pytest.raises(ValidationError,
+                       match=r"beta\(n=0\) = 0.5 outside \[0.6, 1\)"):
+        replace(base, T=T(StrictlyPseudocontractive(0.6)))
 
 
 # ---------------------------------------------------------------------------

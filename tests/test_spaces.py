@@ -14,8 +14,9 @@ from splitfp.spaces import (
     inner,
     norm,
     point,
-    polarization_check,
 )
+
+from lemmas import polarization_check
 
 
 def test_point_validation():
