@@ -20,7 +20,7 @@ from .problems import (
     SYNCHRONAL_VIP,
 )
 from .projections import Box, Halfspace, Intersection, WholeSpace
-from .spaces import norm
+from .spaces import _vector, norm
 
 __all__ = [
     "FejerReport",
@@ -51,12 +51,12 @@ class FejerReport:
 def _trace_distances(trace, target):
     two_var = trace.records[0].y is not None
     if two_var:
-        x_ref = np.atleast_1d(np.asarray(target[0], dtype=float))
-        y_ref = np.atleast_1d(np.asarray(target[1], dtype=float))
+        x_ref = _vector(target[0])
+        y_ref = _vector(target[1])
         return [
             norm(r.x - x_ref) ** 2 + norm(r.y - y_ref) ** 2 for r in trace.records
         ]
-    x_ref = np.atleast_1d(np.asarray(target, dtype=float))
+    x_ref = _vector(target)
     return [norm(r.x - x_ref) for r in trace.records]
 
 
@@ -205,7 +205,7 @@ def _scalar_of(linear_map, name):
 
 
 def _dec_scalar(v):
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    arr = _vector(v)
     if arr.shape[0] != 1:
         raise OracleUnsupported("the oracle re-executes one-dimensional runs only")
     return Decimal(float(arr[0]))

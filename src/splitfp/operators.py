@@ -22,7 +22,7 @@ import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
 from .rules import Piecewise1D, Rational1D, Relaxed1D
-from .spaces import inner, norm
+from .spaces import _vector, inner, norm
 
 __all__ = [
     "SequenceSpec",
@@ -543,7 +543,7 @@ class FixedPointMap:
         self.extra_classes = tuple(extra_classes)
         pts = []
         for p in known_fixed_points:
-            p = np.atleast_1d(np.asarray(p, dtype=float))
+            p = _vector(p)
             drift = norm(self(p) - p)
             if drift > _FIXED_POINT_TOL:
                 raise ValueError(
@@ -558,8 +558,8 @@ class FixedPointMap:
         return self.domain.dim
 
     def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.atleast_1d(np.asarray(self.eval_fn(x), dtype=float))
+        x = _vector(x)
+        return _vector(self.eval_fn(x))
 
     def __repr__(self):
         return "FixedPointMap(%s)" % (self.name or "unnamed")
@@ -591,7 +591,9 @@ def power_apply(T, n, x, check_domain=True):
     """n-fold composition T(T(...T(x))).
 
     Cost is at most n evaluations; composition stops early once an iterate
-    is bit-exactly fixed (further applications are the identity on it).
+    is bitwise fixed, T(v) having the shape and the bytes of v (see
+    :func:`_iterates`): every later power of a deterministic map then has
+    those bits too.  The test keeps -0.0 and +0.0 apart and holds for NaN.
     With ``check_domain`` the current point is required to lie in T's domain
     before every application, and the offending step is named on escape.
 
@@ -604,7 +606,7 @@ def power_apply(T, n, x, check_domain=True):
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
-    cur = np.atleast_1d(np.asarray(x, dtype=float))
+    cur = _vector(x)
     kernel = T.kernel
     if kernel is not None and cur.shape == (1,):
         v = float(cur[0])
@@ -614,17 +616,22 @@ def power_apply(T, n, x, check_domain=True):
                 if not contains(T.domain, point, tol=1e-9):
                     raise _domain_escape(i, n, point)
             v, prev = float(kernel(v)), v
-            if v == prev:
+            if v == prev and math.copysign(1.0, v) == math.copysign(1.0, prev):
                 break
         return np.array([v])
     for i in range(n):
         if check_domain and not contains(T.domain, cur, tol=1e-9):
             raise _domain_escape(i, n, cur)
         nxt = T(cur)
-        if nxt.shape == cur.shape and (nxt == cur).all():
+        if _bitwise_fixed(cur, nxt):
             return nxt
         cur = nxt
     return cur
+
+
+def _bitwise_fixed(v, image):
+    """Whether ``image`` = T(v) has the shape and the bytes of ``v``."""
+    return image.shape == v.shape and image.tobytes() == v.tobytes()
 
 
 def relax(T, alpha):
@@ -840,10 +847,20 @@ class ClassReport:
 
 
 def _iterates(T, x, n_max):
-    """x, Tx, T^2 x, ..., T^{n_max} x computed incrementally."""
-    out = [np.atleast_1d(np.asarray(x, dtype=float))]
+    """x, Tx, T^2 x, ..., T^{n_max} x computed incrementally.
+
+    The orbit stops at the first iterate v whose image T(v) has the shape
+    and the bytes of v, and the rest of the list repeats that array.  This
+    is exact for a deterministic map: T then gives those bits again at
+    every later power, NaN included, and -0.0 against +0.0 is not a stop.
+    """
+    out = [_vector(x)]
     for _ in range(n_max):
-        out.append(T(out[-1]))
+        image = T(out[-1])
+        if _bitwise_fixed(out[-1], image):
+            out.extend([image] * (n_max + 1 - len(out)))
+            break
+        out.append(image)
     return out
 
 
@@ -854,7 +871,10 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     Draws ``samples`` points (or point pairs) from T's domain with the fixed
     LCG seeded by ``seed`` and checks the defining inequality of ``claimed``
     at each, allowing scale-aware slack ``slack * (1 + |rhs|)``.  Asymptotic
-    classes are checked at iterate powers n = 1..``n_max``.  ``extra_points``
+    classes are checked at iterate powers n = 1..``n_max``; each orbit stops
+    at its first bitwise-fixed iterate (:func:`_iterates`), which gives
+    every later power exactly, and the inequality is still evaluated at
+    every n.  ``extra_points``
     / ``extra_pairs`` are prepended verbatim, for analytically known
     witnesses.  One record per sample is kept, carrying the worst-margin
     instance; the report lists every violating sample with both sides.
@@ -876,14 +896,14 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     tasks = []
     if pairwise:
         for pair in extra_pairs:
-            x = np.atleast_1d(np.asarray(pair[0], dtype=float))
-            z = np.atleast_1d(np.asarray(pair[1], dtype=float))
+            x = _vector(pair[0])
+            z = _vector(pair[1])
             tasks.append((x, z))
         for i in range(samples):
             tasks.append(_sample_pair(T.domain, lcg, i, scale))
     else:
         for pt in extra_points:
-            tasks.append((np.atleast_1d(np.asarray(pt, dtype=float)), None))
+            tasks.append((_vector(pt), None))
         for i in range(samples):
             tasks.append((sample_point(T.domain, lcg, scale), None))
 

@@ -45,7 +45,7 @@ from .problems import (
 from .projections import Box, WholeSpace
 from .rules import Rational1D
 from .solvers import run
-from .spaces import LinearMap
+from .spaces import LinearMap, _vector
 
 __all__ = ["ExpectedRow", "NamedExample", "catalog", "get_example", "run_example"]
 
@@ -89,7 +89,7 @@ class NamedExample:
             "id": self.id,
             "family": self.spec.family,
             "starts": [
-                [np.atleast_1d(np.asarray(s, dtype=float)).tolist() for s in start]
+                [_vector(s).tolist() for s in start]
                 for start in self.starts
             ],
             "max_iters": self.default_rule.max_iters,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import DimensionMismatch, norm
+from .spaces import DimensionMismatch, _vector, norm
 
 __all__ = [
     "ConvexBody",
@@ -119,8 +119,8 @@ class Box(ConvexBody):
     """Axis-aligned box; +-inf entries make a side unbounded."""
 
     def __init__(self, lower, upper):
-        lo = np.atleast_1d(np.asarray(lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(upper, dtype=float))
+        lo = _vector(lower)
+        hi = _vector(upper)
         if lo.shape != hi.shape:
             raise DimensionMismatch("box bounds differ in dimension")
         if np.any(lo > hi):
@@ -157,6 +157,9 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 class Halfspace(ConvexBody):
     """{z : <a, z> <= b}.  A zero normal is the whole space (requires b >= 0).
 
+    An offset of -inf describes the empty set: projecting onto it raises
+    :class:`InfeasibleIntersection`.
+
     A finite nonzero normal whose ``a.a`` underflows to a subnormal or zero,
     or overflows, is stored with (a, b) scaled by one power of two, which
     brings its largest component into [1/2, 1) and describes the same set.
@@ -164,7 +167,7 @@ class Halfspace(ConvexBody):
     """
 
     def __init__(self, a, b):
-        a = np.atleast_1d(np.asarray(a, dtype=float)).copy()
+        a = _vector(a).copy()
         b = float(b)
         with np.errstate(over="ignore", under="ignore"):
             norm_sq = float(np.dot(a, a))
@@ -192,6 +195,8 @@ class Halfspace(ConvexBody):
     def _project(self, x):
         if self.is_whole_space:
             return x.copy()
+        if self.b == -np.inf:
+            raise InfeasibleIntersection("halfspace %r is empty" % (self,))
         slack = float(np.dot(self.a, x)) - self.b
         if slack <= 0.0:
             return x.copy()
@@ -213,7 +218,7 @@ class Halfspace(ConvexBody):
 
 class Ball(ConvexBody):
     def __init__(self, center, radius):
-        center = np.atleast_1d(np.asarray(center, dtype=float)).copy()
+        center = _vector(center).copy()
         center.flags.writeable = False
         self.center = center
         self.radius = float(radius)
@@ -292,7 +297,7 @@ class Intersection(ConvexBody):
         interval = _as_interval_1d(self)
         if interval is not None:
             lo, hi = interval
-            if lo > hi:
+            if lo > hi or lo == np.inf or hi == -np.inf:
                 raise InfeasibleIntersection(
                     "1-D intersection is empty: [%g, %g]" % (lo, hi)
                 )
@@ -574,7 +579,7 @@ def _dykstra(bodies, x, tol=1e-12, max_sweeps=10000,
 
 
 def _point_of(S, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _vector(x)
     if x.shape[0] != S.dim:
         raise DimensionMismatch(
             "point dimension %d does not match set dimension %d" % (x.shape[0], S.dim)
@@ -607,8 +612,8 @@ def halfspace_from_distance_dominance(near, far):
     {z : 2<far - near, z> <= ||far||^2 - ||near||^2}; the perpendicular
     bisector is the boundary.  Equal inputs give the whole space.
     """
-    near = np.atleast_1d(np.asarray(near, dtype=float))
-    far = np.atleast_1d(np.asarray(far, dtype=float))
+    near = _vector(near)
+    far = _vector(far)
     if near.shape != far.shape:
         raise DimensionMismatch("near/far dimension mismatch")
     if np.array_equal(near, far):

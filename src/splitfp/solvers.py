@@ -36,7 +36,7 @@ from .projections import (
     halfspace_from_distance_dominance,
     project,
 )
-from .spaces import norm
+from .spaces import _vector, norm
 
 __all__ = [
     "StepResult",
@@ -397,12 +397,12 @@ def run(spec, x0, y0=None, rule=None):
         raise ValidationError("a stopping rule is required")
     family = FAMILIES[spec.family]
     initial_residual, step = _FAMILY_STEPS[spec.family]
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = _vector(x0)
     if family.two_variable:
         if y0 is None:
             raise ValidationError("family %r iterates two blocks; y0 missing"
                                   % spec.family)
-        y = np.atleast_1d(np.asarray(y0, dtype=float))
+        y = _vector(y0)
     else:
         y = None
     if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):

@@ -33,12 +33,27 @@ class PowerIterationError(RuntimeError):
         self.best_estimate = best_estimate
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _vector(x):
+    """``x`` as a float64 array of at least one dimension.
+
+    The same as ``np.atleast_1d(np.asarray(x, dtype=float))``, which
+    returns a float64 ndarray of ndim >= 1 itself; that case is answered
+    first, without the two numpy calls.
+    """
+    if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.ndim:
+        return x
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 def point(values):
     """Build an immutable float64 vector, validating finiteness and dim >= 1.
 
     Scalars are promoted to one-dimensional vectors.
     """
-    arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
+    arr = _vector(values).copy()
     if arr.ndim != 1:
         raise ValueError("a point must be one-dimensional, got shape %s" % (arr.shape,))
     if arr.size < 1:
@@ -58,8 +73,8 @@ def _check_same_dim(a, b):
 
 def inner(a, b):
     """Euclidean inner product <a, b> = sum_i a_i b_i."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    a = _vector(a)
+    b = _vector(b)
     _check_same_dim(a, b)
     return float(np.dot(a, b))
 
@@ -70,7 +85,7 @@ def norm(a):
     This is numpy's own formula for a real array, ``sqrt(a.a)`` over
     ``ravel(order='K')``, without the ``linalg`` dispatch.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float)).ravel(order="K")
+    a = _vector(a).ravel(order="K")
     return math.sqrt(a.dot(a))
 
 
@@ -112,7 +127,7 @@ class LinearMap:
         return float(np.sqrt(self._norm_sq))
 
     def apply(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _vector(x)
         if x.shape[0] != self.cols:
             raise DimensionMismatch(
                 "map expects dimension %d, got %d" % (self.cols, x.shape[0])
@@ -120,7 +135,7 @@ class LinearMap:
         return self.matrix @ x
 
     def apply_adjoint(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
+        z = _vector(z)
         if z.shape[0] != self.rows:
             raise DimensionMismatch(
                 "adjoint expects dimension %d, got %d" % (self.rows, z.shape[0])

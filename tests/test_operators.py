@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from splitfp.diagnostics import find_fixed_points_1d
+from splitfp import operators
 from splitfp.operators import (
     AsymptoticallyQuasiNonexpansive,
     ClassMismatch,
@@ -30,6 +31,7 @@ from splitfp.operators import (
     operator_catalog,
     power_apply,
     relax,
+    shift_square_ball_map,
     verify_class,
 )
 from splitfp import projections
@@ -37,7 +39,7 @@ from splitfp.projections import Box, WholeSpace, contains, project
 from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 from splitfp.spaces import DimensionMismatch, norm
 
-from helpers import power_map
+from helpers import full_orbit, power_map
 from lemmas import (
     check_power_inequality_equivalences,
     strong_monotonicity_of_complement,
@@ -139,6 +141,17 @@ def test_power_apply_domain_escape():
     assert "application 2 of 3" in str(exc.value)
 
 
+def test_power_apply_keeps_signed_zeros_apart():
+    # -0.0 == 0.0, so a value test would stop at the wrong-signed zero
+    flip = FixedPointMap(lambda x: -x, WholeSpace(2))
+    got = power_apply(flip, 2, [0.0, 0.0])
+    assert got.tobytes() == flip(flip(np.zeros(2))).tobytes() == np.zeros(2).tobytes()
+    negate = map_from_rule(Rational1D([-0.0, -1.0]), WholeSpace(1))
+    assert negate.kernel is not None   # the scalar loop
+    assert power_apply(negate, 2, [0.0]).tobytes() == np.array([0.0]).tobytes()
+    assert power_apply(negate, 3, [0.0]).tobytes() == np.array([-0.0]).tobytes()
+
+
 def _power_apply_arrays(T, n, x, check_domain=True):
     """power_apply's array loop, the reference its scalar loop must match."""
     cur = np.atleast_1d(np.asarray(x, dtype=float))
@@ -149,7 +162,7 @@ def _power_apply_arrays(T, n, x, check_domain=True):
                 % (i + 1, n, cur.tolist())
             )
         nxt = T(cur)
-        if np.array_equal(nxt, cur):
+        if nxt.shape == cur.shape and nxt.tobytes() == cur.tobytes():
             return nxt
         cur = nxt
     return cur
@@ -522,6 +535,65 @@ def test_report_serialization_lists_every_sample():
     # bit-reproducible given the seed
     again = verify_class(heDu, QuasiNonexpansive(), samples=25, seed=4)
     assert again.to_text() == text
+
+
+@pytest.mark.parametrize("claimed", ["declared", "total_quasi"])
+@pytest.mark.parametrize("name", sorted(operator_catalog()))
+def test_verify_orbits_that_stop_early_give_the_full_orbit_records(
+        name, claimed, monkeypatch):
+    # the total quasi-asymptotic form is checked at n = 1..20 for every map
+    T = operator_catalog()[name]
+    zero = SequenceSpec.const(0.0)
+    cls, samples = ((T.declared_class, 1000) if claimed == "declared" else
+                    (TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge("t^2")), 300))
+    for seed in (1, 2, 3):
+        got = verify_class(T, cls, samples=samples, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(operators, "_iterates", full_orbit)
+            want = verify_class(T, cls, samples=samples, seed=seed)
+        assert got.records == want.records, (name, seed)
+        assert got.to_text() == want.to_text()
+
+
+def _counting_map(eval_fn, domain):
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return eval_fn(x)
+
+    return FixedPointMap(counted, domain), calls
+
+
+def test_orbit_alternating_signed_zeros_does_not_stop():
+    T, calls = _counting_map(lambda x: -x, WholeSpace(1))
+    orbit = operators._iterates(T, [0.0], 7)
+    assert len(calls) == 7
+    assert [bool(np.signbit(v[0])) for v in orbit] == [False, True] * 4
+
+
+def test_orbit_stops_at_a_bitwise_fixed_nan():
+    T, calls = _counting_map(lambda x: np.full_like(x, np.nan), WholeSpace(2))
+    orbit = operators._iterates(T, [1.0, 2.0], 20)
+    assert len(calls) == 2          # 1 -> NaN, then NaN -> the same NaN
+    want = full_orbit(T, [1.0, 2.0], 20)
+    assert [v.tobytes() for v in orbit] == [v.tobytes() for v in want]
+
+
+def test_ball_map_orbit_stops_after_its_first_fixed_evaluation():
+    ball = shift_square_ball_map()
+    T, calls = _counting_map(ball.eval_fn, ball.domain)
+    lcg = _Lcg(5)
+    for _ in range(20):
+        x = operators.sample_point(ball.domain, lcg, 10.0)
+        del calls[:]
+        orbit = operators._iterates(T, x, 20)
+        evaluations = len(calls)
+        want = full_orbit(T, x, 20)
+        assert [v.tobytes() for v in orbit] == [v.tobytes() for v in want]
+        first_fixed = next(k for k in range(20)
+                           if want[k + 1].tobytes() == want[k].tobytes())
+        assert evaluations == first_fixed + 1 <= 5
 
 
 # ---------------------------------------------------------------------------

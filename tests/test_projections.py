@@ -206,6 +206,20 @@ def test_empty_intersection_1d():
         project(S, [0.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("S, x", [
+    (Halfspace([1.0], -np.inf), [0.0]),
+    (Halfspace([1e-200], -1e300), [0.0]),   # rescaling sends b to -inf
+    (Halfspace([1.0, 0.0], -np.inf), [0.0, 0.0]),
+    (Intersection([Halfspace([1, 0], -np.inf), Box([-1, -1], [1, 1])]), [0.0, 0.0]),
+    (Intersection([Halfspace([1.0], -np.inf), WholeSpace(1)]), [0.0]),
+    (Intersection([Halfspace([-1.0], -np.inf)]), [0.0]),
+])
+def test_halfspace_with_offset_minus_inf_is_empty(S, x):
+    with pytest.raises(InfeasibleIntersection):
+        project(S, x)
+
+
 def test_empty_intersection_dykstra_detection():
     # parallel disjoint halfspaces in 2-D: the exact path certifies the
     # emptiness, and the cyclic path, run directly, stalls

@@ -10,6 +10,7 @@ from splitfp.spaces import (
     DimensionMismatch,
     LinearMap,
     PowerIterationError,
+    _vector,
     estimate_norm_squared,
     inner,
     norm,
@@ -72,6 +73,29 @@ def test_norm_has_the_bits_of_numpy_norm():
         for v in cases:
             want = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
             assert struct.pack("d", norm(v)) == struct.pack("d", want), v
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def test_vector_returns_a_float64_array_itself_and_converts_the_rest():
+    base = np.arange(12.0) - 5.5
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    same = [base, base[::2], base[::-1], base[1::3], frozen, frozen[2:5],
+            base.reshape(3, 4), base.reshape(3, 4).T, np.array([-0.0]),
+            np.array([np.nan, np.inf])]
+    for x in same:
+        assert _vector(x) is x
+    converted = [[1.0, -0.0], [3], 7, -0.0, np.float64(2.5), np.array(4.0),
+                 np.array(-0.0), base.astype(np.float32),
+                 np.array([1, 2], dtype=np.int64), base.view(_Subclass),
+                 base.astype(">f8"), [[1.0, 2.0], [3.0, 4.0]]]
+    for x in converted:
+        got, want = _vector(x), np.atleast_1d(np.asarray(x, dtype=float))
+        assert type(got) is np.ndarray and got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_polarization_trivial_cases():
