@@ -2,11 +2,11 @@
 Projection toolkit
 ==================
 
-Closed-form metric projections, the ways an intersection projects (an
-analytic interval in 1-D, an exact active-set method for boxes and
-halfspaces, the same method with one ball added, the meeting of two
-spheres for two balls, Dykstra's method otherwise), and the
-distance-dominance halfspaces the extra-gradient solver cuts with.
+Closed-form metric projections, the two ways an intersection projects
+exactly (an analytic interval in 1-D; otherwise an active-set method for
+the boxes and halfspaces, with one ball added along a path, and more balls
+reduced to one), and the distance-dominance halfspaces the extra-gradient
+solver cuts with.
 """
 
 import numpy as np
@@ -40,9 +40,11 @@ rounded = Intersection([Box([-2.0, -2.0], [2.0, 2.0]), Ball([1.0, 1.0], 2.0)])
 p = project(rounded, [-3.0, 2.5])
 print("P_rounded(-3, 2.5)   =", p, " (feasible:", contains(rounded, p), ")")
 
-# Two discs and a halfspace have no closed form here, so they go to Dykstra's
-# method.  Plain alternating projection would only find *a* feasible point;
-# Dykstra's correction terms recover the nearest one.
+# Two discs and a halfspace are exact too.  If the projection onto the
+# halfspace and one disc lies in the other disc, it is the answer; if that
+# holds for neither disc, both circles are active, and the answer lies on
+# the line through their meeting points, where the two discs coincide: one
+# disc again.
 cut_lens = Intersection([Ball([0.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5),
                          Halfspace([0.0, 1.0], 0.5)])
 p = project(cut_lens, [3.0, 1.0])

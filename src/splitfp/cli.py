@@ -74,14 +74,21 @@ def _set_from_config(doc):
             return float(v)  # "inf" / "-inf" strings parse directly
         lower = [bound(v, -np.inf) for v in doc["box"]["lower"]]
         upper = [bound(v, np.inf) for v in doc["box"]["upper"]]
-        return Box(lower, upper)
-    if "halfspace" in doc:
-        return Halfspace(doc["halfspace"]["a"], doc["halfspace"]["b"])
-    if "ball" in doc:
-        return Ball(doc["ball"]["center"], doc["ball"]["radius"])
-    if "intersection" in doc:
+        body, numbers = Box(lower, upper), lower + upper
+    elif "halfspace" in doc:
+        body = Halfspace(doc["halfspace"]["a"], doc["halfspace"]["b"])
+        numbers = [*body.a, body.b]
+    elif "ball" in doc:
+        body = Ball(doc["ball"]["center"], doc["ball"]["radius"])
+        numbers = [*body.center, body.radius]
+    elif "intersection" in doc:
         return Intersection([_set_from_config(d) for d in doc["intersection"]])
-    raise ValidationError("unknown set description %r" % (doc,))
+    else:
+        raise ValidationError("unknown set description %r" % (doc,))
+    # json reads NaN, and float() parses "nan"
+    if any(math.isnan(v) for v in numbers):
+        raise ValidationError("set %r has a NaN" % (doc,))
+    return body
 
 
 def _operator_from_config(doc, cat):

@@ -1,17 +1,17 @@
 """Projectable convex sets and metric projections.
 
-Closed forms for boxes, halfspaces and balls.  An intersection projects
-by the first of these paths that fits it (nested intersections are
-flattened):
+Closed forms for boxes, halfspaces and balls.  An intersection (nested
+ones flattened) projects exactly, by one of two paths:
 
-- an analytic interval, when it is one-dimensional and every member is
-  interval-like;
-- the exact dual active-set method of Goldfarb & Idnani, when every member
-  is a box, a halfspace or the whole space;
-- that method along the path x + s (c - x), when the members are such a
-  polyhedron and one ball B(c, r);
-- the intersection of the two spheres, for two balls and no row;
-- otherwise Dykstra's corrected cyclic projection.
+- in 1-D, an analytic interval;
+- otherwise, rows K = {z : N z <= b} (the boxes, halfspaces and whole
+  spaces) plus a set S of balls.  With no ball this is the dual active-set
+  method of Goldfarb & Idnani, and with one ball B(c, r) that method along
+  the path x + s (c - x).  Two or more balls reduce to these: for each ball
+  i, the projection onto K and the other balls, if it lies in ball i, is
+  the answer; if none does, every sphere is active, and the answer is the
+  projection onto (K ∩ the radical hyperplanes of the spheres) ∩ one ball.
+  Memoised by subset, m balls cost at most 2^m one-ball projections.
 """
 
 import math
@@ -35,24 +35,26 @@ __all__ = [
     "InfeasibleIntersection",
     "SeparatingHyperplane",
     "ProjectionNoConvergence",
-    "DykstraNoConvergence",
 ]
 
 
 class InfeasibleIntersection(RuntimeError):
     """The intersection is empty.
 
-    ``certificate`` is one of:
+    ``certificate`` refers to the set's own members and is one of:
 
     - a Farkas vector y >= 0 with y^T b < 0 for the rows (N, b) of the
       polyhedral members (the intersection's ``polyhedron`` when it has
       one), and y^T N zero up to the dependence threshold: it proves that no
       point of the set lies within -y^T b / ||y^T N|| of the origin
       (everywhere when y^T N = 0), so nearly parallel rows that cross
-      farther out are taken as empty;
-    - a ``SeparatingHyperplane`` between the polyhedral members and the
+      farther out are taken as empty (a member empty by itself has the rows
+      z_1 <= -1 and -z_1 <= -1);
+    - a ``SeparatingHyperplane`` between the polyhedral members and one
       ball, or between two balls;
-    - None on the interval and Dykstra paths.
+    - None on the interval path, for a lone empty member, and when only the
+      radical hyperplanes of some balls, taken as active, show the
+      emptiness; the message names those balls.
     """
 
     def __init__(self, message, certificate=None):
@@ -65,8 +67,8 @@ class SeparatingHyperplane:
     """<normal, z> <= offset on one part and >= offset + gap on the other.
 
     ``normal`` is a read-only unit vector and ``gap`` > 0.  The first part
-    is the polyhedron of an intersection with one ball, or the first of two
-    balls; the second is the (other) ball.
+    is the polyhedron of an intersection (its rows), or one of its balls;
+    the second is another of its balls.
     """
 
     normal: np.ndarray
@@ -85,22 +87,35 @@ class ProjectionNoConvergence(RuntimeError):
         self.residual = residual
 
 
-class DykstraNoConvergence(ProjectionNoConvergence):
-    """Dykstra did not reach the requested tolerance."""
-
-
 class ConvexBody:
-    """Base class; concrete sets implement ``_project`` and ``dim``.
+    """Base class; concrete sets implement ``_project``, ``dim``, ``_parts``
+    and ``_interval``.
 
-    ``polyhedron`` is ``(N, b)``, read-only arrays with unit-norm rows such
-    that the body is {z : N z <= b}, for a box, a halfspace, the whole space
-    and an intersection of those; None for any other body.
+    ``_parts`` is ``((N, b), balls)``, read-only rows with unit norms and
+    balls whose intersection is the body, and ``_interval`` is a 1-D body as
+    (lo, hi).  They hold when ``_defined``: numbers with a NaN, or an
+    infinite normal or centre, describe no set, and project to NaN.
     """
 
-    polyhedron = None
+    _defined = True
 
     def project(self, x):
         return project(self, x)
+
+    @property
+    def polyhedron(self):
+        rows, balls = self._parts
+        return None if balls else rows
+
+
+def _no_rows(dim):
+    return _rows(np.zeros((0, dim)), np.zeros(0))
+
+
+def _empty_rows(dim):
+    """z_1 <= -1 and -z_1 <= -1: the rows of a body that is empty by itself."""
+    e = np.eye(dim)[:1]
+    return _rows(np.concatenate([e, -e]), np.array([-1.0, -1.0]))
 
 
 @dataclass(frozen=True)
@@ -111,12 +126,18 @@ class WholeSpace(ConvexBody):
         return x.copy()
 
     @cached_property
-    def polyhedron(self):
-        return _rows(np.zeros((0, self.dim)), np.zeros(0))
+    def _parts(self):
+        return _no_rows(self.dim), ()
+
+    _interval = (-np.inf, np.inf)
 
 
 class Box(ConvexBody):
-    """Axis-aligned box; +-inf entries make a side unbounded."""
+    """Axis-aligned box; +-inf entries make a side unbounded.
+
+    Equal infinite bounds on one axis describe the empty set: projecting
+    onto it raises :class:`InfeasibleIntersection`.
+    """
 
     def __init__(self, lower, upper):
         lo = _vector(lower)
@@ -129,23 +150,31 @@ class Box(ConvexBody):
         self.upper = hi.copy()
         self.lower.flags.writeable = False
         self.upper.flags.writeable = False
+        self._empty = bool(np.any(np.isinf(lo) & (lo == hi)))
+        self._defined = not (np.isnan(lo).any() or np.isnan(hi).any())
 
     @property
     def dim(self):
         return self.lower.shape[0]
 
     def _project(self, x):
+        if self._empty:
+            raise InfeasibleIntersection("box %r is empty" % (self,))
         return np.clip(x, self.lower, self.upper)
 
     @cached_property
-    def polyhedron(self):
-        """One +-e_j row per finite bound; None for a NaN bound."""
-        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
-            return None
+    def _parts(self):
+        """One +-e_j row per finite bound."""
+        if self._empty:
+            return _empty_rows(self.dim), ()
         eye = np.eye(self.dim)
-        upper, lower = np.isfinite(self.upper), np.isfinite(self.lower)
+        upper, lower = self.upper != np.inf, self.lower != -np.inf
         return _rows(np.concatenate([eye[upper], -eye[lower]]),
-                     np.concatenate([self.upper[upper], -self.lower[lower]]))
+                     np.concatenate([self.upper[upper], -self.lower[lower]])), ()
+
+    @cached_property
+    def _interval(self):
+        return (self.lower[0], self.upper[0])
 
     def __repr__(self):
         return "Box(%s, %s)" % (self.lower.tolist(), self.upper.tolist())
@@ -155,7 +184,8 @@ _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class Halfspace(ConvexBody):
-    """{z : <a, z> <= b}.  A zero normal is the whole space (requires b >= 0).
+    """{z : <a, z> <= b}.  A zero normal (requires b >= 0) or an offset of
+    +inf is the whole space.
 
     An offset of -inf describes the empty set: projecting onto it raises
     :class:`InfeasibleIntersection`.
@@ -181,6 +211,7 @@ class Halfspace(ConvexBody):
         self.a = a
         self.b = b
         self._norm_sq = norm_sq
+        self._defined = norm_sq < np.inf and b == b   # a.a is finite iff a is
         if self._norm_sq == 0.0 and self.b < 0.0:
             raise ValueError("zero normal with negative offset describes the empty set")
 
@@ -203,20 +234,29 @@ class Halfspace(ConvexBody):
         return x - (slack / self._norm_sq) * self.a
 
     @cached_property
-    def polyhedron(self):
-        """The normalized row, no row for a zero normal, None if not finite."""
-        if not (np.isfinite(self.b) and np.isfinite(self.a).all()):
-            return None
-        if self.is_whole_space:
-            return _rows(np.zeros((0, self.dim)), np.zeros(0))
+    def _parts(self):
+        """The normalized row; none for the whole space."""
+        if self.is_whole_space or self.b == np.inf:
+            return _no_rows(self.dim), ()
+        if self.b == -np.inf:
+            return _empty_rows(self.dim), ()
         scale = np.sqrt(self._norm_sq)
-        return _rows((self.a / scale)[None, :], np.array([self.b / scale]))
+        return _rows((self.a / scale)[None, :], np.array([self.b / scale])), ()
+
+    @cached_property
+    def _interval(self):
+        if self.is_whole_space:
+            return (-np.inf, np.inf)
+        a, b = self.a[0], self.b
+        return (b / a, np.inf) if a < 0 else (-np.inf, b / a)
 
     def __repr__(self):
         return "Halfspace(a=%s, b=%s)" % (self.a.tolist(), self.b)
 
 
 class Ball(ConvexBody):
+    """Closed ball; a radius of +inf (with a finite centre) is the whole space."""
+
     def __init__(self, center, radius):
         center = _vector(center).copy()
         center.flags.writeable = False
@@ -224,6 +264,7 @@ class Ball(ConvexBody):
         self.radius = float(radius)
         if self.radius < 0.0:
             raise ValueError("radius must be nonnegative")
+        self._defined = bool(np.isfinite(center).all()) and self.radius == self.radius
 
     @property
     def dim(self):
@@ -236,6 +277,15 @@ class Ball(ConvexBody):
             return x.copy()
         return self.center + (self.radius / dist) * d
 
+    @cached_property
+    def _parts(self):
+        return _no_rows(self.dim), (() if self.radius == np.inf else (self,))
+
+    @cached_property
+    def _interval(self):
+        c, r = self.center[0], self.radius
+        return (c - r, c + r)
+
     def __repr__(self):
         return "Ball(center=%s, radius=%s)" % (self.center.tolist(), self.radius)
 
@@ -243,8 +293,8 @@ class Ball(ConvexBody):
 class Intersection(ConvexBody):
     """Intersection of convex bodies of one dimension.
 
-    Its ``polyhedron`` stacks the rows of its members (nested intersections
-    included), and is None when any member has none.
+    Its ``_parts`` stack the rows and collect the balls of its members,
+    nested intersections included.
     """
 
     def __init__(self, bodies):
@@ -255,6 +305,7 @@ class Intersection(ConvexBody):
         if len(dims) != 1:
             raise DimensionMismatch("intersection members differ in dimension")
         self.bodies = bodies
+        self._defined = all(body._defined for body in bodies)
 
     @property
     def dim(self):
@@ -265,52 +316,33 @@ class Intersection(ConvexBody):
 
     @cached_property
     def _parts(self):
-        """``((N, b), balls)``: the stacked rows of the members that have
-        them and the balls, nested intersections flattened; None when some
-        member is neither, or a ball is not finite."""
-        rows, balls = [(np.zeros((0, self.dim)), np.zeros(0))], []
-        for body in self.bodies:
-            if isinstance(body, Intersection):
-                parts = body._parts
-                if parts is None:
-                    return None
-                rows.append(parts[0])
-                balls.extend(parts[1])
-            elif isinstance(body, Ball):
-                if not (np.isfinite(body.center).all() and np.isfinite(body.radius)):
-                    return None
-                balls.append(body)
-            elif body.polyhedron is None:
-                return None
-            else:
-                rows.append(body.polyhedron)
-        return (_rows(np.concatenate([N for N, _ in rows]),
-                      np.concatenate([b for _, b in rows])), tuple(balls))
+        parts = [body._parts for body in self.bodies]
+        return (_rows(np.concatenate([N for (N, _), _ in parts]),
+                      np.concatenate([b for (_, b), _ in parts])),
+                tuple(ball for _, balls in parts for ball in balls))
 
     @cached_property
-    def polyhedron(self):
-        if self._parts is None or self._parts[1]:
-            return None
-        return self._parts[0]
+    def _interval(self):
+        lo, hi = -np.inf, np.inf
+        for body in self.bodies:
+            sub = body._interval
+            lo, hi = max(lo, sub[0]), min(hi, sub[1])
+        return (lo, hi)
 
     def _project(self, x):
-        interval = _as_interval_1d(self)
-        if interval is not None:
-            lo, hi = interval
+        if self.dim == 1:
+            lo, hi = self._interval
             if lo > hi or lo == np.inf or hi == -np.inf:
                 raise InfeasibleIntersection(
                     "1-D intersection is empty: [%g, %g]" % (lo, hi)
                 )
             return np.clip(x, lo, hi)
-        if self._parts is not None:
-            (N, b), balls = self._parts
-            if not balls:
-                return _project_polyhedron(N, b, x)[0]
-            if len(balls) == 1:
-                return _project_polyhedron_ball(N, b, balls[0], x)
-            if len(balls) == 2 and not b.size:
-                return _project_lens(*balls, x)
-        return _dykstra(self.bodies, x)
+        (N, b), balls = self._parts
+        if not balls:
+            return _project_polyhedron(N, b, x)[0]
+        if len(balls) == 1:
+            return _project_polyhedron_ball(N, b, balls[0], x)
+        return _project_balls(N, b, balls, x)
 
 
 def _rows(N, b):
@@ -475,107 +507,61 @@ def _sphere_crossing(p, v, r):
     return q / (root - h) if h < 0.0 else (-h - root) / a
 
 
-def _project_lens(first, second, x):
-    """Exact projection of ``x`` onto the intersection of two balls.
+def _project_balls(N, b, balls, x):
+    """Exact projection of ``x`` onto K ∩ balls, K = {z : N z <= b}, by the
+    reduction in the module docstring; each subset of the balls is solved
+    once."""
+    solved = {}
 
-    When neither ball's own projection lies in the other ball, both
-    constraints are active and the projection is the nearest point of the
-    intersection of the two spheres: the sphere of radius sqrt(r1^2 - t^2)
-    about c1 + t u in the hyperplane normal to u = (c2 - c1) / ||c2 - c1||.
-    The balls are disjoint exactly when ||c2 - c1|| > r1 + r2.
-    """
-    c1, r1, c2, r2 = first.center, first.radius, second.center, second.radius
-    apart = norm(c2 - c1)
-    if apart > r1 + r2:
-        normal = (c2 - c1) / apart
-        raise InfeasibleIntersection(
-            "the balls lie %.3e apart" % (apart - r1 - r2),
-            certificate=SeparatingHyperplane(normal, float(normal @ c1) + r1,
-                                             apart - r1 - r2))
-    scale = max(norm(v) for v in (x, c1, c2))
-    tol = _VIOLATION_TOL * (1.0 + scale + r1 + r2)
-    for ball, other in ((first, second), (second, first)):
-        z = ball._project(x)
-        if not norm(z - other.center) > other.radius + tol:
-            return z
-    u = (c2 - c1) / apart
-    t = (apart * apart + r1 * r1 - r2 * r2) / (2.0 * apart)
-    centre = c1 + t * u
-    v = x - centre
-    v = v - float(v @ u) * u
-    return centre + (np.sqrt(max(r1 * r1 - t * t, 0.0)) / norm(v)) * v
-
-
-def _as_interval_1d(body):
-    """Collapse a 1-D body made of boxes/halfspaces/balls to [lo, hi], or None.
-
-    Intersections are flattened recursively.  Returns None when the body (or
-    a member) is not interval-like or not one-dimensional.
-    """
-    if body.dim != 1:
-        return None
-    if isinstance(body, WholeSpace):
-        return (-np.inf, np.inf)
-    if isinstance(body, Box):
-        return (body.lower[0], body.upper[0])
-    if isinstance(body, Ball):
-        return (body.center[0] - body.radius, body.center[0] + body.radius)
-    if isinstance(body, Halfspace):
-        if body.is_whole_space:
-            return (-np.inf, np.inf)
-        a, b = body.a[0], body.b
-        return (b / a, np.inf) if a < 0 else (-np.inf, b / a)
-    if isinstance(body, Intersection):
-        lo, hi = -np.inf, np.inf
-        for member in body.bodies:
-            sub = _as_interval_1d(member)
-            if sub is None:
-                return None
-            lo, hi = max(lo, sub[0]), min(hi, sub[1])
-        return (lo, hi)
-    return None
-
-
-def _dykstra(bodies, x, tol=1e-12, max_sweeps=10000,
-             infeasible_gap=1e-8, infeasible_patience=1000):
-    """Dykstra's corrected cyclic projection onto an intersection.
-
-    Convergence is judged by the in-sweep cycle gap: the largest move any
-    single body projection makes during a sweep.  A small gap means the
-    iterate is within tolerance of every member, hence feasible and (by
-    Dykstra's correction bookkeeping) the metric projection.  On an empty
-    intersection the sweep endpoint can freeze while the cycle keeps
-    oscillating between the sets, so a gap that stays above
-    ``infeasible_gap`` for ``infeasible_patience`` consecutive sweeps is
-    declared infeasible.
-    """
-    m = len(bodies)
-    y = x.astype(float).copy()
-    corrections = [np.zeros_like(y) for _ in range(m)]
-    stalled = 0
-    gap = np.inf
-    for _ in range(max_sweeps):
-        gap = 0.0
-        for i, body in enumerate(bodies):
-            z = y - corrections[i]
-            moved = body._project(z)
-            corrections[i] = moved - z
-            gap = max(gap, norm(moved - y))
-            y = moved
-        if gap <= tol:
-            return y
-        if gap > infeasible_gap:
-            stalled += 1
-            if stalled >= infeasible_patience:
-                raise InfeasibleIntersection(
-                    "cycle gap %.3e stayed above %.1e for %d sweeps; "
-                    "intersection looks empty" % (gap, infeasible_gap, stalled)
-                )
+    def solve(subset):
+        if subset in solved:
+            return solved[subset]
+        if len(subset) == 1:
+            z = _project_polyhedron_ball(N, b, balls[subset[0]], x)
         else:
-            stalled = 0
-    raise DykstraNoConvergence(
-        "Dykstra stopped after %d sweeps with residual %.3e" % (max_sweeps, gap), gap
-    )
+            for i in subset:
+                z = solve(tuple(j for j in subset if j != i))
+                c, r = balls[i].center, balls[i].radius
+                # in ball i, to the tolerance its sphere is reached with
+                if norm(z - c) <= r + _VIOLATION_TOL * (1.0 + max(norm(x), norm(c)) + r):
+                    break
+            else:
+                z = _project_on_spheres(N, b, [balls[j] for j in subset], x)
+        solved[subset] = z
+        return z
+
+    return solve(tuple(range(len(balls))))
+
+
+def _project_on_spheres(N, b, balls, x):
+    """Projection of ``x`` onto K ∩ balls when every sphere is active there:
+    onto (K ∩ the radical hyperplanes ||z - c_1||^2 - r_1^2 =
+    ||z - c_i||^2 - r_i^2) ∩ B_1, as every ball is B_1 on those hyperplanes.
+
+    Two disjoint balls raise a ``SeparatingHyperplane`` between them.  Any
+    other emptiness found here is certified by rows that are not the set's,
+    so it raises with no certificate.
+    """
+    c1, r1 = balls[0].center, balls[0].radius
+    rows, offsets = [N], [b]
+    for ball in balls[1:]:
+        apart = norm(ball.center - c1)
+        u = (ball.center - c1) / apart if apart else None
+        if apart > r1 + ball.radius:
+            raise InfeasibleIntersection(
+                "the balls lie %.3e apart" % (apart - r1 - ball.radius),
+                certificate=SeparatingHyperplane(u, float(u @ c1) + r1,
+                                                 apart - r1 - ball.radius))
+        if u is not None:   # equal centres with both spheres active: equal balls, no row
+            t = float(u @ c1) + (apart * apart + r1 * r1 - ball.radius ** 2) / (2.0 * apart)
+            rows.append(np.array([u, -u]))
+            offsets.append(np.array([t, -t]))
+    try:
+        return _project_polyhedron_ball(np.concatenate(rows), np.concatenate(offsets),
+                                        balls[0], x)
+    except InfeasibleIntersection as err:
+        raise InfeasibleIntersection("intersection is empty: with the spheres of %s all "
+                                     "active, %s" % (", ".join(map(repr, balls)), err)) from None
 
 
 def _point_of(S, x):
@@ -588,8 +574,10 @@ def _point_of(S, x):
 
 
 def project(S, x):
-    """Metric projection of ``x`` onto the convex body ``S``."""
-    return S._project(_point_of(S, x))
+    """Metric projection of ``x`` onto the convex body ``S``; all NaN when
+    the numbers of ``S`` describe no set."""
+    x = _point_of(S, x)
+    return S._project(x) if S._defined else np.full(S.dim, np.nan)
 
 
 def contains(S, x, tol=1e-10):

@@ -1,8 +1,11 @@
 """The public surface: exported names and command-line options."""
 
+import ast
 import importlib
 import json
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,24 @@ def test_every_exported_name_resolves(name):
 def test_all_package_modules_are_listed():
     found = {"splitfp." + m.name for m in pkgutil.iter_modules(splitfp.__path__)}
     assert found == set(MODULES[1:])
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "splitfp"}
+    sources = sorted(Path(splitfp.__file__).parent.glob("*.py"))
+    assert len(sources) == len(MODULES)
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_run_has_no_seed_option_and_verify_keeps_it(tmp_path, capsys):

@@ -179,6 +179,23 @@ def test_run_wrong_typed_config_values_exit_2(tmp_path, doc, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("domain", [
+    {"box": {"lower": ["nan"], "upper": [20.0]}},
+    {"halfspace": {"a": [1.0], "b": float("nan")}},
+    {"ball": {"center": [float("nan")], "radius": 20.0}},
+    {"intersection": [{"whole_space": 1},
+                      {"ball": {"center": [0.0], "radius": float("nan")}}]},
+], ids=["box", "halfspace", "ball", "intersection"])
+def test_run_rejects_a_nan_in_a_set(tmp_path, capsys, domain):
+    # json reads NaN, and a box bound parses "nan"
+    T = dict(SCFPP_INLINE["problem"]["T"], domain=domain)
+    doc = dict(SCFPP_INLINE, problem=dict(SCFPP_INLINE["problem"], T=T))
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: set {") and "has a NaN" in err
+
+
 def test_run_unknown_flag_exits_2(tmp_path, capsys):
     doc = {"problem": {"example": "bnm_t1"}, "flags": {"wq-branch": "sideways"}}
     cfg = write_config(tmp_path, doc)

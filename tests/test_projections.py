@@ -1,5 +1,5 @@
-"""Metric projections, the halfspace builder, the exact polyhedral and
-ball projections and Dykstra's method."""
+"""Metric projections, the halfspace builder, and the exact polyhedral and
+ball projections, checked against the test-side Dykstra method."""
 
 import warnings
 
@@ -10,19 +10,18 @@ from numpy.testing import assert_allclose
 from splitfp.projections import (
     Ball,
     Box,
-    DykstraNoConvergence,
     Halfspace,
     InfeasibleIntersection,
     Intersection,
     SeparatingHyperplane,
     WholeSpace,
-    _dykstra,
     contains,
     halfspace_from_distance_dominance,
     project,
 )
 from splitfp.spaces import inner, norm
 
+from helpers import DykstraNoConvergence, _dykstra
 from lemmas import check_projection_inequalities
 
 
@@ -214,6 +213,16 @@ def test_empty_intersection_1d():
     (Intersection([Halfspace([1, 0], -np.inf), Box([-1, -1], [1, 1])]), [0.0, 0.0]),
     (Intersection([Halfspace([1.0], -np.inf), WholeSpace(1)]), [0.0]),
     (Intersection([Halfspace([-1.0], -np.inf)]), [0.0]),
+    # so is a box with equal infinite bounds, alone and inside an intersection
+    (Box([-np.inf], [-np.inf]), [0.0]),
+    (Box([np.inf], [np.inf]), [0.0]),
+    (Box([-np.inf, 0.0], [-np.inf, 1.0]), [0.0, 0.0]),
+    (Intersection([Box([np.inf], [np.inf]), Halfspace([1.0], 5.0)]), [0.0]),
+    (Intersection([Box([-np.inf, 0.0], [-np.inf, 1.0]), Halfspace([1.0, 1.0], 5.0)]),
+     [0.0, 0.0]),
+    (Intersection([Box([-np.inf, 0.0], [-np.inf, 1.0]), Ball([0.0, 0.0], 1.0)]), [0.0, 0.0]),
+    (Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], -np.inf),
+                   Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)]), [0.0, 0.0]),
 ])
 def test_halfspace_with_offset_minus_inf_is_empty(S, x):
     with pytest.raises(InfeasibleIntersection):
@@ -286,16 +295,43 @@ def test_row_tolerance_ignores_the_bounds_of_other_rows():
 
 
 def test_non_finite_members_leave_the_exact_path():
-    # an infinite offset or a NaN bound has no row; Dykstra handles them as before
-    assert Halfspace([1.0, 0.0], np.inf).polyhedron is None
-    assert Box([np.nan, 0.0], [1.0, 1.0]).polyhedron is None
+    # an offset of +inf and a radius of +inf are the whole space: no row, no
+    # ball; a NaN bound leaves a NaN offset, which makes the projection NaN
+    assert Halfspace([1.0, 0.0], np.inf).polyhedron[0].shape == (0, 2)
+    assert np.isnan(Box([np.nan, 0.0], [1.0, 1.0]).polyhedron[1]).any()
     S = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 0.0], np.inf)])
-    assert S.polyhedron is None
+    assert_allclose(S.polyhedron[1], [1.0, 1.0, 0.0, 0.0])
     assert_allclose(project(S, [2.0, -1.0]), [1.0, 0.0], atol=1e-12)
-    # so does a ball that is not finite
     S = Intersection([Box([0.0, 0.0], [1.0, 1.0]), Ball([0.0, 0.0], np.inf)])
-    assert S._parts is None
+    assert S._parts[1] == () and S.polyhedron[1].size == 4
     assert_allclose(project(S, [2.0, -1.0]), [1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("S", [
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([1.0, 0.0], np.nan)]),
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([np.nan, 0.0], 1.0)]),
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([0.0, 0.0], np.nan)]),
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([np.inf, 0.0], 1.0)]),
+    Intersection([Box([np.nan, 0.0], [1.0, 1.0]), Halfspace([1.0, 1.0], 1.0)]),
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Ball([np.inf, 0.0], 1.0)]),
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Ball([np.nan, 0.0], np.inf)]),
+    Intersection([Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], np.nan)]),
+    Intersection([Intersection([Ball([0.0, 0.0], 2.0), Halfspace([1.0, 0.0], np.nan)]),
+                  Ball([1.0, 0.0], 1.0), Ball([0.0, 1.0], 1.0)]),
+    Intersection([Halfspace([1.0], 1.0), Box([np.nan], [1.0])]),
+    Intersection([Box([-1.0], [1.0]), Halfspace([np.nan], 1.0)]),
+    Intersection([Box([-1.0], [1.0]), Halfspace([-np.inf], 1.0)]),
+    Intersection([Intersection([Box([-1.0], [1.0]), Ball([np.inf], 1.0)]), WholeSpace(1)]),
+    Intersection([Ball([0.0], np.nan), Halfspace([1.0], 1.0)]),
+    Ball([np.inf, 0.0], 1.0),
+    Halfspace([np.inf, 0.0], 1.0),
+    Box([np.nan, 0.0], [1.0, 1.0]),
+])
+def test_members_whose_numbers_describe_no_set_project_to_nan(S):
+    # a NaN, or an infinite normal or centre: all-NaN at once, in 1-D too,
+    # alone or inside an intersection
+    assert np.isnan(project(S, np.zeros(S.dim))).all()
 
 
 def test_certificate_bounds_the_radius_it_excludes():
@@ -375,18 +411,18 @@ def test_polyhedral_projection_agrees_with_dykstra():
 
 
 def _ball_sets(seed, count):
-    """Box (some sides open) cut by 1-3 halfspaces and a ball, every fourth
-    set two balls instead, all around an interior point; 5 points each."""
+    """1-4 balls, cut on two sets in three by a box (some sides open) and
+    1-3 halfspaces, all around an interior point; 5 points each."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         dim = 2 + k % 2
         center = rng.uniform(-0.4, 0.4, dim)
         balls = []
-        for _ in range(2 if k % 4 == 3 else 1):
+        for _ in range(1 + k // 2 % 4):
             radius = rng.uniform(0.2, 2.5)
             balls.append(Ball(center + rng.uniform(-0.5, 0.5, dim) * radius, radius))
         members = balls
-        if k % 4 != 3:
+        if k % 3:
             lower = rng.uniform(-3.0, -0.5, dim)
             upper = rng.uniform(0.5, 3.0, dim)
             lower[rng.random(dim) < 0.2] = -np.inf
@@ -397,7 +433,7 @@ def _ball_sets(seed, count):
                 cuts.append(Halfspace(a, a @ center + rng.uniform(0.05, 1.0)))
             # nested every other time, as C ∩ cuts is built
             polyhedral = [Box(lower, upper), *cuts]
-            members = ([Intersection(polyhedral)] if k % 2 else polyhedral) + balls
+            members = ([Intersection(polyhedral)] if k // 3 % 2 else polyhedral) + balls
         yield Intersection(members), rng.normal(scale=4.0, size=(5, dim))
 
 
@@ -482,8 +518,45 @@ def test_empty_ball_intersections_carry_a_separating_hyperplane():
 
 
 def test_lens_projection_is_not_declared_empty():
-    S = Intersection([Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.01)])
-    x = np.array([1.0, 3.0])
-    z = project(S, x)
-    assert norm(z) <= 1.0 + 1e-9 and norm(z - [2.0, 0.0]) <= 1.01 + 1e-9
-    assert norm(z - x) <= norm(np.array([1.0, 0.0]) - x)
+    lens = [Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.01)]
+    # a halfspace that does not bind used to send the lens back to Dykstra,
+    # whose patience rule called it empty
+    for S in (Intersection(lens), Intersection(lens + [Halfspace([0.0, 1.0], 5.0)])):
+        x = np.array([1.0, 3.0])
+        z = project(S, x)
+        assert norm(z) <= 1.0 + 1e-9 and norm(z - [2.0, 0.0]) <= 1.01 + 1e-9
+        assert z[1] <= 5.0
+        assert norm(z - x) <= norm(np.array([1.0, 0.0]) - x)
+
+
+def _three_discs(radius):
+    # centres with circumradius about 1.066
+    return Intersection([Ball([0.0, 0.0], radius), Ball([1.9, 0.0], radius),
+                         Ball([0.95, 1.55], radius)])
+
+
+@pytest.mark.parametrize("S, x", [
+    # demo 02's cut_lens
+    (Intersection([Ball([0.0, 0.0], 1.5), Ball([1.0, 0.0], 1.5),
+                   Halfspace([0.0, 1.0], 0.5)]), [3.0, 1.0]),
+    (_three_discs(1.1), [5.0, 5.0]),
+    (_three_discs(1.1), [0.95, -4.0]),
+    # concentric balls, with and without rows, and equal ones
+    (Intersection([Ball([1.0, 1.0], 2.0), Ball([1.0, 1.0], 1.0)]), [4.0, -3.0]),
+    (Intersection([Ball([1.0, 1.0], 1.0), Ball([1.0, 1.0], 2.0),
+                   Halfspace([1.0, 1.0], 2.5)]), [4.0, 3.0]),
+    (Intersection([Ball([0.0, 0.0, 0.0], 1.0), Ball([0.0, 0.0, 0.0], 1.0),
+                   Ball([1.5, 0.0, 0.0], 1.0)]), [0.7, 3.0, -1.0]),
+])
+def test_fixed_ball_sets_agree_with_dykstra(S, x):
+    x = np.array(x)
+    assert norm(project(S, x) - _dykstra(S.bodies, x)) <= 1e-9 * (1.0 + norm(x))
+
+
+def test_three_discs_without_a_common_point_are_empty():
+    # each pair meets, all three do not: only the all-active step sees it,
+    # through rows that are not the set's, so there is no certificate
+    with pytest.raises(InfeasibleIntersection) as exc:
+        project(_three_discs(1.0), [5.0, 5.0])
+    assert exc.value.certificate is None
+    assert "Ball(center=[0.95, 1.55], radius=1.0)" in str(exc.value)

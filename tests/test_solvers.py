@@ -34,7 +34,7 @@ from splitfp.problems import (
     StoppingRule,
     ValidationError,
 )
-from splitfp.projections import Ball, Box, Intersection, WholeSpace, contains
+from splitfp.projections import Ball, Box, Halfspace, Intersection, WholeSpace, contains
 from splitfp.rules import Rational1D
 from splitfp.solvers import (
     NonFiniteState,
@@ -557,6 +557,17 @@ def test_extragradient_disc_orthant_run_reaches_500_iterations():
     tr = _halfway_extragradient_run(C)
     _assert_reaches_the_fixed_point(
         tr, lambda x: x.min() >= -1e-12 and norm(x) <= 3.0 + 1e-9)
+
+
+@pytest.mark.parametrize("member", [Ball([np.nan, 0.0], 3.0), Halfspace([np.inf, 1.0], 2.0)])
+def test_extragradient_run_with_an_undefined_member_reports_a_non_finite_state(member):
+    # a member whose numbers describe no set makes the projection onto
+    # C ∩ cuts all-NaN at once, rather than a long iterative search
+    C = Intersection([Box([0.0, 0.0], [np.inf, np.inf]), member])
+    with warnings.catch_warnings(), pytest.raises(NonFiniteState) as exc:
+        warnings.simplefilter("error")
+        _halfway_extragradient_run(C)
+    assert exc.value.iteration == 0
 
 
 # ---------------------------------------------------------------------------
