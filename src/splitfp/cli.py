@@ -74,13 +74,13 @@ def _set_from_config(doc):
             return float(v)  # "inf" / "-inf" strings parse directly
         lower = [bound(v, -np.inf) for v in doc["box"]["lower"]]
         upper = [bound(v, np.inf) for v in doc["box"]["upper"]]
-        body, numbers = Box(lower, upper), lower + upper
+        body, numbers, finite = Box(lower, upper), lower + upper, None
     elif "halfspace" in doc:
         body = Halfspace(doc["halfspace"]["a"], doc["halfspace"]["b"])
-        numbers = [*body.a, body.b]
+        numbers, finite = [*body.a, body.b], ("normal", body.a)
     elif "ball" in doc:
         body = Ball(doc["ball"]["center"], doc["ball"]["radius"])
-        numbers = [*body.center, body.radius]
+        numbers, finite = [*body.center, body.radius], ("centre", body.center)
     elif "intersection" in doc:
         return Intersection([_set_from_config(d) for d in doc["intersection"]])
     else:
@@ -88,6 +88,10 @@ def _set_from_config(doc):
     # json reads NaN, and float() parses "nan"
     if any(math.isnan(v) for v in numbers):
         raise ValidationError("set %r has a NaN" % (doc,))
+    # an infinite offset or radius is the whole space; an infinite normal
+    # or centre describes no set
+    if finite and np.isinf(finite[1]).any():
+        raise ValidationError("set %r has an infinite %s" % (doc, finite[0]))
     return body
 
 
@@ -157,6 +161,8 @@ _FLAG_FIELDS = {
     "cut_cap": "cut_cap",
 }
 
+_STOPPING_KEYS = ("max_iters", "residual_tol", "stagnation_tol", "target_tol")
+
 
 def _load_run_config(path, args):
     """Read a run config into (spec, start, rule, outputs).
@@ -194,6 +200,11 @@ def _load_run_config(path, args):
         spec = replace(spec, **overrides)
 
     stopping = config.get("stopping", {})
+    unknown = sorted(set(stopping) - set(_STOPPING_KEYS))
+    if unknown:
+        raise ValidationError("unknown keys %s (known: %s)" % (
+            ", ".join("stopping." + key for key in unknown),
+            ", ".join(_STOPPING_KEYS)))
     if stopping or rule is None:
         rule = StoppingRule(
             max_iters=int(stopping.get("max_iters", 1000)),
@@ -525,7 +536,7 @@ def cmd_verify(args):
         try:
             claimed = class_from_token(args.cls)
         except ValueError as err:
-            print("unknown class: %s" % err, file=sys.stderr)
+            print(err, file=sys.stderr)
             return _EXIT_CONFIG
     try:
         report = verify_class(T, claimed, samples=args.samples, seed=args.seed)
@@ -550,6 +561,16 @@ def cmd_list_examples(args):
             if doc["notes"]:
                 print("    %s" % doc["notes"])
     return _EXIT_OK
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return value
 
 
 def main(argv=None):
@@ -581,7 +602,7 @@ def main(argv=None):
                        help="'declared' or a class token, optionally with "
                             "a parameter (demicontractive:0.5): %s"
                             % ", ".join(CLASS_TOKENS))
-    p_ver.add_argument("--samples", type=int, default=1000)
+    p_ver.add_argument("--samples", type=_positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 

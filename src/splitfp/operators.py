@@ -22,7 +22,7 @@ import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
 from .rules import Piecewise1D, Rational1D, Relaxed1D
-from .spaces import _vector, inner, norm
+from .spaces import _vector, norm
 
 __all__ = [
     "SequenceSpec",
@@ -202,6 +202,22 @@ _QUADRATIC = Gauge("t^2")
 # ---------------------------------------------------------------------------
 # the class taxonomy
 
+# The defining inequalities are written over stacks: arrays whose last axis
+# is the vector, a single vector being a stack with no leading axis.  Each
+# row gets the bits of ``spaces.norm``, ``spaces.inner`` and Python's float
+# ``t ** 2``: ``np.vecdot`` of a row is the BLAS ``a.dot(b)`` those use
+# (einsum and ``(a * a).sum(-1)`` may sum in another order), and Python's
+# ``t ** 2`` calls libm ``pow``, which ``np.float_power(t, 2.0)`` matches
+# and an array's ``t ** 2`` (``t * t``) does not.
+
+
+def _norm(a):
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _sq(t):
+    return np.float_power(t, 2.0)
+
 
 def _check_unit_interval(k, lo_open, name):
     if not (k > 0.0 if lo_open else k >= 0.0) or not k < 1.0:
@@ -221,6 +237,10 @@ class OperatorClass:
     ``pairwise`` classes implement ``sides(x, z, tx, tz, n)`` over point
     pairs, the others ``sides(x, p, tx, n)`` over the fixed points: the
     ``(lhs, rhs)`` of the defining inequality ``lhs <= rhs`` at power ``n``.
+    ``sides`` is written once, over stacks whose last axis is the vector:
+    given (S, d) stacks (a fixed point p stays one (d,) vector) each side
+    broadcasts to one value per row, given single vectors it is one value,
+    and a row gets the same bits either way.
     ``asymptotic`` classes are checked at every power up to a bound, the
     rest at n = 1.  ``token`` names the class on the command line and
     ``default`` is the scalar parameter a token without one stands for.
@@ -267,7 +287,7 @@ class Contraction(OperatorClass, token="contraction", default=0.9):
     lipschitz = property(lambda self: self.k)
 
     def sides(self, x, z, tx, tz, n):
-        return norm(tx - tz), self.k * norm(x - z)
+        return _norm(tx - tz), self.k * _norm(x - z)
 
 
 @dataclass(frozen=True)
@@ -275,7 +295,7 @@ class Nonexpansive(OperatorClass, token="nonexpansive"):
     lipschitz: ClassVar[float] = 1.0
 
     def sides(self, x, z, tx, tz, n):
-        return norm(tx - tz), norm(x - z)
+        return _norm(tx - tz), _norm(x - z)
 
 
 @dataclass(frozen=True)
@@ -287,7 +307,7 @@ class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=Fals
         return TotalQuasiAsymptoticallyNonexpansive(_ZERO, _ZERO, _QUADRATIC)
 
     def sides(self, x, p, tx, n):
-        return norm(tx - p), norm(x - p)
+        return _norm(tx - p), _norm(x - p)
 
 
 @dataclass(frozen=True)
@@ -296,7 +316,7 @@ class FirmlyQuasiNonexpansive(OperatorClass, token="firmly_quasi_nonexpansive",
     demicontractive: ClassVar[float] = -1.0
 
     def sides(self, x, p, tx, n):
-        return norm(tx - p) ** 2, norm(x - p) ** 2 - norm(tx - x) ** 2
+        return _sq(_norm(tx - p)), _sq(_norm(x - p)) - _sq(_norm(tx - x))
 
 
 @dataclass(frozen=True)
@@ -310,7 +330,7 @@ class Demicontractive(OperatorClass, token="demicontractive", default=0.0,
     demicontractive = property(lambda self: self.k)
 
     def sides(self, x, p, tx, n):
-        return norm(tx - p) ** 2, norm(x - p) ** 2 + self.k * norm(tx - x) ** 2
+        return _sq(_norm(tx - p)), _sq(_norm(x - p)) + self.k * _sq(_norm(tx - x))
 
 
 @dataclass(frozen=True)
@@ -326,8 +346,8 @@ class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive
 
     def sides(self, x, z, tx, tz, n):
         return (
-            norm(tx - tz) ** 2,
-            norm(x - z) ** 2 + self.k * norm((x - tx) - (z - tz)) ** 2,
+            _sq(_norm(tx - tz)),
+            _sq(_norm(x - z)) + self.k * _sq(_norm((x - tx) - (z - tz))),
         )
 
 
@@ -336,7 +356,7 @@ class Directed(OperatorClass, token="directed", pairwise=False):
     demicontractive: ClassVar[float] = -1.0
 
     def sides(self, x, p, tx, n):
-        return inner(p - tx, x - tx), 0.0
+        return np.vecdot(p - tx, x - tx), 0.0
 
 
 @dataclass(frozen=True)
@@ -352,7 +372,7 @@ class AsymptoticallyNonexpansive(
         return cls(_ONE)
 
     def sides(self, x, z, tx, tz, n):
-        return norm(tx - tz), self.k_seq(n) * norm(x - z)
+        return _norm(tx - tz), self.k_seq(n) * _norm(x - z)
 
 
 @dataclass(frozen=True)
@@ -375,7 +395,7 @@ class AsymptoticallyQuasiNonexpansive(
             lambda n: self.t_seq(n) - 1.0, _ZERO, _QUADRATIC)
 
     def sides(self, x, p, tx, n):
-        return norm(tx - p) ** 2, self.t_seq(n) * norm(x - p) ** 2
+        return _sq(_norm(tx - p)), self.t_seq(n) * _sq(_norm(x - p))
 
 
 @dataclass(frozen=True)
@@ -395,8 +415,8 @@ class TotalAsymptoticallyNonexpansive(
 
     def sides(self, x, z, tx, tz, n):
         return (
-            norm(tx - tz) ** 2,
-            norm(x - z) ** 2 + self.v_seq(n) * self.gauge(norm(x - z)) + self.mu_seq(n),
+            _sq(_norm(tx - tz)),
+            _sq(_norm(x - z)) + self.v_seq(n) * self.gauge(_norm(x - z)) + self.mu_seq(n),
         )
 
 
@@ -420,8 +440,8 @@ class TotalQuasiAsymptoticallyNonexpansive(
 
     def sides(self, x, p, tx, n):
         return (
-            norm(tx - p) ** 2,
-            norm(x - p) ** 2 + self.v_seq(n) * self.gauge(norm(x - p)) + self.mu_seq(n),
+            _sq(_norm(tx - p)),
+            _sq(_norm(x - p)) + self.v_seq(n) * self.gauge(_norm(x - p)) + self.mu_seq(n),
         )
 
 
@@ -439,10 +459,10 @@ class TotalAsymStrictPseudocontraction(OperatorClass, asymptotic=True):
 
     def sides(self, x, z, tx, tz, n):
         return (
-            norm(tx - tz) ** 2,
-            norm(x - z) ** 2
-            + self.k * norm((x - tx) - (z - tz)) ** 2
-            + self.mu_seq(n) * self.gauge(norm(x - z))
+            _sq(_norm(tx - tz)),
+            _sq(_norm(x - z))
+            + self.k * _sq(_norm((x - tx) - (z - tz)))
+            + self.mu_seq(n) * self.gauge(_norm(x - z))
             + self.xi_seq(n),
         )
 
@@ -458,7 +478,7 @@ class Lipschitzian(OperatorClass, token="lipschitzian", default=1.0):
     lipschitz = property(lambda self: self.K)
 
     def sides(self, x, z, tx, tz, n):
-        return norm(tx - tz), self.K * norm(x - z)
+        return _norm(tx - tz), self.K * _norm(x - z)
 
 
 @dataclass(frozen=True)
@@ -479,7 +499,7 @@ class StronglyMonotone(OperatorClass, token="strongly_monotone", default=1.0):
 
     def sides(self, x, z, tx, tz, n):
         # sign flipped so the check is uniformly lhs <= rhs
-        return self.eta * norm(x - z) ** 2, inner(tx - tz, x - z)
+        return self.eta * _sq(_norm(x - z)), np.vecdot(tx - tz, x - z)
 
 
 def class_from_token(token):
@@ -492,7 +512,10 @@ def class_from_token(token):
     name, _, param = token.partition(":")
     if name not in CLASS_TOKENS:
         raise ValueError("unknown operator class %r" % (token,))
-    return CLASS_TOKENS[name].from_token(param)
+    try:
+        return CLASS_TOKENS[name].from_token(param)
+    except ValueError as err:
+        raise ValueError("invalid parameter for class %s: %s" % (name, err)) from None
 
 
 # class constraints quantify over iterate powers, which start at n = 1
@@ -864,6 +887,33 @@ def _iterates(T, x, n_max):
     return out
 
 
+def _orbits(T, X, n_max):
+    """The stacks X, T X, ..., T^{n_max} X of the rows of the (S, d) stack X.
+
+    A rule-backed map runs its rule's array kernel on the whole stack, and
+    the orbit stops once the stack's image has the bytes of the stack: a
+    row that is already fixed repeats its bits, so this is the per-row stop
+    of :func:`_iterates`.  A row whose stacked image is not finite is
+    evaluated again through T, so a pole raises T's own
+    ``ZeroDivisionError`` and a non-finite image has T's bits.  Any other
+    map iterates row by row through :func:`_iterates` and the orbits are
+    stacked.
+    """
+    if T.rule is None:
+        rows = [_iterates(T, x, n_max) for x in X]
+        return [np.array(stack) for stack in zip(*rows)]
+    kernel = T.rule.array_kernel()
+
+    def image(V):
+        with np.errstate(all="ignore"):
+            out = np.array(np.broadcast_to(kernel(V[:, 0]), len(V)))[:, None]
+        for i in np.flatnonzero(~np.isfinite(out[:, 0])):
+            out[i] = T(V[i])
+        return out
+
+    return _iterates(image, X, n_max)
+
+
 def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
                  scale=10.0, extra_points=(), extra_pairs=()):
     """Falsification-test a declared operator class by deterministic sampling.
@@ -871,59 +921,71 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     Draws ``samples`` points (or point pairs) from T's domain with the fixed
     LCG seeded by ``seed`` and checks the defining inequality of ``claimed``
     at each, allowing scale-aware slack ``slack * (1 + |rhs|)``.  Asymptotic
-    classes are checked at iterate powers n = 1..``n_max``; each orbit stops
-    at its first bitwise-fixed iterate (:func:`_iterates`), which gives
-    every later power exactly, and the inequality is still evaluated at
-    every n.  ``extra_points``
+    classes are checked at iterate powers n = 1..``n_max``.  ``extra_points``
     / ``extra_pairs`` are prepended verbatim, for analytically known
     witnesses.  One record per sample is kept, carrying the worst-margin
-    instance; the report lists every violating sample with both sides.
+    instance (the first of equal margins; a NaN margin never replaces
+    another); the report lists every violating sample with both sides.
+
+    The samples are drawn one by one, in the LCG's order, and then checked
+    as one (S, d) stack: :func:`_orbits` gives every power of the stack,
+    and ``claimed.sides`` is evaluated on whole stacks, with the bits a
+    single row gives.  Each orbit stops at its first bitwise-fixed iterate,
+    which gives every later power exactly, and the inequality is still
+    evaluated at every n.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not isinstance(claimed, OperatorClass):
         raise ClassMismatch("unsupported operator class %r" % (claimed,))
     pairwise = claimed.pairwise
-    asymptotic = claimed.asymptotic
     if not pairwise and not T.known_fixed_points:
         raise ClassMismatch(
             "class %r quantifies over Fix(T) but the operator declares none"
             % (claimed,)
         )
     lcg = _Lcg(seed)
-    powers = range(1, n_max + 1) if asymptotic else (1,)
+    powers = range(1, (n_max if claimed.asymptotic else 1) + 1)
 
-    tasks = []
     if pairwise:
-        for pair in extra_pairs:
-            x = _vector(pair[0])
-            z = _vector(pair[1])
-            tasks.append((x, z))
-        for i in range(samples):
-            tasks.append(_sample_pair(T.domain, lcg, i, scale))
+        pairs = [(_vector(x), _vector(z)) for x, z in extra_pairs]
+        pairs += [_sample_pair(T.domain, lcg, i, scale) for i in range(samples)]
+        X = np.array([x for x, _ in pairs])
+        Z = np.array([z for _, z in pairs])
+        xs, zs = _orbits(T, X, powers[-1]), _orbits(T, Z, powers[-1])
+        # (n, each row's partner) of each case
+        partners = Z.tolist()
+        cases = [(n, partners) for n in powers]
+        sides = (claimed.sides(X, Z, xs[n], zs[n], n) for n in powers)
     else:
-        for pt in extra_points:
-            tasks.append((_vector(pt), None))
-        for i in range(samples):
-            tasks.append((sample_point(T.domain, lcg, scale), None))
+        points = [_vector(pt) for pt in extra_points]
+        points += [sample_point(T.domain, lcg, scale) for _ in range(samples)]
+        X = np.array(points)
+        xs = _orbits(T, X, powers[-1])
+        cases = [(n, [p.tolist()] * len(X))
+                 for p in T.known_fixed_points for n in powers]
+        sides = (claimed.sides(X, p, xs[n], n)
+                 for p in T.known_fixed_points for n in powers)
 
+    with np.errstate(all="ignore"):
+        for k, both in enumerate(sides):
+            lhs, rhs = (np.array(np.broadcast_to(v, len(X))) for v in both)
+            margin = lhs - rhs
+            if k == 0:
+                worst = [margin, lhs, rhs, np.zeros(len(X), dtype=int)]
+                continue
+            wins = margin > worst[0]
+            for have, new in zip(worst, (margin, lhs, rhs, k)):
+                np.copyto(have, new, where=wins)
+        margin, lhs, rhs, which = worst
+        ok = margin <= slack * (1.0 + np.abs(rhs))
     records = []
-    for idx, (x, z) in enumerate(tasks):
-        xs = _iterates(T, x, max(powers))
-        if pairwise:
-            zs = _iterates(T, z, max(powers))
-            cases = ((z, n, claimed.sides(x, z, xs[n], zs[n], n)) for n in powers)
-        else:
-            cases = ((p, n, claimed.sides(x, p, xs[n], n))
-                     for p in T.known_fixed_points for n in powers)
-        worst = None
-        for partner, n, (lhs, rhs) in cases:
-            if worst is None or lhs - rhs > worst[0]:
-                worst = (lhs - rhs, lhs, rhs, n, partner)
-        margin, lhs, rhs, n, partner = worst
-        ok = margin <= slack * (1.0 + abs(rhs))
-        records.append(CheckRecord(idx, x.tolist(), partner.tolist(),
-                                   n if asymptotic else None, lhs, rhs, ok))
+    for idx, (x, k, left, right, passed) in enumerate(zip(
+            X.tolist(), which.tolist(), lhs.tolist(), rhs.tolist(), ok.tolist())):
+        n, partners = cases[k]
+        records.append(CheckRecord(idx, x, list(partners[idx]),
+                                   n if claimed.asymptotic else None,
+                                   left, right, passed))
     violations = [r for r in records if not r.passed]
     return ClassReport(
         T.name or "unnamed",
@@ -963,7 +1025,7 @@ def shift_square_ball_map(dim=4):
     factors = np.full(dim - 2, a)
 
     def eval_fn(x):
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         out[1] = x[0] ** 2
         out[2:] = factors * x[1:-1]
         return out

@@ -235,7 +235,9 @@ class Halfspace(ConvexBody):
 
     @cached_property
     def _parts(self):
-        """The normalized row; none for the whole space."""
+        """The normalized row; none for the whole space, a NaN row for no set."""
+        if not self._defined:   # a NaN or an infinite normal: a / |a| is NaN
+            return _rows(np.full((1, self.dim), np.nan), np.full(1, np.nan)), ()
         if self.is_whole_space or self.b == np.inf:
             return _no_rows(self.dim), ()
         if self.b == -np.inf:

@@ -16,11 +16,19 @@ code, one statement per term, compiled once per pair of degrees; piecewise
 and relaxed rules compose their children's kernels.  The kernel is never
 cached on the rule: an ``operators.FixedPointMap`` given a rule compiles it
 once and keeps it.
+
+``rule.array_kernel()`` performs the same operations elementwise on a
+float64 array, so each element has the bits of ``float_kernel`` at that
+element wherever the latter returns.  At a pole it gives an infinity or a
+NaN (under numpy's error state) where the float kernel raises.  A rule
+with constant branches may return a scalar; callers broadcast.
 """
 
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
+
+import numpy as np
 
 __all__ = ["Rational1D", "Piecewise1D", "Relaxed1D", "rule_from_config"]
 
@@ -84,6 +92,9 @@ class Rational1D:
     def float_kernel(self):
         return _rational_factory(len(self.num), len(self.den))(*self.num, *self.den)
 
+    # the Horner statements are elementwise on an array
+    array_kernel = float_kernel
+
     def eval_decimal(self, v):
         num = tuple(map(Decimal, self.num))
         den = tuple(map(Decimal, self.den))
@@ -126,6 +137,15 @@ class Piecewise1D:
             return lambda v: left(v) if v <= at else right(v)
         return lambda v: left(v) if v < at else right(v)
 
+    def array_kernel(self):
+        # both branches run on every element; a NaN takes the right one, as
+        # in the float kernel
+        left, right = self.left.array_kernel(), self.right.array_kernel()
+        at = self.breakpoint
+        if self.left_closed:
+            return lambda v: np.where(v <= at, left(v), right(v))
+        return lambda v: np.where(v < at, left(v), right(v))
+
     def eval_decimal(self, v):
         branch = self.left if self._is_left(v) else self.right
         return branch.eval_decimal(v)
@@ -162,7 +182,13 @@ class Relaxed1D:
         return (1.0 - self.alpha) * v + self.alpha * self.rule(v)
 
     def float_kernel(self):
-        inner, alpha = self.rule.float_kernel(), self.alpha
+        return self._averaged(self.rule.float_kernel())
+
+    def array_kernel(self):
+        return self._averaged(self.rule.array_kernel())
+
+    def _averaged(self, inner):
+        alpha = self.alpha
         keep = 1.0 - alpha
         return lambda v: keep * v + alpha * inner(v)
 

@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from splitfp.operators import FixedPointMap, power_apply
+from splitfp.operators import (
+    CheckRecord,
+    ClassReport,
+    FixedPointMap,
+    _Lcg,
+    _sample_pair,
+    power_apply,
+    sample_point,
+)
 from splitfp.projections import InfeasibleIntersection, ProjectionNoConvergence
 from splitfp.spaces import norm
 
@@ -24,6 +32,58 @@ def full_orbit(T, x, n_max):
     for _ in range(n_max):
         out.append(T(out[-1]))
     return out
+
+
+def verify_class_rows(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
+                      scale=10.0, extra_points=(), extra_pairs=()):
+    """``operators.verify_class`` one sample at a time: the reference its
+    stacked evaluation is compared with.
+
+    Each sample's orbit is evaluated at every power (:func:`full_orbit`),
+    ``claimed.sides`` is called on single vectors, and each sample's worst
+    case is picked with Python comparisons.
+    """
+    lcg = _Lcg(seed)
+    powers = range(1, n_max + 1) if claimed.asymptotic else (1,)
+    tasks = []
+    if claimed.pairwise:
+        for x, z in extra_pairs:
+            tasks.append((np.atleast_1d(np.asarray(x, dtype=float)),
+                          np.atleast_1d(np.asarray(z, dtype=float))))
+        for i in range(samples):
+            tasks.append(_sample_pair(T.domain, lcg, i, scale))
+    else:
+        for pt in extra_points:
+            tasks.append((np.atleast_1d(np.asarray(pt, dtype=float)), None))
+        for _ in range(samples):
+            tasks.append((sample_point(T.domain, lcg, scale), None))
+
+    records = []
+    for idx, (x, z) in enumerate(tasks):
+        with np.errstate(all="ignore"):   # Python floats do not warn
+            records.append(_worst_case(T, claimed, idx, x, z, powers, slack))
+    violations = [r for r in records if not r.passed]
+    return ClassReport(T.name or "unnamed", repr(claimed), samples, seed,
+                       records, violations)
+
+
+def _worst_case(T, claimed, idx, x, z, powers, slack):
+    xs = full_orbit(T, x, max(powers))
+    if claimed.pairwise:
+        zs = full_orbit(T, z, max(powers))
+        cases = ((z, n, claimed.sides(x, z, xs[n], zs[n], n)) for n in powers)
+    else:
+        cases = ((p, n, claimed.sides(x, p, xs[n], n))
+                 for p in T.known_fixed_points for n in powers)
+    worst = None
+    for partner, n, (lhs, rhs) in cases:
+        lhs, rhs = float(lhs), float(rhs)
+        if worst is None or lhs - rhs > worst[0]:
+            worst = (lhs - rhs, lhs, rhs, n, partner)
+    margin, lhs, rhs, n, partner = worst
+    ok = margin <= slack * (1.0 + abs(rhs))
+    return CheckRecord(idx, x.tolist(), partner.tolist(),
+                       n if claimed.asymptotic else None, lhs, rhs, ok)
 
 
 class DykstraNoConvergence(ProjectionNoConvergence):

@@ -203,6 +203,42 @@ def test_run_unknown_flag_exits_2(tmp_path, capsys):
     assert "unknown flags wq-branch" in capsys.readouterr().err
 
 
+def test_run_unknown_stopping_key_exits_2(tmp_path, capsys):
+    doc = {"problem": {"example": "bnm_t1"}, "stopping": {"max_iter": 5}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown keys stopping.max_iter" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("domain, what", [
+    ({"ball": {"center": [float("inf")], "radius": 1.0}}, "centre"),
+    ({"halfspace": {"a": [float("-inf")], "b": 1.0}}, "normal"),
+    ({"intersection": [{"whole_space": 1},
+                       {"ball": {"center": [float("-inf")], "radius": 1.0}}]}, "centre"),
+], ids=["ball", "halfspace", "intersection"])
+def test_run_rejects_an_infinite_normal_or_centre(tmp_path, capsys, domain, what):
+    T = dict(SCFPP_INLINE["problem"]["T"], domain=domain)
+    doc = dict(SCFPP_INLINE, problem=dict(SCFPP_INLINE["problem"], T=T))
+    cfg = write_config(tmp_path, doc)   # json writes the infinities as Infinity
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: set {")
+    assert "has an infinite %s" % what in err
+
+
+@pytest.mark.parametrize("domain", [
+    {"ball": {"center": [0.0], "radius": float("inf")}},
+    {"halfspace": {"a": [1.0], "b": float("inf")}},
+], ids=["ball", "halfspace"])
+def test_run_takes_an_infinite_radius_or_offset_as_the_whole_space(tmp_path, domain):
+    T = dict(SCFPP_INLINE["problem"]["T"], domain=domain)
+    doc = dict(SCFPP_INLINE, problem=dict(SCFPP_INLINE["problem"], T=T))
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("start, message", [
     ({"x": [1.0, 2.0], "y": [1.0]}, "x0 has 2 entries; A expects 1"),
     ({"x": [1.0], "y": [1.0, 2.0]}, "y0 has 2 entries; B expects 1"),
@@ -348,6 +384,26 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "heDu", "nosuchclass"]) == 2
     # class needing fixed points against an operator with none is a usage error
     assert main(["verify", "identity", "contraction:0.5"]) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", "ten"])
+def test_verify_rejects_a_sample_count_below_one(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "heDu", "declared", "--samples", samples])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be a positive integer" in err and "internal error" not in err
+
+
+def test_verify_names_an_invalid_class_parameter(capsys):
+    assert main(["verify", "wqU", "demicontractive:1.5"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameter for class demicontractive" in err
+    assert "requires k in [0,1), got 1.5" in err and "unknown" not in err
+    assert main(["verify", "wqU", "demicontractive:abc"]) == 2
+    assert "invalid parameter" in capsys.readouterr().err
+    assert main(["verify", "wqU", "nosuchclass"]) == 2
+    assert "unknown operator class 'nosuchclass'" in capsys.readouterr().err
 
 
 def test_verify_identity_across_classes(capsys):

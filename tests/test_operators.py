@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -37,9 +38,9 @@ from splitfp.operators import (
 from splitfp import projections
 from splitfp.projections import Box, WholeSpace, contains, project
 from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
-from splitfp.spaces import DimensionMismatch, norm
+from splitfp.spaces import DimensionMismatch, inner, norm
 
-from helpers import full_orbit, power_map
+from helpers import full_orbit, power_map, verify_class_rows
 from lemmas import (
     check_power_inequality_equivalences,
     strong_monotonicity_of_complement,
@@ -594,6 +595,97 @@ def test_ball_map_orbit_stops_after_its_first_fixed_evaluation():
         first_fixed = next(k for k in range(20)
                            if want[k + 1].tobytes() == want[k].tobytes())
         assert evaluations == first_fixed + 1 <= 5
+
+
+# ---------------------------------------------------------------------------
+# the stacked verifier against the row loop
+
+
+def _seeded_rows(seed, count, d):
+    """Rows over [-10, 10)^d and over magnitudes 1e-150 .. 1e150."""
+    lcg = _Lcg(seed)
+    rows = [[20.0 * lcg.next_double() - 10.0 for _ in range(d)] for _ in range(count)]
+    rows += [[10.0 ** (300.0 * lcg.next_double() - 150.0)
+              * (1.0 if lcg.next_double() < 0.5 else -1.0) for _ in range(d)]
+             for _ in range(count)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_norms_and_inner_products_have_the_bits_of_spaces(d):
+    A, B = _seeded_rows(d, 2000, d), _seeded_rows(d + 10, 2000, d)
+    assert operators._norm(A).tolist() == [norm(a) for a in A]
+    assert np.vecdot(A, B).tolist() == [inner(a, b) for a, b in zip(A, B)]
+    # a single vector is a stack with no leading axis
+    assert float(operators._norm(A[7])) == norm(A[7])
+
+
+def test_stacked_square_has_the_bits_of_python_pow():
+    # Python's t ** 2 calls libm pow; t * t rounds differently on some values
+    lcg = _Lcg(9)
+    t = [10.0 ** (200.0 * lcg.next_double() - 100.0) * (lcg.next_double() - 0.5)
+         for _ in range(20000)]
+    assert operators._sq(np.array(t)).tolist() == [v ** 2 for v in t]
+
+
+@pytest.mark.parametrize("claimed", ["declared", "total_quasi", "nonexpansive"])
+@pytest.mark.parametrize("name", sorted(operator_catalog()))
+def test_stacked_verify_gives_the_records_of_the_row_loop(name, claimed):
+    T = operator_catalog()[name]
+    zero = SequenceSpec.const(0.0)
+    cls, samples = {
+        "declared": (T.declared_class, 1000),
+        "total_quasi": (T.declared_class.total_quasi
+                        or TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge("t^2")),
+                        300),
+        "nonexpansive": (Nonexpansive(), 300),
+    }[claimed]
+    for seed in (1, 2, 3):
+        got = verify_class(T, cls, samples=samples, seed=seed)
+        want = verify_class_rows(T, cls, samples=samples, seed=seed)
+        assert got.records == want.records, (name, seed)
+        assert got.violations == want.violations
+        assert got.to_text() == want.to_text()
+
+
+def test_stacked_verify_takes_the_first_worst_case_and_never_a_nan_margin():
+    cls = TotalQuasiAsymptoticallyNonexpansive(
+        SequenceSpec.const(0.0), SequenceSpec.const(0.0), Gauge("t^2"))
+    # x -> x^2 fixes 0 and 1; at x = 0 and x = 1 every case has margin 0,
+    # so the first case (p = 1, n = 1) stays
+    T = map_from_rule(Rational1D([0.0, 0.0, 1.0], [1.0]), WholeSpace(1),
+                      known_fixed_points=([1.0], [0.0]))
+    points = [[0.0], [1.0], [-1.0], [0.5], [math.nan], [1e200]]
+    got = verify_class(T, cls, samples=5, seed=4, n_max=6, extra_points=points)
+    want = verify_class_rows(T, cls, samples=5, seed=4, n_max=6, extra_points=points)
+    assert got.to_text() == want.to_text()
+    assert [(r.partner, r.n) for r in got.records[:2]] == [([1.0], 1), ([1.0], 1)]
+    # x -> 3x below 1 in size, NaN beyond: the NaN margins at later powers
+    # never displace a finite worst case
+    T = FixedPointMap(lambda x: 3.0 * x if abs(x[0]) < 1.0 else np.full(1, np.nan),
+                      WholeSpace(1), known_fixed_points=([0.0],))
+    points = [[0.5], [0.2]]
+    got = verify_class(T, cls, samples=5, seed=4, n_max=4, extra_points=points)
+    want = verify_class_rows(T, cls, samples=5, seed=4, n_max=4, extra_points=points)
+    assert got.to_text() == want.to_text()
+    assert [(r.n, r.lhs - r.rhs) for r in got.records[:2]] == [
+        (1, 2.0), (2, pytest.approx(3.2))]   # 1.5^2 - 0.5^2, 1.8^2 - 0.2^2
+
+
+def test_stacked_orbit_of_a_rule_keeps_the_bits_and_errors_of_the_map():
+    square = map_from_rule(Rational1D([0.0, 0.0, 1.0], [1.0]), WholeSpace(1))
+    X = np.array([[0.5], [-0.0], [1e200], [math.nan], [math.inf], [-2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # no RuntimeWarning leaks
+        orbit = operators._orbits(square, X, 6)
+    want = [full_orbit(square, x, 6) for x in X]
+    assert [v.tobytes() for v in orbit] == [
+        np.array([row[n] for row in want]).tobytes() for n in range(7)]
+    pole = map_from_rule(Rational1D([1.0], [1.0, -1.0]), WholeSpace(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError):
+            operators._orbits(pole, np.array([[3.0], [1.0]]), 3)
 
 
 # ---------------------------------------------------------------------------

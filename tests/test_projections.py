@@ -334,6 +334,18 @@ def test_members_whose_numbers_describe_no_set_project_to_nan(S):
     assert np.isnan(project(S, np.zeros(S.dim))).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("S", [
+    Halfspace([np.inf, 0.0], 1.0),
+    Halfspace([-np.inf], 1.0),
+    Halfspace([1.0, 0.0], np.nan),
+    Intersection([Box([0.0, 0.0], [1.0, 1.0]), Halfspace([np.inf, np.inf], 1.0)]),
+])
+def test_undefined_halfspace_has_a_nan_row_and_no_warning(S):
+    N, b = S.polyhedron
+    assert np.isnan(N[-1]).all() and np.isnan(b[-1])
+
+
 def test_certificate_bounds_the_radius_it_excludes():
     # nearly parallel rows crossing at z_1 <= -2e13 are taken as empty; the
     # certificate still shows that no point lies within 1e13 of the origin

@@ -1,8 +1,10 @@
-"""Float kernels of scalar rules: the same IEEE operations as the rule."""
+"""Float and array kernels of scalar rules: the same IEEE operations as
+the rule."""
 
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from splitfp.operators import _Lcg, operator_catalog
@@ -72,6 +74,24 @@ def test_kernel_has_the_bits_of_the_rule(name):
     values = EDGES + _samples(len(name)) + _around(1.0) + _around(0.5)
     values += [-1.0 + d for d in (-1e-12, 0.0, 1e-12)]   # the heDu/bigU pole
     _assert_kernel_matches(rule, values)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_RULES) + sorted(EXTRA_RULES))
+def test_array_kernel_has_the_bits_of_the_float_kernel(name):
+    # elementwise over one array: the breakpoints (wqU closed at 1, the open
+    # step at 0.5), NaN, +-0.0 and the heDu/bigU pole at -1 among the values
+    rule = CATALOG_RULES.get(name) or EXTRA_RULES[name]
+    values = EDGES + _samples(len(name)) + _around(1.0) + _around(0.5)
+    values += [-1.0 + d for d in (-1e-12, 0.0, 1e-12)]
+    kernel = rule.float_kernel()
+    with np.errstate(all="ignore"):
+        stacked = np.broadcast_to(rule.array_kernel()(np.array(values)), len(values))
+    for v, got in zip(values, stacked.tolist()):
+        want = _bits(kernel, v)
+        if want is ZeroDivisionError:   # a pole: the array gives inf or NaN
+            assert not math.isfinite(got), (rule, v)
+        else:
+            assert struct.pack("d", got) == want, (rule, v)
 
 
 def test_kernel_raises_at_the_pole_like_the_rule():
