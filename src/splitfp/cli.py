@@ -161,7 +161,17 @@ _FLAG_FIELDS = {
     "cut_cap": "cut_cap",
 }
 
+_CONFIG_KEYS = ("problem", "start", "stopping", "outputs", "flags")
 _STOPPING_KEYS = ("max_iters", "residual_tol", "stagnation_tol", "target_tol")
+_OUTPUT_KEYS = ("trace", "summary", "plot")
+
+
+def _check_keys(doc, known, path=""):
+    """Raise a ValidationError naming each key of ``doc`` not in ``known``."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValidationError("unknown keys %s (known: %s)" % (
+            ", ".join(path + key for key in unknown), ", ".join(known)))
 
 
 def _load_run_config(path, args):
@@ -172,6 +182,7 @@ def _load_run_config(path, args):
     """
     with open(path) as fh:
         config = json.load(fh)
+    _check_keys(config, _CONFIG_KEYS)
     flags = dict(config.get("flags", {}))
     unknown = sorted(set(flags) - set(_FLAG_FIELDS))
     if unknown:
@@ -200,11 +211,7 @@ def _load_run_config(path, args):
         spec = replace(spec, **overrides)
 
     stopping = config.get("stopping", {})
-    unknown = sorted(set(stopping) - set(_STOPPING_KEYS))
-    if unknown:
-        raise ValidationError("unknown keys %s (known: %s)" % (
-            ", ".join("stopping." + key for key in unknown),
-            ", ".join(_STOPPING_KEYS)))
+    _check_keys(stopping, _STOPPING_KEYS, "stopping.")
     if stopping or rule is None:
         rule = StoppingRule(
             max_iters=int(stopping.get("max_iters", 1000)),
@@ -217,6 +224,7 @@ def _load_run_config(path, args):
     if args.tol is not None:
         rule = replace(rule, residual_tol=args.tol)
     outputs = config.get("outputs", {})
+    _check_keys(outputs, _OUTPUT_KEYS, "outputs.")
     return spec, start, rule, outputs
 
 
@@ -224,54 +232,55 @@ def _load_run_config(path, args):
 # trace serialization
 
 
-def _fmt(v):
-    return "%.17g" % v
+_fmt = "%.17g".__mod__   # 17 significant digits: every double round-trips
 
 
-def _trace_columns(trace):
+def _vector_slots(trace):
+    """The vector slots of a trace in column order, each with its dimension."""
     first = trace.records[0]
-    cols = ["n"]
-    cols += ["x_%d" % i for i in range(first.x.shape[0])]
+    slots = [("x", first.x.shape[0])]
     if first.y is not None:
-        cols += ["y_%d" % i for i in range(first.y.shape[0])]
+        slots.append(("y", first.y.shape[0]))
     # each intermediate has the dimension of the block it belongs to; a
     # parsed trace has no family, and its slots take the x dimension
     family = FAMILIES.get(trace.family)
     y_block = family.y_block if family else ""
     for slot in trace.intermediates:
-        vec = first.y if slot in y_block else first.x
-        cols += ["%s_%d" % (slot, i) for i in range(vec.shape[0])]
-    cols += ["step", "residual_primary", "residual_coupling", "dist_to_target",
-             "cut_count"]
-    return cols
+        slots.append((slot, (first.y if slot in y_block else first.x).shape[0]))
+    return slots
 
 
-def _record_cells(rec, cols):
-    by_vector = {"x": rec.x, "y": rec.y, "u": rec.u, "z": rec.z, "w": rec.w,
-                 "r": rec.r}
-    cells = []
-    for col in cols:
-        if col == "n":
-            cells.append(str(rec.n))
-        elif col == "cut_count":
-            cells.append("" if rec.cut_count is None else str(rec.cut_count))
-        elif col in ("step", "residual_primary", "residual_coupling",
-                     "dist_to_target"):
-            v = getattr(rec, col)
-            cells.append("" if v is None else _fmt(v))
-        else:
-            name, idx = col.rsplit("_", 1)
-            vec = by_vector[name]
-            cells.append("" if vec is None else _fmt(vec[int(idx)]))
-    return cells
+def _trace_columns(trace):
+    cols = ["n"]
+    cols += ["%s_%d" % (slot, i) for slot, dim in _vector_slots(trace)
+             for i in range(dim)]
+    return cols + ["step", "residual_primary", "residual_coupling", "dist_to_target",
+                   "cut_count"]
+
+
+def _trace_cells(trace):
+    """Each record's cells, in the order of :func:`_trace_columns`."""
+    slots = _vector_slots(trace)
+    for rec in trace.records:
+        cells = [str(rec.n)]
+        for slot, dim in slots:
+            vec = getattr(rec, slot)
+            if vec is None:
+                cells += [""] * dim
+            else:
+                values = vec.tolist()
+                cells += [_fmt(values[i]) for i in range(dim)]
+        cells += ["" if v is None else _fmt(v)
+                  for v in (rec.step, rec.residual_primary, rec.residual_coupling,
+                            rec.dist_to_target)]
+        cells.append("" if rec.cut_count is None else str(rec.cut_count))
+        yield cells
 
 
 def write_trace_csv(trace, path):
     """Comma-separated trace, header row, LF endings, 17 significant digits."""
-    cols = _trace_columns(trace)
-    lines = [",".join(cols)]
-    for rec in trace.records:
-        lines.append(",".join(_record_cells(rec, cols)))
+    lines = [",".join(_trace_columns(trace))]
+    lines += map(",".join, _trace_cells(trace))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -331,10 +340,8 @@ def write_trace_json(trace, path):
         "family": trace.family,
         "stop_reason": trace.stop_reason,
         "columns": cols,
-        "records": [
-            [cell if cell != "" else None for cell in _record_cells(rec, cols)]
-            for rec in trace.records
-        ],
+        "records": [[cell if cell != "" else None for cell in cells]
+                    for cells in _trace_cells(trace)],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -445,7 +452,7 @@ def cmd_run(args):
         "final_residual": final.residual_primary,
         "dist_to_target": final.dist_to_target,
         "range_warnings": list(spec.warnings),
-        "trace": str(trace_path),
+        "trace": trace_name,   # relative to --out-dir
     }
     if spec.reference_solution is not None:
         target = (

@@ -14,6 +14,7 @@ reports are bit-reproducible across platforms.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar
@@ -622,26 +623,14 @@ def power_apply(T, n, x, check_domain=True):
 
     Two loops compute the same thing.  When T has a ``kernel`` (the float
     kernel of its rule, compiled once when the map is built) and x has one
-    element, the loop runs on a Python float and calls the kernel: the
-    same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
-    every iterate in an array.  Every other map, and every d > 1, takes the
-    array loop through ``T.__call__``.
+    element, the loop is :func:`_float_power`, on a Python float.  Every
+    other map, and every d > 1, takes the array loop through ``T.__call__``.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
     cur = _vector(x)
-    kernel = T.kernel
-    if kernel is not None and cur.shape == (1,):
-        v = float(cur[0])
-        for i in range(n):
-            if check_domain:
-                point = np.array([v])
-                if not contains(T.domain, point, tol=1e-9):
-                    raise _domain_escape(i, n, point)
-            v, prev = float(kernel(v)), v
-            if v == prev and math.copysign(1.0, v) == math.copysign(1.0, prev):
-                break
-        return np.array([v])
+    if T.kernel is not None and cur.shape == (1,):
+        return np.array([_float_power(T, n, float(cur[0]), check_domain)])
     for i in range(n):
         if check_domain and not contains(T.domain, cur, tol=1e-9):
             raise _domain_escape(i, n, cur)
@@ -650,6 +639,20 @@ def power_apply(T, n, x, check_domain=True):
             return nxt
         cur = nxt
     return cur
+
+
+def _float_power(T, n, v, check_domain=True):
+    """T^n v on a Python float v, through T's ``kernel``: the loop of
+    :func:`power_apply` for one element, with the array loop's bits and
+    errors.  It stops when the image equals v and has its sign."""
+    kernel = T.kernel
+    for i in range(n):
+        if check_domain and not contains(T.domain, point := np.array([v]), tol=1e-9):
+            raise _domain_escape(i, n, point)
+        v, prev = float(kernel(v)), v
+        if v == prev and math.copysign(1.0, v) == math.copysign(1.0, prev):
+            break
+    return v
 
 
 def _bitwise_fixed(v, image):
@@ -900,8 +903,14 @@ def _orbits(T, X, n_max):
     stacked.
     """
     if T.rule is None:
-        rows = [_iterates(T, x, n_max) for x in X]
-        return [np.array(stack) for stack in zip(*rows)]
+        # a column whose rows are all the previous column's arrays (every
+        # orbit has stopped) reuses the previous stack
+        stacks, before = [], None
+        for column in zip(*(_iterates(T, x, n_max) for x in X)):
+            same = before is not None and all(map(operator.is_, column, before))
+            stacks.append(stacks[-1] if same else np.array(column))
+            before = column
+        return stacks
     kernel = T.rule.array_kernel()
 
     def image(V):

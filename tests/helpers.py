@@ -1,17 +1,23 @@
 """Constructions that only the tests use."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
+
+from splitfp import solvers
 
 from splitfp.operators import (
     CheckRecord,
     ClassReport,
+    DomainEscape,
     FixedPointMap,
     _Lcg,
     _sample_pair,
     power_apply,
     sample_point,
 )
-from splitfp.projections import InfeasibleIntersection, ProjectionNoConvergence
+from splitfp.projections import InfeasibleIntersection, ProjectionNoConvergence, contains
 from splitfp.spaces import norm
 
 
@@ -23,6 +29,33 @@ def power_map(T, n, name=None):
         known_fixed_points=T.known_fixed_points,
         name=name or ("%s^%d" % (T.name or "T", n)),
     )
+
+
+@contextlib.contextmanager
+def array_lane():
+    """Inside this block every run steps on arrays, 1-D runs included: the
+    array stepping that ``solvers.run`` used for every run before 1-D runs
+    moved to Python floats, and the reference the float lane is compared
+    with.  ``solvers._lane_for`` is the one place a run picks its lane."""
+    with mock.patch.object(solvers, "_lane_for", lambda spec, x, y: solvers._ARRAYS):
+        yield
+
+
+def power_apply_arrays(T, n, x, check_domain=True):
+    """``operators.power_apply``'s array loop, the reference its float loop
+    (``operators._float_power``) must match."""
+    cur = np.atleast_1d(np.asarray(x, dtype=float))
+    for i in range(n):
+        if check_domain and not contains(T.domain, cur, tol=1e-9):
+            raise DomainEscape(
+                "iterate left the domain before application %d of %d: %s"
+                % (i + 1, n, cur.tolist())
+            )
+        nxt = T(cur)
+        if nxt.shape == cur.shape and nxt.tobytes() == cur.tobytes():
+            return nxt
+        cur = nxt
+    return cur
 
 
 def full_orbit(T, x, n_max):

@@ -212,6 +212,35 @@ def test_run_unknown_stopping_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("doc, path", [
+    # a misspelled top-level key used to run silently from the preset's start
+    ({"problem": {"example": "bnm_t1"}, "strat": {"x": [1.0]}}, "strat"),
+    ({"problem": {"example": "bnm_t1"}, "outputs": {"sumary": "s.json"}},
+     "outputs.sumary"),
+])
+def test_run_unknown_config_key_exits_2(tmp_path, capsys, doc, path):
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown keys %s (known: " % path in err
+    known = "problem, start, stopping, outputs, flags" if "." not in path else \
+        "trace, summary, plot"
+    assert err.rstrip().endswith("(known: %s)" % known)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_summary_names_the_trace_relative_to_the_out_dir(tmp_path, capsys):
+    doc = dict(BNM_CONFIG, outputs={"trace": "t1.csv"}, stopping={"max_iters": 5})
+    cfg = write_config(tmp_path, doc)
+    summaries = []
+    for out in (tmp_path / "a", tmp_path / "deeper" / "b"):
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"] == "t1.csv"
+        summaries.append((out / "summary.json").read_bytes())
+        assert (out / "t1.csv").exists()
+    assert summaries[0] == summaries[1]
+
+
 @pytest.mark.parametrize("domain, what", [
     ({"ball": {"center": [float("inf")], "radius": 1.0}}, "centre"),
     ({"halfspace": {"a": [float("-inf")], "b": 1.0}}, "normal"),

@@ -32,6 +32,7 @@ from splitfp.operators import (
     operator_catalog,
     power_apply,
     relax,
+    sample_point,
     shift_square_ball_map,
     verify_class,
 )
@@ -40,7 +41,7 @@ from splitfp.projections import Box, WholeSpace, contains, project
 from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 from splitfp.spaces import DimensionMismatch, inner, norm
 
-from helpers import full_orbit, power_map, verify_class_rows
+from helpers import full_orbit, power_apply_arrays, power_map, verify_class_rows
 from lemmas import (
     check_power_inequality_equivalences,
     strong_monotonicity_of_complement,
@@ -153,22 +154,6 @@ def test_power_apply_keeps_signed_zeros_apart():
     assert power_apply(negate, 3, [0.0]).tobytes() == np.array([-0.0]).tobytes()
 
 
-def _power_apply_arrays(T, n, x, check_domain=True):
-    """power_apply's array loop, the reference its scalar loop must match."""
-    cur = np.atleast_1d(np.asarray(x, dtype=float))
-    for i in range(n):
-        if check_domain and not contains(T.domain, cur, tol=1e-9):
-            raise DomainEscape(
-                "iterate left the domain before application %d of %d: %s"
-                % (i + 1, n, cur.tolist())
-            )
-        nxt = T(cur)
-        if nxt.shape == cur.shape and nxt.tobytes() == cur.tobytes():
-            return nxt
-        cur = nxt
-    return cur
-
-
 def _outcome(power, T, n, x, check_domain):
     try:
         out = power(T, n, x, check_domain=check_domain)
@@ -195,7 +180,7 @@ def test_power_apply_scalar_loop_matches_array_loop(name):
     for x in starts:
         for check_domain in (True, False):
             for n in range(1, 61):
-                want = _outcome(_power_apply_arrays, T, n, [x], check_domain)
+                want = _outcome(power_apply_arrays, T, n, [x], check_domain)
                 assert _outcome(power_apply, T, n, [x], check_domain) == want, \
                     (x, check_domain, n)
                 escapes += want[0] is DomainEscape
@@ -670,6 +655,28 @@ def test_stacked_verify_takes_the_first_worst_case_and_never_a_nan_margin():
     assert got.to_text() == want.to_text()
     assert [(r.n, r.lhs - r.rhs) for r in got.records[:2]] == [
         (1, 2.0), (2, pytest.approx(3.2))]   # 1.5^2 - 0.5^2, 1.8^2 - 0.2^2
+
+
+def test_stacked_orbit_of_an_opaque_map_reuses_a_stack_once_every_row_stops():
+    T = operator_catalog()["ballMap"]
+    lcg = _Lcg(5)
+    X = np.array([sample_point(T.domain, lcg) for _ in range(200)])
+    orbit = operators._orbits(T, X, 20)
+    want = [full_orbit(T, x, 20) for x in X]
+    assert [v.tobytes() for v in orbit] == [
+        np.array([row[n] for row in want]).tobytes() for n in range(21)]
+    # every ballMap row is zero by power 5, so the later stacks are one object
+    assert orbit[20] is orbit[7]
+    assert len({id(v) for v in orbit}) <= 8
+    # while any row moves, each column is a new stack: the first row is 0.0
+    # from power 1 on, the second from power 8, so only stack 10 is reused
+    halve = FixedPointMap(lambda x: np.where(np.abs(x) < 1.0, 0.0, 0.5 * x),
+                          WholeSpace(1))
+    X = np.array([[0.5], [64.0]])
+    stacks = operators._orbits(halve, X, 10)
+    assert [v.tobytes() for v in stacks] == [
+        np.array([full_orbit(halve, x, 10)[n] for x in X]).tobytes() for n in range(11)]
+    assert len({id(v) for v in stacks}) == 10 and stacks[10] is stacks[9]
 
 
 def test_stacked_orbit_of_a_rule_keeps_the_bits_and_errors_of_the_map():
