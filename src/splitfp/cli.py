@@ -184,10 +184,7 @@ def _load_run_config(path, args):
         config = json.load(fh)
     _check_keys(config, _CONFIG_KEYS)
     flags = dict(config.get("flags", {}))
-    unknown = sorted(set(flags) - set(_FLAG_FIELDS))
-    if unknown:
-        raise ValidationError("unknown flags %s (known: %s)"
-                              % (", ".join(unknown), ", ".join(_FLAG_FIELDS)))
+    _check_keys(flags, _FLAG_FIELDS, "flags.")
     if args.wq_branch:
         flags["wq_branch"] = args.wq_branch
     if "cut_cap" in flags:

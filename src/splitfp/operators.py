@@ -623,14 +623,26 @@ def power_apply(T, n, x, check_domain=True):
 
     Two loops compute the same thing.  When T has a ``kernel`` (the float
     kernel of its rule, compiled once when the map is built) and x has one
-    element, the loop is :func:`_float_power`, on a Python float.  Every
-    other map, and every d > 1, takes the array loop through ``T.__call__``.
+    element, the loop runs on a Python float and calls the kernel: the
+    same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
+    every iterate in an array.  Every other map, and every d > 1, takes the
+    array loop through ``T.__call__``.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
     cur = _vector(x)
-    if T.kernel is not None and cur.shape == (1,):
-        return np.array([_float_power(T, n, float(cur[0]), check_domain)])
+    kernel = T.kernel
+    if kernel is not None and cur.shape == (1,):
+        v = float(cur[0])
+        for i in range(n):
+            if check_domain:
+                point = np.array([v])
+                if not contains(T.domain, point, tol=1e-9):
+                    raise _domain_escape(i, n, point)
+            v, prev = float(kernel(v)), v
+            if v == prev and math.copysign(1.0, v) == math.copysign(1.0, prev):
+                break
+        return np.array([v])
     for i in range(n):
         if check_domain and not contains(T.domain, cur, tol=1e-9):
             raise _domain_escape(i, n, cur)
@@ -639,20 +651,6 @@ def power_apply(T, n, x, check_domain=True):
             return nxt
         cur = nxt
     return cur
-
-
-def _float_power(T, n, v, check_domain=True):
-    """T^n v on a Python float v, through T's ``kernel``: the loop of
-    :func:`power_apply` for one element, with the array loop's bits and
-    errors.  It stops when the image equals v and has its sign."""
-    kernel = T.kernel
-    for i in range(n):
-        if check_domain and not contains(T.domain, point := np.array([v]), tol=1e-9):
-            raise _domain_escape(i, n, point)
-        v, prev = float(kernel(v)), v
-        if v == prev and math.copysign(1.0, v) == math.copysign(1.0, prev):
-            break
-    return v
 
 
 def _bitwise_fixed(v, image):

@@ -16,8 +16,9 @@ default array lane is today's functions on vectors.  A run whose blocks are
 all 1-D steps on Python floats through the float lane, whose leaves have
 the array forms' bits: a rule map's ``kernel``, ``0.0 + m*v`` for a 1x1
 ``matrix @ x`` (the matmul sums from +0.0, turning a -0.0 product into
-+0.0), ``sqrt(v*v)`` for ``norm``, ``operators._float_power``, and else the
-array form on ``np.array([v])``.  Trace records hold arrays in either lane.
++0.0), ``sqrt(v*v)`` for ``norm``, and else the array form on
+``np.array([v])``; an iterate power is ``power_apply``, whose scalar loop
+serves a 1-element rule map.  Trace records hold arrays in either lane.
 """
 
 import math
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .operators import DomainEscape, _float_power, power_apply
+from .operators import DomainEscape, power_apply
 from .problems import (
     EXTRAGRADIENT_SFFPP,
     FAMILIES,
@@ -160,8 +161,6 @@ def _float_lane(spec):
         return float(T.kernel(v)) if T.kernel else T(np.array([v])).item()
 
     def power(T, n, v, check_domain=True):
-        if T.kernel:
-            return _float_power(T, n, v, check_domain)
         return power_apply(T, n, np.array([v]), check_domain).item()
 
     return SimpleNamespace(
@@ -341,13 +340,13 @@ def step_scfpep(spec, x, y, n, _lane=_ARRAYS):
 # extra-gradient family
 
 
-def _extragradient_correction(spec, v, lane):
-    av = lane.apply(spec.A, v)
-    mapped = lane.call(spec.G, lane.project(spec.Q, av))
-    return lane.adjoint(spec.A, av - mapped)
+def _extragradient_correction(spec, v):
+    av = spec.A.apply(v)
+    mapped = spec.G(project(spec.Q, av))
+    return spec.A.apply_adjoint(av - mapped)
 
 
-def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
+def step_extragradient(spec, x, cuts, x0, n):
     """Double-extrapolation step with distance-dominance cuts.
 
     Computes two projected extrapolations y_n, z_n, an Ishikawa-style inner
@@ -358,17 +357,15 @@ def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
 
     to the cut list and projects the *initial* point onto C intersected
     with every cut so far.  Cuts are never dropped: the nesting of the cut
-    sets is what the strong-convergence argument rests on.  The cuts are
-    halfspaces over vectors, so :func:`run` keeps this family on arrays.
+    sets is what the strong-convergence argument rests on.
     """
     gamma = spec.gamma_seq(n)
     alpha = spec.alpha(n)
     beta = spec.beta(n)
-    C, correct = spec.C, _extragradient_correction
-    y_pt = _lane.project(C, x - gamma * correct(spec, x, _lane))
-    z_pt = _lane.project(C, y_pt - gamma * correct(spec, y_pt, _lane))
-    inner_pt = (1.0 - beta) * z_pt + beta * _lane.call(spec.T, z_pt)
-    w_pt = (1.0 - alpha) * z_pt + alpha * _lane.call(spec.T, inner_pt)
+    y_pt = project(spec.C, x - gamma * _extragradient_correction(spec, x))
+    z_pt = project(spec.C, y_pt - gamma * _extragradient_correction(spec, y_pt))
+    inner_pt = (1.0 - beta) * z_pt + beta * spec.T(z_pt)
+    w_pt = (1.0 - alpha) * z_pt + alpha * spec.T(inner_pt)
 
     new_cuts = list(cuts)
     new_cuts.append(halfspace_from_distance_dominance(w_pt, z_pt))
@@ -379,12 +376,12 @@ def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
             "cut list grew to %d, beyond the cap %d" % (len(new_cuts), spec.cut_cap),
             n,
         )
-    x_next = _lane.project(Intersection([C, *new_cuts]), x0)
+    x_next = project(Intersection([spec.C, *new_cuts]), x0)
     return StepResult(
         x=x_next,
         intermediates={"u": y_pt, "z": z_pt, "w": w_pt, "r": inner_pt},
         step=gamma,
-        residual_primary=_lane.norm(x_next - x),
+        residual_primary=norm(x_next - x),
         cuts=new_cuts,
     )
 
@@ -437,8 +434,7 @@ _FAMILY_STEPS = {
              lambda lane, spec, x, y, cuts, x0, n: step_scfpep(spec, x, y, n, lane)),
     EXTRAGRADIENT_SFFPP: (
         _fixed_point_residual,
-        lambda lane, spec, x, y, cuts, x0, n:
-            step_extragradient(spec, x, cuts, x0, n, lane)),
+        lambda lane, spec, x, y, cuts, x0, n: step_extragradient(spec, x, cuts, x0, n)),
 }
 
 

@@ -42,8 +42,8 @@ def array_lane():
 
 
 def power_apply_arrays(T, n, x, check_domain=True):
-    """``operators.power_apply``'s array loop, the reference its float loop
-    (``operators._float_power``) must match."""
+    """``operators.power_apply``'s array loop, the reference its scalar loop
+    must match."""
     cur = np.atleast_1d(np.asarray(x, dtype=float))
     for i in range(n):
         if check_domain and not contains(T.domain, cur, tol=1e-9):

@@ -200,7 +200,7 @@ def test_run_unknown_flag_exits_2(tmp_path, capsys):
     doc = {"problem": {"example": "bnm_t1"}, "flags": {"wq-branch": "sideways"}}
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-    assert "unknown flags wq-branch" in capsys.readouterr().err
+    assert "unknown keys flags.wq-branch (known: wq_branch," in capsys.readouterr().err
 
 
 def test_run_unknown_stopping_key_exits_2(tmp_path, capsys):

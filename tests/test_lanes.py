@@ -12,14 +12,15 @@ import struct
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from splitfp import cli, solvers
+from splitfp import cli, operators, solvers
 from splitfp.cli import build_spec_from_config, main
-from splitfp.operators import DomainEscape, _float_power, operator_catalog, relax
-from splitfp.presets import catalog
+from splitfp.operators import DomainEscape, operator_catalog, relax
+from splitfp.presets import catalog, run_example
 from splitfp.problems import StoppingRule
 from splitfp.projections import Ball, Box, WholeSpace, project
 from splitfp.solvers import NonFiniteState, SolverError, run
@@ -182,7 +183,21 @@ def test_power_leaf_matches_the_array_loop(T):
         assert outcome(lane.power, T, n, v, check) == want, (v, n, check)
         escapes += want[0] is DomainEscape
     assert escapes > 0
-    assert lane.power(T, 3, 4.0) == _float_power(T, 3, 4.0)
+
+
+def test_float_powers_go_through_the_solvers_power_apply():
+    # scfpp_smallS steps on floats; a wrapper installed on
+    # solvers.power_apply sees each of its two powers per step
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return operators.power_apply(*args)
+
+    with mock.patch.object(solvers, "power_apply", counted):
+        trace = run_example("scfpp_smallS")
+    assert len(trace.records) - 1 == 23
+    assert len(calls) == 2 * 23
 
 
 @pytest.mark.parametrize("S", [WholeSpace(1), Box([0.0], [np.inf]), Ball([0.5], 2.0)],
