@@ -238,12 +238,13 @@ def _vector_slots(trace):
     slots = [("x", first.x.shape[0])]
     if first.y is not None:
         slots.append(("y", first.y.shape[0]))
-    # each intermediate has the dimension of the block it belongs to; a
-    # parsed trace has no family, and its slots take the x dimension
+    # each intermediate has the dimension of the first record holding it,
+    # else of its block; a parsed trace has no family, so x's
     family = FAMILIES.get(trace.family)
     y_block = family.y_block if family else ""
     for slot in trace.intermediates:
-        slots.append((slot, (first.y if slot in y_block else first.x).shape[0]))
+        held = (v for v in (getattr(rec, slot) for rec in trace.records) if v is not None)
+        slots.append((slot, next(held, first.y if slot in y_block else first.x).shape[0]))
     return slots
 
 

@@ -213,7 +213,12 @@ _QUADRATIC = Gauge("t^2")
 
 
 def _norm(a):
-    return np.sqrt(np.vecdot(a, a))
+    out = np.sqrt(np.vecdot(a, a))
+    if np.isinf(out).any():   # spaces.norm's scaled form, under verify_class's errstate
+        m = np.abs(a).max(-1)
+        s = a / m[..., None]
+        out = np.where(np.isinf(out) & np.isfinite(m), m * np.sqrt(np.vecdot(s, s)), out)[()]
+    return out
 
 
 def _sq(t):
@@ -621,41 +626,47 @@ def power_apply(T, n, x, check_domain=True):
     With ``check_domain`` the current point is required to lie in T's domain
     before every application, and the offending step is named on escape.
 
-    Two loops compute the same thing.  When T has a ``kernel`` (the float
-    kernel of its rule, compiled once when the map is built) and x has one
-    element, the loop runs on a Python float and calls the kernel: the
-    same IEEE operations ``T``'s ``eval_fn`` performs, without wrapping
-    every iterate in an array.  Every other map, and every d > 1, takes the
-    array loop through ``T.__call__``.
+    A Python ``float`` x (exactly that type) gives a ``float``, the entry of
+    the power of ``np.array([x])``.  Two loops compute the same thing.  When
+    T has a ``kernel`` (the float kernel of its rule, compiled once when the
+    map is built) and x has one element, the loop runs on a Python float
+    and calls the kernel: the same IEEE operations ``T``'s ``eval_fn``
+    performs, without wrapping every iterate in an array.  Every other map,
+    and every d > 1, takes the array loop through ``T.__call__``.  Both
+    answer a whole-space domain as :func:`contains` does, by finiteness.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
-    cur = _vector(x)
-    kernel = T.kernel
-    if kernel is not None and cur.shape == (1,):
-        v = float(cur[0])
+    kernel, domain = T.kernel, T.domain
+    as_float = type(x) is float
+    cur = None if as_float and kernel is not None else _vector(x)
+    if kernel is not None and (as_float or cur.shape == (1,)):
+        v = x if as_float else float(cur[0])
+        whole = isinstance(domain, WholeSpace) and domain.dim == 1
         for i in range(n):
-            if check_domain:
-                point = np.array([v])
-                if not contains(T.domain, point, tol=1e-9):
-                    raise _domain_escape(i, n, point)
-            v, prev = float(kernel(v)), v
-            if v == prev and math.copysign(1.0, v) == math.copysign(1.0, prev):
-                break
-        return np.array([v])
+            if check_domain and not (math.isfinite(v) if whole
+                                     else contains(domain, np.array([v]), tol=1e-9)):
+                raise _domain_escape(i, n, np.array([v]))
+            image = kernel(v)
+            if image == v and math.copysign(1.0, image) == math.copysign(1.0, v):
+                break   # image has the bits of v
+            v = image
+        return v if as_float else np.array([v])
+    # a whole space holds exactly the finite points of its shape; any other
+    # domain or shape asks contains
+    whole = (domain.dim,) if isinstance(domain, WholeSpace) else None
+    before = cur.tobytes()   # each image's bytes are the next test's before
     for i in range(n):
-        if check_domain and not contains(T.domain, cur, tol=1e-9):
+        if check_domain and not (all(map(math.isfinite, cur.tolist())) if cur.shape == whole
+                                 else contains(domain, cur, tol=1e-9)):
             raise _domain_escape(i, n, cur)
         nxt = T(cur)
-        if _bitwise_fixed(cur, nxt):
-            return nxt
-        cur = nxt
-    return cur
-
-
-def _bitwise_fixed(v, image):
-    """Whether ``image`` = T(v) has the shape and the bytes of ``v``."""
-    return image.shape == v.shape and image.tobytes() == v.tobytes()
+        after = nxt.tobytes()
+        if after == before and nxt.shape == cur.shape:
+            cur = nxt
+            break
+        cur, before = nxt, after
+    return cur.item() if as_float else cur
 
 
 def relax(T, alpha):
@@ -881,7 +892,7 @@ def _iterates(T, x, n_max):
     out = [_vector(x)]
     for _ in range(n_max):
         image = T(out[-1])
-        if _bitwise_fixed(out[-1], image):
+        if image.shape == out[-1].shape and image.tobytes() == out[-1].tobytes():
             out.extend([image] * (n_max + 1 - len(out)))
             break
         out.append(image)
@@ -1056,6 +1067,8 @@ def _sine_shrink(x):
     v = float(x[0])
     if v == 0.0:
         return np.array([0.0])
+    if math.isinf(1.0 / v):   # math.sin(inf) would be a domain error
+        raise OverflowError("1/x overflows at x = %r in (2/3) x sin(1/x)" % v)
     return np.array([(2.0 / 3.0) * v * math.sin(1.0 / v)])
 
 

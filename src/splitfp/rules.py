@@ -178,6 +178,10 @@ class Relaxed1D:
     rule: object
     alpha: float
 
+    def __post_init__(self):
+        # a Python float, so the float kernel returns a Python float
+        object.__setattr__(self, "alpha", float(self.alpha))
+
     def __call__(self, v):
         return (1.0 - self.alpha) * v + self.alpha * self.rule(v)
 

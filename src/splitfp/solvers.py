@@ -16,9 +16,10 @@ default array lane is today's functions on vectors.  A run whose blocks are
 all 1-D steps on Python floats through the float lane, whose leaves have
 the array forms' bits: a rule map's ``kernel``, ``0.0 + m*v`` for a 1x1
 ``matrix @ x`` (the matmul sums from +0.0, turning a -0.0 product into
-+0.0), ``sqrt(v*v)`` for ``norm``, and else the array form on
-``np.array([v])``; an iterate power is ``power_apply``, whose scalar loop
-serves a 1-element rule map.  Trace records hold arrays in either lane.
++0.0), ``sqrt(v*v)`` for ``norm`` (``abs(v)`` where ``v*v`` overflows, as
+``spaces.norm`` scales), and else the array form on ``np.array([v])``; an
+iterate power is ``power_apply``, which takes and gives a float.  Trace
+records hold arrays in either lane.
 """
 
 import math
@@ -96,14 +97,17 @@ class NonFiniteState(SolverError):
 
 # failures a step can legitimately surface; the driver annotates them with
 # the iteration index.  Python floats raise ZeroDivisionError where numpy
-# returns inf, so a rule evaluated at its pole lands here.
+# returns inf, so a rule evaluated at its pole lands here, as does a map
+# whose float arithmetic overflows (OverflowError).
 _STEP_FAILURES = (SolverError, InfeasibleIntersection, ProjectionNoConvergence,
-                  DomainEscape, ZeroDivisionError)
+                  DomainEscape, ZeroDivisionError, OverflowError)
 
 
 def _breakdown(err, n):
     if isinstance(err, ZeroDivisionError):
         err = "division by zero, an operator rule evaluated at its pole (%s)" % err
+    elif isinstance(err, OverflowError):
+        err = "float overflow: %s" % err
     return SolverError("iteration %d: %s" % (n, err), n)
 
 
@@ -157,17 +161,18 @@ def _float_lane(spec):
     def apply(A, v):
         return 0.0 + entries[A] * v
 
+    def norm1(v):   # spaces.norm of [v]: its scaled form where v*v overflows
+        r = math.sqrt(v * v)
+        return abs(v) if r == math.inf and math.isfinite(v) else r
+
     def call(T, v):
         return float(T.kernel(v)) if T.kernel else T(np.array([v])).item()
-
-    def power(T, n, v, check_domain=True):
-        return power_apply(T, n, np.array([v]), check_domain).item()
 
     return SimpleNamespace(
         state=lambda x: None if x is None else x.item(),
         array=lambda v: None if v is None else np.array([v]),
-        apply=apply, adjoint=apply, norm=lambda v: math.sqrt(v * v),
-        call=call, power=power,
+        apply=apply, adjoint=apply, norm=norm1,
+        call=call, power=_ARRAYS.power,   # power_apply takes and gives a float
         project=lambda S, v: (v if type(S) is WholeSpace
                               else project(S, np.array([v])).item()))
 
@@ -389,11 +394,20 @@ def step_extragradient(spec, x, cuts, x0, n):
 # ---------------------------------------------------------------------------
 # driver
 
+def _pair_norm(a, b):
+    """sqrt(a**2 + b**2) of two block norms; hypot where the squares overflow."""
+    try:
+        r = math.sqrt(a ** 2 + b ** 2)
+    except OverflowError:   # a Python float's ** raises where numpy gives inf
+        r = math.inf
+    return math.hypot(a, b) if r == math.inf else r
+
+
 def _distance_to_reference(lane, ref, x, y):
     if ref is None:
         return None
     if y is not None:
-        return math.sqrt(lane.norm(x - ref[0]) ** 2 + lane.norm(y - ref[1]) ** 2)
+        return _pair_norm(lane.norm(x - ref[0]), lane.norm(y - ref[1]))
     return lane.norm(x - ref[0])
 
 
@@ -484,7 +498,7 @@ def run(spec, x0, y0=None, rule=None):
 
     try:
         residual = initial_residual(lane, spec, x, y)
-    except ZeroDivisionError as err:
+    except (ZeroDivisionError, OverflowError) as err:
         raise _breakdown(err, 0) from err
     records = [
         TraceRecord(
@@ -503,8 +517,8 @@ def run(spec, x0, y0=None, rule=None):
             result = step(lane, spec, x, y, cuts, start, n)
         except _STEP_FAILURES as err:
             raise _breakdown(err, n) from err
-        moved = lane.norm(result.x - x) if y is None else math.sqrt(
-            lane.norm(result.x - x) ** 2 + lane.norm(result.y - y) ** 2)
+        moved = lane.norm(result.x - x) if y is None else _pair_norm(
+            lane.norm(result.x - x), lane.norm(result.y - y))
         x = result.x
         y = result.y
         if cuts is not None:

@@ -83,10 +83,16 @@ def norm(a):
     """Norm induced by :func:`inner`, bit for bit ``np.linalg.norm``.
 
     This is numpy's own formula for a real array, ``sqrt(a.a)`` over
-    ``ravel(order='K')``, without the ``linalg`` dispatch.
+    ``ravel(order='K')``, without the ``linalg`` dispatch.  Only where
+    ``a.a`` overflows for a finite ``a`` is the norm taken of ``a / m``,
+    m = max |a_i|, and scaled back: ``m sqrt((a/m).(a/m))``.
     """
     a = _vector(a).ravel(order="K")
-    return math.sqrt(a.dot(a))
+    r = math.sqrt(a.dot(a))
+    if r == math.inf and np.isfinite(a).all():
+        m = float(np.abs(a).max())
+        r = m * math.sqrt((a / m).dot(a / m))
+    return r
 
 
 class LinearMap:

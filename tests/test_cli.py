@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from splitfp.cli import main, parse_trace_csv, write_trace_csv
-from splitfp.operators import CLASS_TOKENS
+from splitfp.operators import CLASS_TOKENS, FixedPointMap, SequenceSpec, operator_catalog
 from splitfp.presets import run_example
-from splitfp.problems import StoppingRule
+from splitfp.problems import ProblemSpec, StoppingRule
+from splitfp.projections import WholeSpace
+from splitfp.solvers import run
+from splitfp.spaces import LinearMap
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -361,6 +364,26 @@ def test_csv_round_trip_is_exact(tmp_path):
                 assert np.array_equal(va, vb)
         assert a.residual_primary == b.residual_primary
         assert a.dist_to_target == b.dist_to_target
+
+
+def test_csv_of_a_parsed_trace_keeps_each_block_dimension(tmp_path):
+    # x is 2-D and y 1-D: a parsed trace has no family, and its y-block
+    # intermediates u, r still take y's dimension
+    plane = WholeSpace(2)
+    spec = ProblemSpec(
+        family="sffpep", U=FixedPointMap(lambda x: 0.5 * x, plane),
+        T=operator_catalog()["identity"], A=LinearMap([[1.0, 2.0]]),
+        B=LinearMap([[1.0]]), C=plane, Q=WholeSpace(1),
+        alpha=SequenceSpec.const(0.5), beta=SequenceSpec.const(0.5),
+        lam=SequenceSpec.const(0.5), enforce_ranges=False)
+    trace = run(spec, [1.0, 2.0], [3.0], rule=StoppingRule(max_iters=3))
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    write_trace_csv(trace, first)
+    parsed = parse_trace_csv(first)
+    assert parsed.family == "parsed"
+    assert [parsed.records[1].u.shape, parsed.records[1].z.shape] == [(1,), (2,)]
+    write_trace_csv(parsed, again)
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_repeated_runs_byte_identical(tmp_path):

@@ -59,7 +59,7 @@ def outcome(f, *args):
     try:
         with np.errstate(all="ignore"):
             out = f(*args)
-    except (ZeroDivisionError, DomainEscape, ValueError) as err:
+    except (ZeroDivisionError, OverflowError, DomainEscape, ValueError) as err:
         return type(err), str(err)
     if isinstance(out, np.ndarray):
         assert out.shape == (1,) and out.dtype == np.float64
@@ -185,6 +185,22 @@ def test_power_leaf_matches_the_array_loop(T):
     assert escapes > 0
 
 
+@pytest.mark.parametrize("T", _maps() + [relax(operator_catalog()["browderPetryshyn"], 0.5),
+                                  relax(operator_catalog()["identity"], 0.25)], ids=repr)
+def test_power_apply_takes_and_gives_a_float(T):
+    # a float gives a float, the entry of the power of np.array([v]), also
+    # for an opaque map, which runs the array loop
+    def float_power(n, v, check):
+        out = operators.power_apply(T, n, v, check)
+        assert type(out) is float
+        return out
+
+    for k, v in enumerate(DOUBLES):
+        n, check = 1 + k % 5, k % 3 == 0
+        want = outcome(operators.power_apply, T, n, np.array([v]), check)
+        assert outcome(float_power, n, v, check) == want, (v, n, check)
+
+
 def test_float_powers_go_through_the_solvers_power_apply():
     # scfpp_smallS steps on floats; a wrapper installed on
     # solvers.power_apply sees each of its two powers per step
@@ -234,6 +250,9 @@ FAILURES = {
     "escape": (dict(SCFPP_BASE, T={"num": [-3.0, 1.0],
                                    "domain": {"box": {"lower": [0], "upper": ["inf"]}}}),
                5.0, SolverError),
+    # (2/3) x sin(1/x) shrinks the iterates until 1/x overflows
+    "sine": (dict(SCFPP_BASE, T={"num": [0.0, 1.0]}, G={"catalog": "browderPetryshyn"}),
+             1e-300, SolverError),
 }
 
 
@@ -255,6 +274,8 @@ def test_failures_are_the_same_in_both_lanes(case, tmp_path, capsys):
     assert type(got.__cause__) is type(want.__cause__)
     if case == "escape":
         assert isinstance(got.__cause__, DomainEscape)
+    if case == "sine":
+        assert isinstance(got.__cause__, OverflowError) and got.iteration > 0
     if kind is NonFiniteState:
         a, b = got.last_finite, want.last_finite
         assert a.n == b.n and a.x.tobytes() == b.x.tobytes()

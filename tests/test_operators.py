@@ -1,6 +1,7 @@
 """Operator taxonomy, combinators, sampling verifiers, and the catalog."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -157,7 +158,7 @@ def test_power_apply_keeps_signed_zeros_apart():
 def _outcome(power, T, n, x, check_domain):
     try:
         out = power(T, n, x, check_domain=check_domain)
-    except (DomainEscape, ZeroDivisionError) as err:
+    except (DomainEscape, ZeroDivisionError, DimensionMismatch) as err:
         return type(err), str(err)
     return out.dtype, out.shape, out.tobytes()   # bits: tells -0.0 and NaNs apart
 
@@ -185,6 +186,38 @@ def test_power_apply_scalar_loop_matches_array_loop(name):
                     (x, check_domain, n)
                 escapes += want[0] is DomainEscape
     assert escapes > 0
+
+
+# d > 1 maps for the array loop; each image is a new array
+VECTOR_MAPS = {
+    "flip": lambda x: -x,                      # flips signed zeros, never settles
+    "halve": lambda x: 0.5 * x,                # settles on a bitwise-fixed zero
+    "expand": lambda x: 2.0 * x + 1.0,         # leaves a ball, overflows to inf
+    "cancel": lambda x: x - x,                 # inf - inf is NaN
+    "swap": lambda x: np.array([-x[1], x[0], *x[2:]]),   # moves -0.0 between entries
+    "grow": lambda x: np.append(x, -0.0),      # the image has one entry more
+}
+VECTOR_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5, 1e308, 5e-324]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("domain", ["whole", "ball"])
+@pytest.mark.parametrize("name", sorted(VECTOR_MAPS))
+def test_power_apply_array_loop_matches_the_reference(name, domain, d):
+    S = WholeSpace(d) if domain == "whole" else projections.Ball(np.full(d, 0.5), 3.0)
+    T = FixedPointMap(VECTOR_MAPS[name], S)
+    kinds = set()
+    for k, pair in enumerate(itertools.product(VECTOR_VALUES, repeat=2)):
+        x = np.array(pair + (VECTOR_VALUES[k % 9],) * (d - 2))
+        for check_domain in (True, False):
+            for n in (1, 2, 3, 5, 8):
+                with np.errstate(all="ignore"):
+                    want = _outcome(power_apply_arrays, T, n, x, check_domain)
+                    got = _outcome(power_apply, T, n, x, check_domain)
+                assert got == want, (x, check_domain, n)
+                kinds.add(want[0])
+    assert DomainEscape in kinds     # a NaN start leaves every domain
+    assert (DimensionMismatch in kinds) == (name == "grow")
 
 
 def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
@@ -312,6 +345,13 @@ def test_relax_computes_in_float64_for_a_float32_weight():
     # the same map without a rule takes the array form
     bare = FixedPointMap(lambda v: (v + 2.0) / 3.0, T.domain)
     assert relax(bare, np.float32(0.3))(x).tobytes() == want
+
+
+def test_relaxed_rule_keeps_a_python_float_weight():
+    # so its float kernel returns a Python float, as power_apply's scalar
+    # loop and the float lane expect
+    r = Relaxed1D(Rational1D([2.0, 1.0], [3.0]), np.float64(0.3))
+    assert type(r.alpha) is float and type(r.float_kernel()(4.0)) is float
 
 
 def test_rules_sequences_and_gauges_are_immutable():
@@ -603,6 +643,25 @@ def test_stacked_norms_and_inner_products_have_the_bits_of_spaces(d):
     assert np.vecdot(A, B).tolist() == [inner(a, b) for a, b in zip(A, B)]
     # a single vector is a stack with no leading axis
     assert float(operators._norm(A[7])) == norm(A[7])
+
+
+def test_stacked_norms_scale_where_the_squares_overflow():
+    # finite rows whose a.a overflows take the scaled form of spaces.norm;
+    # rows with inf or NaN keep sqrt(a.a)
+    A = np.array([[1e200, -3e199, 0.0], [1.7976931348623157e308, 1.0, -0.0],
+                  [1e160, 1e160, 1e160], [np.inf, 1.0, 0.0], [np.nan, 1e200, 0.0],
+                  [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    with np.errstate(all="ignore"):   # as verify_class evaluates the sides
+        assert operators._norm(A).tobytes() == np.array([norm(a) for a in A]).tobytes()
+        assert np.isfinite(operators._norm(A[:3])).all()
+        assert float(operators._norm(A[1])) == norm(A[1]) == 1.7976931348623157e308
+
+
+def test_sine_shrink_reports_an_overflow_of_one_over_x():
+    T = operator_catalog()["browderPetryshyn"]
+    with pytest.raises(OverflowError, match="1/x overflows at x = 1e-310"):
+        T(np.array([1e-310]))
+    assert T(np.array([1e-300]))[0] == (2.0 / 3.0) * 1e-300 * math.sin(1.0 / 1e-300)
 
 
 def test_stacked_square_has_the_bits_of_python_pow():

@@ -1,5 +1,7 @@
 """Step functions and the run driver: hand-derived values and invariants."""
 
+import contextlib
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -47,6 +49,8 @@ from splitfp.solvers import (
     step_synchronal,
 )
 from splitfp.spaces import LinearMap, norm
+
+from helpers import array_lane
 
 
 def scalar_map(v):
@@ -631,6 +635,40 @@ def test_run_reports_a_rule_pole_as_solver_error(T, x0, iteration):
     assert exc.value.iteration == iteration
     assert str(exc.value).startswith("iteration %d: division by zero" % iteration)
     assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("x0, iteration", [(1e-310, 0), (1e-300, 8)])
+def test_run_reports_an_operator_overflow_as_solver_error(x0, iteration):
+    # (2/3) x sin(1/x) with |x| below about 5.6e-309: 1/x overflows
+    spec = replace(synchronal_with(Rational1D([0.0, 1.0])),
+                   T=operator_catalog()["browderPetryshyn"])
+    with pytest.raises(SolverError) as exc:
+        run(spec, [x0], rule=StoppingRule(max_iters=50))
+    assert exc.value.iteration == iteration
+    assert str(exc.value).startswith("iteration %d: float overflow: 1/x overflows at x = "
+                                     % iteration)
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("lane", ["float", "array"])
+def test_a_finite_state_whose_squared_norm_overflows_runs_on(lane):
+    # U(x) = 2x from 1e160: ||U x - x|| = 1e160 is finite though its square
+    # is not, and the norm and the two-block distances say so
+    spec = ProblemSpec(
+        family=SFFPEP, U=map_from_rule(Rational1D([0.0, 2.0]), WholeSpace(1)),
+        T=operator_catalog()["identity"], A=scalar_map(1.0), B=scalar_map(1.0),
+        C=WholeSpace(1), Q=WholeSpace(1), alpha=SequenceSpec.const(0.5),
+        beta=SequenceSpec.const(0.5), lam=SequenceSpec.const(0.5),
+        reference_solution=([0.0], [0.0]), enforce_ranges=False)
+    with contextlib.ExitStack() as stack:
+        if lane == "array":
+            stack.enter_context(array_lane())
+        trace = run(spec, [1e160], [1.0], rule=StoppingRule(max_iters=5,
+                                                             stagnation_tol=0.0))
+    first = trace.records[0]
+    assert first.residual_primary == 1e160
+    assert first.dist_to_target == math.hypot(1e160, 1.0) == 1e160
+    assert len(trace.records) == 6 and trace.final.x[0] == 5.0624999999999995e+160
 
 
 def test_run_raises_on_a_non_finite_state():

@@ -1,5 +1,6 @@
 """Inner products, linear maps, adjoints, and the spectral estimator."""
 
+import math
 import struct
 
 import numpy as np
@@ -69,10 +70,20 @@ def test_norm_has_the_bits_of_numpy_norm():
     # over the strided view itself can round differently
     long = rng.normal(size=400)
     cases += [long[::2], long[::-1], long[1::3]]
+    scaled = 0
     with np.errstate(over="ignore"):
         for v in cases:
-            want = float(np.linalg.norm(np.atleast_1d(np.asarray(v, dtype=float))))
+            a = np.atleast_1d(np.asarray(v, dtype=float))
+            want = float(np.linalg.norm(a))
+            if want == math.inf and np.isfinite(a).all():
+                # a.a overflows for a finite a: numpy's norm of a / max|a_i|,
+                # scaled back, which is finite
+                m = float(np.abs(a).max())
+                want = m * float(np.linalg.norm(a / m))
+                assert math.isfinite(want), v
+                scaled += 1
             assert struct.pack("d", norm(v)) == struct.pack("d", want), v
+    assert scaled > 100
 
 
 class _Subclass(np.ndarray):
