@@ -20,16 +20,18 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
-from .diagnostics import fejer_check
+from .diagnostics import FejerOverflow, fejer_check
 from .operators import (
     CLASS_TOKENS,
     ClassMismatch,
+    FixedPointMap,
     SequenceSpec,
     class_from_token,
     map_from_rule,
@@ -44,8 +46,8 @@ from .problems import (
     TraceRecord,
     ValidationError,
 )
-from .projections import Ball, Box, Halfspace, Intersection, WholeSpace
-from .rules import rule_from_config
+from .projections import Ball, Box, ConvexBody, Halfspace, Intersection, WholeSpace
+from .rules import Piecewise1D, Rational1D
 from .solvers import SolverError, run
 from .spaces import LinearMap, norm
 
@@ -61,109 +63,8 @@ _TABLE_IDS = {"t1": "bnm_t1", "t2": "bnm_t2", "t3": "wq_t3", "t4": "wq_t4"}
 
 
 # ---------------------------------------------------------------------------
-# configuration parsing
-
-
-def _set_from_config(doc):
-    if "whole_space" in doc:
-        return WholeSpace(int(doc["whole_space"]))
-    if "box" in doc:
-        def bound(v, default):
-            if v is None:
-                return default
-            return float(v)  # "inf" / "-inf" strings parse directly
-        lower = [bound(v, -np.inf) for v in doc["box"]["lower"]]
-        upper = [bound(v, np.inf) for v in doc["box"]["upper"]]
-        body, numbers, finite = Box(lower, upper), lower + upper, None
-    elif "halfspace" in doc:
-        body = Halfspace(doc["halfspace"]["a"], doc["halfspace"]["b"])
-        numbers, finite = [*body.a, body.b], ("normal", body.a)
-    elif "ball" in doc:
-        body = Ball(doc["ball"]["center"], doc["ball"]["radius"])
-        numbers, finite = [*body.center, body.radius], ("centre", body.center)
-    elif "intersection" in doc:
-        return Intersection([_set_from_config(d) for d in doc["intersection"]])
-    else:
-        raise ValidationError("unknown set description %r" % (doc,))
-    # json reads NaN, and float() parses "nan"
-    if any(math.isnan(v) for v in numbers):
-        raise ValidationError("set %r has a NaN" % (doc,))
-    # an infinite offset or radius is the whole space; an infinite normal
-    # or centre describes no set
-    if finite and np.isinf(finite[1]).any():
-        raise ValidationError("set %r has an infinite %s" % (doc, finite[0]))
-    return body
-
-
-def _operator_from_config(doc, cat):
-    if isinstance(doc, str):
-        doc = {"catalog": doc}
-    if "catalog" in doc:
-        name = doc["catalog"]
-        if name not in cat:
-            raise ValidationError("unknown catalog operator %r" % (name,))
-        return cat[name]
-    rule = rule_from_config(doc)
-    domain = _set_from_config(doc["domain"]) if "domain" in doc else WholeSpace(1)
-    declared = class_from_token(doc["class"]) if "class" in doc else None
-    extra = tuple(class_from_token(t) for t in doc.get("extra_classes", ()))
-    return map_from_rule(
-        rule,
-        domain,
-        declared_class=declared,
-        known_fixed_points=[[v] for v in doc.get("fixed_points", ())],
-        name=doc.get("name", "inline"),
-        extra_classes=extra,
-    )
-
-
-def build_spec_from_config(problem):
-    """Build a ProblemSpec from the ``problem`` object of a run config."""
-    cat = operator_catalog()
-    kwargs = {"family": problem["family"]}
-    for slot in ("T", "G", "U", "f"):
-        if slot in problem:
-            kwargs[slot] = _operator_from_config(problem[slot], cat)
-    for fam_slot, rel_slot, w_slot in (
-        ("U_family", "u_relax", "u_weights"),
-        ("T_family", "t_relax", "t_weights"),
-    ):
-        if fam_slot in problem:
-            kwargs[fam_slot] = tuple(
-                _operator_from_config(d, cat) for d in problem[fam_slot]
-            )
-            kwargs[rel_slot] = tuple(problem.get(rel_slot, ()))
-            kwargs[w_slot] = tuple(problem.get(w_slot, ()))
-    for mat_slot in ("A", "B"):
-        if mat_slot in problem:
-            kwargs[mat_slot] = LinearMap(problem[mat_slot])
-    for set_slot in ("C", "Q"):
-        if set_slot in problem:
-            kwargs[set_slot] = _set_from_config(problem[set_slot])
-    for seq_slot in ("alpha", "beta", "lam", "gamma_seq"):
-        if seq_slot in problem:
-            kwargs[seq_slot] = SequenceSpec.from_config(problem[seq_slot])
-    for scalar_slot in ("gamma", "mu", "gamma_visc", "cut_cap"):
-        if scalar_slot in problem:
-            kwargs[scalar_slot] = problem[scalar_slot]
-    if "reference" in problem:
-        kwargs["reference_solution"] = problem["reference"]
-    for flag in ("branch_assignment", "gamma_bound_choice", "enforce_ranges"):
-        if flag in problem:
-            kwargs[flag] = problem[flag]
-    return ProblemSpec(**kwargs)
-
-
-# run-config flag -> the ProblemSpec field it sets
-_FLAG_FIELDS = {
-    "wq_branch": "branch_assignment",
-    "gamma_bound": "gamma_bound_choice",
-    "cut_cap": "cut_cap",
-}
-
-_CONFIG_KEYS = ("problem", "start", "stopping", "outputs", "flags")
-_STOPPING_KEYS = ("max_iters", "residual_tol", "stagnation_tol", "target_tol")
-_OUTPUT_KEYS = ("trace", "summary", "plot")
+# configuration parsing: one table per config object maps each key to the
+# parser of its value, parse(value, path); every error names a JSON path
 
 
 def _check_keys(doc, known, path=""):
@@ -174,6 +75,160 @@ def _check_keys(doc, known, path=""):
             ", ".join(path + key for key in unknown), ", ".join(known)))
 
 
+def _kind(test, what):
+    """The parser of a JSON value that ``test`` accepts, as it is."""
+    def parse(value, path):
+        if not test(value):
+            raise ValidationError("%s: expected %s, got %r"
+                                  % (path or "top level", what, value))
+        return value
+    return parse
+
+
+def _real(v):   # a JSON number a double holds: no bool, no NaN, no huge integer
+    return (isinstance(v, float) and v == v or isinstance(v, int)
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def _parse(parse, value, path):
+    """``parse(value, path)``; a ValueError or TypeError it raises names the path."""
+    try:
+        return parse(value, path)
+    except ValidationError:
+        raise
+    except (ValueError, TypeError) as err:
+        raise ValidationError("%s: %s" % (path, err)) from None
+
+
+def _object(make, table, value, path):
+    """``make(**parsed)`` of a JSON object, read key by key through ``table``."""
+    _check_keys(_dict(value, path), table, path + "." if path else "")
+    return make(**{key: _parse(table[key], v, path + "." + key if path else key)
+                   for key, v in value.items()})
+
+
+def _list(item, value, path):
+    return tuple(_parse(item, v, "%s[%d]" % (path, i))
+                 for i, v in enumerate(_array(value, path)))
+
+
+def _bounds(default):   # null is unbounded, and float() reads a string such as "inf"
+    return partial(_list, lambda v, path: default if v is None else _number(
+        float(v) if isinstance(v, str) else v, path))
+
+
+def _set(value, path):
+    body = _object(dict, _SET, value, path)
+    if len(body) != 1:
+        raise ValidationError("%s: a set takes one key of %s" % (path, ", ".join(_SET)))
+    return body.popitem()[1]
+
+
+def _make_rule(**doc):
+    return (Piecewise1D if "breakpoint" in doc else Rational1D)(**doc)
+
+
+def _operator(value, path, cat):
+    """A catalog id, ``{"catalog": id}``, or an inline rule with its map's keys."""
+    value = {"catalog": value} if isinstance(value, str) else value
+    doc = _object(dict, _OPERATOR, value, path)
+    if "catalog" in doc:
+        _check_keys(doc, ("catalog",), path + ".")
+        known = _kind(cat.__contains__, "a catalog operator")
+        return cat[known(doc["catalog"], path + ".catalog")]
+    rule = _make_rule(**{key: doc.pop(key) for key in _RULE if key in doc})
+    return map_from_rule(rule, doc.get("domain", WholeSpace(1)), doc.get("class"),
+                         [[v] for v in doc.get("fixed_points", ())],
+                         doc.get("name", "inline"), doc.get("extra_classes", ()))
+
+
+def _sequence(value, path):
+    """A number, or {"constant": c}, {"table": [...], "tail": t} or {"formula": f}."""
+    if not _real(value) and sorted(_object(dict, _SEQUENCE, value, path)) not in (
+            ["constant"], ["formula"], ["table", "tail"]):
+        raise ValidationError("%s: a sequence takes the keys constant, table and tail, "
+                              "or formula" % path)
+    return SequenceSpec.from_config(value)
+
+
+def _spec_fields(**doc):
+    return {_FIELD.get(key, key): v for key, v in doc.items()}
+
+
+def build_spec_from_config(problem):
+    """Build a ProblemSpec from the ``problem`` object of a run config."""
+    operator = partial(_operator, cat=operator_catalog())
+    kinds = _KINDS | {FixedPointMap | None: operator,
+                      tuple[FixedPointMap, ...]: partial(_list, operator)}
+    table = {key: kinds[kind] for key, kind in _PROBLEM_TYPES.items()}
+    kwargs = _object(_spec_fields, table, problem, "problem")
+    return _parse(lambda kw, _: ProblemSpec(**kw), kwargs, "problem")
+
+
+def _problem(value, path):
+    """(spec, start, stopping rule or None) of a preset or an inline problem."""
+    if not (isinstance(value, dict) and "example" in value):
+        return build_spec_from_config(value), {}, None
+    preset = _object(dict, {"example": _string}, value, path)   # takes no other key
+    example = presets.get_example(preset["example"])
+    return example.spec, dict(zip(("x", "y"), example.starts[0])), example.default_rule
+
+
+# the schema: JSON kinds, then the tables
+_number = _kind(_real, "a number")
+_integer = _kind(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_string = _kind(lambda v: isinstance(v, str), "a string")
+_boolean = _kind(lambda v: isinstance(v, bool), "true or false")
+_dict = _kind(lambda v: isinstance(v, dict), "an object")
+_array = _kind(lambda v: isinstance(v, list), "a list")
+_vector = partial(_list, _number)
+_finites = partial(_list, _kind(lambda v: _real(v) and math.isfinite(v), "a finite number"))
+# an infinite offset or radius is the whole space; an infinite normal or
+# centre describes no set
+_SET = {
+    "whole_space": lambda v, path: WholeSpace(_integer(v, path)),
+    "box": partial(_object, Box, {"lower": _bounds(-math.inf),
+                                  "upper": _bounds(math.inf)}),
+    "halfspace": partial(_object, Halfspace, {"a": _finites, "b": _number}),
+    "ball": partial(_object, Ball, {"center": _finites, "radius": _number}),
+    "intersection": lambda v, path: Intersection(_list(_set, v, path)),
+}
+_RULE = {"num": _vector, "den": _vector, "breakpoint": _number, "left_closed": _boolean}
+_RULE["left"] = _RULE["right"] = partial(_object, _make_rule, _RULE)
+_OPERATOR = {"catalog": _string, **_RULE, "domain": _set,
+             "class": lambda v, path: class_from_token(_string(v, path)),
+             "fixed_points": _vector, "name": _string}
+_OPERATOR["extra_classes"] = partial(_list, _OPERATOR["class"])
+_SEQUENCE = {"constant": _number, "table": _vector, "tail": _number, "formula": _string}
+# the parser of a ProblemSpec or StoppingRule field, by its annotation
+_KINDS = {
+    str: _string, int: _integer, bool: _boolean, tuple[float, ...]: _vector,
+    float | None: _kind(lambda v: v is None or _real(v), "a number or null"),
+    tuple | None: partial(_list, lambda v, path: (   # x*, or [x*, y*]
+        _vector if isinstance(v, list) else _number)(v, path)),
+    LinearMap | None: lambda v, path: LinearMap(_list(_vector, v, path)),
+    ConvexBody | None: _set, SequenceSpec | None: _sequence,
+}
+# run-config keys that set a ProblemSpec field of another name
+_FIELD = {"reference": "reference_solution", "wq_branch": "branch_assignment",
+          "gamma_bound": "gamma_bound_choice"}
+# the annotation of the field each ``problem`` key sets
+_PROBLEM_TYPES = {"reference" if f.name == "reference_solution" else f.name: f.type
+                  for f in fields(ProblemSpec) if f.init}
+_CONFIG = {
+    "problem": _problem,
+    "start": partial(_object, dict, {"x": _vector, "y": _vector}),
+    "stopping": partial(_object, dict, {f.name: _KINDS[f.type]
+                                        for f in fields(StoppingRule)}),
+    "outputs": partial(_object, dict, dict.fromkeys(("trace", "summary", "plot"),
+                                                    _string)),
+    # a flag sets a ProblemSpec field, and shares its parser
+    "flags": partial(_object, _spec_fields, {
+        flag: _KINDS[_PROBLEM_TYPES[_FIELD.get(flag, flag)]]
+        for flag in ("wq_branch", "gamma_bound", "cut_cap")}),
+}
+
+
 def _load_run_config(path, args):
     """Read a run config into (spec, start, rule, outputs).
 
@@ -181,48 +236,23 @@ def _load_run_config(path, args):
     ``dataclasses.replace``, so they are validated like any other field.
     """
     with open(path) as fh:
-        config = json.load(fh)
-    _check_keys(config, _CONFIG_KEYS)
-    flags = dict(config.get("flags", {}))
-    _check_keys(flags, _FLAG_FIELDS, "flags.")
+        config = _object(dict, _CONFIG, json.load(fh), "")
+    # without a problem: "problem: expected an object, got None"
+    spec, start, rule = config.get("problem") or _problem(None, "problem")
+    start = config.get("start") or start
+    if "x" not in start:
+        raise ValidationError("start.x: missing")
+    flags = config.get("flags", {})
     if args.wq_branch:
-        flags["wq_branch"] = args.wq_branch
-    if "cut_cap" in flags:
-        flags["cut_cap"] = int(flags["cut_cap"])
-
-    problem = config["problem"]
-    start = config.get("start", {})
-    if "example" in problem:
-        example = presets.get_example(problem["example"])
-        spec = example.spec
-        if not start:
-            start = dict(zip(("x", "y"), example.starts[0]))
-        rule = example.default_rule
-    else:
-        spec = build_spec_from_config(problem)
-        rule = None
+        flags["branch_assignment"] = args.wq_branch
+    if flags:
+        spec = replace(spec, **flags)
+    if config.get("stopping") or rule is None:
+        rule = StoppingRule(**{"max_iters": 1000, **config.get("stopping", {})})
+    overrides = {"max_iters": args.max_iters, "residual_tol": args.tol}
+    rule = replace(rule, **{key: v for key, v in overrides.items() if v is not None})
     start = {key: np.asarray(value, dtype=float) for key, value in start.items()}
-    overrides = {field: flags[flag] for flag, field in _FLAG_FIELDS.items()
-                 if flag in flags}
-    if overrides:
-        spec = replace(spec, **overrides)
-
-    stopping = config.get("stopping", {})
-    _check_keys(stopping, _STOPPING_KEYS, "stopping.")
-    if stopping or rule is None:
-        rule = StoppingRule(
-            max_iters=int(stopping.get("max_iters", 1000)),
-            residual_tol=stopping.get("residual_tol"),
-            stagnation_tol=stopping.get("stagnation_tol"),
-            target_tol=stopping.get("target_tol"),
-        )
-    if args.max_iters is not None:
-        rule = replace(rule, max_iters=args.max_iters)
-    if args.tol is not None:
-        rule = replace(rule, residual_tol=args.tol)
-    outputs = config.get("outputs", {})
-    _check_keys(outputs, _OUTPUT_KEYS, "outputs.")
-    return spec, start, rule, outputs
+    return spec, start, rule, config.get("outputs", {})
 
 
 # ---------------------------------------------------------------------------
@@ -287,46 +317,25 @@ def parse_trace_csv(path):
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.split("\n") if ln]
     cols = lines[0].split(",")
-    vector_slots = {}
+    vector_slots = {}   # slot -> dimension
     for col in cols:
-        if "_" in col and col.rsplit("_", 1)[1].isdigit():
-            name, idx = col.rsplit("_", 1)
-            vector_slots.setdefault(name, 0)
-            vector_slots[name] = max(vector_slots[name], int(idx) + 1)
+        name, _, idx = col.rpartition("_")
+        if name and idx.isdigit():
+            vector_slots[name] = max(vector_slots.get(name, 0), int(idx) + 1)
     records = []
     for ln in lines[1:]:
         cells = dict(zip(cols, ln.split(",")))
         vectors = {}
         for name, dim in vector_slots.items():
             vals = [cells["%s_%d" % (name, i)] for i in range(dim)]
-            vectors[name] = (
-                None if any(v == "" for v in vals)
-                else np.array([float(v) for v in vals])
-            )
-
-        def scalar(col_name):
-            v = cells.get(col_name, "")
-            return None if v == "" else float(v)
-
-        records.append(
-            TraceRecord(
-                n=int(cells["n"]),
-                x=vectors.get("x"),
-                y=vectors.get("y"),
-                u=vectors.get("u"),
-                z=vectors.get("z"),
-                w=vectors.get("w"),
-                r=vectors.get("r"),
-                step=scalar("step"),
-                residual_primary=scalar("residual_primary"),
-                residual_coupling=scalar("residual_coupling"),
-                dist_to_target=scalar("dist_to_target"),
-                cut_count=(
-                    None if cells.get("cut_count", "") == ""
-                    else int(cells["cut_count"])
-                ),
-            )
-        )
+            vectors[name] = None if "" in vals else np.array([float(v) for v in vals])
+        scalars = {col: None if cells.get(col, "") == "" else float(cells[col])
+                   for col in ("step", "residual_primary", "residual_coupling",
+                               "dist_to_target")}
+        count = cells.get("cut_count", "")
+        records.append(TraceRecord(
+            int(cells["n"]), **{slot: vectors.get(slot) for slot in "xyuzwr"},
+            **scalars, cut_count=None if count == "" else int(count)))
     intermediates = tuple(s for s in ("u", "z", "w", "r") if s in vector_slots)
     return IterationTrace(family="parsed", records=records,
                           intermediates=intermediates)
@@ -405,42 +414,20 @@ def write_residual_svg(trace, path, width=640, height=400):
 def cmd_run(args):
     try:
         spec, start, rule, outputs = _load_run_config(args.config, args)
-    except (OSError, KeyError, ValueError, TypeError) as err:
-        # TypeError: a config value of the wrong JSON type
+    except (OSError, KeyError, ValueError) as err:
         print("configuration error: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
     try:
-        x0 = start["x"]
-        y0 = start.get("y")
-        trace = run(spec, x0, y0, rule=rule)
+        trace = run(spec, start["x"], start.get("y"), rule=rule)
     except SolverError as err:
         print("numerical breakdown: %s" % err, file=sys.stderr)
         return _EXIT_BREAKDOWN
-    except (ValidationError, KeyError) as err:
+    except ValidationError as err:
         print("configuration error: %s" % err, file=sys.stderr)
-        return _EXIT_CONFIG
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print("cannot create output directory: %s" % err, file=sys.stderr)
-        return _EXIT_CONFIG
-
-    trace_name = outputs.get("trace", "trace.%s" % args.format)
-    summary_name = outputs.get("summary", "summary.json")
-    plot_name = outputs.get("plot", "residual.svg")
-    trace_path = out_dir / trace_name
-    try:
-        if args.format == "json":
-            write_trace_json(trace, trace_path)
-        else:
-            write_trace_csv(trace, trace_path)
-        write_residual_svg(trace, out_dir / plot_name)
-    except OSError as err:
-        print("cannot write outputs: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
 
     final = trace.final
+    trace_name = outputs.get("trace", "trace.%s" % args.format)
     summary = {
         "family": trace.family,
         "stop_reason": trace.stop_reason,
@@ -452,18 +439,16 @@ def cmd_run(args):
         "range_warnings": list(spec.warnings),
         "trace": trace_name,   # relative to --out-dir
     }
-    if spec.reference_solution is not None:
-        target = (
-            spec.reference_solution
-            if spec.two_variable
-            else spec.reference_solution[0]
-        )
-        report = fejer_check(trace, target, slack=1e-8)
-        summary["fejer"] = {
-            "monotone": report.monotone,
-            "max_uptick": report.max_uptick,
-            "first_violation": report.first_violation,
-        }
+    ref = spec.reference_solution
+    if ref is not None:
+        try:
+            report = fejer_check(trace, ref if spec.two_variable else ref[0], 1e-8)
+        except FejerOverflow as err:   # no check can be made
+            summary["fejer"] = {"monotone": None, "overflow_at": err.n}
+        else:
+            summary["fejer"] = {"monotone": report.monotone,
+                                "max_uptick": report.max_uptick,
+                                "first_violation": report.first_violation}
     if FAMILIES[spec.family].accumulates_cuts:
         x0 = trace.records[0].x
         departures = [norm(rec.x - x0) for rec in trace.records]
@@ -473,10 +458,18 @@ def cmd_run(args):
             ),
             "final": departures[-1],
         }
+    out_dir = Path(args.out_dir)
     try:
-        (out_dir / summary_name).write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-        )
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print("cannot create output directory: %s" % err, file=sys.stderr)
+        return _EXIT_CONFIG
+    try:
+        write = write_trace_json if args.format == "json" else write_trace_csv
+        write(trace, out_dir / trace_name)
+        write_residual_svg(trace, out_dir / outputs.get("plot", "residual.svg"))
+        (out_dir / outputs.get("summary", "summary.json")).write_text(
+            json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     except OSError as err:
         print("cannot write outputs: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG

@@ -25,6 +25,7 @@ from .spaces import _vector, norm
 __all__ = [
     "FejerReport",
     "fejer_check",
+    "FejerOverflow",
     "FixedPointScan",
     "find_fixed_points_1d",
     "PrecisionOracleConfig",
@@ -48,16 +49,26 @@ class FejerReport:
         assert self.monotone == (self.first_violation is None)
 
 
+class FejerOverflow(OverflowError):
+    """A distance of the trace to the target has no float value."""
+
+    def __init__(self, n):
+        super().__init__("the distance to the target overflows at n=%d" % n)
+        self.n = n
+
+
 def _trace_distances(trace, target):
-    two_var = trace.records[0].y is not None
-    if two_var:
-        x_ref = _vector(target[0])
-        y_ref = _vector(target[1])
-        return [
-            norm(r.x - x_ref) ** 2 + norm(r.y - y_ref) ** 2 for r in trace.records
-        ]
-    x_ref = _vector(target)
-    return [norm(r.x - x_ref) for r in trace.records]
+    if trace.records[0].y is None:
+        x_ref = _vector(target)
+        return [norm(r.x - x_ref) for r in trace.records]
+    x_ref, y_ref = _vector(target[0]), _vector(target[1])
+
+    def squared(r):   # float ** raises OverflowError beyond the largest double
+        try:
+            return norm(r.x - x_ref) ** 2 + norm(r.y - y_ref) ** 2
+        except OverflowError:
+            return np.inf
+    return [squared(r) for r in trace.records]
 
 
 def fejer_check(trace, target, slack=1e-10):
@@ -65,11 +76,15 @@ def fejer_check(trace, target, slack=1e-10):
 
     One-variable traces monitor ||x_n - x*||; two-variable traces monitor
     the squared-sum distance ||x_n - x*||^2 + ||y_n - y*||^2.  The scan is
-    monotone iff every step satisfies d_{n+1} <= d_n + slack.
+    monotone iff every step satisfies d_{n+1} <= d_n + slack.  A distance
+    beyond the largest double raises :class:`FejerOverflow`.
     """
     if len(trace.records) < 2:
         raise ValueError("need at least two records")
-    d = _trace_distances(trace, target)
+    with np.errstate(over="ignore"):   # the norms scale an overflowing square
+        d = _trace_distances(trace, target)
+    if np.inf in d:
+        raise FejerOverflow(trace.records[d.index(np.inf)].n)
     first = None
     max_uptick = 0.0
     for n in range(len(d) - 1):

@@ -240,12 +240,12 @@ class ProblemSpec:
     G: FixedPointMap | None = None
     U: FixedPointMap | None = None
     f: FixedPointMap | None = None
-    U_family: tuple = ()
-    u_relax: tuple = ()        # relaxation weight per member of U_family
-    u_weights: tuple = ()      # convex-combination weights
-    T_family: tuple = ()
-    t_relax: tuple = ()
-    t_weights: tuple = ()
+    U_family: tuple[FixedPointMap, ...] = ()
+    u_relax: tuple[float, ...] = ()    # relaxation weight per member of U_family
+    u_weights: tuple[float, ...] = ()  # convex-combination weights
+    T_family: tuple[FixedPointMap, ...] = ()
+    t_relax: tuple[float, ...] = ()
+    t_weights: tuple[float, ...] = ()
     A: LinearMap | None = None
     B: LinearMap | None = None
     C: ConvexBody | None = None
@@ -274,6 +274,9 @@ class ProblemSpec:
             raise ValidationError("gamma_bound_choice must be l_star|lipschitz")
         ref = self.reference_solution
         if ref is not None:
+            if record.two_variable and len(ref) != 2:
+                raise ValidationError("family %r takes a reference [x*, y*]"
+                                      % (self.family,))
             # reshape, not atleast_1d: replace() passes the normalized tuple in
             parts = (ref[0], ref[1]) if record.two_variable else (ref,)
             object.__setattr__(self, "reference_solution", tuple(

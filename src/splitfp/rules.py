@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["Rational1D", "Piecewise1D", "Relaxed1D", "rule_from_config"]
+__all__ = ["Rational1D", "Piecewise1D", "Relaxed1D"]
 
 
 def _horner(coeffs, v):
@@ -199,15 +199,3 @@ class Relaxed1D:
     def eval_decimal(self, v):
         alpha = Decimal(self.alpha)
         return (1 - alpha) * v + alpha * self.rule.eval_decimal(v)
-
-
-def rule_from_config(doc):
-    """Parse a rule from its JSON form (inverse of ``to_config``)."""
-    if "breakpoint" in doc:
-        return Piecewise1D(
-            doc["breakpoint"],
-            rule_from_config(doc["left"]),
-            rule_from_config(doc["right"]),
-            doc.get("left_closed", True),
-        )
-    return Rational1D(doc["num"], doc.get("den", [1.0]))

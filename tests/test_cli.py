@@ -2,12 +2,15 @@
 
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splitfp import cli
 from splitfp.cli import main, parse_trace_csv, write_trace_csv
 from splitfp.operators import CLASS_TOKENS, FixedPointMap, SequenceSpec, operator_catalog
 from splitfp.presets import run_example
@@ -196,7 +199,7 @@ def test_run_rejects_a_nan_in_a_set(tmp_path, capsys, domain):
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: set {") and "has a NaN" in err
+    assert err.startswith("configuration error: problem.T.domain.") and "got nan" in err
 
 
 def test_run_unknown_flag_exits_2(tmp_path, capsys):
@@ -245,10 +248,11 @@ def test_summary_names_the_trace_relative_to_the_out_dir(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("domain, what", [
-    ({"ball": {"center": [float("inf")], "radius": 1.0}}, "centre"),
-    ({"halfspace": {"a": [float("-inf")], "b": 1.0}}, "normal"),
+    ({"ball": {"center": [float("inf")], "radius": 1.0}}, "ball.center[0]"),
+    ({"halfspace": {"a": [float("-inf")], "b": 1.0}}, "halfspace.a[0]"),
     ({"intersection": [{"whole_space": 1},
-                       {"ball": {"center": [float("-inf")], "radius": 1.0}}]}, "centre"),
+                       {"ball": {"center": [float("-inf")], "radius": 1.0}}]},
+     "intersection[1].ball.center[0]"),
 ], ids=["ball", "halfspace", "intersection"])
 def test_run_rejects_an_infinite_normal_or_centre(tmp_path, capsys, domain, what):
     T = dict(SCFPP_INLINE["problem"]["T"], domain=domain)
@@ -256,8 +260,8 @@ def test_run_rejects_an_infinite_normal_or_centre(tmp_path, capsys, domain, what
     cfg = write_config(tmp_path, doc)   # json writes the infinities as Infinity
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: set {")
-    assert "has an infinite %s" % what in err
+    assert err.startswith("configuration error: problem.T.domain.%s: " % what)
+    assert "expected a finite number" in err
 
 
 @pytest.mark.parametrize("domain", [
@@ -498,3 +502,167 @@ def test_wq_branch_flag_changes_first_row(tmp_path):
     ap = parse_trace_csv(tmp_path / "ap" / "trace.csv")
     assert sw.records[1].x[0] == pytest.approx(4.916472663, abs=1e-6)
     assert abs(ap.records[1].x[0] - sw.records[1].x[0]) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the run-config schema: a bad key exits 2, names its JSON path, writes nothing
+
+REPO = Path(__file__).resolve().parents[1]
+DEMO_CONFIGS = sorted((REPO / "demos" / "configs").glob("*.json"))
+
+
+def _inline(**problem):
+    return dict(SCFPP_INLINE, problem=dict(SCFPP_INLINE["problem"], **problem))
+
+
+def _inline_T(**keys):
+    return _inline(T=dict(SCFPP_INLINE["problem"]["T"], **keys))
+
+
+def _json_path(path):
+    return "".join("[%d]" % p if isinstance(p, int) else "." + p for p in path)[1:]
+
+
+def assert_rejected(tmp_path, capsys, doc, path):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    # the message opens with the path, or lists it among the unknown keys
+    assert re.search(r"(error: |unknown keys )%s[: ]" % re.escape(path), err), err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("doc, path", [
+    (_inline(refrence=[1.25]), "problem.refrence"),
+    ({"problem": {"example": "bnm_t1", "lam": {"constant": 1.0}}}, "problem.lam"),
+    (_inline(T={"num": [5.0, 1.0], "clas": "quasi_nonexpansive"}), "problem.T.clas"),
+    (_inline_T(domian={"whole_space": 1}), "problem.T.domian"),
+    (_inline(alpha={"constant": 0.5, "tail": 3}), "problem.alpha"),
+    (_inline_T(domain={"box": {"lower": [0], "upper": [9], "uper": [9]}}),
+     "problem.T.domain.box.uper"),
+    (_inline_T(domain={"whole_space": 1, "box": {"lower": [0], "upper": [9]}}),
+     "problem.T.domain"),
+    (dict(SCFPP_INLINE, start={"x": [10.0], "z": [1.0]}), "start.z"),
+    ({key: v for key, v in SCFPP_INLINE.items() if key != "start"}, "start.x"),
+    (_inline(alpha={"constnt": 0.5}), "problem.alpha.constnt"),
+    (_inline(cut_cap=5.7), "problem.cut_cap"),
+    ({"problem": {"example": "extragradient_1d"}, "flags": {"cut_cap": 5.7}},
+     "flags.cut_cap"),
+    (dict(SCFPP_INLINE, start={"x": [[10.0]]}), "start.x[0]"),
+    (dict(SCFPP_INLINE, start=[10.0]), "start"),
+    (dict(BNM_CONFIG, outputs={"trace": 5}), "outputs.trace"),
+    ({"problem": [1]}, "problem"),
+    ([1], "top level"),
+    (dict(SCFPP_INLINE, stopping={"max_iters": 2.7}), "stopping.max_iters"),
+    (_inline(enforce_ranges="no"), "problem.enforce_ranges"),
+    (_inline(gamma=True), "problem.gamma"),
+    # an integer beyond the doubles used to exit 3 converting to float
+    (_inline(gamma=10 ** 400), "problem.gamma"),
+    (dict(SCFPP_INLINE, start={"x": [10 ** 400]}), "start.x[0]"),
+    (_inline(G={"catalog": "smallS", "class": "nonexpansive"}), "problem.G.class"),
+    (_inline(G={"catalog": "nosuch"}), "problem.G.catalog"),
+    (_inline_T(**{"class": "nosuchclass"}), "problem.T.class"),
+    (_inline(alpha={"formula": "n^2"}), "problem.alpha"),
+    (_inline_T(den=[0.0]), "problem.T"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_run_config_rejects_a_bad_key_naming_its_path(tmp_path, capsys, doc, path):
+    assert_rejected(tmp_path, capsys, doc, path)
+
+
+def _key_paths(doc, path=()):
+    """The path of every key of ``doc``, at every depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(doc, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, path + (key,))
+
+
+def _misspelt(doc, path):
+    """A copy of ``doc`` whose key at ``path`` has its last letter doubled,
+    and the JSON path of the misspelt key."""
+    edited = json.loads(json.dumps(doc))
+    parent = edited
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    parent[key + key[-1]] = parent.pop(key)
+    return edited, _json_path(path[:-1] + (key + key[-1],))
+
+
+SWEPT = {p.stem: json.loads(p.read_text()) for p in DEMO_CONFIGS}
+SWEPT["SCFPP_INLINE"] = SCFPP_INLINE
+
+
+@pytest.mark.parametrize("doc, path", [
+    (doc, path) for doc in SWEPT.values() for path in _key_paths(doc)
+], ids=["%s:%s" % (name, _json_path(path))
+        for name, doc in SWEPT.items() for path in _key_paths(doc)])
+def test_run_config_rejects_every_misspelt_key(tmp_path, capsys, doc, path):
+    edited, misspelt = _misspelt(doc, path)
+    err = assert_rejected(tmp_path, capsys, edited, misspelt)
+    assert "unknown keys %s (known: " % misspelt in err
+
+
+@pytest.mark.parametrize("config, preset", [
+    ("scfpp_inline", "scfpp_smallS"), ("sffpep_inline_rules", "bnm_t1"),
+])
+def test_demo_config_writes_the_presets_trace(tmp_path, config, preset):
+    preset_cfg = write_config(tmp_path, {"problem": {"example": preset}})
+    demo_cfg = REPO / "demos" / "configs" / (config + ".json")
+    traces = []
+    for cfg, out in ((preset_cfg, tmp_path / "preset"), (demo_cfg, tmp_path / "demo")):
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+def _schema_keys():
+    """Every key of every table of the run-config parser."""
+    problem_keys = set(cli._PROBLEM_TYPES) | {"example"}   # a preset's one key
+    tables = [cli._CONFIG, cli._OPERATOR, cli._SET, cli._SEQUENCE]
+    tables += [parse.args[1] for table in (cli._CONFIG, cli._SET)
+               for parse in table.values() if isinstance(parse, partial)]
+    return problem_keys.union(*tables)
+
+
+def test_readme_schema_block_lists_every_table_key():
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("### Run-config schema", 1)[1].split("```")[1]
+    listed = set(re.findall(r'"([A-Za-z_]+)":', block))
+    keys = _schema_keys()
+    assert not keys - listed, "missing from the README: %s" % sorted(keys - listed)
+    assert not listed - keys, "not in the tables: %s" % sorted(listed - keys)
+
+
+def test_fejer_check_that_overflows_is_reported_not_raised(tmp_path, capsys):
+    doc = {
+        "problem": {
+            "family": "sffpep", "U": {"num": [0, 2]}, "T": {"num": [0, 1]},
+            "A": [[1]], "B": [[1]], "C": {"whole_space": 1}, "Q": {"whole_space": 1},
+            "alpha": {"constant": 0.5}, "beta": {"constant": 0.5},
+            "lam": {"constant": 0.5}, "reference": [[0], [0]], "enforce_ranges": False,
+        },
+        "start": {"x": [1e160], "y": [1]},
+        "stopping": {"max_iters": 3},
+    }
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["fejer"] == {"monotone": None, "overflow_at": 0}
+
+
+def test_two_block_reference_needs_both_blocks(tmp_path, capsys):
+    # a one-block reference for sffpep used to exit 3 with an IndexError
+    doc = json.loads((REPO / "demos" / "configs" / "sffpep_inline_rules.json").read_text())
+    doc["problem"]["reference"] = [5.0]
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "family 'sffpep' takes a reference [x*, y*]" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 """Distance monitors, fixed-point scans, and the decimal re-execution oracle."""
 
 from dataclasses import replace
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from splitfp.diagnostics import (
+    FejerOverflow,
     OracleUnsupported,
     PrecisionOracleConfig,
     fejer_check,
@@ -55,6 +57,24 @@ def test_fejer_reversed_trace_flags_first_step():
 def test_fejer_needs_two_records():
     with pytest.raises(ValueError):
         fejer_check(_constant_trace(1.0, count=1), [1.0])
+
+
+@pytest.mark.parametrize("states, target, n", [
+    # ||x_1 - x*||^2 is beyond the largest double
+    ([(1.0, 1.0), (1e160, 1.0), (1.0, 1.0)], ([0.0], [0.0]), 1),
+    # each square is finite, their sum is not
+    ([(1.0, 1.0), (1.0, 1.0), (1e154, 1e154)], ([0.0], [0.0]), 2),
+    # one variable: x_0 - x* overflows
+    ([(1.7e308, None), (1.0, None)], [-1.7e308], 0),
+], ids=["square", "sum", "one_variable"])
+def test_fejer_refuses_where_a_distance_overflows(states, target, n):
+    records = [TraceRecord(n=i, x=np.array([x]), y=None if y is None else np.array([y]))
+               for i, (x, y) in enumerate(states)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # no overflow warning escapes
+        with pytest.raises(FejerOverflow) as exc:
+            fejer_check(IterationTrace(family="sffpep", records=records), target)
+    assert exc.value.n == n and str(exc.value).endswith("at n=%d" % n)
 
 
 # ---------------------------------------------------------------------------
