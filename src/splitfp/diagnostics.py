@@ -81,7 +81,7 @@ def fejer_check(trace, target, slack=1e-10):
     """
     if len(trace.records) < 2:
         raise ValueError("need at least two records")
-    with np.errstate(over="ignore"):   # the norms scale an overflowing square
+    with np.errstate(over="ignore"):   # x - x* of two finite states can overflow
         d = _trace_distances(trace, target)
     if np.inf in d:
         raise FejerOverflow(trace.records[d.index(np.inf)].n)

@@ -4,7 +4,10 @@ Each entry reproduces one of the bundled reference tables or exercises one
 solver family end to end.  Expected rows carry a provenance tag:
 ``tabulated`` values are lifted verbatim from the reference tables,
 ``derived`` values were computed with an independent oracle (exact
-rationals, brute force, or the high-precision re-execution).
+rationals, brute force, or the high-precision re-execution).  Each
+preset's problem is a ``problem`` document of the run-config schema
+(:mod:`splitfp.config`), a plain JSON-compatible dict, and its spec is
+built from that document, as ``run --config`` builds an inline problem.
 
 Two of the tabulated configurations deliberately sit outside the
 theoretical parameter ranges, exactly as published:
@@ -18,34 +21,14 @@ theoretical parameter ranges, exactly as published:
   what ``wq_t3`` pins (see the solver module notes).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
 
-import numpy as np
-
-from .operators import (
-    Contraction,
-    Lipschitzian,
-    SequenceSpec,
-    StronglyMonotone,
-    map_from_rule,
-    operator_catalog,
-)
-from .problems import (
-    EXTRAGRADIENT_SFFPP,
-    SCFPP,
-    SCFPP_ADAPTIVE,
-    SCFPEP,
-    SFFPEP,
-    SYNCHRONAL_VIP,
-    ProblemSpec,
-    StoppingRule,
-)
-from .projections import Box, WholeSpace
-from .rules import Rational1D
+from .config import build_spec_from_config
+from .problems import ProblemSpec, StoppingRule
 from .solvers import run
-from .spaces import LinearMap, _vector
+from .spaces import _vector
 
 __all__ = ["ExpectedRow", "NamedExample", "catalog", "get_example", "run_example"]
 
@@ -71,12 +54,18 @@ class ExpectedRow:
 
 @dataclass(frozen=True)
 class NamedExample:
+    """A preset: its ``problem`` document, the spec built from it, and its runs."""
+
     id: str
-    spec: ProblemSpec
+    problem: dict                  # a run config's ``problem`` object
     starts: tuple                  # ((x0,) or (x0, y0), ...)
     default_rule: StoppingRule
     expected: tuple = ()
     notes: str = ""
+    spec: ProblemSpec = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "spec", build_spec_from_config(self.problem))
 
     def run(self, start_index=0, rule=None):
         """Run from one of the registered starts, by default under ``default_rule``."""
@@ -106,118 +95,48 @@ class NamedExample:
         }
 
 
-def _scalar_map(v):
-    return LinearMap([[float(v)]])
-
-
-def _bnm_spec():
-    ops = operator_catalog()
-    return ProblemSpec(
-        family=SFFPEP,
-        U=ops["bigU"],
-        T=ops["smallS"],
-        A=_scalar_map(1.0),
-        B=_scalar_map(4.0),
-        C=WholeSpace(1),
-        Q=WholeSpace(1),
-        alpha=SequenceSpec.const(1.0 / 5.0),
-        beta=SequenceSpec.const(1.0 / 8.0),
-        lam=SequenceSpec.const(0.0),
-        reference_solution=([5.0], [1.25]),
-        enforce_ranges=False,   # lam = 0 reproduces the published simplification
-    )
-
-
-def _wq_spec(branch="swapped"):
-    ops = operator_catalog()
-    return ProblemSpec(
-        family=SCFPEP,
-        U_family=(ops["wqU"],),
-        u_relax=(1.0 / 3.0,),
-        u_weights=(1.0,),
-        T_family=(ops["wqT"],),
-        t_relax=(1.0 / 5.0,),
-        t_weights=(1.0,),
-        A=_scalar_map(1.0),
-        B=_scalar_map(1.0),
-        alpha=SequenceSpec.const(1.0 / 7.0),
-        beta=SequenceSpec.const(1.0 / 9.0),
-        lam=SequenceSpec.const(1.0),
-        reference_solution=([1.0], [1.0]),
-        branch_assignment=branch,
-        enforce_ranges=False,   # lam = 1 sits on the boundary 2/(L1+L2)
-    )
-
-
-def _scfpp_spec():
-    ops = operator_catalog()
-    return ProblemSpec(
-        family=SCFPP,
-        T=ops["smallS"],
-        G=ops["smallS"],
-        A=_scalar_map(1.0),
-        alpha=SequenceSpec.const(0.5),
-        gamma=0.5,
-        reference_solution=[1.25],
-    )
-
-
-def _adaptive_spec():
-    ops = operator_catalog()
-    return ProblemSpec(
-        family=SCFPP_ADAPTIVE,
-        U=ops["scaledNeg"],
-        T=ops["scaledNeg"],
-        A=LinearMap(np.diag([1.0, 2.0, 3.0])),
-        alpha=SequenceSpec.const(0.5),
-        reference_solution=[0.0, 0.0, 0.0],
-    )
-
-
-def _synchronal_spec():
-    ops = operator_catalog()
-    contraction = map_from_rule(
-        Rational1D([0.0, 0.5], [1.0]),
-        WholeSpace(1),
-        declared_class=Contraction(0.5),
-        known_fixed_points=([0.0],),
-        name="halving",
-    )
-    steering = map_from_rule(
-        Rational1D([0.0, 1.0], [1.0]),
-        WholeSpace(1),
-        declared_class=StronglyMonotone(1.0),
-        known_fixed_points=([0.0],),
-        name="identity-steering",
-        extra_classes=(Lipschitzian(1.0),),
-    )
-    return ProblemSpec(
-        family=SYNCHRONAL_VIP,
-        T=ops["wqT"],
-        f=contraction,
-        G=steering,
-        alpha=SequenceSpec.from_formula("1/(n+2)"),
-        beta=SequenceSpec.const(0.5),
-        mu=1.0,
-        gamma_visc=0.5,
-        reference_solution=[1.0],
-    )
-
-
-def _extragradient_spec():
-    ops = operator_catalog()
-    return ProblemSpec(
-        family=EXTRAGRADIENT_SFFPP,
-        T=ops["wqT"],
-        G=ops["identity"],
-        A=_scalar_map(1.0),
-        C=Box([0.0], [np.inf]),
-        Q=WholeSpace(1),
-        alpha=SequenceSpec.const(0.5),
-        beta=SequenceSpec.const(0.5),
-        gamma_seq=SequenceSpec.const(0.5),
-        reference_solution=[1.0],
-    )
+_BNM = {
+    "family": "sffpep", "U": "bigU", "T": "smallS", "A": [[1.0]], "B": [[4.0]],
+    "C": {"whole_space": 1}, "Q": {"whole_space": 1},
+    "alpha": {"constant": 1 / 5}, "beta": {"constant": 1 / 8},
+    "lam": {"constant": 0.0}, "reference": [[5.0], [1.25]],
+    "enforce_ranges": False,   # lam = 0 reproduces the published simplification
+}
+_WQ = {
+    "family": "scfpep",
+    "U_family": ["wqU"], "u_relax": [1 / 3], "u_weights": [1.0],
+    "T_family": ["wqT"], "t_relax": [1 / 5], "t_weights": [1.0],
+    "A": [[1.0]], "B": [[1.0]],
+    "alpha": {"constant": 1 / 7}, "beta": {"constant": 1 / 9},
+    "lam": {"constant": 1.0}, "reference": [[1.0], [1.0]],
+    "branch_assignment": "swapped",
+    "enforce_ranges": False,   # lam = 1 sits on the boundary 2/(L1+L2)
+}
+_SCFPP = {
+    "family": "scfpp", "T": "smallS", "G": "smallS", "A": [[1.0]],
+    "alpha": {"constant": 0.5}, "gamma": 0.5, "reference": [1.25],
+}
+_ADAPTIVE = {
+    "family": "scfpp_adaptive", "U": "scaledNeg", "T": "scaledNeg",
+    "A": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+    "alpha": {"constant": 0.5}, "reference": [0.0, 0.0, 0.0],
+}
+_SYNCHRONAL = {
+    "family": "synchronal_vip", "T": "wqT",
+    "f": {"num": [0.0, 0.5], "class": "contraction:0.5", "fixed_points": [0.0],
+          "name": "halving"},
+    "G": {"num": [0.0, 1.0], "class": "strongly_monotone:1.0",
+          "extra_classes": ["lipschitzian:1.0"], "fixed_points": [0.0],
+          "name": "identity-steering"},
+    "alpha": {"formula": "1/(n+2)"}, "beta": {"constant": 0.5},
+    "mu": 1.0, "gamma_visc": 0.5, "reference": [1.0],
+}
+_EXTRAGRADIENT = {
+    "family": "extragradient_sffpp", "T": "wqT", "G": "identity", "A": [[1.0]],
+    "C": {"box": {"lower": [0.0], "upper": [None]}}, "Q": {"whole_space": 1},
+    "alpha": {"constant": 0.5}, "beta": {"constant": 0.5},
+    "gamma_seq": {"constant": 0.5}, "reference": [1.0],
+}
 
 
 @cache
@@ -231,7 +150,7 @@ def catalog():
 
     examples["bnm_t1"] = NamedExample(
         id="bnm_t1",
-        spec=_bnm_spec(),
+        problem=_BNM,
         starts=(((10.0,), (15.0,)),),
         default_rule=StoppingRule(max_iters=250),
         expected=(
@@ -249,7 +168,7 @@ def catalog():
     )
     examples["bnm_t2"] = NamedExample(
         id="bnm_t2",
-        spec=_bnm_spec(),
+        problem=_BNM,
         starts=(((5.0,), (1.25,)),),
         default_rule=StoppingRule(max_iters=100),
         expected=tuple(
@@ -260,7 +179,7 @@ def catalog():
     )
     examples["wq_t3"] = NamedExample(
         id="wq_t3",
-        spec=_wq_spec("swapped"),
+        problem=_WQ,
         starts=(((5.0,), (5.0,)),),
         default_rule=StoppingRule(max_iters=2000),
         expected=(
@@ -276,7 +195,7 @@ def catalog():
     )
     examples["wq_t4"] = NamedExample(
         id="wq_t4",
-        spec=_wq_spec("swapped"),
+        problem=_WQ,
         starts=(((-5.0,), (-5.0,)),),
         default_rule=StoppingRule(max_iters=149),
         notes=(
@@ -288,7 +207,7 @@ def catalog():
     )
     examples["scfpp_smallS"] = NamedExample(
         id="scfpp_smallS",
-        spec=_scfpp_spec(),
+        problem=_SCFPP,
         starts=(((10.0,),),),
         default_rule=StoppingRule(max_iters=200, residual_tol=1e-12),
         expected=(ExpectedRow(1, (4.4,), (1e-12,), DERIVED),),
@@ -296,7 +215,7 @@ def catalog():
     )
     examples["adaptive_demo"] = NamedExample(
         id="adaptive_demo",
-        spec=_adaptive_spec(),
+        problem=_ADAPTIVE,
         starts=(((1.0, 1.0, 1.0),),),
         default_rule=StoppingRule(max_iters=5000, residual_tol=1e-10),
         notes=(
@@ -306,7 +225,7 @@ def catalog():
     )
     examples["synchronal_demo"] = NamedExample(
         id="synchronal_demo",
-        spec=_synchronal_spec(),
+        problem=_SYNCHRONAL,
         starts=(((4.0,),),),
         default_rule=StoppingRule(max_iters=100000, target_tol=1e-4),
         expected=(ExpectedRow(1, (2.0,), (1e-12,), DERIVED),),
@@ -317,7 +236,7 @@ def catalog():
     )
     examples["extragradient_1d"] = NamedExample(
         id="extragradient_1d",
-        spec=_extragradient_spec(),
+        problem=_EXTRAGRADIENT,
         starts=(((10.0,),),),
         default_rule=StoppingRule(max_iters=500, residual_tol=1e-9),
         expected=(ExpectedRow(1, (8.25,), (1e-12,), DERIVED),),

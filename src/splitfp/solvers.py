@@ -465,10 +465,11 @@ def run(spec, x0, y0=None, rule=None):
     starting point is the caller's concern: the recurrences evaluate the
     operators wherever they lead, as the published trajectories do.  A
     start must be finite, and ``x0`` (``y0``) must have as many entries as
-    ``A`` (``B``) has columns where the family has that slot; a NaN or
-    infinite iterate or residual later raises :class:`NonFiniteState`, and a
-    rule's pole a :class:`SolverError`.  A run whose blocks are all 1-D
-    steps on Python floats (see the module notes), with the same trace.
+    ``A`` (``B``) has columns where the family has that slot, and each block
+    of the reference as many as its start; a NaN or infinite iterate or
+    residual later raises :class:`NonFiniteState`, and a rule's pole a
+    :class:`SolverError`.  A run whose blocks are all 1-D steps on Python
+    floats (see the module notes), with the same trace.
     """
     if rule is None:
         raise ValidationError("a stopping rule is required")
@@ -488,12 +489,16 @@ def run(spec, x0, y0=None, rule=None):
         if slot in family.required and start.shape[0] != getattr(spec, slot).cols:
             raise ValidationError("%s has %d entries; %s expects %d" % (
                 name, start.shape[0], slot, getattr(spec, slot).cols))
+    ref = spec.reference_solution
+    for name, start, target in zip(("x", "y"), (x, y), ref or ()):
+        if target.shape[0] != start.shape[0]:
+            raise ValidationError("the reference %s* has %d entries; %s0 has %d" % (
+                name, target.shape[0], name, start.shape[0]))
     cuts = [] if family.accumulates_cuts else None
     lane = _lane_for(spec, x, y)
     array = lane.array
     x, y = lane.state(x), lane.state(y)
     start = x
-    ref = spec.reference_solution
     ref = None if ref is None else tuple(map(lane.state, ref))
 
     try:

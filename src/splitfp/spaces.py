@@ -85,10 +85,12 @@ def norm(a):
     This is numpy's own formula for a real array, ``sqrt(a.a)`` over
     ``ravel(order='K')``, without the ``linalg`` dispatch.  Only where
     ``a.a`` overflows for a finite ``a`` is the norm taken of ``a / m``,
-    m = max |a_i|, and scaled back: ``m sqrt((a/m).(a/m))``.
+    m = max |a_i|, and scaled back: ``m sqrt((a/m).(a/m))``.  ``np.vdot``
+    takes ``a.a`` by the same dot kernel as ``a.dot(a)``, but does not warn
+    where it overflows.
     """
     a = _vector(a).ravel(order="K")
-    r = math.sqrt(a.dot(a))
+    r = math.sqrt(np.vdot(a, a))
     if r == math.inf and np.isfinite(a).all():
         m = float(np.abs(a).max())
         r = m * math.sqrt((a / m).dot(a / m))

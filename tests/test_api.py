@@ -13,7 +13,7 @@ import splitfp
 from splitfp.cli import main
 
 MODULES = ["splitfp"] + ["splitfp." + name for name in (
-    "cli", "diagnostics", "operators", "presets", "problems", "projections",
+    "cli", "config", "diagnostics", "operators", "presets", "problems", "projections",
     "rules", "solvers", "spaces")]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, trace round-trips, outputs."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -10,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitfp import cli
+from splitfp import cli, config
 from splitfp.cli import main, parse_trace_csv, write_trace_csv
 from splitfp.operators import CLASS_TOKENS, FixedPointMap, SequenceSpec, operator_catalog
-from splitfp.presets import run_example
+from splitfp.presets import catalog, run_example
 from splitfp.problems import ProblemSpec, StoppingRule
 from splitfp.projections import WholeSpace
 from splitfp.solvers import run
@@ -567,6 +568,11 @@ def assert_rejected(tmp_path, capsys, doc, path):
     (_inline_T(**{"class": "nosuchclass"}), "problem.T.class"),
     (_inline(alpha={"formula": "n^2"}), "problem.alpha"),
     (_inline_T(den=[0.0]), "problem.T"),
+    # a preset id get_example does not know, a ProblemSpec error, no family
+    ({"problem": {"example": "nosuch"}}, "problem.example"),
+    (dict(SCFPP_INLINE, problem={"family": "scfpp"}), "problem"),
+    (_inline(gamma=5), "problem"),
+    ({"problem": {"A": [[1.0]]}, "start": {"x": [1.0]}}, "problem.family"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_run_config_rejects_a_bad_key_naming_its_path(tmp_path, capsys, doc, path):
     assert_rejected(tmp_path, capsys, doc, path)
@@ -610,22 +616,30 @@ def test_run_config_rejects_every_misspelt_key(tmp_path, capsys, doc, path):
 
 @pytest.mark.parametrize("config, preset", [
     ("scfpp_inline", "scfpp_smallS"), ("sffpep_inline_rules", "bnm_t1"),
+    # each preset's own problem document, written out as a plain config
+    *(("document", preset) for preset in catalog()),
 ])
 def test_demo_config_writes_the_presets_trace(tmp_path, config, preset):
     preset_cfg = write_config(tmp_path, {"problem": {"example": preset}})
     demo_cfg = REPO / "demos" / "configs" / (config + ".json")
-    traces = []
+    if config == "document":
+        ex = catalog()[preset]
+        demo_cfg = tmp_path / "document.json"
+        demo_cfg.write_text(json.dumps({
+            "problem": ex.problem, "start": dict(zip(("x", "y"), ex.starts[0])),
+            "stopping": dataclasses.asdict(ex.default_rule)}, allow_nan=False))
+    outputs = []
     for cfg, out in ((preset_cfg, tmp_path / "preset"), (demo_cfg, tmp_path / "demo")):
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        traces.append((out / "trace.csv").read_bytes())
-    assert traces[0] == traces[1]
+        outputs.append([(out / name).read_bytes() for name in ("trace.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 def _schema_keys():
     """Every key of every table of the run-config parser."""
-    problem_keys = set(cli._PROBLEM_TYPES) | {"example"}   # a preset's one key
-    tables = [cli._CONFIG, cli._OPERATOR, cli._SET, cli._SEQUENCE]
-    tables += [parse.args[1] for table in (cli._CONFIG, cli._SET)
+    problem_keys = set(config._PROBLEM_TYPES) | {"example"}   # a preset's one key
+    tables = [cli._CONFIG, config._OPERATOR, config._SET, config._SEQUENCE]
+    tables += [parse.args[1] for table in (cli._CONFIG, config._SET)
                for parse in table.values() if isinstance(parse, partial)]
     return problem_keys.union(*tables)
 
@@ -657,6 +671,16 @@ def test_fejer_check_that_overflows_is_reported_not_raised(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["fejer"] == {"monotone": None, "overflow_at": 0}
+
+
+@pytest.mark.parametrize("reference", [[[5.0], [1.25]], [5.0, 1.25]])
+def test_reference_of_another_dimension_is_rejected(tmp_path, capsys, reference):
+    # both used to run, with dist_to_target taken over a broadcast 2-vector
+    cfg = write_config(tmp_path, _inline(reference=reference))
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: the reference x* has 2 entries; x0 has 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_two_block_reference_needs_both_blocks(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ def test_norm_has_the_bits_of_numpy_norm():
                 scaled += 1
             assert struct.pack("d", norm(v)) == struct.pack("d", want), v
     assert scaled > 100
+
+
+def test_norm_scales_an_overflowing_square_without_a_warning():
+    # a.a used to warn "overflow encountered in dot" before the norm scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm(np.array([1e200])) == 1e200
+        assert norm(np.array([-1e300, 0.0])) == 1e300
 
 
 class _Subclass(np.ndarray):
