@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .config import (_FIELD, _KINDS, _PROBLEM_TYPES, _object, _spec_fields, _string,
-                     _vector, build_spec_from_config)
+from .config import (_FIELD, _KINDS, _PROBLEM_TYPES, _object, _string, _vector,
+                     build_spec_from_config)
 from .diagnostics import FejerOverflow, fejer_check
 from .operators import (CLASS_TOKENS, ClassMismatch, class_from_token, operator_catalog,
                         verify_class)
@@ -71,7 +71,7 @@ _CONFIG = {
     "outputs": partial(_object, dict, dict.fromkeys(("trace", "summary", "plot"),
                                                     _string)),
     # a flag sets a ProblemSpec field, and shares its parser
-    "flags": partial(_object, _spec_fields, {
+    "flags": partial(_object, dict, {
         flag: _KINDS[_PROBLEM_TYPES[_FIELD.get(flag, flag)]]
         for flag in ("wq_branch", "gamma_bound", "cut_cap")}),
 }
@@ -92,9 +92,12 @@ def _load_run_config(path, args):
         raise ValidationError("start.x: missing")
     flags = config.get("flags", {})
     if args.wq_branch:
-        flags["branch_assignment"] = args.wq_branch
-    if flags:
-        spec = replace(spec, **flags)
+        flags["wq_branch"] = args.wq_branch
+    for flag, value in flags.items():   # one at a time, so an error names its flag
+        try:
+            spec = replace(spec, **{_FIELD.get(flag, flag): value})
+        except ValidationError as err:
+            raise ValidationError("flags.%s: %s" % (flag, err)) from None
     if config.get("stopping") or rule is None:
         rule = StoppingRule(**{"max_iters": 1000, **config.get("stopping", {})})
     overrides = {"max_iters": args.max_iters, "residual_tol": args.tol}

@@ -105,17 +105,14 @@ def _sequence(value, path):
     return SequenceSpec.from_config(value)
 
 
-def _spec_fields(**doc):
-    return {_FIELD.get(key, key): v for key, v in doc.items()}
-
-
 def build_spec_from_config(problem):
     """Build a ProblemSpec from the ``problem`` object of a run config."""
     operator = partial(_operator, cat=operator_catalog())
     kinds = _KINDS | {FixedPointMap | None: operator,
                       tuple[FixedPointMap, ...]: partial(_list, operator)}
     table = {key: kinds[kind] for key, kind in _PROBLEM_TYPES.items()}
-    kwargs = _object(_spec_fields, table, problem, "problem")
+    kwargs = {_FIELD.get(key, key): v
+              for key, v in _object(dict, table, problem, "problem").items()}
     if "family" not in kwargs:
         raise ValidationError("problem.family: missing")
     try:

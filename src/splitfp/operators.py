@@ -7,7 +7,8 @@ class taxonomy covers contractions through total quasi-asymptotically
 nonexpansive maps.  Each class is one record, a subclass of
 :class:`OperatorClass` that carries its own defining inequality
 (``sides``), whether it is pairwise or quantified over the fixed points,
-whether it is asymptotic, and its command-line token (:data:`CLASS_TOKENS`).
+whether it is asymptotic, its command-line token (:data:`CLASS_TOKENS`), and
+the classes it implies (``implies``, walked by ``implied()``).
 :func:`verify_class` falsification-tests a declared class by deterministic
 sampling.  The sampler is a fixed 64-bit linear congruential generator so
 reports are bit-reproducible across platforms.
@@ -248,39 +249,51 @@ class OperatorClass:
     broadcasts to one value per row, given single vectors it is one value,
     and a row gets the same bits either way.
     ``asymptotic`` classes are checked at every power up to a bound, the
-    rest at n = 1.  ``token`` names the class on the command line and
-    ``default`` is the scalar parameter a token without one stands for.
+    rest at n = 1.  ``token`` names the class on the command line, and
+    ``default`` is the scalar parameter a token without one stands for, or
+    the tuple of arguments of a class that takes no scalar parameter.
 
-    The constants a class implies are class attributes or properties, None
-    where it implies none: ``lipschitz`` (1 for nonexpansive maps),
-    ``demicontractive`` (0 for quasi-nonexpansive maps, -1 for firmly
-    quasi-nonexpansive and directed ones), ``strong_monotonicity``, and
-    ``total_quasi``, the class as a total quasi-asymptotically nonexpansive
-    record.
+    ``implies`` holds the taxonomy's edges: the classes a map of the class
+    is in when it has a fixed point.  Every class question walks them
+    through :meth:`implied`.  A class stores only the constants it defines,
+    None elsewhere: ``lipschitz``, ``demicontractive`` (0 on
+    quasi-nonexpansive maps, -1 on firmly quasi-nonexpansive and directed
+    ones) and ``strong_monotonicity``.
     """
 
     token: ClassVar[str | None] = None
     pairwise: ClassVar[bool] = True
     asymptotic: ClassVar[bool] = False
-    default: ClassVar[float | None] = None
+    default: ClassVar[float | tuple] = ()
+    implies: ClassVar[tuple] = ()
     lipschitz: ClassVar[float | None] = None
     demicontractive: ClassVar[float | None] = None
     strong_monotonicity: ClassVar[float | None] = None
-    total_quasi: ClassVar["TotalQuasiAsymptoticallyNonexpansive | None"] = None
 
     def __init_subclass__(cls, token=None, pairwise=True, asymptotic=False,
-                          default=None, **kwargs):
+                          default=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.token, cls.pairwise, cls.asymptotic = token, pairwise, asymptotic
-        cls.default = default
+        cls.token, cls.pairwise, cls.asymptotic, cls.default = (
+            token, pairwise, asymptotic, default)
         if token:
             CLASS_TOKENS[token] = cls
 
     @classmethod
     def from_token(cls, param):
-        if cls.default is None:
-            return cls()
+        if isinstance(cls.default, tuple):   # a class without a scalar parameter
+            return cls(*cls.default)
         return cls(float(param) if param else cls.default)
+
+    def implied(self):
+        """This class, then each class it implies, nearest first, each once."""
+        walk = [self]
+        for cls in walk:   # the walk grows as it goes
+            yield cls
+            walk.extend(c for c in cls.implies if c not in walk)
+
+    # the first total quasi-asymptotically nonexpansive class implied, or None
+    total_quasi = property(lambda self: next((c for c in self.implied() if isinstance(
+        c, TotalQuasiAsymptoticallyNonexpansive)), None))
 
 
 @dataclass(frozen=True)
@@ -291,6 +304,7 @@ class Contraction(OperatorClass, token="contraction", default=0.9):
         _check_unit_interval(self.k, True, "Contraction")
 
     lipschitz = property(lambda self: self.k)
+    implies = property(lambda self: (Nonexpansive(),))
 
     def sides(self, x, z, tx, tz, n):
         return _norm(tx - tz), self.k * _norm(x - z)
@@ -299,6 +313,7 @@ class Contraction(OperatorClass, token="contraction", default=0.9):
 @dataclass(frozen=True)
 class Nonexpansive(OperatorClass, token="nonexpansive"):
     lipschitz: ClassVar[float] = 1.0
+    implies = property(lambda self: (QuasiNonexpansive(),))
 
     def sides(self, x, z, tx, tz, n):
         return _norm(tx - tz), _norm(x - z)
@@ -307,10 +322,8 @@ class Nonexpansive(OperatorClass, token="nonexpansive"):
 @dataclass(frozen=True)
 class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=False):
     demicontractive: ClassVar[float] = 0.0
-
-    @property
-    def total_quasi(self):
-        return TotalQuasiAsymptoticallyNonexpansive(_ZERO, _ZERO, _QUADRATIC)
+    implies = property(lambda self: (
+        TotalQuasiAsymptoticallyNonexpansive(_ZERO, _ZERO, _QUADRATIC),))
 
     def sides(self, x, p, tx, n):
         return _norm(tx - p), _norm(x - p)
@@ -320,6 +333,8 @@ class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=Fals
 class FirmlyQuasiNonexpansive(OperatorClass, token="firmly_quasi_nonexpansive",
                               pairwise=False):
     demicontractive: ClassVar[float] = -1.0
+    # Censor & Segal (2009): firmly quasi-nonexpansive <=> directed
+    implies = property(lambda self: (Directed(), QuasiNonexpansive()))
 
     def sides(self, x, p, tx, n):
         return _sq(_norm(tx - p)), _sq(_norm(x - p)) - _sq(_norm(tx - x))
@@ -347,8 +362,8 @@ class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive
     def __post_init__(self):
         _check_unit_interval(self.k, False, "StrictlyPseudocontractive")
 
-    # with a fixed point, a k-strict pseudocontraction is k-demicontractive
-    demicontractive = property(lambda self: self.k)
+    # Moudafi (2010): with a fixed point, it is k-demicontractive
+    implies = property(lambda self: (Demicontractive(self.k),))
 
     def sides(self, x, z, tx, tz, n):
         return (
@@ -360,6 +375,7 @@ class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive
 @dataclass(frozen=True)
 class Directed(OperatorClass, token="directed", pairwise=False):
     demicontractive: ClassVar[float] = -1.0
+    implies = property(lambda self: (FirmlyQuasiNonexpansive(), QuasiNonexpansive()))
 
     def sides(self, x, p, tx, n):
         return np.vecdot(p - tx, x - tx), 0.0
@@ -367,15 +383,12 @@ class Directed(OperatorClass, token="directed", pairwise=False):
 
 @dataclass(frozen=True)
 class AsymptoticallyNonexpansive(
-        OperatorClass, token="asymptotically_nonexpansive", asymptotic=True):
+        OperatorClass, token="asymptotically_nonexpansive", asymptotic=True,
+        default=(_ONE,)):
     k_seq: SequenceSpec
 
     def __post_init__(self):
         _check_at_least_one(self.k_seq, "AsymptoticallyNonexpansive k_n")
-
-    @classmethod
-    def from_token(cls, param):
-        return cls(_ONE)
 
     def sides(self, x, z, tx, tz, n):
         return _norm(tx - tz), self.k_seq(n) * _norm(x - z)
@@ -384,21 +397,15 @@ class AsymptoticallyNonexpansive(
 @dataclass(frozen=True)
 class AsymptoticallyQuasiNonexpansive(
         OperatorClass, token="asymptotically_quasi_nonexpansive",
-        pairwise=False, asymptotic=True):
+        pairwise=False, asymptotic=True, default=(_ONE,)):
     t_seq: SequenceSpec
 
     def __post_init__(self):
         _check_at_least_one(self.t_seq, "AsymptoticallyQuasiNonexpansive t_n")
 
-    @classmethod
-    def from_token(cls, param):
-        return cls(_ONE)
-
-    @property
-    def total_quasi(self):
-        # v_n = t_n - 1
-        return TotalQuasiAsymptoticallyNonexpansive(
-            lambda n: self.t_seq(n) - 1.0, _ZERO, _QUADRATIC)
+    # v_n = t_n - 1
+    implies = property(lambda self: (TotalQuasiAsymptoticallyNonexpansive(
+        lambda n: self.t_seq(n) - 1.0, _ZERO, _QUADRATIC),))
 
     def sides(self, x, p, tx, n):
         return _sq(_norm(tx - p)), self.t_seq(n) * _sq(_norm(x - p))
@@ -406,7 +413,8 @@ class AsymptoticallyQuasiNonexpansive(
 
 @dataclass(frozen=True)
 class TotalAsymptoticallyNonexpansive(
-        OperatorClass, token="total_asymptotically_nonexpansive", asymptotic=True):
+        OperatorClass, token="total_asymptotically_nonexpansive", asymptotic=True,
+        default=(_ZERO, _ZERO, _QUADRATIC)):
     v_seq: SequenceSpec
     mu_seq: SequenceSpec
     gauge: Gauge
@@ -415,9 +423,8 @@ class TotalAsymptoticallyNonexpansive(
         _check_nonnegative(self.v_seq, "v_n")
         _check_nonnegative(self.mu_seq, "mu_n")
 
-    @classmethod
-    def from_token(cls, param):
-        return cls(_ZERO, _ZERO, _QUADRATIC)
+    implies = property(lambda self: (TotalQuasiAsymptoticallyNonexpansive(
+        self.v_seq, self.mu_seq, self.gauge),))
 
     def sides(self, x, z, tx, tz, n):
         return (
@@ -429,7 +436,7 @@ class TotalAsymptoticallyNonexpansive(
 @dataclass(frozen=True)
 class TotalQuasiAsymptoticallyNonexpansive(
         OperatorClass, token="total_quasi_asymptotically_nonexpansive",
-        pairwise=False, asymptotic=True):
+        pairwise=False, asymptotic=True, default=(_ZERO, _ZERO, _QUADRATIC)):
     v_seq: SequenceSpec
     mu_seq: SequenceSpec
     gauge: Gauge
@@ -437,12 +444,6 @@ class TotalQuasiAsymptoticallyNonexpansive(
     def __post_init__(self):
         _check_nonnegative(self.v_seq, "v_n")
         _check_nonnegative(self.mu_seq, "mu_n")
-
-    @classmethod
-    def from_token(cls, param):
-        return cls(_ZERO, _ZERO, _QUADRATIC)
-
-    total_quasi = property(lambda self: self)
 
     def sides(self, x, p, tx, n):
         return (

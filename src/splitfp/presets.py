@@ -21,6 +21,7 @@ theoretical parameter ranges, exactly as published:
   what ``wq_t3`` pins (see the solver module notes).
 """
 
+import json
 from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
@@ -57,12 +58,15 @@ class NamedExample:
     """A preset: its ``problem`` document, the spec built from it, and its runs."""
 
     id: str
-    problem: dict                  # a run config's ``problem`` object
+    document: str                  # a run config's ``problem`` object, as JSON
     starts: tuple                  # ((x0,) or (x0, y0), ...)
     default_rule: StoppingRule
     expected: tuple = ()
     notes: str = ""
     spec: ProblemSpec = field(init=False)
+
+    # a new dict at each read: an edit reaches neither the spec nor another preset
+    problem = property(lambda self: json.loads(self.document))
 
     def __post_init__(self):
         object.__setattr__(self, "spec", build_spec_from_config(self.problem))
@@ -150,7 +154,7 @@ def catalog():
 
     examples["bnm_t1"] = NamedExample(
         id="bnm_t1",
-        problem=_BNM,
+        document=json.dumps(_BNM),
         starts=(((10.0,), (15.0,)),),
         default_rule=StoppingRule(max_iters=250),
         expected=(
@@ -168,7 +172,7 @@ def catalog():
     )
     examples["bnm_t2"] = NamedExample(
         id="bnm_t2",
-        problem=_BNM,
+        document=json.dumps(_BNM),
         starts=(((5.0,), (1.25,)),),
         default_rule=StoppingRule(max_iters=100),
         expected=tuple(
@@ -179,7 +183,7 @@ def catalog():
     )
     examples["wq_t3"] = NamedExample(
         id="wq_t3",
-        problem=_WQ,
+        document=json.dumps(_WQ),
         starts=(((5.0,), (5.0,)),),
         default_rule=StoppingRule(max_iters=2000),
         expected=(
@@ -195,7 +199,7 @@ def catalog():
     )
     examples["wq_t4"] = NamedExample(
         id="wq_t4",
-        problem=_WQ,
+        document=json.dumps(_WQ),
         starts=(((-5.0,), (-5.0,)),),
         default_rule=StoppingRule(max_iters=149),
         notes=(
@@ -207,7 +211,7 @@ def catalog():
     )
     examples["scfpp_smallS"] = NamedExample(
         id="scfpp_smallS",
-        problem=_SCFPP,
+        document=json.dumps(_SCFPP),
         starts=(((10.0,),),),
         default_rule=StoppingRule(max_iters=200, residual_tol=1e-12),
         expected=(ExpectedRow(1, (4.4,), (1e-12,), DERIVED),),
@@ -215,7 +219,7 @@ def catalog():
     )
     examples["adaptive_demo"] = NamedExample(
         id="adaptive_demo",
-        problem=_ADAPTIVE,
+        document=json.dumps(_ADAPTIVE),
         starts=(((1.0, 1.0, 1.0),),),
         default_rule=StoppingRule(max_iters=5000, residual_tol=1e-10),
         notes=(
@@ -225,7 +229,7 @@ def catalog():
     )
     examples["synchronal_demo"] = NamedExample(
         id="synchronal_demo",
-        problem=_SYNCHRONAL,
+        document=json.dumps(_SYNCHRONAL),
         starts=(((4.0,),),),
         default_rule=StoppingRule(max_iters=100000, target_tol=1e-4),
         expected=(ExpectedRow(1, (2.0,), (1e-12,), DERIVED),),
@@ -236,7 +240,7 @@ def catalog():
     )
     examples["extragradient_1d"] = NamedExample(
         id="extragradient_1d",
-        problem=_EXTRAGRADIENT,
+        document=json.dumps(_EXTRAGRADIENT),
         starts=(((10.0,),),),
         default_rule=StoppingRule(max_iters=500, residual_tol=1e-9),
         expected=(ExpectedRow(1, (8.25,), (1e-12,), DERIVED),),

@@ -55,12 +55,11 @@ class ValidationError(ValueError):
 
 
 def _declared(m, constant):
-    """The first value of ``constant`` that m's declared classes imply, or None."""
-    for cls in (m.declared_class, *m.extra_classes):
-        value = getattr(cls, constant, None)
-        if value is not None:
-            return value
-    return None
+    """The first value of ``constant`` met walking m's declared class, then its
+    extra classes, each through the classes it implies; None if none is met."""
+    declared = filter(None, (m.declared_class, *m.extra_classes))
+    values = (getattr(cls, constant) for d in declared for cls in d.implied())
+    return next((v for v in values if v is not None), None)
 
 
 def _seq_range_ok(seq, lo, hi, upto=100):
@@ -330,11 +329,10 @@ class ProblemSpec:
     def demicontractive_k(self):
         ks = []
         for m in (self.U, self.T):
-            k = getattr(m.declared_class, "demicontractive", None)
+            k = _declared(m, "demicontractive")
             if k is None:
-                raise ValidationError(
-                    "%s must declare a demicontractive-type class" % (m.name or "map",)
-                )
+                raise ValidationError("%s must declare a demicontractive-type class"
+                                      % (m.name or "map",))
             ks.append(k)
         return max(ks)
 

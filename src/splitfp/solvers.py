@@ -179,13 +179,11 @@ def _float_lane(spec):
 
 def _lane_for(spec, x, y):
     """The float lane when the starts, the reference, A and B, and every set
-    and operator are 1-D, except for the cut family, whose cuts are vector
-    halfspaces."""
+    and operator are 1-D."""
     parts = (spec.C, spec.Q, spec.T, spec.G, spec.U, spec.f,
              *(spec.block_operators or ()))
-    if (FAMILIES[spec.family].accumulates_cuts
-            or any(v is not None and v.shape != (1,)
-                   for v in (x, y, *(spec.reference_solution or ())))
+    if (any(v is not None and v.shape != (1,)
+            for v in (x, y, *(spec.reference_solution or ())))
             or any(m and m.matrix.shape != (1, 1) for m in (spec.A, spec.B))
             or any(p and p.dim != 1 for p in parts)):
         return _ARRAYS
@@ -345,13 +343,13 @@ def step_scfpep(spec, x, y, n, _lane=_ARRAYS):
 # extra-gradient family
 
 
-def _extragradient_correction(spec, v):
-    av = spec.A.apply(v)
-    mapped = spec.G(project(spec.Q, av))
-    return spec.A.apply_adjoint(av - mapped)
+def _extragradient_correction(spec, v, lane):
+    av = lane.apply(spec.A, v)
+    mapped = lane.call(spec.G, lane.project(spec.Q, av))
+    return lane.adjoint(spec.A, av - mapped)
 
 
-def step_extragradient(spec, x, cuts, x0, n):
+def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
     """Double-extrapolation step with distance-dominance cuts.
 
     Computes two projected extrapolations y_n, z_n, an Ishikawa-style inner
@@ -367,10 +365,11 @@ def step_extragradient(spec, x, cuts, x0, n):
     gamma = spec.gamma_seq(n)
     alpha = spec.alpha(n)
     beta = spec.beta(n)
-    y_pt = project(spec.C, x - gamma * _extragradient_correction(spec, x))
-    z_pt = project(spec.C, y_pt - gamma * _extragradient_correction(spec, y_pt))
-    inner_pt = (1.0 - beta) * z_pt + beta * spec.T(z_pt)
-    w_pt = (1.0 - alpha) * z_pt + alpha * spec.T(inner_pt)
+    y_pt = _lane.project(spec.C, x - gamma * _extragradient_correction(spec, x, _lane))
+    z_pt = _lane.project(
+        spec.C, y_pt - gamma * _extragradient_correction(spec, y_pt, _lane))
+    inner_pt = (1.0 - beta) * z_pt + beta * _lane.call(spec.T, z_pt)
+    w_pt = (1.0 - alpha) * z_pt + alpha * _lane.call(spec.T, inner_pt)
 
     new_cuts = list(cuts)
     new_cuts.append(halfspace_from_distance_dominance(w_pt, z_pt))
@@ -381,12 +380,12 @@ def step_extragradient(spec, x, cuts, x0, n):
             "cut list grew to %d, beyond the cap %d" % (len(new_cuts), spec.cut_cap),
             n,
         )
-    x_next = project(Intersection([spec.C, *new_cuts]), x0)
+    x_next = _lane.project(Intersection([spec.C, *new_cuts]), x0)
     return StepResult(
         x=x_next,
         intermediates={"u": y_pt, "z": z_pt, "w": w_pt, "r": inner_pt},
         step=gamma,
-        residual_primary=norm(x_next - x),
+        residual_primary=_lane.norm(x_next - x),
         cuts=new_cuts,
     )
 
@@ -448,7 +447,8 @@ _FAMILY_STEPS = {
              lambda lane, spec, x, y, cuts, x0, n: step_scfpep(spec, x, y, n, lane)),
     EXTRAGRADIENT_SFFPP: (
         _fixed_point_residual,
-        lambda lane, spec, x, y, cuts, x0, n: step_extragradient(spec, x, cuts, x0, n)),
+        lambda lane, spec, x, y, cuts, x0, n: step_extragradient(
+            spec, x, cuts, x0, n, lane)),
 }
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from splitfp import cli, config
 from splitfp.cli import main, parse_trace_csv, write_trace_csv
-from splitfp.operators import CLASS_TOKENS, FixedPointMap, SequenceSpec, operator_catalog
+from splitfp.operators import (CLASS_TOKENS, FixedPointMap, SequenceSpec, class_from_token,
+                               operator_catalog)
 from splitfp.presets import catalog, run_example
 from splitfp.problems import ProblemSpec, StoppingRule
 from splitfp.projections import WholeSpace
@@ -479,8 +480,12 @@ def test_verify_identity_across_classes(capsys):
 
 def test_readme_lists_the_class_tokens():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    listed = re.findall(r"^\| `([a-z_]+)` \|", readme, flags=re.M)
-    assert listed == list(CLASS_TOKENS)
+    rows = re.findall(r"^\| `([a-z_]+)` \|[^|\n]*\|([^|\n]*)\|$", readme, flags=re.M)
+    assert [token for token, _ in rows] == list(CLASS_TOKENS)
+    # the implies column names the tokens of the default record's edges
+    for token, implies in rows:
+        assert re.findall(r"`([a-z_]+)`", implies) == [
+            c.token for c in class_from_token(token).implies], token
 
 
 def test_list_examples_formats(capsys):
@@ -573,6 +578,11 @@ def assert_rejected(tmp_path, capsys, doc, path):
     (dict(SCFPP_INLINE, problem={"family": "scfpp"}), "problem"),
     (_inline(gamma=5), "problem"),
     ({"problem": {"A": [[1.0]]}, "start": {"x": [1.0]}}, "problem.family"),
+    # a flag the spec rejects once it is applied
+    ({"problem": {"example": "extragradient_1d"}, "flags": {"cut_cap": 1}},
+     "flags.cut_cap"),
+    ({"problem": {"example": "scfpp_smallS"}, "flags": {"gamma_bound": "lipschitz"}},
+     "flags.gamma_bound"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_run_config_rejects_a_bad_key_naming_its_path(tmp_path, capsys, doc, path):
     assert_rejected(tmp_path, capsys, doc, path)
@@ -633,6 +643,21 @@ def test_demo_config_writes_the_presets_trace(tmp_path, config, preset):
         assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("trace.csv", "summary.json")])
     assert outputs[0] == outputs[1]
+
+
+def test_adaptive_run_reads_the_demicontractive_constant_a_class_implies(
+        tmp_path, capsys):
+    # with a fixed point, nonexpansive and contraction maps are 0-demicontractive
+    halving = {"num": [0.0, 0.5], "fixed_points": [0.0]}
+    doc = {"problem": {"family": "scfpp_adaptive",
+                       "U": dict(halving, **{"class": "nonexpansive"}),
+                       "T": dict(halving, **{"class": "contraction:0.5"}),
+                       "A": [[1.0]], "alpha": {"constant": 0.5}},
+           "start": {"x": [1.0]}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert abs(json.loads((out / "summary.json").read_text())["final_x"][0]) < 1e-12
 
 
 def _schema_keys():

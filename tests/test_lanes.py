@@ -78,9 +78,9 @@ def test_one_dimensional_runs_take_the_float_lane():
         x, y = (list(map(np.atleast_1d, ex.starts[0])) + [None])[:2]
         if solvers._lane_for(ex.spec, x, y) is not solvers._ARRAYS:
             floats.add(ex_id)
-    # 3-D adaptive_demo steps on arrays, and so does the cut family
+    # 3-D adaptive_demo steps on arrays
     assert floats == {"bnm_t1", "bnm_t2", "wq_t3", "wq_t4", "scfpp_smallS",
-                      "synchronal_demo"}
+                      "synchronal_demo", "extragradient_1d"}
     spec = catalog()["scfpp_smallS"].spec
     assert solvers._lane_for(spec, np.ones(2), None) is solvers._ARRAYS
     two = replace(spec, reference_solution=[1.25, 1.25])

@@ -25,9 +25,12 @@ from splitfp.operators import (
     QuasiNonexpansive,
     SequenceSpec,
     StrictlyPseudocontractive,
+    Directed,
+    FirmlyQuasiNonexpansive,
     StronglyMonotone,
     TotalQuasiAsymptoticallyNonexpansive,
     _Lcg,
+    class_from_token,
     convex_combine,
     map_from_rule,
     operator_catalog,
@@ -809,8 +812,76 @@ def test_total_quasi_view_of_each_class():
     view = AsymptoticallyQuasiNonexpansive(t_seq).total_quasi
     assert [view.v_seq(n) for n in range(30)] == [t_seq(n) - 1.0 for n in range(30)]
     assert (view.mu_seq, view.gauge) == (zero, Gauge("t^2"))
-    for cls in (Nonexpansive(), Demicontractive(0.0), Contraction(0.5)):
-        assert cls.total_quasi is None
+    # nonexpansive -> quasi-nonexpansive, and contraction -> nonexpansive
+    for cls in (Nonexpansive(), Contraction(0.5)):
+        assert cls.total_quasi == TotalQuasiAsymptoticallyNonexpansive(
+            zero, zero, Gauge("t^2"))
+    assert Demicontractive(0.0).total_quasi is None
+
+
+# ---------------------------------------------------------------------------
+# the taxonomy's edges, screened by sampling
+
+_POSITIVE_PART = Piecewise1D(0.0, Rational1D([0.0]), Rational1D([0.0, 1.0]))   # max(x, 0)
+
+# 1-D rule maps with the fixed point 0, declaring the classes no catalog map
+# declares: name -> (rule, class token)
+_EDGE_MAPS = {
+    "halving": (Rational1D([0.0, 0.5]), "contraction:0.5"),
+    "positivePart": (_POSITIVE_PART, "firmly_quasi_nonexpansive"),
+    "positivePartDirected": (_POSITIVE_PART, "directed"),
+    # -2x: ||Tx - Tz||^2 = 4 d^2 <= d^2 + k 9 d^2 for k >= 1/3
+    "doubledNegation": (Rational1D([0.0, -2.0]), "strictly_pseudocontractive:0.5"),
+    "halvingAsymptotic": (Rational1D([0.0, 0.5]), "asymptotically_quasi_nonexpansive"),
+    "halvingTotal": (Rational1D([0.0, 0.5]), "total_asymptotically_nonexpansive"),
+}
+
+
+def _edge_map(name):
+    if name in _EDGE_MAPS:
+        rule, token = _EDGE_MAPS[name]
+        return map_from_rule(rule, WholeSpace(1), class_from_token(token), ([0.0],),
+                             name=name)
+    return operator_catalog()[name]
+
+
+@pytest.mark.parametrize("name", sorted(operator_catalog()) + sorted(_EDGE_MAPS))
+def test_every_class_a_declaration_implies_verifies(name):
+    T = _edge_map(name)
+    for cls in T.declared_class.implied():
+        report = verify_class(T, cls)
+        assert report.passed, (name, cls, report.violations[:1])
+
+
+def test_the_walk_visits_each_implied_class_once_nearest_first():
+    tqan = TotalQuasiAsymptoticallyNonexpansive(
+        SequenceSpec.const(0.0), SequenceSpec.const(0.0), Gauge("t^2"))
+    assert list(Contraction(0.5).implied()) == [
+        Contraction(0.5), Nonexpansive(), QuasiNonexpansive(), tqan]
+    # firmly quasi-nonexpansive <=> directed: the cycle is walked once
+    assert list(FirmlyQuasiNonexpansive().implied()) == [
+        FirmlyQuasiNonexpansive(), Directed(), QuasiNonexpansive(), tqan]
+    assert list(Directed().implied()) == [
+        Directed(), FirmlyQuasiNonexpansive(), QuasiNonexpansive(), tqan]
+    assert list(StrictlyPseudocontractive(0.5).implied()) == [
+        StrictlyPseudocontractive(0.5), Demicontractive(0.5)]
+    assert list(Demicontractive(0.5).implied()) == [Demicontractive(0.5)]
+
+
+@pytest.mark.parametrize("name, declared", [
+    ("heDu", QuasiNonexpansive()),
+    ("wqU", QuasiNonexpansive()),
+    ("identity", None),
+    ("scaledNeg", None),
+    ("ballMap", None),
+    ("halving", None),
+    ("positivePart", None),
+    ("doubledNegation", None),
+])
+def test_relax_declares_quasi_nonexpansive_only_for_a_quasi_nonexpansive_map(
+        name, declared):
+    # relax reads the declared class itself, not the classes it implies
+    assert relax(_edge_map(name), 0.5).declared_class == declared
 
 
 def test_power_inequalities_of_an_asymptotically_quasi_declaration():

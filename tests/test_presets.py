@@ -1,9 +1,11 @@
 """Named configurations: validation, pinned rows, and catalog export."""
 
 import dataclasses
+import json
 
 import pytest
 
+from splitfp.config import build_spec_from_config
 from splitfp.presets import DERIVED, TABULATED, ExpectedRow, catalog, get_example, run_example
 
 
@@ -69,6 +71,17 @@ def test_examples_are_shared_and_frozen():
     with pytest.raises(TypeError):
         catalog()["wq_t3"] = ex
     assert ex.spec.branch_assignment == "swapped"
+
+
+def test_an_edit_of_a_problem_document_reaches_no_preset():
+    # bnm_t1 and bnm_t2 are built from one document
+    get_example("bnm_t1").problem["lam"] = {"constant": 1.0}
+    for ex_id in ("bnm_t1", "bnm_t2"):
+        ex = get_example(ex_id)
+        assert ex.problem["lam"] == {"constant": 0.0}
+        assert build_spec_from_config(ex.problem).lam == ex.spec.lam
+    for ex in catalog().values():
+        assert json.loads(json.dumps(ex.problem, allow_nan=False)) == ex.problem
 
 
 def test_get_example_unknown_id():

@@ -141,7 +141,7 @@ CLASS_CONSTANTS = {
                                     0.27999999999999997, _NO_G),
     "asymptotically_quasi_nonexpansive": (_NO_DEMI, _NO_LIP, 0.27999999999999997,
                                           0.27999999999999997, _NO_G),
-    "contraction": (_NO_DEMI, 1.1111111111111112, 0.29595, 0.29595, _NO_G),
+    "contraction": (0.0, 1.1111111111111112, 0.29595, 0.29595, _NO_G),
     "demicontractive": (0.0, _NO_LIP, 0.27999999999999997, 0.27999999999999997,
                         _NO_G),
     "directed": (-1.0, _NO_LIP, 0.27999999999999997, 0.27999999999999997, _NO_G),
@@ -149,8 +149,7 @@ CLASS_CONSTANTS = {
                                   0.27999999999999997, _NO_G),
     "lipschitzian": (_NO_DEMI, 1.0, 0.29500000000000004, 0.29500000000000004,
                      _NO_G),
-    "nonexpansive": (_NO_DEMI, 1.0, 0.29500000000000004, 0.29500000000000004,
-                     _NO_G),
+    "nonexpansive": (0.0, 1.0, 0.29500000000000004, 0.29500000000000004, _NO_G),
     "quasi_nonexpansive": (0.0, _NO_LIP, 0.27999999999999997,
                            0.27999999999999997, _NO_G),
     "strictly_pseudocontractive": (0.0, _NO_LIP, 0.27999999999999997,
