@@ -75,7 +75,10 @@ def _set(value, path):
     body = _object(dict, _SET, value, path)
     if len(body) != 1:
         raise ValidationError("%s: a set takes one key of %s" % (path, ", ".join(_SET)))
-    return body.popitem()[1]
+    kind, body = body.popitem()
+    if body._empty:   # an intersection of non-empty members is found empty at run time
+        raise ValidationError("%s.%s: %r is empty" % (path, kind, body))
+    return body
 
 
 def _make_rule(**doc):

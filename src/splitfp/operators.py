@@ -15,7 +15,6 @@ reports are bit-reproducible across platforms.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar
@@ -280,9 +279,11 @@ class OperatorClass:
 
     @classmethod
     def from_token(cls, param):
-        if isinstance(cls.default, tuple):   # a class without a scalar parameter
-            return cls(*cls.default)
-        return cls(float(param) if param else cls.default)
+        if not isinstance(cls.default, tuple):
+            return cls(float(param) if param else cls.default)
+        if param:   # a class without a scalar parameter
+            raise ValueError("the class takes no parameter, got %r" % param)
+        return cls(*cls.default)
 
     def implied(self):
         """This class, then each class it implies, nearest first, each once."""
@@ -544,29 +545,32 @@ def _check_at_least_one(seq, name, upto=50):
 
 
 class FixedPointMap:
-    """A nonlinear map with domain, declared class, and known fixed points.
+    """A nonlinear map with domain, declared class, and known fixed points:
+    the one place that decides how the map evaluates.
 
     ``eval_fn`` takes and returns 1-D float arrays.  ``rule``, when present,
-    is the portable scalar rule the map evaluates, and ``kernel`` is its
-    ``rule.float_kernel()``, compiled once here.  ``eval_fn`` may then be
-    None, and the map evaluates ``[kernel(float(x[0]))]``; a given
-    ``eval_fn`` must compute exactly that (:func:`map_from_rule` builds
-    such maps).  The high-precision oracle re-evaluates the rule in Decimal
-    and :func:`power_apply` iterates the kernel on Python floats.
-    ``extra_classes`` lists additional regularity declarations beyond the
-    primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
-    modulus.
+    is the portable scalar rule the map evaluates, which the oracle
+    re-evaluates in Decimal; ``eval_fn`` may then be None, and a given one
+    must compute exactly the rule's float kernel.  Every 1-D map has a
+    ``kernel`` of one Python float, built once here: its rule's
+    ``float_kernel()``, or else ``eval_fn`` on ``np.array([v])``, which has
+    the bits of ``T(np.array([v]))``.  ``extra_classes`` lists additional
+    regularity declarations beyond the primary one, e.g. a Lipschitz
+    constant alongside a strong-monotonicity modulus.
     """
 
     def __init__(self, eval_fn, domain, declared_class=None,
                  known_fixed_points=(), name=None, rule=None, extra_classes=()):
-        self.rule = rule
-        self.kernel = None if rule is None else rule.float_kernel()
-        if eval_fn is None:
-            if rule is None:
-                raise ValueError("a map needs an eval_fn or a rule")
-            eval_fn = _kernel_eval_fn(self.kernel)
-        self.eval_fn = eval_fn
+        kernel = None   # a map of more dimensions has none
+        if rule is not None:
+            kernel = rule.float_kernel()
+            eval_fn = eval_fn or (lambda x: np.array([kernel(float(x[0]))]))
+        elif eval_fn is None:
+            raise ValueError("a map needs an eval_fn or a rule")
+        elif domain.dim == 1:
+            kernel = lambda v: _vector(eval_fn(np.array([v]))).item()
+        self.rule, self.kernel, self.eval_fn = rule, kernel, eval_fn
+        self._array_kernel = None if rule is None else rule.array_kernel()
         self.domain = domain
         self.declared_class = declared_class
         self.name = name
@@ -591,23 +595,30 @@ class FixedPointMap:
         x = _vector(x)
         return _vector(self.eval_fn(x))
 
+    def implied(self):
+        """The walk of the declared class, then of each extra class."""
+        for declared in filter(None, (self.declared_class, *self.extra_classes)):
+            yield from declared.implied()
+
+    def _stack(self, V):
+        """T of each row of the (S, d) stack V: a rule's array kernel, compiled
+        once, evaluating a non-finite row again by the float kernel (so a
+        pole raises), else ``T(row)`` row by row."""
+        if self._array_kernel is None:
+            return np.array([self(row) for row in V])
+        with np.errstate(all="ignore"):
+            out = np.array(np.broadcast_to(self._array_kernel(V[:, 0]), len(V)))[:, None]
+        for i in np.flatnonzero(~np.isfinite(out[:, 0])):
+            out[i, 0] = self.kernel(float(V[i, 0]))
+        return out
+
     def __repr__(self):
         return "FixedPointMap(%s)" % (self.name or "unnamed")
 
 
-def _kernel_eval_fn(kernel):
-    def eval_fn(x):
-        return np.array([kernel(float(x[0]))])
-
-    return eval_fn
-
-
 def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
                   name=None, extra_classes=()):
-    """Wrap a scalar rule as a one-dimensional :class:`FixedPointMap`.
-
-    The map compiles the rule's float kernel once and evaluates it.
-    """
+    """Wrap a scalar rule as a one-dimensional :class:`FixedPointMap`."""
     return FixedPointMap(None, domain, declared_class, known_fixed_points,
                          name=name, rule=rule, extra_classes=extra_classes)
 
@@ -621,20 +632,18 @@ def power_apply(T, n, x, check_domain=True):
     """n-fold composition T(T(...T(x))).
 
     Cost is at most n evaluations; composition stops early once an iterate
-    is bitwise fixed, T(v) having the shape and the bytes of v (see
-    :func:`_iterates`): every later power of a deterministic map then has
-    those bits too.  The test keeps -0.0 and +0.0 apart and holds for NaN.
-    With ``check_domain`` the current point is required to lie in T's domain
-    before every application, and the offending step is named on escape.
+    is bitwise fixed, T(v) having the shape and the bytes of v: every later
+    power of a deterministic map then has those bits too.  The test keeps
+    -0.0 and +0.0 apart.  With ``check_domain`` the current point is
+    required to lie in T's domain before every application, and the
+    offending step is named on escape.
 
     A Python ``float`` x (exactly that type) gives a ``float``, the entry of
-    the power of ``np.array([x])``.  Two loops compute the same thing.  When
-    T has a ``kernel`` (the float kernel of its rule, compiled once when the
-    map is built) and x has one element, the loop runs on a Python float
-    and calls the kernel: the same IEEE operations ``T``'s ``eval_fn``
-    performs, without wrapping every iterate in an array.  Every other map,
-    and every d > 1, takes the array loop through ``T.__call__``.  Both
-    answer a whole-space domain as :func:`contains` does, by finiteness.
+    the power of ``np.array([x])``.  There is one loop per dimension: a 1-D
+    map with a one-element x iterates ``T.kernel`` on a Python float,
+    without wrapping every iterate in an array, and d > 1 iterates
+    ``T.__call__`` on arrays.  Both answer a whole-space domain as
+    :func:`contains` does, by finiteness.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
@@ -673,37 +682,33 @@ def power_apply(T, n, x, check_domain=True):
 def relax(T, alpha):
     """Averaged map x -> (1-alpha) x + alpha T(x) for alpha in (0, 1].
 
-    Preserves the fixed-point set; stays quasi-nonexpansive when T is.  A
-    rule-backed T gives a rule-backed map, its rule a :class:`Relaxed1D`.
+    Preserves the fixed-point set; declared quasi-nonexpansive when T's walk
+    (:meth:`FixedPointMap.implied`) reaches it.  A rule-backed T gives a
+    rule-backed map, its rule a :class:`Relaxed1D`.
     """
     alpha = float(alpha)  # a numpy float32 weight would make the kernel float32
     if not 0.0 < alpha <= 1.0:
         raise ValueError("relaxation weight must lie in (0, 1]")
     if alpha == 1.0:
         return T
-    declared = (
-        QuasiNonexpansive()
-        if isinstance(T.declared_class, QuasiNonexpansive)
-        else None
-    )
-    name = "relax(%s, %g)" % (T.name or "T", alpha)
-    if T.rule is not None:
-        return map_from_rule(Relaxed1D(T.rule, alpha), T.domain, declared,
-                             T.known_fixed_points, name=name)
+    rule = None if T.rule is None else Relaxed1D(T.rule, alpha)
+    quasi = QuasiNonexpansive() in T.implied()
     return FixedPointMap(
-        lambda x: (1.0 - alpha) * x + alpha * T(x),
+        None if rule else lambda x: (1.0 - alpha) * x + alpha * T(x),
         T.domain,
-        declared_class=declared,
+        declared_class=QuasiNonexpansive() if quasi else None,
         known_fixed_points=T.known_fixed_points,
-        name=name,
+        name="relax(%s, %g)" % (T.name or "T", alpha),
+        rule=rule,
     )
 
 
 def convex_combine(maps, weights):
     """Weighted average x -> sum_i w_i T_i(x) of maps sharing a domain dim.
 
-    Declared quasi-nonexpansive when every input is and a common fixed
-    point survives; the surviving common fixed points are re-registered.
+    Declared quasi-nonexpansive when every input's walk reaches it and a
+    common fixed point survives; the surviving common fixed points are
+    re-registered.
     """
     maps = list(maps)
     if not maps:
@@ -737,12 +742,11 @@ def convex_combine(maps, weights):
             seen.add(key)
             if all(norm(other(p) - p) <= _FIXED_POINT_TOL for other in maps):
                 common.append(p)
-    all_quasi = all(isinstance(m.declared_class, QuasiNonexpansive) for m in maps)
-    declared = QuasiNonexpansive() if (all_quasi and common) else None
+    quasi = common and all(QuasiNonexpansive() in m.implied() for m in maps)
     return FixedPointMap(
         eval_fn,
         maps[0].domain,
-        declared_class=declared,
+        declared_class=QuasiNonexpansive() if quasi else None,
         known_fixed_points=common,
         name="combine(%s)" % ", ".join(m.name or "T" for m in maps),
     )
@@ -882,55 +886,24 @@ class ClassReport:
         return "\n".join(lines) + "\n"
 
 
-def _iterates(T, x, n_max):
-    """x, Tx, T^2 x, ..., T^{n_max} x computed incrementally.
-
-    The orbit stops at the first iterate v whose image T(v) has the shape
-    and the bytes of v, and the rest of the list repeats that array.  This
-    is exact for a deterministic map: T then gives those bits again at
-    every later power, NaN included, and -0.0 against +0.0 is not a stop.
-    """
-    out = [_vector(x)]
-    for _ in range(n_max):
-        image = T(out[-1])
-        if image.shape == out[-1].shape and image.tobytes() == out[-1].tobytes():
-            out.extend([image] * (n_max + 1 - len(out)))
-            break
-        out.append(image)
-    return out
-
-
 def _orbits(T, X, n_max):
     """The stacks X, T X, ..., T^{n_max} X of the rows of the (S, d) stack X.
 
-    A rule-backed map runs its rule's array kernel on the whole stack, and
-    the orbit stops once the stack's image has the bytes of the stack: a
-    row that is already fixed repeats its bits, so this is the per-row stop
-    of :func:`_iterates`.  A row whose stacked image is not finite is
-    evaluated again through T, so a pole raises T's own
-    ``ZeroDivisionError`` and a non-finite image has T's bits.  Any other
-    map iterates row by row through :func:`_iterates` and the orbits are
-    stacked.
+    Each power gives T's stack evaluator only the rows still moving.  A row
+    stops at its first iterate v whose image has the bits of v: a
+    deterministic map gives those bits again at every later power, NaN
+    included, and -0.0 against +0.0 is not a stop.  Once no row moves, the
+    last stack is reused.
     """
-    if T.rule is None:
-        # a column whose rows are all the previous column's arrays (every
-        # orbit has stopped) reuses the previous stack
-        stacks, before = [], None
-        for column in zip(*(_iterates(T, x, n_max) for x in X)):
-            same = before is not None and all(map(operator.is_, column, before))
-            stacks.append(stacks[-1] if same else np.array(column))
-            before = column
-        return stacks
-    kernel = T.rule.array_kernel()
-
-    def image(V):
-        with np.errstate(all="ignore"):
-            out = np.array(np.broadcast_to(kernel(V[:, 0]), len(V)))[:, None]
-        for i in np.flatnonzero(~np.isfinite(out[:, 0])):
-            out[i] = T(V[i])
-        return out
-
-    return _iterates(image, X, n_max)
+    stacks, moving = [X], np.arange(len(X))
+    for _ in range(n_max):
+        stack = stacks[-1]
+        if len(moving):
+            rows, stack = stack[moving], stack.copy()
+            stack[moving] = T._stack(rows)
+            moving = moving[(stack[moving].view(np.uint64) != rows.view(np.uint64)).any(1)]
+        stacks.append(stack)
+    return stacks
 
 
 def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,

@@ -55,10 +55,9 @@ class ValidationError(ValueError):
 
 
 def _declared(m, constant):
-    """The first value of ``constant`` met walking m's declared class, then its
-    extra classes, each through the classes it implies; None if none is met."""
-    declared = filter(None, (m.declared_class, *m.extra_classes))
-    values = (getattr(cls, constant) for d in declared for cls in d.implied())
+    """The first value of ``constant`` met on m's walk (``m.implied()``) of its
+    declared class, then its extra classes; None if none is met."""
+    values = (getattr(cls, constant) for cls in m.implied())
     return next((v for v in values if v is not None), None)
 
 

@@ -95,9 +95,11 @@ class ConvexBody:
     balls whose intersection is the body, and ``_interval`` is a 1-D body as
     (lo, hi).  They hold when ``_defined``: numbers with a NaN, or an
     infinite normal or centre, describe no set, and project to NaN.
+    ``_empty`` marks a body that is empty by itself.
     """
 
     _defined = True
+    _empty = False
 
     def project(self, x):
         return project(self, x)
@@ -212,6 +214,7 @@ class Halfspace(ConvexBody):
         self.b = b
         self._norm_sq = norm_sq
         self._defined = norm_sq < np.inf and b == b   # a.a is finite iff a is
+        self._empty = b == -np.inf
         if self._norm_sq == 0.0 and self.b < 0.0:
             raise ValueError("zero normal with negative offset describes the empty set")
 
@@ -226,7 +229,7 @@ class Halfspace(ConvexBody):
     def _project(self, x):
         if self.is_whole_space:
             return x.copy()
-        if self.b == -np.inf:
+        if self._empty:
             raise InfeasibleIntersection("halfspace %r is empty" % (self,))
         slack = float(np.dot(self.a, x)) - self.b
         if slack <= 0.0:
@@ -240,7 +243,7 @@ class Halfspace(ConvexBody):
             return _rows(np.full((1, self.dim), np.nan), np.full(1, np.nan)), ()
         if self.is_whole_space or self.b == np.inf:
             return _no_rows(self.dim), ()
-        if self.b == -np.inf:
+        if self._empty:
             return _empty_rows(self.dim), ()
         scale = np.sqrt(self._norm_sq)
         return _rows((self.a / scale)[None, :], np.array([self.b / scale])), ()

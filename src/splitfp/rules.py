@@ -13,15 +13,15 @@ performs exactly the IEEE operations of ``rule(v)``, in the same order, so
 its result has the same bits (and a pole raises the same
 ``ZeroDivisionError``).  A rational rule's kernel is straight-line Horner
 code, one statement per term, compiled once per pair of degrees; piecewise
-and relaxed rules compose their children's kernels.  The kernel is never
-cached on the rule: an ``operators.FixedPointMap`` given a rule compiles it
-once and keeps it.
+and relaxed rules compose their children's kernels.
 
 ``rule.array_kernel()`` performs the same operations elementwise on a
 float64 array, so each element has the bits of ``float_kernel`` at that
 element wherever the latter returns.  At a pole it gives an infinity or a
 NaN (under numpy's error state) where the float kernel raises.  A rule
-with constant branches may return a scalar; callers broadcast.
+with constant branches may return a scalar; callers broadcast.  Neither
+kernel is cached on the rule: an ``operators.FixedPointMap`` given a rule
+compiles both once and keeps them.
 """
 
 from dataclasses import dataclass

@@ -14,12 +14,12 @@ Each step is written once and reads its leaves (linear maps and adjoints,
 ``norm``, operator calls, iterate powers, projections) from a *lane*.  The
 default array lane is today's functions on vectors.  A run whose blocks are
 all 1-D steps on Python floats through the float lane, whose leaves have
-the array forms' bits: a rule map's ``kernel``, ``0.0 + m*v`` for a 1x1
-``matrix @ x`` (the matmul sums from +0.0, turning a -0.0 product into
-+0.0), ``sqrt(v*v)`` for ``norm`` (``abs(v)`` where ``v*v`` overflows, as
-``spaces.norm`` scales), and else the array form on ``np.array([v])``; an
-iterate power is ``power_apply``, which takes and gives a float.  Trace
-records hold arrays in either lane.
+the array forms' bits: an operator's ``kernel`` (every 1-D map has one),
+``0.0 + m*v`` for a 1x1 ``matrix @ x`` (the matmul sums from +0.0, turning
+a -0.0 product into +0.0), ``sqrt(v*v)`` for ``norm`` (``abs(v)`` where
+``v*v`` overflows, as ``spaces.norm`` scales), and else the array form on
+``np.array([v])``; an iterate power is ``power_apply``, which takes and
+gives a float.  Trace records hold arrays in either lane.
 """
 
 import math
@@ -165,14 +165,11 @@ def _float_lane(spec):
         r = math.sqrt(v * v)
         return abs(v) if r == math.inf and math.isfinite(v) else r
 
-    def call(T, v):
-        return float(T.kernel(v)) if T.kernel else T(np.array([v])).item()
-
     return SimpleNamespace(
         state=lambda x: None if x is None else x.item(),
         array=lambda v: None if v is None else np.array([v]),
-        apply=apply, adjoint=apply, norm=norm1,
-        call=call, power=_ARRAYS.power,   # power_apply takes and gives a float
+        apply=apply, adjoint=apply, norm=norm1, call=lambda T, v: T.kernel(v),
+        power=_ARRAYS.power,   # power_apply takes and gives a float
         project=lambda S, v: (v if type(S) is WholeSpace
                               else project(S, np.array([v])).item()))
 

@@ -158,13 +158,15 @@ def estimate_norm_squared(A, tol=1e-10, max_iters=10000):
     """Largest eigenvalue of A^T A (= ||A||^2 = ||A A*||) by power iteration.
 
     Deterministic all-ones start vector, Rayleigh-quotient convergence test
-    ``|lam_new - lam| <= tol * lam_new``.  The square root is cached into
-    ``A.norm_bound``.  Raises :class:`PowerIterationError` carrying the best
-    estimate if the test is not met within ``max_iters``.
+    ``|lam_new - lam| <= tol * lam_new``.  Only a call at the default ``tol``
+    and ``max_iters`` reads and fills the cache behind ``A.norm_bound``.
+    Raises :class:`PowerIterationError` carrying the best estimate if the
+    test is not met within ``max_iters``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if A._norm_sq is not None:
+    cached = (tol, max_iters) == (1e-10, 10000)
+    if cached and A._norm_sq is not None:
         return A._norm_sq
     if not np.any(A.matrix):
         raise ValueError("power iteration requires a nonzero map")
@@ -186,7 +188,8 @@ def estimate_norm_squared(A, tol=1e-10, max_iters=10000):
         v = w / nw
         lam_new = float(v @ (M @ v))
         if abs(lam_new - lam) <= tol * max(lam_new, np.finfo(float).tiny):
-            A._norm_sq = lam_new
+            if cached:
+                A._norm_sq = lam_new
             return lam_new
         lam = lam_new
     raise PowerIterationError(

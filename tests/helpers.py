@@ -59,12 +59,17 @@ def power_apply_arrays(T, n, x, check_domain=True):
 
 
 def full_orbit(T, x, n_max):
-    """x, Tx, ..., T^{n_max} x with every power evaluated: the reference for
-    ``operators._iterates``, which stops at a bitwise-fixed iterate."""
+    """x, Tx, ..., T^{n_max} x with every power evaluated."""
     out = [np.atleast_1d(np.asarray(x, dtype=float))]
     for _ in range(n_max):
         out.append(T(out[-1]))
     return out
+
+
+def full_orbits(T, X, n_max):
+    """The stacks of the :func:`full_orbit` of each row of X: the reference
+    for ``operators._orbits``, which stops a row at a bitwise-fixed iterate."""
+    return [np.array(column) for column in zip(*(full_orbit(T, x, n_max) for x in X))]
 
 
 def verify_class_rows(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,

@@ -266,6 +266,34 @@ def test_run_rejects_an_infinite_normal_or_centre(tmp_path, capsys, domain, what
     assert "expected a finite number" in err
 
 
+def _sffpep_inline(**problem):
+    doc = json.loads((REPO / "demos" / "configs" / "sffpep_inline_rules.json").read_text())
+    doc["problem"].update(problem)
+    return doc
+
+
+@pytest.mark.parametrize("problem, path", [
+    ({"C": {"box": {"lower": ["-inf"], "upper": ["-inf"]}}}, "problem.C.box"),
+    ({"Q": {"halfspace": {"a": [1.0], "b": float("-inf")}}}, "problem.Q.halfspace"),
+    ({"C": {"intersection": [{"box": {"lower": [0.0], "upper": [None]}},
+                             {"halfspace": {"a": [-1.0], "b": float("-inf")}}]}},
+     "problem.C.intersection[1].halfspace"),
+], ids=["box", "halfspace", "intersection"])
+def test_run_rejects_a_set_empty_by_itself(tmp_path, capsys, problem, path):
+    err = assert_rejected(tmp_path, capsys, _sffpep_inline(**problem), path)
+    assert err.rstrip().endswith("is empty")
+
+
+def test_an_intersection_of_non_empty_sets_is_found_empty_at_run_time(tmp_path, capsys):
+    # x >= 2 and x <= 1: each member is non-empty, the breakdown exits 3
+    doc = _sffpep_inline(C={"intersection": [{"box": {"lower": [2.0], "upper": [None]}},
+                                             {"halfspace": {"a": [1.0], "b": 1.0}}]})
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: iteration 0: ") and "empty" in err
+
+
 @pytest.mark.parametrize("domain", [
     {"ball": {"center": [0.0], "radius": float("inf")}},
     {"halfspace": {"a": [1.0], "b": float("inf")}},
@@ -460,6 +488,12 @@ def test_verify_names_an_invalid_class_parameter(capsys):
     assert "requires k in [0,1), got 1.5" in err and "unknown" not in err
     assert main(["verify", "wqU", "demicontractive:abc"]) == 2
     assert "invalid parameter" in capsys.readouterr().err
+    # a class without a scalar parameter refuses one
+    for token in ("nonexpansive:abc", "asymptotically_nonexpansive:7"):
+        assert main(["verify", "identity", token]) == 2
+        err = capsys.readouterr().err
+        assert "invalid parameter for class %s: the class takes no parameter" \
+            % token.partition(":")[0] in err
     assert main(["verify", "wqU", "nosuchclass"]) == 2
     assert "unknown operator class 'nosuchclass'" in capsys.readouterr().err
 
@@ -583,6 +617,10 @@ def assert_rejected(tmp_path, capsys, doc, path):
      "flags.cut_cap"),
     ({"problem": {"example": "scfpp_smallS"}, "flags": {"gamma_bound": "lipschitz"}},
      "flags.gamma_bound"),
+    # a parameter given to a class that takes none
+    (_inline_T(**{"class": "nonexpansive:1"}), "problem.T.class"),
+    (_inline_T(extra_classes=["asymptotically_nonexpansive:7"]),
+     "problem.T.extra_classes[0]"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_run_config_rejects_a_bad_key_naming_its_path(tmp_path, capsys, doc, path):
     assert_rejected(tmp_path, capsys, doc, path)

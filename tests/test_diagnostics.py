@@ -1,8 +1,11 @@
 """Distance monitors, fixed-point scans, and the decimal re-execution oracle."""
 
+import json
+import math
 from dataclasses import replace
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +18,12 @@ from splitfp.diagnostics import (
     find_fixed_points_1d,
     reexecute_high_precision,
 )
-from splitfp.operators import SequenceSpec, operator_catalog, relax
+from splitfp.config import build_spec_from_config
+from splitfp.operators import SequenceSpec, map_from_rule, operator_catalog, relax
 from splitfp.presets import get_example, run_example
 from splitfp.problems import IterationTrace, SFFPEP, ProblemSpec, StoppingRule, TraceRecord
-from splitfp.projections import WholeSpace
+from splitfp.projections import Ball, WholeSpace
+from splitfp.rules import Rational1D
 from splitfp.solvers import run
 from splitfp.spaces import LinearMap
 
@@ -106,6 +111,18 @@ def test_fixed_point_scan_identity_flat_region():
     lo, hi = scan.flat_regions[0]
     assert lo == -1.0 and hi == 1.0
     assert scan.covers(0.37)
+
+
+def test_fixed_point_scan_bisects_a_root_between_grid_points():
+    # x -> 2/x fixes sqrt(2), which no grid point of [0.5, 3] hits
+    T = map_from_rule(Rational1D([2.0], [0.0, 1.0]), WholeSpace(1))
+    for grid in (4, 101):
+        scan = find_fixed_points_1d(T, (0.5, 3.0), grid=grid)
+        assert scan.flat_regions == []
+        assert len(scan.roots) == 1 and abs(scan.roots[0] - math.sqrt(2.0)) <= 1e-11
+    # (x + 2)/3 on the grid {0, 2}: the first midpoint is the fixed point 1
+    scan = find_fixed_points_1d(operator_catalog()["wqT"], (0.0, 2.0), grid=2)
+    assert scan.roots == [1.0]
 
 
 def test_fixed_point_scan_validation():
@@ -216,6 +233,51 @@ def test_oracle_re_executes_a_relaxed_rule_map():
     for rec, hp_rec in zip(trace.records, hp.records):
         for got, want in ((rec.x[0], hp_rec.x[0]), (rec.y[0], hp_rec.y[0])):
             assert abs(Decimal(got) - want) <= Decimal("1e-9") * (1 + abs(want))
+
+
+def _assert_oracle_certifies(spec, x0, y0=None, max_iters=100):
+    """Every record of the float64 trace within 1e-9 relative of the oracle's."""
+    trace = run(spec, x0, y0, rule=StoppingRule(max_iters=max_iters))
+    hp = reexecute_high_precision(spec, x0, y0, PrecisionOracleConfig(
+        digits=30, max_n=len(trace.records) - 1))
+    assert len(hp.records) == len(trace.records) == max_iters + 1
+    for rec, hp_rec in zip(trace.records, hp.records):
+        pairs = [(rec.x[0], hp_rec.x[0])]
+        if rec.y is not None:
+            pairs.append((rec.y[0], hp_rec.y[0]))
+        for got, want in pairs:
+            assert abs(Decimal(got) - want) <= Decimal("1e-9") * (1 + abs(want)), rec.n
+
+
+def test_oracle_certifies_an_inline_adaptive_config():
+    # U and T are (x + 2)/3, declared nonexpansive and a contraction, so
+    # both 0-demicontractive; TAx - Ax shrinks to the zero gate near x = 1
+    third = {"num": [2.0, 1.0], "den": [3.0], "fixed_points": [1.0]}
+    spec = build_spec_from_config({
+        "family": "scfpp_adaptive", "A": [[1.0]], "alpha": {"constant": 0.3},
+        "U": dict(third, **{"class": "nonexpansive"}),
+        "T": dict(third, **{"class": "contraction:0.5"})})
+    _assert_oracle_certifies(spec, [7.0])
+
+
+SFFPEP_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "configs" / "sffpep_inline_rules.json"
+
+
+@pytest.mark.parametrize("C, Q", [
+    # x <= 8, and y <= 10/3 (a halfspace whose bound b/a is not a double)
+    ({"box": {"lower": [0.0], "upper": [8.0]}}, {"halfspace": {"a": [3.0], "b": 10.0}}),
+    # 0 <= x <= 8 and y >= 7/3, each as the intersection of two members
+    ({"intersection": [{"box": {"lower": [0.0], "upper": [None]}},
+                       {"halfspace": {"a": [1.0], "b": 8.0}},
+                       {"halfspace": {"a": [0.0], "b": 1.0}}]},   # the whole line
+     {"intersection": [{"halfspace": {"a": [-3.0], "b": -7.0}}, {"whole_space": 1}]}),
+], ids=["box-halfspace", "intersections"])
+def test_oracle_certifies_projected_equality_runs(C, Q):
+    problem = json.loads(SFFPEP_CONFIG.read_text())["problem"]
+    spec = build_spec_from_config(dict(problem, C=C, Q=Q, lam={"constant": 0.05}))
+    _assert_oracle_certifies(spec, [10.0], [15.0])
+    with pytest.raises(OracleUnsupported, match="is not an interval"):
+        reexecute_high_precision(replace(spec, C=Ball([0.0], 8.0)), [10.0], [15.0])
 
 
 def test_oracle_rejects_unsupported_problems():

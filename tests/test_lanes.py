@@ -188,8 +188,8 @@ def test_power_leaf_matches_the_array_loop(T):
 @pytest.mark.parametrize("T", _maps() + [relax(operator_catalog()["browderPetryshyn"], 0.5),
                                   relax(operator_catalog()["identity"], 0.25)], ids=repr)
 def test_power_apply_takes_and_gives_a_float(T):
-    # a float gives a float, the entry of the power of np.array([v]), also
-    # for an opaque map, which runs the array loop
+    # a float gives a float, the entry of the power of np.array([v]) by the
+    # array loop, also for an opaque map, which iterates its eval_fn's kernel
     def float_power(n, v, check):
         out = operators.power_apply(T, n, v, check)
         assert type(out) is float
@@ -197,7 +197,7 @@ def test_power_apply_takes_and_gives_a_float(T):
 
     for k, v in enumerate(DOUBLES):
         n, check = 1 + k % 5, k % 3 == 0
-        want = outcome(operators.power_apply, T, n, np.array([v]), check)
+        want = outcome(power_apply_arrays, T, n, np.array([v]), check)
         assert outcome(float_power, n, v, check) == want, (v, n, check)
 
 

@@ -45,7 +45,8 @@ from splitfp.projections import Box, WholeSpace, contains, project
 from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 from splitfp.spaces import DimensionMismatch, inner, norm
 
-from helpers import full_orbit, power_apply_arrays, power_map, verify_class_rows
+from helpers import (full_orbit, full_orbits, power_apply_arrays, power_map,
+                     verify_class_rows)
 from lemmas import (
     check_power_inequality_equivalences,
     strong_monotonicity_of_complement,
@@ -170,10 +171,13 @@ RULE_MAPS = ("heDu", "bigU", "smallS", "wqT", "wqU", "identity")
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("name", RULE_MAPS + ("relax(wqT, 0.3)",))
+@pytest.mark.parametrize("name", RULE_MAPS + ("relax(wqT, 0.3)", "browderPetryshyn",
+                                              "wqT^2"))
 def test_power_apply_scalar_loop_matches_array_loop(name):
+    # rule maps, and opaque 1-D maps, which iterate their eval_fn's kernel
     cat = operator_catalog()
-    T = relax(cat["wqT"], 0.3) if name.startswith("relax") else cat[name]
+    T = {"relax(wqT, 0.3)": lambda: relax(cat["wqT"], 0.3),
+         "wqT^2": lambda: power_map(cat["wqT"], 2)}.get(name, lambda: cat[name])()
     lcg = _Lcg(7)
     # seeded starts over [-2, 10) (negatives leave the nonnegative domains),
     # signed zeros, non-finite values, the pole -1 of heDu/bigU, the wqU
@@ -223,16 +227,18 @@ def test_power_apply_array_loop_matches_the_reference(name, domain, d):
     assert (DimensionMismatch in kinds) == (name == "grow")
 
 
-def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
-    # the scalar loop is keyed on ``kernel``, compiled from the rule a map
-    # evaluates: catalog maps and relaxed rule-backed maps carry one, a
-    # closure map does not
+def test_power_apply_iterates_the_kernel_of_every_1d_map(monkeypatch):
+    # every 1-D map has a ``kernel``: catalog maps and relaxed rule-backed
+    # maps their rule's, an opaque closure map its eval_fn on a 1-element
+    # array; only a map of more dimensions iterates through __call__
     cat = operator_catalog()
     wqT = cat["wqT"]
     relaxed = relax(wqT, 0.3)
     closure = power_map(wqT, 2)
     assert relaxed.rule == Relaxed1D(wqT.rule, 0.3)
-    assert closure.rule is None
+    assert closure.rule is None and closure.kernel is not None
+    assert cat["scaledNeg"].kernel is None
+    want = power_apply(closure, 5, np.array([4.0])).tobytes()
     calls = []
     original = FixedPointMap.__call__
 
@@ -241,11 +247,13 @@ def test_power_apply_loop_follows_the_scalar_rule_mark(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(FixedPointMap, "__call__", counting)
-    for T in (wqT, relaxed, cat["wqU"]):
-        power_apply(T, 5, np.array([4.0]))
+    for T in (wqT, relaxed, cat["wqU"], cat["browderPetryshyn"]):
+        power_apply(T, 5, np.array([0.75]))
+    assert power_apply(closure, 5, np.array([4.0])).tobytes() == want
+    assert power_apply(closure, 5, 4.0) == np.frombuffer(want)[0]
     assert calls == []
-    power_apply(closure, 5, np.array([4.0]))
-    assert closure.name in calls
+    power_apply(cat["scaledNeg"], 5, np.ones(3))
+    assert calls == ["scaledNeg"] * 5
 
 
 def test_power_apply_scalar_loop_calls_the_kernel_not_the_rule(monkeypatch):
@@ -578,7 +586,7 @@ def test_verify_orbits_that_stop_early_give_the_full_orbit_records(
     for seed in (1, 2, 3):
         got = verify_class(T, cls, samples=samples, seed=seed)
         with monkeypatch.context() as m:
-            m.setattr(operators, "_iterates", full_orbit)
+            m.setattr(operators, "_orbits", full_orbits)
             want = verify_class(T, cls, samples=samples, seed=seed)
         assert got.records == want.records, (name, seed)
         assert got.to_text() == want.to_text()
@@ -596,33 +604,53 @@ def _counting_map(eval_fn, domain):
 
 def test_orbit_alternating_signed_zeros_does_not_stop():
     T, calls = _counting_map(lambda x: -x, WholeSpace(1))
-    orbit = operators._iterates(T, [0.0], 7)
+    orbit = operators._orbits(T, np.array([[0.0]]), 7)
     assert len(calls) == 7
-    assert [bool(np.signbit(v[0])) for v in orbit] == [False, True] * 4
+    assert [bool(np.signbit(v[0, 0])) for v in orbit] == [False, True] * 4
 
 
 def test_orbit_stops_at_a_bitwise_fixed_nan():
     T, calls = _counting_map(lambda x: np.full_like(x, np.nan), WholeSpace(2))
-    orbit = operators._iterates(T, [1.0, 2.0], 20)
+    orbit = operators._orbits(T, np.array([[1.0, 2.0]]), 20)
     assert len(calls) == 2          # 1 -> NaN, then NaN -> the same NaN
-    want = full_orbit(T, [1.0, 2.0], 20)
+    want = full_orbits(T, [[1.0, 2.0]], 20)
     assert [v.tobytes() for v in orbit] == [v.tobytes() for v in want]
 
 
 def test_ball_map_orbit_stops_after_its_first_fixed_evaluation():
+    # a row costs its first bitwise-fixed power plus one evaluation, alone
+    # or in a stack with rows that move longer
     ball = shift_square_ball_map()
     T, calls = _counting_map(ball.eval_fn, ball.domain)
     lcg = _Lcg(5)
-    for _ in range(20):
-        x = operators.sample_point(ball.domain, lcg, 10.0)
-        del calls[:]
-        orbit = operators._iterates(T, x, 20)
-        evaluations = len(calls)
+    X = np.array([operators.sample_point(ball.domain, lcg, 10.0) for _ in range(20)])
+    costs = []
+    for x in X:
         want = full_orbit(T, x, 20)
-        assert [v.tobytes() for v in orbit] == [v.tobytes() for v in want]
         first_fixed = next(k for k in range(20)
                            if want[k + 1].tobytes() == want[k].tobytes())
-        assert evaluations == first_fixed + 1 <= 5
+        del calls[:]
+        orbit = operators._orbits(T, x[None], 20)
+        assert len(calls) == first_fixed + 1 <= 5
+        assert [v.tobytes() for v in orbit] == [v.tobytes() for v in want]
+        costs.append(first_fixed + 1)
+    del calls[:]
+    orbit = operators._orbits(T, X, 20)
+    assert len(calls) == sum(costs)
+    assert [v.tobytes() for v in orbit] == [v.tobytes() for v in full_orbits(T, X, 20)]
+
+
+def test_rule_map_orbit_evaluates_only_the_rows_still_moving(monkeypatch):
+    # x -> x^2: 0 and 1 are fixed at once, -0.0 maps to +0.0 and stops
+    # next, 0.5 underflows to 0.0 at power 11 and stops at power 12
+    square = map_from_rule(Rational1D([0.0, 0.0, 1.0], [1.0]), WholeSpace(1))
+    kernel, sizes = square._array_kernel, []
+    monkeypatch.setattr(square, "_array_kernel",
+                        lambda v: sizes.append(len(v)) or kernel(v))
+    X = np.array([[0.0], [1.0], [0.5], [-0.0]])
+    orbit = operators._orbits(square, X, 20)
+    assert sizes == [4, 2] + [1] * 10
+    assert [v.tobytes() for v in orbit] == [v.tobytes() for v in full_orbits(square, X, 20)]
 
 
 # ---------------------------------------------------------------------------
@@ -871,17 +899,28 @@ def test_the_walk_visits_each_implied_class_once_nearest_first():
 @pytest.mark.parametrize("name, declared", [
     ("heDu", QuasiNonexpansive()),
     ("wqU", QuasiNonexpansive()),
-    ("identity", None),
+    ("identity", QuasiNonexpansive()),
     ("scaledNeg", None),
     ("ballMap", None),
-    ("halving", None),
-    ("positivePart", None),
+    ("halving", QuasiNonexpansive()),
+    ("positivePart", QuasiNonexpansive()),
     ("doubledNegation", None),
 ])
 def test_relax_declares_quasi_nonexpansive_only_for_a_quasi_nonexpansive_map(
         name, declared):
-    # relax reads the declared class itself, not the classes it implies
+    # relax declares quasi-nonexpansive where the walk of T's class reaches it
     assert relax(_edge_map(name), 0.5).declared_class == declared
+
+
+def test_convex_combine_declares_quasi_nonexpansive_through_the_walk():
+    halving, positive = _edge_map("halving"), _edge_map("positivePart")
+    doubled = _edge_map("doubledNegation")
+    # (x + 1)/2, a contraction fixing 1: no fixed point in common with x/2
+    shifted = map_from_rule(Rational1D([0.5, 0.5]), WholeSpace(1),
+                            class_from_token("contraction:0.5"), ([1.0],))
+    for maps, declared in (([halving, positive], QuasiNonexpansive()),
+                           ([halving, doubled], None), ([halving, shifted], None)):
+        assert convex_combine(maps, [0.5, 0.5]).declared_class == declared
 
 
 def test_power_inequalities_of_an_asymptotically_quasi_declaration():

@@ -171,6 +171,22 @@ def test_estimate_norm_squared_values():
     assert A.norm_bound == pytest.approx(np.sqrt(expected), rel=1e-9)
 
 
+def test_estimate_norm_squared_caches_only_the_default_estimate():
+    # a coarse tolerance stops early, at 13.0769..., short of the largest
+    # eigenvalue (15 + 5 sqrt(5))/2 = 13.0902 of A^T A
+    A = LinearMap([[2.0, 1.0], [1.0, 3.0]])
+    coarse = estimate_norm_squared(A, tol=0.5)
+    assert coarse == pytest.approx(13.0769, abs=1e-4) and A.norm_bound is None
+    fine = estimate_norm_squared(A)
+    assert fine == pytest.approx((15.0 + 5.0 * np.sqrt(5.0)) / 2.0, rel=1e-9)
+    assert fine == estimate_norm_squared(LinearMap(A.matrix))
+    # a cached estimate is not what a call at other settings computes
+    assert estimate_norm_squared(A, tol=0.5) == coarse
+    with pytest.raises(PowerIterationError):
+        estimate_norm_squared(A, max_iters=1)
+    assert estimate_norm_squared(A) == fine and A.norm_bound == np.sqrt(fine)
+
+
 def test_estimate_norm_squared_errors():
     with pytest.raises(ValueError):
         estimate_norm_squared(LinearMap([[0.0, 0.0], [0.0, 0.0]]))
