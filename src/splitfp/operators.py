@@ -15,6 +15,7 @@ reports are bit-reproducible across platforms.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar
@@ -391,6 +392,10 @@ class AsymptoticallyNonexpansive(
     def __post_init__(self):
         _check_at_least_one(self.k_seq, "AsymptoticallyNonexpansive k_n")
 
+    # with z a fixed point: t_n = k_n^2
+    implies = property(lambda self: (AsymptoticallyQuasiNonexpansive(
+        lambda n: self.k_seq(n) ** 2),))
+
     def sides(self, x, z, tx, tz, n):
         return _norm(tx - tz), self.k_seq(n) * _norm(x - z)
 
@@ -554,7 +559,8 @@ class FixedPointMap:
     must compute exactly the rule's float kernel.  Every 1-D map has a
     ``kernel`` of one Python float, built once here: its rule's
     ``float_kernel()``, or else ``eval_fn`` on ``np.array([v])``, which has
-    the bits of ``T(np.array([v]))``.  ``extra_classes`` lists additional
+    the bits of ``T(np.array([v]))``; calling the map with a Python float
+    (exactly that type) runs it.  ``extra_classes`` lists additional
     regularity declarations beyond the primary one, e.g. a Lipschitz
     constant alongside a strong-monotonicity modulus.
     """
@@ -592,8 +598,9 @@ class FixedPointMap:
         return self.domain.dim
 
     def __call__(self, x):
-        x = _vector(x)
-        return _vector(self.eval_fn(x))
+        if type(x) is float and self.kernel is not None:
+            return self.kernel(x)
+        return _vector(self.eval_fn(_vector(x)))
 
     def implied(self):
         """The walk of the declared class, then of each extra class."""
@@ -619,6 +626,9 @@ class FixedPointMap:
 def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
                   name=None, extra_classes=()):
     """Wrap a scalar rule as a one-dimensional :class:`FixedPointMap`."""
+    if domain.dim != 1:
+        raise ValueError("a rule map is 1-D, but its domain has dimension %d"
+                         % domain.dim)
     return FixedPointMap(None, domain, declared_class, known_fixed_points,
                          name=name, rule=rule, extra_classes=extra_classes)
 
@@ -626,6 +636,9 @@ def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
 def _domain_escape(i, n, point):
     return DomainEscape("iterate left the domain before application %d of %d: %s"
                         % (i + 1, n, point.tolist()))
+
+
+_bits = struct.Struct("<d").pack
 
 
 def power_apply(T, n, x, check_domain=True):
@@ -658,8 +671,11 @@ def power_apply(T, n, x, check_domain=True):
                                      else contains(domain, np.array([v]), tol=1e-9)):
                 raise _domain_escape(i, n, np.array([v]))
             image = kernel(v)
-            if image == v and math.copysign(1.0, image) == math.copysign(1.0, v):
-                break   # image has the bits of v
+            if image == v:
+                if math.copysign(1.0, image) == math.copysign(1.0, v):
+                    break   # image has the bits of v
+            elif image != image and _bits(image) == _bits(v):
+                break   # a NaN with the bits of v
             v = image
         return v if as_float else np.array([v])
     # a whole space holds exactly the finite points of its shape; any other

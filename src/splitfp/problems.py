@@ -121,6 +121,9 @@ def _check_synchronal(spec, warn):
 
 
 def _check_sffpep(spec, warn):
+    if spec.B.rows != spec.A.rows:
+        raise ValidationError("B has %d rows and A has %d; Ax - By needs one space"
+                              % (spec.B.rows, spec.A.rows))
     _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
     _check_seq_in(spec, warn, "beta", 0.0, 1.0)
     cap = 2.0 / (estimate_norm_squared(spec.A) + estimate_norm_squared(spec.B))
@@ -164,6 +167,30 @@ def _scfpep_blocks(spec):
     )
 
 
+# the spaces a family applies its slots in: a name, and its dimension in a spec
+_A_COLUMNS = ("the columns of A", lambda spec: spec.A.cols)
+_A_ROWS = ("the rows of A", lambda spec: spec.A.rows)
+_B_COLUMNS = ("the columns of B", lambda spec: spec.B.cols)
+_T_SPACE = ("the dimension of T", lambda spec: spec.T.dim)
+
+
+def _check_spaces(spec, record):
+    """Each operator and set (each member of a family) has the dimension of
+    the space its family applies it in."""
+    spaces = [space for _, space in record.spaces]
+    if record.two_variable and spec.branch_assignment == "swapped":
+        spaces[:2] = spaces[1::-1]   # the blocks exchange operators
+    for (slot, _), (where, dim) in zip(record.spaces, spaces):
+        value = getattr(spec, slot)
+        parts = value if isinstance(value, tuple) else (value,)
+        for i, part in enumerate(parts):
+            if part.dim != dim(spec):
+                name = slot if part is value else "%s[%d]" % (slot, i)
+                raise ValidationError("%s acts in dimension %d; %s applies it in %s, "
+                                      "dimension %d" % (name, part.dim, spec.family,
+                                                        where, dim(spec)))
+
+
 # ---------------------------------------------------------------------------
 # the family records
 
@@ -171,15 +198,19 @@ def _scfpep_blocks(spec):
 @dataclass(frozen=True)
 class Family:
     """One solver family: the slots a spec of it must fill, its range checks
-    ``check(spec, warn)``, the trace slots a step fills (``intermediates``,
-    of which those in ``y_block`` have the y block's dimension), whether it
-    carries a growing cut list, and, for the two-variable families,
-    ``blocks(spec)``: the x-block and y-block operators as printed.
+    ``check(spec, warn)``, the space each operator and set slot acts in
+    (``spaces``, (slot, space) pairs, a two-variable family's x-block and
+    y-block operators first), the trace slots a step fills
+    (``intermediates``, of which those in ``y_block`` have the y block's
+    dimension), whether it carries a growing cut list, and, for the
+    two-variable families, ``blocks(spec)``: the x-block and y-block
+    operators as printed.
     """
 
     name: str
     required: tuple
     check: Callable
+    spaces: tuple
     intermediates: str = "u"
     y_block: str = ""
     accumulates_cuts: bool = False
@@ -193,16 +224,24 @@ class Family:
 FAMILIES = {
     f.name: f
     for f in (
-        Family(SCFPP, ("T", "G", "A", "alpha"), _check_scfpp),
-        Family(SCFPP_ADAPTIVE, ("U", "T", "A", "alpha"), _check_scfpp_adaptive),
-        Family(SYNCHRONAL_VIP, ("T", "f", "G", "alpha", "beta"), _check_synchronal),
+        Family(SCFPP, ("T", "G", "A", "alpha"), _check_scfpp,
+               (("G", _A_COLUMNS), ("T", _A_ROWS))),
+        Family(SCFPP_ADAPTIVE, ("U", "T", "A", "alpha"), _check_scfpp_adaptive,
+               (("U", _A_COLUMNS), ("T", _A_ROWS))),
+        Family(SYNCHRONAL_VIP, ("T", "f", "G", "alpha", "beta"), _check_synchronal,
+               (("f", _T_SPACE), ("G", _T_SPACE))),
         Family(SFFPEP, ("U", "T", "A", "B", "C", "Q", "alpha", "beta", "lam"),
-               _check_sffpep, "uzwr", "ur", blocks=lambda spec: (spec.U, spec.T)),
+               _check_sffpep, (("U", _A_COLUMNS), ("T", _B_COLUMNS),
+                               ("C", _A_COLUMNS), ("Q", _B_COLUMNS)),
+               "uzwr", "ur", blocks=lambda spec: (spec.U, spec.T)),
         Family(SCFPEP, ("U_family", "T_family", "A", "B", "alpha", "beta", "lam"),
-               _check_scfpep, "uzwr", "ur", blocks=_scfpep_blocks),
+               _check_scfpep, (("U_family", _A_COLUMNS), ("T_family", _B_COLUMNS)),
+               "uzwr", "ur", blocks=_scfpep_blocks),
         Family(EXTRAGRADIENT_SFFPP,
                ("T", "G", "A", "C", "Q", "alpha", "beta", "gamma_seq"),
-               _check_extragradient, "uzwr", accumulates_cuts=True),
+               _check_extragradient, (("T", _A_COLUMNS), ("C", _A_COLUMNS),
+                                      ("G", _A_ROWS), ("Q", _A_ROWS)),
+               "uzwr", accumulates_cuts=True),
     )
 }
 
@@ -285,6 +324,7 @@ class ProblemSpec:
             raise ValidationError(
                 "family %r requires %s" % (self.family, ", ".join(missing))
             )
+        _check_spaces(self, record)
         warnings = []
 
         def warn(message):

@@ -580,9 +580,17 @@ def _point_of(S, x):
 
 def project(S, x):
     """Metric projection of ``x`` onto the convex body ``S``; all NaN when
-    the numbers of ``S`` describe no set."""
+    the numbers of ``S`` describe no set.
+
+    A Python float x (exactly that type) is a 1-D point and gives a float:
+    itself on the whole space, else the entry of the array projection.
+    """
+    as_float = type(x) is float
+    if as_float and type(S) is WholeSpace and S.dim == 1:
+        return x
     x = _point_of(S, x)
-    return S._project(x) if S._defined else np.full(S.dim, np.nan)
+    out = S._project(x) if S._defined else np.full(S.dim, np.nan)
+    return out.item() if as_float else out
 
 
 def contains(S, x, tol=1e-10):

@@ -10,21 +10,16 @@ criterion.  The recorded residuals are exactly the quantities the
 convergence analyses drive to zero, so residual decay is a meaningful
 diagnostic for every family.
 
-Each step is written once and reads its leaves (linear maps and adjoints,
-``norm``, operator calls, iterate powers, projections) from a *lane*.  The
-default array lane is today's functions on vectors.  A run whose blocks are
-all 1-D steps on Python floats through the float lane, whose leaves have
-the array forms' bits: an operator's ``kernel`` (every 1-D map has one),
-``0.0 + m*v`` for a 1x1 ``matrix @ x`` (the matmul sums from +0.0, turning
-a -0.0 product into +0.0), ``sqrt(v*v)`` for ``norm`` (``abs(v)`` where
-``v*v`` overflows, as ``spaces.norm`` scales), and else the array form on
-``np.array([v])``; an iterate power is ``power_apply``, which takes and
-gives a float.  Trace records hold arrays in either lane.
+Each step is written once, on its leaves: ``A.apply`` and
+``A.apply_adjoint``, operator calls ``T(x)``, ``norm``, ``project`` and
+``power_apply``.  Each leaf takes a Python float as a 1-D point and gives a
+float with the bits of its array form's entry, so a run whose blocks are all
+1-D carries its state as floats, and any other run as arrays, through the
+same steps.  Trace records hold arrays either way.
 """
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -133,7 +128,7 @@ def _check_finite(rec, last, n):
 
 @dataclass
 class StepResult:
-    x: np.ndarray | float   # a lane's state: an array, or a float in the float lane
+    x: np.ndarray | float   # an array, or a float in a run that steps on floats
     y: np.ndarray | float | None = None
     intermediates: dict = field(default_factory=dict)
     step: float | None = None
@@ -142,56 +137,27 @@ class StepResult:
     cuts: list | None = None   # full cut list after an extra-gradient step
 
 
-# ---------------------------------------------------------------------------
-# lanes: the leaves a step computes with
-
-# the array form of each leaf; each calls a global name of this module at
-# call time, so a wrapper installed on that name sees the call
-_ARRAYS = SimpleNamespace(
-    state=lambda x: x, array=lambda x: x, norm=lambda x: norm(x),
-    apply=lambda A, x: A.apply(x), adjoint=lambda A, x: A.apply_adjoint(x),
-    call=lambda T, x: T(x), project=lambda S, x: project(S, x),
-    power=lambda T, n, x, check_domain=True: power_apply(T, n, x, check_domain))
-
-
-def _float_lane(spec):
-    """Each leaf on Python floats; ``item()`` takes an array form's entry."""
-    entries = {A: float(A.matrix[0, 0]) for A in (spec.A, spec.B) if A is not None}
-
-    def apply(A, v):
-        return 0.0 + entries[A] * v
-
-    def norm1(v):   # spaces.norm of [v]: its scaled form where v*v overflows
-        r = math.sqrt(v * v)
-        return abs(v) if r == math.inf and math.isfinite(v) else r
-
-    return SimpleNamespace(
-        state=lambda x: None if x is None else x.item(),
-        array=lambda v: None if v is None else np.array([v]),
-        apply=apply, adjoint=apply, norm=norm1, call=lambda T, v: T.kernel(v),
-        power=_ARRAYS.power,   # power_apply takes and gives a float
-        project=lambda S, v: (v if type(S) is WholeSpace
-                              else project(S, np.array([v])).item()))
-
-
-def _lane_for(spec, x, y):
-    """The float lane when the starts, the reference, A and B, and every set
-    and operator are 1-D."""
+def _steps_on_floats(spec, x, y):
+    """Whether a run carries its state as Python floats: when the starts,
+    the reference, A and B, and every set and operator are 1-D."""
     parts = (spec.C, spec.Q, spec.T, spec.G, spec.U, spec.f,
              *(spec.block_operators or ()))
-    if (any(v is not None and v.shape != (1,)
-            for v in (x, y, *(spec.reference_solution or ())))
-            or any(m and m.matrix.shape != (1, 1) for m in (spec.A, spec.B))
-            or any(p and p.dim != 1 for p in parts)):
-        return _ARRAYS
-    return _float_lane(spec)
+    return not (any(v is not None and v.shape != (1,)
+                    for v in (x, y, *(spec.reference_solution or ())))
+                or any(m and m.matrix.shape != (1, 1) for m in (spec.A, spec.B))
+                or any(p and p.dim != 1 for p in parts))
+
+
+def _array(v):
+    """A trace slot's array: a float state as a 1-element array."""
+    return np.array([v]) if type(v) is float else v
 
 
 # ---------------------------------------------------------------------------
 # one-variable families
 
 
-def step_scfpp(spec, x, n, _lane=_ARRAYS):
+def step_scfpp(spec, x, n):
     """Adjoint-corrected iterate-power step.
 
     u_n = x_n + gamma A*(T^{n+1} - I) A x_n, then the averaged update
@@ -200,14 +166,14 @@ def step_scfpp(spec, x, n, _lane=_ARRAYS):
     once rather than degenerating to the identity power.
     """
     A = spec.A
-    ax = _lane.apply(A, x)
-    t_ax = _lane.power(spec.T, n + 1, ax)
-    image_residual = _lane.norm(t_ax - ax)
-    u = x + spec.gamma * _lane.adjoint(A, t_ax - ax)
-    g_u = _lane.power(spec.G, n + 1, u)
+    ax = A.apply(x)
+    t_ax = power_apply(spec.T, n + 1, ax)
+    image_residual = norm(t_ax - ax)
+    u = x + spec.gamma * A.apply_adjoint(t_ax - ax)
+    g_u = power_apply(spec.G, n + 1, u)
     alpha = spec.alpha(n)
     x_next = alpha * u + (1.0 - alpha) * g_u
-    primal_residual = _lane.norm(g_u - u)
+    primal_residual = norm(g_u - u)
     return StepResult(
         x=x_next,
         intermediates={"u": u},
@@ -217,24 +183,24 @@ def step_scfpp(spec, x, n, _lane=_ARRAYS):
     )
 
 
-def step_scfpp_adaptive(spec, x, n, _lane=_ARRAYS):
+def step_scfpp_adaptive(spec, x, n):
     """Norm-free variant: the correction step is chosen from the residual.
 
     rho_n = (1-k) ||(I-T)Ax||^2 / (2 ||A*(I-T)Ax||^2) when TAx differs from
     Ax (scale-aware zero test), else 0 with u_n = x_n exactly.
     """
     A = spec.A
-    ax = _lane.apply(A, x)
-    t_ax = _lane.call(spec.T, ax)
+    ax = A.apply(x)
+    t_ax = spec.T(ax)
     diff = t_ax - ax
-    image_residual = _lane.norm(diff)
-    threshold = 1e-14 * (1.0 + _lane.norm(ax))
+    image_residual = norm(diff)
+    threshold = 1e-14 * (1.0 + norm(ax))
     if image_residual <= threshold:
         rho = 0.0
         u = x
     else:
-        adj = _lane.adjoint(A, diff)
-        denom = _lane.norm(adj) ** 2
+        adj = A.apply_adjoint(diff)
+        denom = norm(adj) ** 2
         if denom == 0.0:
             raise AdjointInconsistency(
                 "A* annihilates a residual of norm %.3e" % image_residual, n
@@ -242,19 +208,19 @@ def step_scfpp_adaptive(spec, x, n, _lane=_ARRAYS):
         k = spec.demicontractive_k()
         rho = (1.0 - k) * image_residual ** 2 / (2.0 * denom)
         u = x + rho * adj
-    u_u = _lane.call(spec.U, u)
+    u_u = spec.U(u)
     alpha = spec.alpha(n)
     x_next = (1.0 - alpha) * u + alpha * u_u
     return StepResult(
         x=x_next,
         intermediates={"u": u},
         step=rho,
-        residual_primary=max(_lane.norm(u_u - u), image_residual),
+        residual_primary=max(norm(u_u - u), image_residual),
         residual_coupling=image_residual,
     )
 
 
-def step_synchronal(spec, x, n, _lane=_ARRAYS):
+def step_synchronal(spec, x, n):
     """Viscosity / hybrid steepest-descent step around the averaged power.
 
     x_{n+1} = alpha_n gamma f(x_n) + (I - alpha_n mu G)(beta_n x_n +
@@ -262,18 +228,18 @@ def step_synchronal(spec, x, n, _lane=_ARRAYS):
     """
     alpha = spec.alpha(n)
     beta = spec.beta(n)
-    t_pow = _lane.power(spec.T, n + 1, x, check_domain=False)
+    t_pow = power_apply(spec.T, n + 1, x, check_domain=False)
     averaged = beta * x + (1.0 - beta) * t_pow
     x_next = (
-        alpha * spec.gamma_visc * _lane.call(spec.f, x)
+        alpha * spec.gamma_visc * spec.f(x)
         + averaged
-        - alpha * spec.mu * _lane.call(spec.G, averaged)
+        - alpha * spec.mu * spec.G(averaged)
     )
     return StepResult(
         x=x_next,
         intermediates={"u": averaged},
         step=alpha,
-        residual_primary=_lane.norm(x - t_pow),
+        residual_primary=norm(x - t_pow),
     )
 
 
@@ -281,30 +247,30 @@ def step_synchronal(spec, x, n, _lane=_ARRAYS):
 # two-variable (equality) families
 
 
-def _equality_step(spec, x, y, n, project_blocks, lane):
+def _equality_step(spec, x, y, n, project_blocks):
     u_op, t_op = spec.block_operators
     A, B = spec.A, spec.B
     lam = spec.lam(n)
     alpha = spec.alpha(n)
     beta = spec.beta(n)
-    gap = lane.apply(A, x) - lane.apply(B, y)
-    coupling = lane.norm(gap)
+    gap = A.apply(x) - B.apply(y)
+    coupling = norm(gap)
 
-    z = x - lam * lane.adjoint(A, gap)
+    z = x - lam * A.apply_adjoint(gap)
     if project_blocks:
-        z = lane.project(spec.C, z)
-    uz = lane.call(u_op, z)
+        z = project(spec.C, z)
+    uz = u_op(z)
     w = (1.0 - beta) * z + beta * uz
-    x_next = (1.0 - alpha) * z + alpha * lane.call(u_op, w)
+    x_next = (1.0 - alpha) * z + alpha * u_op(w)
 
-    u = y + lam * lane.adjoint(B, gap)
+    u = y + lam * B.apply_adjoint(gap)
     if project_blocks:
-        u = lane.project(spec.Q, u)
-    tu = lane.call(t_op, u)
+        u = project(spec.Q, u)
+    tu = t_op(u)
     r = (1.0 - beta) * u + beta * tu
-    y_next = (1.0 - alpha) * u + alpha * lane.call(t_op, r)
+    y_next = (1.0 - alpha) * u + alpha * t_op(r)
 
-    residual = max(coupling, lane.norm(uz - z), lane.norm(tu - u))
+    residual = max(coupling, norm(uz - z), norm(tu - u))
     return StepResult(
         x=x_next,
         y=y_next,
@@ -315,16 +281,16 @@ def _equality_step(spec, x, y, n, project_blocks, lane):
     )
 
 
-def step_sffpep(spec, x, y, n, _lane=_ARRAYS):
+def step_sffpep(spec, x, y, n):
     """Simultaneous projected update of both blocks of the equality problem.
 
     The x block moves against A*(Ax - By), projects onto C, and applies U in
     an inner/outer averaged pattern; the y block mirrors it with B, Q, T.
     """
-    return _equality_step(spec, x, y, n, True, _lane)
+    return _equality_step(spec, x, y, n, True)
 
 
-def step_scfpep(spec, x, y, n, _lane=_ARRAYS):
+def step_scfpep(spec, x, y, n):
     """Equality step over convex combinations of relaxed operator families.
 
     The spec builds U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i
@@ -333,20 +299,20 @@ def step_scfpep(spec, x, y, n, _lane=_ARRAYS):
     operator; the published reference table for this family matches the
     swapped assignment, not the printed one, so both are available.
     """
-    return _equality_step(spec, x, y, n, False, _lane)
+    return _equality_step(spec, x, y, n, False)
 
 
 # ---------------------------------------------------------------------------
 # extra-gradient family
 
 
-def _extragradient_correction(spec, v, lane):
-    av = lane.apply(spec.A, v)
-    mapped = lane.call(spec.G, lane.project(spec.Q, av))
-    return lane.adjoint(spec.A, av - mapped)
+def _extragradient_correction(spec, v):
+    av = spec.A.apply(v)
+    mapped = spec.G(project(spec.Q, av))
+    return spec.A.apply_adjoint(av - mapped)
 
 
-def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
+def step_extragradient(spec, x, cuts, x0, n):
     """Double-extrapolation step with distance-dominance cuts.
 
     Computes two projected extrapolations y_n, z_n, an Ishikawa-style inner
@@ -362,11 +328,11 @@ def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
     gamma = spec.gamma_seq(n)
     alpha = spec.alpha(n)
     beta = spec.beta(n)
-    y_pt = _lane.project(spec.C, x - gamma * _extragradient_correction(spec, x, _lane))
-    z_pt = _lane.project(
-        spec.C, y_pt - gamma * _extragradient_correction(spec, y_pt, _lane))
-    inner_pt = (1.0 - beta) * z_pt + beta * _lane.call(spec.T, z_pt)
-    w_pt = (1.0 - alpha) * z_pt + alpha * _lane.call(spec.T, inner_pt)
+    y_pt = project(spec.C, x - gamma * _extragradient_correction(spec, x))
+    z_pt = project(
+        spec.C, y_pt - gamma * _extragradient_correction(spec, y_pt))
+    inner_pt = (1.0 - beta) * z_pt + beta * spec.T(z_pt)
+    w_pt = (1.0 - alpha) * z_pt + alpha * spec.T(inner_pt)
 
     new_cuts = list(cuts)
     new_cuts.append(halfspace_from_distance_dominance(w_pt, z_pt))
@@ -377,12 +343,12 @@ def step_extragradient(spec, x, cuts, x0, n, _lane=_ARRAYS):
             "cut list grew to %d, beyond the cap %d" % (len(new_cuts), spec.cut_cap),
             n,
         )
-    x_next = _lane.project(Intersection([spec.C, *new_cuts]), x0)
+    x_next = project(Intersection([spec.C, *new_cuts]), x0)
     return StepResult(
         x=x_next,
         intermediates={"u": y_pt, "z": z_pt, "w": w_pt, "r": inner_pt},
         step=gamma,
-        residual_primary=_lane.norm(x_next - x),
+        residual_primary=norm(x_next - x),
         cuts=new_cuts,
     )
 
@@ -399,53 +365,49 @@ def _pair_norm(a, b):
     return math.hypot(a, b) if r == math.inf else r
 
 
-def _distance_to_reference(lane, ref, x, y):
+def _distance_to_reference(ref, x, y):
     if ref is None:
         return None
     if y is not None:
-        return _pair_norm(lane.norm(x - ref[0]), lane.norm(y - ref[1]))
-    return lane.norm(x - ref[0])
+        return _pair_norm(norm(x - ref[0]), norm(y - ref[1]))
+    return norm(x - ref[0])
 
 
-def _image_residual(lane, spec, x):
-    ax = lane.apply(spec.A, x)
-    return lane.norm(lane.call(spec.T, ax) - ax)
+def _image_residual(spec, x):
+    ax = spec.A.apply(x)
+    return norm(spec.T(ax) - ax)
 
 
-def _fixed_point_residual(lane, spec, x, y):
-    return lane.norm(lane.call(spec.T, x) - x)
+def _fixed_point_residual(spec, x, y):
+    return norm(spec.T(x) - x)
 
 
-def _equality_residual(lane, spec, x, y):
+def _equality_residual(spec, x, y):
     u_op, t_op = spec.block_operators
-    gap = lane.norm(lane.apply(spec.A, x) - lane.apply(spec.B, y))
-    return max(gap, lane.norm(lane.call(u_op, x) - x), lane.norm(lane.call(t_op, y) - y))
+    gap = norm(spec.A.apply(x) - spec.B.apply(y))
+    return max(gap, norm(u_op(x) - x), norm(t_op(y) - y))
 
 
-# family -> (residual of the starting point, one step), each given the lane
-# first.  The steps are called through this module's global names, so a
-# wrapper installed on ``step_*`` sees every call.  The extra-gradient
-# per-step residual ||x_{n+1} - x_n|| has no n = 0 analogue, so its initial
-# record carries the fixed-point residual.
+# family -> (residual of the starting point, one step).  The steps are
+# called through this module's global names, so a wrapper installed on
+# ``step_*`` sees every call.  The extra-gradient per-step residual
+# ||x_{n+1} - x_n|| has no n = 0 analogue, so its initial record carries the
+# fixed-point residual.
 _FAMILY_STEPS = {
-    SCFPP: (lambda lane, spec, x, y: max(lane.norm(lane.call(spec.G, x) - x),
-                                         _image_residual(lane, spec, x)),
-            lambda lane, spec, x, y, cuts, x0, n: step_scfpp(spec, x, n, lane)),
+    SCFPP: (lambda spec, x, y: max(norm(spec.G(x) - x), _image_residual(spec, x)),
+            lambda spec, x, y, cuts, x0, n: step_scfpp(spec, x, n)),
     SCFPP_ADAPTIVE: (
-        lambda lane, spec, x, y: max(lane.norm(lane.call(spec.U, x) - x),
-                                     _image_residual(lane, spec, x)),
-        lambda lane, spec, x, y, cuts, x0, n: step_scfpp_adaptive(spec, x, n, lane)),
-    SYNCHRONAL_VIP: (
-        _fixed_point_residual,
-        lambda lane, spec, x, y, cuts, x0, n: step_synchronal(spec, x, n, lane)),
+        lambda spec, x, y: max(norm(spec.U(x) - x), _image_residual(spec, x)),
+        lambda spec, x, y, cuts, x0, n: step_scfpp_adaptive(spec, x, n)),
+    SYNCHRONAL_VIP: (_fixed_point_residual,
+                     lambda spec, x, y, cuts, x0, n: step_synchronal(spec, x, n)),
     SFFPEP: (_equality_residual,
-             lambda lane, spec, x, y, cuts, x0, n: step_sffpep(spec, x, y, n, lane)),
+             lambda spec, x, y, cuts, x0, n: step_sffpep(spec, x, y, n)),
     SCFPEP: (_equality_residual,
-             lambda lane, spec, x, y, cuts, x0, n: step_scfpep(spec, x, y, n, lane)),
+             lambda spec, x, y, cuts, x0, n: step_scfpep(spec, x, y, n)),
     EXTRAGRADIENT_SFFPP: (
         _fixed_point_residual,
-        lambda lane, spec, x, y, cuts, x0, n: step_extragradient(
-            spec, x, cuts, x0, n, lane)),
+        lambda spec, x, y, cuts, x0, n: step_extragradient(spec, x, cuts, x0, n)),
 }
 
 
@@ -492,23 +454,22 @@ def run(spec, x0, y0=None, rule=None):
             raise ValidationError("the reference %s* has %d entries; %s0 has %d" % (
                 name, target.shape[0], name, start.shape[0]))
     cuts = [] if family.accumulates_cuts else None
-    lane = _lane_for(spec, x, y)
-    array = lane.array
-    x, y = lane.state(x), lane.state(y)
+    if _steps_on_floats(spec, x, y):
+        x, y = x.item(), None if y is None else y.item()
+        ref = None if ref is None else tuple(r.item() for r in ref)
     start = x
-    ref = None if ref is None else tuple(map(lane.state, ref))
 
     try:
-        residual = initial_residual(lane, spec, x, y)
+        residual = initial_residual(spec, x, y)
     except (ZeroDivisionError, OverflowError) as err:
         raise _breakdown(err, 0) from err
     records = [
         TraceRecord(
             n=0,
-            x=array(x),
-            y=array(y),
+            x=_array(x),
+            y=_array(y),
             residual_primary=residual,
-            dist_to_target=_distance_to_reference(lane, ref, x, y),
+            dist_to_target=_distance_to_reference(ref, x, y),
             cut_count=None if cuts is None else 0,
         )
     ]
@@ -516,26 +477,26 @@ def run(spec, x0, y0=None, rule=None):
     stop_reason = "max_iters"
     for n in range(rule.max_iters):
         try:
-            result = step(lane, spec, x, y, cuts, start, n)
+            result = step(spec, x, y, cuts, start, n)
         except _STEP_FAILURES as err:
             raise _breakdown(err, n) from err
-        moved = lane.norm(result.x - x) if y is None else _pair_norm(
-            lane.norm(result.x - x), lane.norm(result.y - y))
+        moved = norm(result.x - x) if y is None else _pair_norm(
+            norm(result.x - x), norm(result.y - y))
         x = result.x
         y = result.y
         if cuts is not None:
             cuts = result.cuts
-        dist = _distance_to_reference(lane, ref, x, y)
+        dist = _distance_to_reference(ref, x, y)
         slot = result.intermediates.get
         records.append(
             TraceRecord(
                 n=n + 1,
-                x=array(x),
-                y=array(y),
-                u=array(slot("u")),
-                z=array(slot("z")),
-                w=array(slot("w")),
-                r=array(slot("r")),
+                x=_array(x),
+                y=_array(y),
+                u=_array(slot("u")),
+                z=_array(slot("z")),
+                w=_array(slot("w")),
+                r=_array(slot("r")),
                 step=result.step,
                 residual_primary=result.residual_primary,
                 residual_coupling=result.residual_coupling,

@@ -87,8 +87,13 @@ def norm(a):
     ``a.a`` overflows for a finite ``a`` is the norm taken of ``a / m``,
     m = max |a_i|, and scaled back: ``m sqrt((a/m).(a/m))``.  ``np.vdot``
     takes ``a.a`` by the same dot kernel as ``a.dot(a)``, but does not warn
-    where it overflows.
+    where it overflows.  A Python float v (exactly that type) is a 1-D
+    point: ``sqrt(v*v)``, or ``|v|`` where ``v*v`` overflows, as the scaled
+    form gives.
     """
+    if type(a) is float:
+        r = math.sqrt(a * a)
+        return abs(a) if r == math.inf and math.isfinite(a) else r
     a = _vector(a).ravel(order="K")
     r = math.sqrt(np.vdot(a, a))
     if r == math.inf and np.isfinite(a).all():
@@ -102,7 +107,9 @@ class LinearMap:
 
     The adjoint is the transpose.  ``norm_bound`` is a write-once cache of
     an upper bound on the operator norm, filled by
-    :func:`estimate_norm_squared`.
+    :func:`estimate_norm_squared`.  A 1x1 map takes a Python float v to
+    ``0.0 + m*v``, its matmul's bits: the matmul sums from +0.0, turning a
+    -0.0 product into +0.0.
     """
 
     def __init__(self, matrix):
@@ -117,6 +124,7 @@ class LinearMap:
             raise ValueError("matrix entries must be finite")
         self.matrix = m.copy()
         self.matrix.flags.writeable = False
+        self._entry = float(m[0, 0]) if m.shape == (1, 1) else None
         self._norm_sq = None  # write-once: largest eigenvalue of A^T A
 
     @property
@@ -135,6 +143,8 @@ class LinearMap:
         return float(np.sqrt(self._norm_sq))
 
     def apply(self, x):
+        if type(x) is float and self._entry is not None:
+            return 0.0 + self._entry * x
         x = _vector(x)
         if x.shape[0] != self.cols:
             raise DimensionMismatch(
@@ -143,6 +153,8 @@ class LinearMap:
         return self.matrix @ x
 
     def apply_adjoint(self, z):
+        if type(z) is float and self._entry is not None:
+            return 0.0 + self._entry * z
         z = _vector(z)
         if z.shape[0] != self.rows:
             raise DimensionMismatch(

@@ -35,9 +35,9 @@ def power_map(T, n, name=None):
 def array_lane():
     """Inside this block every run steps on arrays, 1-D runs included: the
     array stepping that ``solvers.run`` used for every run before 1-D runs
-    moved to Python floats, and the reference the float lane is compared
-    with.  ``solvers._lane_for`` is the one place a run picks its lane."""
-    with mock.patch.object(solvers, "_lane_for", lambda spec, x, y: solvers._ARRAYS):
+    moved to Python floats, and the reference a run on floats is compared
+    with.  ``solvers._steps_on_floats`` is the one place a run picks."""
+    with mock.patch.object(solvers, "_steps_on_floats", lambda spec, x, y: False):
         yield
 
 

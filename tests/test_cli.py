@@ -753,3 +753,69 @@ def test_two_block_reference_needs_both_blocks(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert "family 'sffpep' takes a reference [x*, y*]" in capsys.readouterr().err
+
+
+def _preset_problem(ex_id, **changes):
+    return dict(catalog()[ex_id].problem, enforce_ranges=False, **changes)
+
+
+_HALVING = {"num": [0.0, 0.5], "class": "nonexpansive", "fixed_points": [0.0]}
+
+# family -> (problem, start, the slot, its dimension, the space's name and
+# dimension); scfpep runs swapped, so U_family acts in the y block
+SPACE_MISMATCHES = {
+    "scfpp": ({"family": "scfpp", "T": {"num": [0.0, 0.5]}, "G": {"num": [0.0, 0.5]},
+               "A": [[1, 0], [0, 1]], "alpha": {"constant": 0.5}, "gamma": 0.5,
+               "enforce_ranges": False},
+              {"x": [0.5, 0.5]}, "G acts in dimension 1; scfpp applies it in the "
+                                 "columns of A, dimension 2"),
+    "scfpp_adaptive": ({"family": "scfpp_adaptive", "U": _HALVING, "T": _HALVING,
+                        "A": [[1], [0]], "alpha": {"constant": 0.5}},
+                       {"x": [0.5]}, "T acts in dimension 1; scfpp_adaptive applies it "
+                                     "in the rows of A, dimension 2"),
+    "synchronal_vip": (_preset_problem("synchronal_demo", T="scaledNeg"), {"x": [4.0]},
+                       "f acts in dimension 1; synchronal_vip applies it in the "
+                       "dimension of T, dimension 3"),
+    "sffpep": (_preset_problem("bnm_t1", Q={"whole_space": 2}), {"x": [10], "y": [15]},
+               "Q acts in dimension 2; sffpep applies it in the columns of B, "
+               "dimension 1"),
+    "scfpep": (_preset_problem("wq_t3", U_family=["scaledNeg"]), {"x": [5], "y": [5]},
+               "U_family[0] acts in dimension 3; scfpep applies it in the columns "
+               "of B, dimension 1"),
+    "extragradient_sffpp": (_preset_problem("extragradient_1d", G="scaledNeg"),
+                            {"x": [10.0]}, "G acts in dimension 3; extragradient_sffpp "
+                                           "applies it in the rows of A, dimension 1"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPACE_MISMATCHES))
+def test_a_slot_of_another_dimension_than_its_space_is_rejected(tmp_path, capsys, family):
+    # each used to run to the end, or exit 3 with a dimension error
+    problem, start, message = SPACE_MISMATCHES[family]
+    cfg = write_config(tmp_path, {"problem": problem, "start": start,
+                                  "stopping": {"max_iters": 3}})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "configuration error: problem: %s\n" % message
+    assert not (tmp_path / "out").exists()
+
+
+def test_b_with_other_rows_than_a_is_rejected(tmp_path, capsys):
+    # this used to exit 3
+    doc = {"problem": _preset_problem("bnm_t1", B=[[4.0], [1.0]]),
+           "start": {"x": [10.0], "y": [15.0]}}
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: problem: B has 2 rows and A has 1; Ax - By needs one space\n")
+
+
+def test_an_inline_rule_with_a_2d_domain_is_rejected(tmp_path, capsys):
+    # a rule map is 1-D; this used to exit 3 projecting a 1-D point
+    problem = _preset_problem("scfpp_smallS", T={
+        "num": [0.0, 0.5], "domain": {"box": {"lower": [0, 0], "upper": [1, 1]}}})
+    doc = {"problem": problem, "start": {"x": [0.5]}}
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: problem.T: a rule map is 1-D, but its domain has "
+        "dimension 2\n")

@@ -1,25 +1,27 @@
-"""The float lane of 1-D runs against the array lane it replaces.
+"""1-D runs on Python floats against the array stepping they replace.
 
-A run whose blocks are all 1-D steps on Python floats; every other run, and
-every step called with arrays, steps on arrays.  The two lanes must give the
-same traces and the same failures, and each float leaf the bits of its
-array form.  ``helpers.array_lane`` runs a 1-D spec on arrays.
+A run whose blocks are all 1-D carries its state as Python floats (the
+float lane); every other run, and every step called with arrays, steps on
+arrays (the array lane).  The two must give the same traces and the same
+failures, and each leaf (``A.apply``, ``norm``, ``T(v)``, ``project``,
+``power_apply``) given a float the bits of its array form.
+``helpers.array_lane`` runs a 1-D spec on arrays.
 """
 
 import argparse
 import json
 import struct
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from splitfp import cli, operators, solvers
+from splitfp import cli, operators, projections, solvers
 from splitfp.cli import build_spec_from_config, main
-from splitfp.operators import DomainEscape, operator_catalog, relax
+from splitfp.operators import DomainEscape, FixedPointMap, operator_catalog, relax
 from splitfp.presets import catalog, run_example
 from splitfp.problems import StoppingRule
 from splitfp.projections import Ball, Box, WholeSpace, project
@@ -76,15 +78,15 @@ def test_one_dimensional_runs_take_the_float_lane():
     floats = set()
     for ex_id, ex in catalog().items():
         x, y = (list(map(np.atleast_1d, ex.starts[0])) + [None])[:2]
-        if solvers._lane_for(ex.spec, x, y) is not solvers._ARRAYS:
+        if solvers._steps_on_floats(ex.spec, x, y):
             floats.add(ex_id)
     # 3-D adaptive_demo steps on arrays
     assert floats == {"bnm_t1", "bnm_t2", "wq_t3", "wq_t4", "scfpp_smallS",
                       "synchronal_demo", "extragradient_1d"}
     spec = catalog()["scfpp_smallS"].spec
-    assert solvers._lane_for(spec, np.ones(2), None) is solvers._ARRAYS
+    assert not solvers._steps_on_floats(spec, np.ones(2), None)
     two = replace(spec, reference_solution=[1.25, 1.25])
-    assert solvers._lane_for(two, np.ones(1), None) is solvers._ARRAYS
+    assert not solvers._steps_on_floats(two, np.ones(1), None)
 
 
 def test_a_step_called_with_arrays_steps_on_arrays():
@@ -132,26 +134,31 @@ def test_every_demo_config_gives_the_array_trace(path):
 
 
 # ---------------------------------------------------------------------------
-# each float leaf has its array form's bits
+# each leaf given a float has its array form's bits
+
+
+def float_out(f, *args):
+    """f(*args), which must be a float."""
+    out = f(*args)
+    assert type(out) is float
+    return out
 
 
 @pytest.mark.parametrize("entry", [0.0, -0.0, 1.0, -1.0, 4.0, 0.3, -2.5e-300])
 def test_linear_map_leaves_match_the_matmul(entry):
     A = LinearMap([[entry]])
-    lane = solvers._float_lane(SimpleNamespace(A=A, B=None))
     for v in DOUBLES:
         x = np.array([v])
-        assert outcome(lane.apply, A, v) == outcome(A.apply, x), v
-        assert outcome(lane.adjoint, A, v) == outcome(A.apply_adjoint, x), v
+        assert outcome(float_out, A.apply, v) == outcome(A.apply, x), v
+        assert outcome(float_out, A.apply_adjoint, v) == outcome(A.apply_adjoint, x), v
     # the product alone keeps a -0.0 that the matmul turns into +0.0
     if entry == 4.0:
-        assert bits(entry * -0.0) != bits(lane.apply(A, -0.0)) == bits(0.0)
+        assert bits(entry * -0.0) != bits(A.apply(-0.0)) == bits(0.0)
 
 
 def test_norm_leaf_matches_spaces_norm():
-    lane = solvers._float_lane(SimpleNamespace(A=None, B=None))
     for v in DOUBLES:
-        assert outcome(lane.norm, v) == outcome(norm, np.array([v])), v
+        assert outcome(float_out, norm, v) == outcome(norm, np.array([v])), v
 
 
 def _maps():
@@ -163,11 +170,10 @@ def _maps():
 
 @pytest.mark.parametrize("T", _maps(), ids=repr)
 def test_operator_call_leaf_matches_the_map(T):
-    lane = solvers._float_lane(SimpleNamespace(A=None, B=None))
     poles = 0
     for v in DOUBLES:
         want = outcome(T, np.array([v]))
-        assert outcome(lane.call, T, v) == want, v
+        assert outcome(float_out, T, v) == want, v
         poles += want[0] is ZeroDivisionError
     if T.name in ("heDu", "bigU"):
         assert poles > 0        # the grid holds their pole -1
@@ -175,12 +181,14 @@ def test_operator_call_leaf_matches_the_map(T):
 
 @pytest.mark.parametrize("T", _maps()[:3] + _maps()[-2:], ids=repr)
 def test_power_leaf_matches_the_array_loop(T):
-    lane = solvers._float_lane(SimpleNamespace(A=None, B=None))
+    # the power leaf is power_apply given a float; here with the domain check
+    # on every other point, so each power is reached both checked and not
     escapes = 0
     for k, v in enumerate(DOUBLES):
         n, check = 1 + k % 5, k % 2 == 0
         want = outcome(power_apply_arrays, T, n, np.array([v]), check)
-        assert outcome(lane.power, T, n, v, check) == want, (v, n, check)
+        assert outcome(float_out, operators.power_apply, T, n, v, check) == want, (
+            v, n, check)
         escapes += want[0] is DomainEscape
     assert escapes > 0
 
@@ -190,15 +198,14 @@ def test_power_leaf_matches_the_array_loop(T):
 def test_power_apply_takes_and_gives_a_float(T):
     # a float gives a float, the entry of the power of np.array([v]) by the
     # array loop, also for an opaque map, which iterates its eval_fn's kernel
-    def float_power(n, v, check):
-        out = operators.power_apply(T, n, v, check)
-        assert type(out) is float
-        return out
-
+    escapes = 0
     for k, v in enumerate(DOUBLES):
         n, check = 1 + k % 5, k % 3 == 0
         want = outcome(power_apply_arrays, T, n, np.array([v]), check)
-        assert outcome(float_power, n, v, check) == want, (v, n, check)
+        assert outcome(float_out, operators.power_apply, T, n, v, check) == want, (
+            v, n, check)
+        escapes += want[0] is DomainEscape
+    assert escapes > 0
 
 
 def test_float_powers_go_through_the_solvers_power_apply():
@@ -219,9 +226,51 @@ def test_float_powers_go_through_the_solvers_power_apply():
 @pytest.mark.parametrize("S", [WholeSpace(1), Box([0.0], [np.inf]), Ball([0.5], 2.0)],
                          ids=repr)
 def test_projection_leaf_matches_project(S):
-    lane = solvers._float_lane(SimpleNamespace(A=None, B=None))
     for v in DOUBLES:
-        assert outcome(lane.project, S, v) == outcome(project, S, np.array([v])), v
+        assert outcome(float_out, project, S, v) == outcome(project, S, np.array([v])), v
+
+
+def _leaf_calls(go):
+    """go() with counting wrappers on ``solvers.norm``, ``solvers.project``
+    and ``FixedPointMap.__call__``, and on ``projections.project``, which a
+    leaf would reach again through its module name: the calls each saw, by
+    the type of the point."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name, type(args[-1]).__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    with mock.patch.object(solvers, "norm", counting("norm", solvers.norm)), \
+            mock.patch.object(solvers, "project", counting("project", solvers.project)), \
+            mock.patch.object(projections, "project",
+                              counting("project", projections.project)), \
+            mock.patch.object(FixedPointMap, "__call__",
+                              counting("call", FixedPointMap.__call__)):
+        go()
+    return calls
+
+
+@pytest.mark.parametrize("ex_id", ["bnm_t1", "wq_t3", "scfpp_smallS", "synchronal_demo",
+                                   "extragradient_1d"])
+def test_a_wrapper_sees_each_leaf_call_of_a_float_run_once(ex_id):
+    # a float run makes an array run's calls, the steps' with floats; a leaf
+    # that reached itself again by name would add one
+    got = _leaf_calls(lambda: run_example(ex_id))
+    with array_lane():
+        want = _leaf_calls(lambda: run_example(ex_id))
+    assert {kind for _, kind in want} == {"ndarray"}
+
+    def by_leaf(calls):
+        total = Counter()
+        for (name, _), n in calls.items():
+            total[name] += n
+        return total
+
+    assert by_leaf(got) == by_leaf(want)
+    assert got["norm", "float"] > 0 and got["call", "float"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from splitfp.diagnostics import find_fixed_points_1d
 from splitfp import operators
 from splitfp.operators import (
+    AsymptoticallyNonexpansive,
     AsymptoticallyQuasiNonexpansive,
     ClassMismatch,
     Contraction,
@@ -157,6 +158,32 @@ def test_power_apply_keeps_signed_zeros_apart():
     assert negate.kernel is not None   # the scalar loop
     assert power_apply(negate, 2, [0.0]).tobytes() == np.array([0.0]).tobytes()
     assert power_apply(negate, 3, [0.0]).tobytes() == np.array([-0.0]).tobytes()
+
+
+def test_power_apply_stops_at_a_bitwise_fixed_nan():
+    # x - x from inf: inf - inf is NaN, and NaN - NaN that NaN again; a NaN
+    # is never == itself, so the scalar loop used to evaluate all 50 powers
+    evaluations = []
+
+    def vanish(x):
+        evaluations.append(x)
+        return x - x
+
+    T = FixedPointMap(vanish, WholeSpace(1))
+    with np.errstate(invalid="ignore"):
+        want = power_apply_arrays(T, 50, np.array([np.inf]), check_domain=False)
+        assert len(evaluations) == 2
+        for x in (np.inf, np.array([np.inf])):
+            evaluations.clear()
+            got = power_apply(T, 50, x, check_domain=False)
+            assert np.array(got).tobytes() == want.tobytes()
+            assert len(evaluations) == 2
+
+
+def test_a_rule_map_needs_a_1d_domain():
+    with pytest.raises(ValueError, match="a rule map is 1-D, but its domain has "
+                                         "dimension 2"):
+        map_from_rule(Rational1D([0.0, 0.5]), Box([0.0, 0.0], [1.0, 1.0]))
 
 
 def _outcome(power, T, n, x, check_domain):
@@ -894,6 +921,19 @@ def test_the_walk_visits_each_implied_class_once_nearest_first():
     assert list(StrictlyPseudocontractive(0.5).implied()) == [
         StrictlyPseudocontractive(0.5), Demicontractive(0.5)]
     assert list(Demicontractive(0.5).implied()) == [Demicontractive(0.5)]
+
+
+def test_an_asymptotically_nonexpansive_map_is_asymptotically_quasi_nonexpansive():
+    # ||T^n x - p|| <= k_n ||x - p|| at a fixed point p: t_n = k_n^2, and
+    # then v_n = t_n - 1
+    k_seq = SequenceSpec.table([1.0, 2.0, 1.5], tail=1.0)
+    walk = list(AsymptoticallyNonexpansive(k_seq).implied())
+    assert [type(c) for c in walk] == [AsymptoticallyNonexpansive,
+                                       AsymptoticallyQuasiNonexpansive,
+                                       TotalQuasiAsymptoticallyNonexpansive]
+    assert [walk[1].t_seq(n) for n in range(1, 5)] == [4.0, 2.25, 1.0, 1.0]
+    assert [walk[2].v_seq(n) for n in range(1, 5)] == [3.0, 1.25, 0.0, 0.0]
+    assert AsymptoticallyNonexpansive(k_seq).total_quasi.mu_seq(3) == 0.0
 
 
 @pytest.mark.parametrize("name, declared", [
