@@ -4,7 +4,9 @@ and a high-precision re-execution oracle.
 The oracle is a second, deliberately separate implementation of the step
 recurrences over ``decimal.Decimal`` with an explicit digit budget.  It
 exists to certify the float64 traces and the tabulated reference values:
-a bug shared between the two code paths would have to be made twice.
+a bug shared between the two code paths would have to be made twice.  Like
+the float driver, it is one loop over one step per family (``_ORACLE_STEPS``),
+and it imports nothing from ``solvers``.
 """
 
 from dataclasses import dataclass
@@ -12,13 +14,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .problems import (
-    SCFPP,
-    SCFPP_ADAPTIVE,
-    SCFPEP,
-    SFFPEP,
-    SYNCHRONAL_VIP,
-)
+from .problems import SCFPP, SCFPP_ADAPTIVE, SCFPEP, SFFPEP, SYNCHRONAL_VIP
 from .projections import Box, Halfspace, Intersection, WholeSpace
 from .spaces import _vector, norm
 
@@ -228,16 +224,15 @@ def _dec_scalar(v):
 
 def _rule_eval(fixed_point_map, name):
     if fixed_point_map is None or fixed_point_map.rule is None:
-        raise OracleUnsupported(
-            "%s carries no portable scalar rule; cannot re-execute" % name
-        )
-    rule = fixed_point_map.rule
-    return lambda v: rule.eval_decimal(v)
+        raise OracleUnsupported("%s carries no portable scalar rule; cannot "
+                                "re-execute" % name)
+    return fixed_point_map.rule.eval_decimal
 
 
 def _interval_of(body):
-    """1-D body as (lo, hi) Decimals with None for an unbounded side."""
-    if isinstance(body, WholeSpace):
+    """1-D body as (lo, hi) Decimals with None for an unbounded side; no
+    body (a block its family does not project) is the whole line."""
+    if body is None or isinstance(body, WholeSpace):
         return None, None
     if isinstance(body, Box):
         lo = None if np.isneginf(body.lower[0]) else Decimal(float(body.lower[0]))
@@ -271,13 +266,12 @@ def _clip(v, bounds):
 
 
 def _pow_eval(rule_eval, n, v):
-    cur = v
     for _ in range(n):
-        nxt = rule_eval(cur)
-        if nxt == cur:
+        nxt = rule_eval(v)
+        if nxt == v:
             return nxt
-        cur = nxt
-    return cur
+        v = nxt
+    return v
 
 
 def _combined_eval(members, relax_weights, weights):
@@ -285,130 +279,107 @@ def _combined_eval(members, relax_weights, weights):
     evals = [_rule_eval(m, m.name or "member") for m in members]
     gammas = [Decimal(float(g)) for g in relax_weights]
     deltas = [Decimal(float(w)) for w in weights]
-    one = Decimal(1)
 
     def apply(v):
         acc = Decimal(0)
         for ev, g, d in zip(evals, gammas, deltas):
-            acc += d * ((one - g) * v + g * ev(v))
+            acc += d * ((1 - g) * v + g * ev(v))
         return acc
 
     return apply
 
 
-def _run_equality(spec, x0, y0, config, u_eval, t_eval, projected):
-    if y0 is None:
-        raise OracleUnsupported("two-block family needs y0")
+def _equality_step(spec, u_eval, t_eval, C=None, Q=None):
+    """The x block moves against A*(Ax - By), is clipped to C and averaged
+    through U; the y block mirrors it with B, Q and T.  A family that does
+    not project passes no C and Q."""
     if spec.branch_assignment == "swapped":
         u_eval, t_eval = t_eval, u_eval
-    a = _scalar_of(spec.A, "A")
-    b = _scalar_of(spec.B, "B")
-    c_bounds = _interval_of(spec.C) if projected else (None, None)
-    q_bounds = _interval_of(spec.Q) if projected else (None, None)
-    one = Decimal(1)
-    x, y = _dec_scalar(x0), _dec_scalar(y0)
-    records = [HPRecord(0, (x,), (y,))]
-    for n in range(config.max_n):
-        lam = spec.lam.eval_decimal(n)
-        alpha = spec.alpha.eval_decimal(n)
-        beta = spec.beta.eval_decimal(n)
+    a, b = _scalar_of(spec.A, "A"), _scalar_of(spec.B, "B")
+    c_bounds, q_bounds = _interval_of(C), _interval_of(Q)
+
+    def step(n, x, y):
+        lam, alpha, beta = (s.eval_decimal(n) for s in (spec.lam, spec.alpha, spec.beta))
         gap = a * x - b * y
-        z = x - lam * a * gap
-        if projected:
-            z = _clip(z, c_bounds)
-        w = (one - beta) * z + beta * u_eval(z)
-        x = (one - alpha) * z + alpha * u_eval(w)
-        u = y + lam * b * gap
-        if projected:
-            u = _clip(u, q_bounds)
-        r = (one - beta) * u + beta * t_eval(u)
-        y = (one - alpha) * u + alpha * t_eval(r)
-        records.append(HPRecord(n + 1, (x,), (y,)))
-    return records
+        z = _clip(x - lam * a * gap, c_bounds)
+        w = (1 - beta) * z + beta * u_eval(z)
+        u = _clip(y + lam * b * gap, q_bounds)
+        r = (1 - beta) * u + beta * t_eval(u)
+        return ((1 - alpha) * z + alpha * u_eval(w),
+                (1 - alpha) * u + alpha * t_eval(r))
+
+    return step
 
 
-def _run_sffpep(spec, x0, y0, config):
-    u_eval, t_eval = _rule_eval(spec.U, "U"), _rule_eval(spec.T, "T")
-    return _run_equality(spec, x0, y0, config, u_eval, t_eval, projected=True)
-
-
-def _run_scfpep(spec, x0, y0, config):
-    u_eval = _combined_eval(spec.U_family, spec.u_relax, spec.u_weights)
-    t_eval = _combined_eval(spec.T_family, spec.t_relax, spec.t_weights)
-    return _run_equality(spec, x0, y0, config, u_eval, t_eval, projected=False)
-
-
-def _run_scfpp(spec, x0, y0, config):
+def _scfpp_step(spec):
     a = _scalar_of(spec.A, "A")
     t_eval = _rule_eval(spec.T, "T")
     g_eval = _rule_eval(spec.G, "G")
     gamma = Decimal(float(spec.gamma))
-    one = Decimal(1)
-    x = _dec_scalar(x0)
-    records = [HPRecord(0, (x,))]
-    for n in range(config.max_n):
+
+    def step(n, x, y):
         alpha = spec.alpha.eval_decimal(n)
         ax = a * x
         t_ax = _pow_eval(t_eval, n + 1, ax)
         u = x + gamma * a * (t_ax - ax)
         g_u = _pow_eval(g_eval, n + 1, u)
-        x = alpha * u + (one - alpha) * g_u
-        records.append(HPRecord(n + 1, (x,)))
-    return records
+        return alpha * u + (1 - alpha) * g_u, None
+
+    return step
 
 
-def _run_adaptive(spec, x0, y0, config):
+def _adaptive_step(spec):
     a = _scalar_of(spec.A, "A")
     t_eval = _rule_eval(spec.T, "T")
     u_eval = _rule_eval(spec.U, "U")
     k = Decimal(float(spec.demicontractive_k()))
-    one = Decimal(1)
-    two = Decimal(2)
     zero_gate = Decimal("1e-14")
-    x = _dec_scalar(x0)
-    records = [HPRecord(0, (x,))]
-    for n in range(config.max_n):
+
+    def step(n, x, y):
         alpha = spec.alpha.eval_decimal(n)
         ax = a * x
         diff = t_eval(ax) - ax
-        if abs(diff) <= zero_gate * (one + abs(ax)):
+        if abs(diff) <= zero_gate * (1 + abs(ax)):
             u = x
         else:
             adj = a * diff
-            rho = (one - k) * diff * diff / (two * adj * adj)
+            rho = (1 - k) * diff * diff / (2 * adj * adj)
             u = x + rho * adj
-        x = (one - alpha) * u + alpha * u_eval(u)
-        records.append(HPRecord(n + 1, (x,)))
-    return records
+        return (1 - alpha) * u + alpha * u_eval(u), None
+
+    return step
 
 
-def _run_synchronal(spec, x0, y0, config):
+def _synchronal_step(spec):
     t_eval = _rule_eval(spec.T, "T")
     f_eval = _rule_eval(spec.f, "f")
     g_eval = _rule_eval(spec.G, "G")
     mu = Decimal(float(spec.mu))
     gamma_v = Decimal(float(spec.gamma_visc))
-    one = Decimal(1)
-    x = _dec_scalar(x0)
-    records = [HPRecord(0, (x,))]
-    for n in range(config.max_n):
-        alpha = spec.alpha.eval_decimal(n)
-        beta = spec.beta.eval_decimal(n)
-        t_pow = _pow_eval(t_eval, n + 1, x)
-        averaged = beta * x + (one - beta) * t_pow
-        x = alpha * gamma_v * f_eval(x) + averaged - alpha * mu * g_eval(averaged)
-        records.append(HPRecord(n + 1, (x,)))
-    return records
+
+    def step(n, x, y):
+        alpha, beta = spec.alpha.eval_decimal(n), spec.beta.eval_decimal(n)
+        averaged = beta * x + (1 - beta) * _pow_eval(t_eval, n + 1, x)
+        return (alpha * gamma_v * f_eval(x) + averaged
+                - alpha * mu * g_eval(averaged)), None
+
+    return step
 
 
-# family -> decimal re-execution of its recurrence; the extra-gradient
-# family (cut accumulation) is outside the re-executable fragment
-_ORACLE_RUNNERS = {
-    SCFPP: _run_scfpp,
-    SCFPP_ADAPTIVE: _run_adaptive,
-    SYNCHRONAL_VIP: _run_synchronal,
-    SFFPEP: _run_sffpep,
-    SCFPEP: _run_scfpep,
+# family -> builder of its Decimal step, parallel to solvers._FAMILY_STEPS.
+# A builder binds the family's Decimal constants, rule evaluators and
+# intervals once and returns its step (n, x, y) -> (x, y) on Decimal
+# scalars, with y None for a one-block family.  The extra-gradient family
+# (cut accumulation) is outside the re-executable fragment.
+_ORACLE_STEPS = {
+    SCFPP: _scfpp_step,
+    SCFPP_ADAPTIVE: _adaptive_step,
+    SYNCHRONAL_VIP: _synchronal_step,
+    SFFPEP: lambda spec: _equality_step(
+        spec, _rule_eval(spec.U, "U"), _rule_eval(spec.T, "T"), spec.C, spec.Q),
+    SCFPEP: lambda spec: _equality_step(
+        spec, _combined_eval(spec.U_family, spec.u_relax, spec.u_weights),
+        _combined_eval(spec.T_family, spec.t_relax, spec.t_weights)),
 }
 
 
@@ -417,15 +388,24 @@ def reexecute_high_precision(spec, x0, y0=None, config=None):
 
     Supports one-dimensional problems whose operators carry portable scalar
     rules and whose linear maps are scalars; the extra-gradient family (cut
-    accumulation) is outside the re-executable fragment.  Returns a trace of
-    Decimal iterates in the same (n, x, y) shape as the float64 driver.
+    accumulation) is outside the re-executable fragment.  A two-block
+    family needs ``y0``, and a one-block family takes none.  Returns a trace
+    of Decimal iterates in the same (n, x, y) shape as the float64 driver.
     """
     if config is None:
         config = PrecisionOracleConfig()
-    runner = _ORACLE_RUNNERS.get(spec.family)
-    if runner is None:
+    builder = _ORACLE_STEPS.get(spec.family)
+    if builder is None:
         raise OracleUnsupported("%s runs are not re-executable" % spec.family)
     with localcontext() as ctx:
         ctx.prec = config.digits
-        records = runner(spec, x0, y0, config)
+        step = builder(spec)
+        if (y0 is not None) != spec.two_variable:
+            raise OracleUnsupported("%s family %s y0" % (
+                ("two-block", "needs") if y0 is None else ("one-block", "takes no")))
+        x, y = _dec_scalar(x0), None if y0 is None else _dec_scalar(y0)
+        records = [HPRecord(0, (x,), None if y is None else (y,))]
+        for n in range(config.max_n):
+            x, y = step(n, x, y)
+            records.append(HPRecord(n + 1, (x,), None if y is None else (y,)))
     return HighPrecisionTrace(spec.family, config.digits, records)

@@ -199,8 +199,9 @@ def _check_spaces(spec, record):
 class Family:
     """One solver family: the slots a spec of it must fill, its range checks
     ``check(spec, warn)``, the space each operator and set slot acts in
-    (``spaces``, (slot, space) pairs, a two-variable family's x-block and
-    y-block operators first), the trace slots a step fills
+    (``spaces``, (slot, space) pairs; the first slot acts in the x block's
+    space, and a two-variable family's second, its y-block operator as
+    printed, in the y block's), the trace slots a step fills
     (``intermediates``, of which those in ``y_block`` have the y block's
     dimension), whether it carries a growing cut list, and, for the
     two-variable families, ``blocks(spec)``: the x-block and y-block

@@ -423,9 +423,10 @@ def run(spec, x0, y0=None, rule=None):
     target; the trace records which one fired.  Domain membership of the
     starting point is the caller's concern: the recurrences evaluate the
     operators wherever they lead, as the published trajectories do.  A
-    start must be finite, and ``x0`` (``y0``) must have as many entries as
-    ``A`` (``B``) has columns where the family has that slot, and each block
-    of the reference as many as its start; a NaN or infinite iterate or
+    start must be finite, ``y0`` is given exactly for a two-block family,
+    ``x0`` (``y0``) must have the dimension of the space the family iterates
+    that block in (``Family.spaces``), and each block of the reference as
+    many entries as its start; a NaN or infinite iterate or
     residual later raises :class:`NonFiniteState`, and a rule's pole a
     :class:`SolverError`.  A run whose blocks are all 1-D steps on Python
     floats (see the module notes), with the same trace.
@@ -434,20 +435,20 @@ def run(spec, x0, y0=None, rule=None):
         raise ValidationError("a stopping rule is required")
     family = FAMILIES[spec.family]
     initial_residual, step = _FAMILY_STEPS[spec.family]
-    x = _vector(x0)
-    if family.two_variable:
-        if y0 is None:
-            raise ValidationError("family %r iterates two blocks; y0 missing"
-                                  % spec.family)
-        y = _vector(y0)
-    else:
-        y = None
+    if family.two_variable and y0 is None:
+        raise ValidationError("family %r iterates two blocks; y0 missing"
+                              % spec.family)
+    if not family.two_variable and y0 is not None:
+        raise ValidationError("family %r iterates one block; y0 given" % spec.family)
+    x, y = _vector(x0), None if y0 is None else _vector(y0)
     if not (np.isfinite(x).all() and (y is None or np.isfinite(y).all())):
         raise ValidationError("the start point must be finite")
-    for name, start, slot in (("x0", x, "A"), ("y0", y, "B")):
-        if slot in family.required and start.shape[0] != getattr(spec, slot).cols:
-            raise ValidationError("%s has %d entries; %s expects %d" % (
-                name, start.shape[0], slot, getattr(spec, slot).cols))
+    # family.spaces lists the x block's space first and the y block's second,
+    # as printed: the starts do not swap with the blocks' operators
+    for name, start, (_, (where, dim)) in zip(("x0", "y0"), (x, y), family.spaces):
+        if start is not None and start.shape[0] != dim(spec):
+            raise ValidationError("%s has %d entries; %s expects %d, %s" % (
+                name, start.shape[0], spec.family, dim(spec), where))
     ref = spec.reference_solution
     for name, start, target in zip(("x", "y"), (x, y), ref or ()):
         if target.shape[0] != start.shape[0]:

@@ -305,15 +305,33 @@ def test_run_takes_an_infinite_radius_or_offset_as_the_whole_space(tmp_path, dom
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
 
 
-@pytest.mark.parametrize("start, message", [
-    ({"x": [1.0, 2.0], "y": [1.0]}, "x0 has 2 entries; A expects 1"),
-    ({"x": [1.0], "y": [1.0, 2.0]}, "y0 has 2 entries; B expects 1"),
-], ids=["x", "y"])
-def test_run_start_of_the_wrong_dimension_exits_2(tmp_path, capsys, start, message):
-    doc = {"problem": {"example": "bnm_t1"}, "start": start}
-    cfg = write_config(tmp_path, doc)
-    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
+SYNCHRONAL_NO_REFERENCE = {k: v for k, v in catalog()["synchronal_demo"].problem.items()
+                           if k != "reference"}
+
+
+@pytest.mark.parametrize("problem, start, message", [
+    ({"example": "bnm_t1"}, {"x": [1.0, 2.0], "y": [1.0]},
+     "x0 has 2 entries; sffpep expects 1, the columns of A"),
+    ({"example": "bnm_t1"}, {"x": [1.0], "y": [1.0, 2.0]},
+     "y0 has 2 entries; sffpep expects 1, the columns of B"),
+    # synchronal_vip has no A: its start is checked against T's dimension,
+    # not broadcast through the 1-D maps
+    (SYNCHRONAL_NO_REFERENCE, {"x": [4.0, 1.0]},
+     "x0 has 2 entries; synchronal_vip expects 1, the dimension of T"),
+    (SYNCHRONAL_NO_REFERENCE, {"x": []},
+     "x0 has 0 entries; synchronal_vip expects 1, the dimension of T"),
+    # a y start given to a one-block family is refused, not dropped
+    ({"example": "scfpp_smallS"}, {"x": [10.0], "y": [3.0, 4.0]},
+     "family 'scfpp' iterates one block; y0 given"),
+], ids=["x", "y", "synchronal-two-entries", "synchronal-empty", "one-block-y"])
+def test_run_start_of_the_wrong_dimension_exits_2(tmp_path, capsys, problem, start,
+                                                  message):
+    cfg = write_config(tmp_path, {"problem": problem, "start": start})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not out.exists()
 
 
 def test_internal_error_exits_3_with_a_traceback(monkeypatch, capsys):

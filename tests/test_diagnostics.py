@@ -280,6 +280,13 @@ def test_oracle_certifies_projected_equality_runs(C, Q):
         reexecute_high_precision(replace(spec, C=Ball([0.0], 8.0)), [10.0], [15.0])
 
 
+def test_oracle_reads_y0_exactly_for_a_two_block_family():
+    with pytest.raises(OracleUnsupported, match="one-block family takes no y0"):
+        reexecute_high_precision(get_example("scfpp_smallS").spec, [10.0], [3.0])
+    with pytest.raises(OracleUnsupported, match="two-block family needs y0"):
+        reexecute_high_precision(get_example("bnm_t1").spec, [10.0])
+
+
 def test_oracle_rejects_unsupported_problems():
     with pytest.raises(OracleUnsupported):
         reexecute_high_precision(get_example("extragradient_1d").spec, [10.0])

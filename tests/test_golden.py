@@ -6,7 +6,11 @@ Each digest is the sha256 of one output, recorded once and pinned here:
   stopping rule;
 - the stdout of ``splitfp reproduce t1..t4``;
 - the stdout of ``splitfp verify <op> declared --seed 1`` for every catalog
-  operator.
+  operator;
+- the decimal oracle's records, ``repr((n, x, y))`` of each, re-executed
+  from every preset start at 30 digits over ``ORACLE_MAX_N`` steps, for
+  every preset the oracle re-executes; for the others, the message it
+  refuses them with.
 
 Any refactor of the solver families, the operator classes or the CLI must
 leave all of them unchanged.
@@ -17,7 +21,12 @@ import hashlib
 import pytest
 
 from splitfp.cli import main, write_trace_csv
-from splitfp.presets import run_example
+from splitfp.diagnostics import (
+    OracleUnsupported,
+    PrecisionOracleConfig,
+    reexecute_high_precision,
+)
+from splitfp.presets import get_example, run_example
 
 TRACE_CSV_SHA256 = {
     "adaptive_demo": "319e1eb614d24d33a1b396a5a94729f248094c0121580aa841cd330f37ae8418",
@@ -49,6 +58,22 @@ VERIFY_SHA256 = {
     "wqU": "3e885f067a998e3847427d0522ad733d39b762cc58b242efeb57ccf97ba49102",
 }
 
+ORACLE_MAX_N = 100
+
+ORACLE_SHA256 = {
+    "bnm_t1": "4883eb24f6866ccf4478bf121bb9e3519bf4cdc24b39ba5afc46fe60170e7889",
+    "bnm_t2": "b4bc7010bfe7dad40b29e2c783914c4922cc55509768ba04c355b704cb8f6466",
+    "scfpp_smallS": "ad88c396c2ff5d559af036ae04300a994b092d3646903ab626afec332d80db0a",
+    "synchronal_demo": "3b591c3bdd64d5c79b68d3169fe9b082f09625c46fd77ab6f695d517331234ba",
+    "wq_t3": "142d0ca648e5a11fdd0228716439716fc062b556fbc3bdaa0fa4929410de5af3",
+    "wq_t4": "7e43197bf0c5af6dfe04aaf47aa269fd6ed2c80578cde76cd5a3a7f33f9aaf55",
+}
+
+ORACLE_UNSUPPORTED = {
+    "adaptive_demo": "A must be a 1x1 map for re-execution",
+    "extragradient_1d": "extragradient_sffpp runs are not re-executable",
+}
+
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -73,3 +98,24 @@ def test_verify_declared_stdout_digest(op, capsys):
     assert main(["verify", op, "declared", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert _sha256(out.encode("utf-8")) == VERIFY_SHA256[op]
+
+
+@pytest.mark.parametrize("ex_id", sorted(ORACLE_SHA256))
+def test_oracle_records_digest(ex_id):
+    ex = get_example(ex_id)
+    digest = hashlib.sha256()
+    for start in ex.starts:
+        hp = reexecute_high_precision(ex.spec, *start, config=PrecisionOracleConfig(
+            digits=30, max_n=ORACLE_MAX_N))
+        assert len(hp.records) == ORACLE_MAX_N + 1
+        for rec in hp.records:
+            digest.update(repr((rec.n, rec.x, rec.y)).encode("utf-8"))
+    assert digest.hexdigest() == ORACLE_SHA256[ex_id]
+
+
+@pytest.mark.parametrize("ex_id", sorted(ORACLE_UNSUPPORTED))
+def test_oracle_unsupported_message(ex_id):
+    ex = get_example(ex_id)
+    with pytest.raises(OracleUnsupported) as info:
+        reexecute_high_precision(ex.spec, *ex.starts[0])
+    assert str(info.value) == ORACLE_UNSUPPORTED[ex_id]

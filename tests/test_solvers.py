@@ -590,12 +590,26 @@ def test_run_requires_valid_rule_and_counts_records():
 
 def test_run_rejects_a_start_of_the_wrong_dimension():
     ex = get_example("bnm_t1")
-    with pytest.raises(ValidationError, match="x0 has 2 entries; A expects 1"):
+    with pytest.raises(ValidationError,
+                       match="x0 has 2 entries; sffpep expects 1, the columns of A"):
         run(ex.spec, [10.0, 1.0], [15.0], rule=StoppingRule(max_iters=1))
-    with pytest.raises(ValidationError, match="y0 has 2 entries; B expects 1"):
+    with pytest.raises(ValidationError,
+                       match="y0 has 2 entries; sffpep expects 1, the columns of B"):
         run(ex.spec, [10.0], [15.0, 1.0], rule=StoppingRule(max_iters=1))
-    with pytest.raises(ValidationError, match="x0 has 2 entries; A expects 1"):
+    with pytest.raises(ValidationError,
+                       match="x0 has 2 entries; scfpp expects 1, the columns of A"):
         run(scfpp_spec(), [10.0, 1.0], rule=StoppingRule(max_iters=1))
+    sync = replace(get_example("synchronal_demo").spec, reference_solution=None)
+    for x0 in ([4.0, 1.0], []):
+        with pytest.raises(ValidationError, match="x0 has %d entries; synchronal_vip "
+                           "expects 1, the dimension of T" % len(x0)):
+            run(sync, x0, rule=StoppingRule(max_iters=1))
+
+
+def test_run_one_variable_refuses_y0():
+    with pytest.raises(ValidationError, match="family 'scfpp' iterates one block; y0 given"):
+        run(get_example("scfpp_smallS").spec, [10.0], [3.0, 4.0],
+            rule=StoppingRule(max_iters=1))
 
 
 def test_run_two_variable_requires_y0():
