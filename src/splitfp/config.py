@@ -121,7 +121,9 @@ def build_spec_from_config(problem):
     try:
         return ProblemSpec(**kwargs)
     except (ValueError, TypeError) as err:
-        raise ValidationError("problem: %s" % err) from None
+        slot, colon, _ = str(err).partition(": ")   # "C: ...", "U_family[0]: ..."
+        named = colon and slot.partition("[")[0] in _PROBLEM_TYPES
+        raise ValidationError(("problem." if named else "problem: ") + str(err)) from None
 
 
 # the schema: JSON kinds, then the tables

@@ -16,6 +16,7 @@ reports are bit-reproducible across platforms.
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar
@@ -79,17 +80,17 @@ class ClassMismatch(ValueError):
 class SequenceSpec:
     """Evaluable scalar sequence: constant, table with tail, or registry formula.
 
-    Formulas are drawn from a fixed registry of closed forms, all evaluable
-    at every n >= 0 (shifted where the textbook form would divide by zero).
-    Each formula is written once over a unit ``one``: ``1.0`` evaluates it in
-    float64, ``Decimal(1)`` in decimal arithmetic.
+    Formulas are drawn from a fixed registry of monotone closed forms with
+    their limits, evaluable at every n >= 0 (shifted where the textbook form
+    would divide by zero), each written once over a unit ``one``: ``1.0``
+    evaluates it in float64, ``Decimal(1)`` in decimal arithmetic.
     """
 
-    _FORMULAS: ClassVar[dict] = {
-        "1/(n+1)": lambda n, one: one / (n + 1),
-        "1/(n+2)": lambda n, one: one / (n + 2),
-        "1/(n+1)^2": lambda n, one: one / (n + 1) ** 2,
-        "1+1/(n+1)^2": lambda n, one: one + one / (n + 1) ** 2,
+    _FORMULAS: ClassVar[dict] = {   # name -> (formula, its limit)
+        "1/(n+1)": (lambda n, one: one / (n + 1), 0.0),
+        "1/(n+2)": (lambda n, one: one / (n + 2), 0.0),
+        "1/(n+1)^2": (lambda n, one: one / (n + 1) ** 2, 0.0),
+        "1+1/(n+1)^2": (lambda n, one: one + one / (n + 1) ** 2, 1.0),
     }
 
     kind: str
@@ -137,10 +138,26 @@ class SequenceSpec:
             return self.constant
         if self.kind == "table":
             return self.values[n] if n < len(self.values) else self.tail
-        return self._FORMULAS[self.formula](n, one)
+        return self._FORMULAS[self.formula][0](n, one)
 
     def __call__(self, n):
         return self._eval(n, 1.0)
+
+    def first_outside(self, lo, hi):
+        """The first (n, value) outside (lo, hi) over every n, or None: a
+        constant's value, a table's values then its tail, a formula's value at
+        0 and its limit, bisecting for the crossing when the limit is past a bound."""
+        def outside(n):
+            return not lo < self(n) < hi
+
+        n = next(filter(outside, range(len(self.values or ()) + 1)), None)
+        if n is None and self.kind == "formula" and not (
+                lo <= self._FORMULAS[self.formula][1] <= hi):
+            n = 1
+            while not outside(n):
+                n *= 2
+            n = bisect_left(range(n + 1), True, key=outside)
+        return None if n is None else (n, self(n))
 
     def eval_decimal(self, n):
         """Evaluate in decimal arithmetic under the active context."""

@@ -1,24 +1,25 @@
 """Problem descriptions, solver families, stopping rules, and iteration traces.
 
 Each solver family is one :class:`Family` record in :data:`FAMILIES`: the
-slots a spec must fill, the range checks against the convergence theory,
-the trace layout, and whether cuts accumulate.  A frozen
-:class:`ProblemSpec` names one family and carries the operators, linear
-maps, sets, and parameter sequences it needs; construction validates it,
-and a changed spec is a new one (``dataclasses.replace``), validated again.
-Range checks are collected as warnings and raised only when
-``enforce_ranges`` is set (the bundled reference configurations knowingly
-sit outside the theoretical ranges and disable enforcement).
+slots a spec fills and may set, its theorem's hypotheses as rows, the trace
+layout, and whether cuts accumulate.  A frozen :class:`ProblemSpec` names
+one family and carries the operators, linear maps, sets, and parameter
+sequences it needs; construction checks the rows, and a changed spec is a
+new one (``dataclasses.replace``), checked again.  Range and class rows
+give warnings, raised only when ``enforce_ranges`` is set (the bundled
+reference configurations knowingly sit outside the theoretical ranges and
+disable enforcement).
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .operators import (
     Contraction,
     FixedPointMap,
+    QuasiNonexpansive,
     SequenceSpec,
     convex_combine,
     relax,
@@ -51,7 +52,12 @@ EXTRAGRADIENT_SFFPP = "extragradient_sffpp"
 
 
 class ValidationError(ValueError):
-    """Problem description incomplete or out of range."""
+    """Problem description incomplete or out of range.  A message about one
+    slot opens with its name (``C: ...``, ``U_family[0]: ...``)."""
+
+
+def _unset(value, default):   # compared by value for a tuple, string or number only
+    return value is default or isinstance(value, (tuple, str, int, float)) and value == default
 
 
 def _declared(m, constant):
@@ -61,99 +67,83 @@ def _declared(m, constant):
     return next((v for v in values if v is not None), None)
 
 
-def _seq_range_ok(seq, lo, hi, upto=100):
-    """Sampled range check over n = 0..upto-1 (limits are not decidable)."""
-    for n in range(upto):
-        v = seq(n)
-        if not (lo < v < hi):
-            return n, v
-    return None
-
-
 # ---------------------------------------------------------------------------
-# per-family range checks: check(spec, warn) raises ValidationError for a
-# malformed spec and calls warn(message) for a parameter outside the theory
+# hypothesis rows, each a function of the spec: a structural row raises a
+# ValidationError, and a range or class row returns a warning's message or None
 
 
-def _check_seq_in(spec, warn, name, lo, hi):
-    bad = _seq_range_ok(getattr(spec, name), lo, hi)
-    if bad is not None:
-        warn("%s(n=%d) = %g outside (%g, %g)" % (name, bad[0], bad[1], lo, hi))
+def _entries(slot, value):
+    """(name, value) of a slot, or of each member of a tuple slot."""
+    if isinstance(value, tuple):
+        return [("%s[%d]" % (slot, i), v) for i, v in enumerate(value)]
+    return [(slot, value)]
 
 
-def _check_scfpp(spec, warn):
-    if spec.gamma is None:
-        raise ValidationError("scfpp needs the scalar step gamma")
-    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
-    bound = spec.gamma_cap()
-    if not 0.0 < spec.gamma < bound:
-        warn("gamma = %g outside (0, %g)" % (spec.gamma, bound))
+def _range(field, hi, lo=0.0, closed=False):
+    """``field`` lies in (lo, hi), or in [lo, hi) with a 1e-15 slack if
+    ``closed``: a scalar, each entry of a tuple, or a sequence at every n.
+    ``lo`` and ``hi`` are numbers or functions of the spec."""
+    def row(spec):
+        low, high = (b(spec) if callable(b) else b for b in (lo, hi))
+        floor = low - 1e-15 if closed else low
+        value = getattr(spec, field)
+        if isinstance(value, SequenceSpec):
+            bad = value.first_outside(floor, high)
+            bad = bad and ("%s(n=%d)" % (field, bad[0]), bad[1])
+        else:
+            bad = next(((name, v) for name, v in _entries(field, value)
+                        if not floor < v < high), None)
+        if bad:
+            return "%s = %g outside %s%g, %g)" % (*bad, "[" if closed else "(", low, high)
+    return row
 
 
-def _check_scfpp_adaptive(spec, warn):
-    k = spec.demicontractive_k()
-    _check_seq_in(spec, warn, "alpha", 0.0, min(1.0, 1.0 - k))
+def _structural(holds, message):   # message: a string, or a function of the spec
+    def row(spec):
+        if not holds(spec):
+            raise ValidationError(message(spec) if callable(message) else message)
+    return row
 
 
-def _check_synchronal(spec, warn):
-    if spec.mu is None or spec.gamma_visc is None:
-        raise ValidationError("synchronal needs mu and gamma_visc")
-    if not isinstance(spec.f.declared_class, Contraction):
-        raise ValidationError("f must declare Contraction(k)")
-    eta = _declared(spec.G, "strong_monotonicity")
-    lip = _declared(spec.G, "lipschitz")
-    if eta is None or lip is None:
-        raise ValidationError(
-            "G must declare a strong-monotonicity modulus and a "
-            "Lipschitz constant"
-        )
-    if not 0.0 < spec.mu < 2.0 * eta / lip ** 2:
-        warn("mu = %g outside (0, %g)" % (spec.mu, 2.0 * eta / lip ** 2))
-    tau = spec.synchronal_tau()
-    kf = spec.f.declared_class.k
-    if not 0.0 < spec.gamma_visc < tau / kf:
-        warn("gamma_visc = %g outside (0, %g)" % (spec.gamma_visc, tau / kf))
-    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
-    k_t = max(0.0, _declared(spec.T, "demicontractive") or 0.0)
-    bad = _seq_range_ok(spec.beta, k_t - 1e-15, 1.0)
-    if bad is not None:
-        warn("beta(n=%d) = %g outside [%g, 1)" % (bad[0], bad[1], k_t))
+def _quasi_nonexpansive(slot):
+    """The walk (``m.implied()``) of ``slot``, or of each member, reaches
+    quasi-nonexpansive.  Source: the abstract states the sffpep, scfpep and
+    extra-gradient results "for the class of quasi-nonexpansive mappings"."""
+    def row(spec):
+        for name, m in _entries(slot, getattr(spec, slot)):
+            if QuasiNonexpansive() not in m.implied():
+                declared = [repr(c) for c in (m.declared_class, *m.extra_classes) if c]
+                return "%s: %s does not imply quasi_nonexpansive" % (
+                    name, ", ".join(declared) or "no declared class")
+    return row
 
 
-def _check_sffpep(spec, warn):
-    if spec.B.rows != spec.A.rows:
-        raise ValidationError("B has %d rows and A has %d; Ax - By needs one space"
-                              % (spec.B.rows, spec.A.rows))
-    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
-    _check_seq_in(spec, warn, "beta", 0.0, 1.0)
-    cap = 2.0 / (estimate_norm_squared(spec.A) + estimate_norm_squared(spec.B))
-    _check_seq_in(spec, warn, "lam", 0.0, cap)
+def _demicontractive(spec):   # the adaptive step reads the constant k of U and T
+    for m in (spec.U, spec.T):
+        if _declared(m, "demicontractive") is None:
+            raise ValidationError("%s must declare a demicontractive-type class"
+                                  % (m.name or "map",))
 
 
-def _check_scfpep(spec, warn):
-    for nm, weights in (("u_weights", spec.u_weights),
-                        ("t_weights", spec.t_weights)):
-        if not weights:
-            raise ValidationError("scfpep needs %s" % nm)
-        if any(w <= 0 for w in weights):
-            raise ValidationError("%s must be positive" % nm)
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValidationError("%s must sum to 1" % nm)
-    for nm, rel, fam_ops in (("u_relax", spec.u_relax, spec.U_family),
-                             ("t_relax", spec.t_relax, spec.T_family)):
-        if len(rel) != len(fam_ops):
-            raise ValidationError("%s must match its operator family" % nm)
-        if any(not 0.0 < r < 1.0 for r in rel):
-            warn("%s entries must lie in (0, 1)" % nm)
-    _check_sffpep(spec, warn)
+def _operator_family(members, relax, weights):
+    """An scfpep family's rows: weights positive and summing to 1, one
+    relaxation weight per member, each in (0, 1), and each member's class."""
+    return (_structural(lambda spec: not any(w <= 0 for w in getattr(spec, weights)),
+                        "%s must be positive" % weights),
+            _structural(lambda spec: not abs(sum(getattr(spec, weights)) - 1.0) > 1e-12,
+                        "%s must sum to 1" % weights),
+            _structural(lambda spec: len(getattr(spec, relax)) == len(getattr(spec, members)),
+                        "%s must match its operator family" % relax),
+            _quasi_nonexpansive(members), _range(relax, 1.0))
 
 
-def _check_extragradient(spec, warn):
-    _check_seq_in(spec, warn, "alpha", 0.0, 1.0)
-    _check_seq_in(spec, warn, "beta", 0.0, 1.0)
-    _check_seq_in(spec, warn, "gamma_seq", 0.0, 1.0 / estimate_norm_squared(spec.A))
-    if spec.cut_cap < 3:
-        raise ValidationError("cut_cap must allow at least one iteration")
+_BRANCH = _structural(lambda spec: spec.branch_assignment in ("as_printed", "swapped"),
+                      "branch_assignment must be as_printed|swapped")
+_B_ROWS = _structural(lambda spec: spec.B.rows == spec.A.rows, lambda spec: (
+    "B has %d rows and A has %d; Ax - By needs one space" % (spec.B.rows, spec.A.rows)))
+_ALPHA, _BETA = _range("alpha", 1.0), _range("beta", 1.0)
+_LAM = _range("lam", lambda spec: 2.0 / (estimate_norm_squared(spec.A)
+                                         + estimate_norm_squared(spec.B)))
 
 
 def _scfpep_blocks(spec):
@@ -178,14 +168,11 @@ def _check_spaces(spec, record):
     """Each operator and set (each member of a family) has the dimension of
     the space its family applies it in."""
     spaces = [space for _, space in record.spaces]
-    if record.two_variable and spec.branch_assignment == "swapped":
-        spaces[:2] = spaces[1::-1]   # the blocks exchange operators
+    if spec.branch_assignment == "swapped":   # the blocks exchange operators
+        spaces[:2] = spaces[1::-1]
     for (slot, _), (where, dim) in zip(record.spaces, spaces):
-        value = getattr(spec, slot)
-        parts = value if isinstance(value, tuple) else (value,)
-        for i, part in enumerate(parts):
+        for name, part in _entries(slot, getattr(spec, slot)):
             if part.dim != dim(spec):
-                name = slot if part is value else "%s[%d]" % (slot, i)
                 raise ValidationError("%s acts in dimension %d; %s applies it in %s, "
                                       "dimension %d" % (name, part.dim, spec.family,
                                                         where, dim(spec)))
@@ -197,8 +184,9 @@ def _check_spaces(spec, record):
 
 @dataclass(frozen=True)
 class Family:
-    """One solver family: the slots a spec of it must fill, its range checks
-    ``check(spec, warn)``, the space each operator and set slot acts in
+    """One solver family: the slots a spec of it fills (``required``) and
+    may set (``optional``), its theorem's hypotheses as rows read in order
+    (``hypotheses``), the space each operator and set slot acts in
     (``spaces``, (slot, space) pairs; the first slot acts in the x block's
     space, and a two-variable family's second, its y-block operator as
     printed, in the y block's), the trace slots a step fills
@@ -210,8 +198,9 @@ class Family:
 
     name: str
     required: tuple
-    check: Callable
+    hypotheses: tuple
     spaces: tuple
+    optional: tuple = ()
     intermediates: str = "u"
     y_block: str = ""
     accumulates_cuts: bool = False
@@ -225,24 +214,53 @@ class Family:
 FAMILIES = {
     f.name: f
     for f in (
-        Family(SCFPP, ("T", "G", "A", "alpha"), _check_scfpp,
-               (("G", _A_COLUMNS), ("T", _A_ROWS))),
-        Family(SCFPP_ADAPTIVE, ("U", "T", "A", "alpha"), _check_scfpp_adaptive,
+        # class: not stated in PAPER.md
+        Family(SCFPP, ("T", "G", "A", "alpha", "gamma"),
+               (_structural(lambda spec: spec.gamma_bound_choice in ("l_star", "lipschitz"),
+                            "gamma_bound_choice must be l_star|lipschitz"),
+                _structural(lambda spec: spec.gamma_bound_choice == "l_star" or any(
+                    _declared(m, "lipschitz") is not None for m in (spec.T, spec.G)),
+                    "gamma_bound_choice='lipschitz' needs declared Lipschitz "
+                    "constants on T and G"),
+                _ALPHA, _range("gamma", lambda spec: spec.gamma_cap())),
+               (("G", _A_COLUMNS), ("T", _A_ROWS)), optional=("gamma_bound_choice",)),
+        Family(SCFPP_ADAPTIVE, ("U", "T", "A", "alpha"),
+               (_demicontractive,
+                _range("alpha", lambda spec: min(1.0, 1.0 - spec.demicontractive_k()))),
                (("U", _A_COLUMNS), ("T", _A_ROWS))),
-        Family(SYNCHRONAL_VIP, ("T", "f", "G", "alpha", "beta"), _check_synchronal,
+        Family(SYNCHRONAL_VIP, ("T", "f", "G", "alpha", "beta", "mu", "gamma_visc"),
+               (_structural(lambda spec: isinstance(spec.f.declared_class, Contraction),
+                            "f must declare Contraction(k)"),
+                _structural(lambda spec: None not in (
+                    _declared(spec.G, "strong_monotonicity"), _declared(spec.G, "lipschitz")),
+                    "G must declare a strong-monotonicity modulus and a Lipschitz constant"),
+                _range("mu", lambda spec: 2.0 * _declared(spec.G, "strong_monotonicity")
+                       / _declared(spec.G, "lipschitz") ** 2),
+                _range("gamma_visc",
+                       lambda spec: spec.synchronal_tau() / spec.f.declared_class.k),
+                _ALPHA, _range("beta", 1.0, lambda spec: max(
+                    0.0, _declared(spec.T, "demicontractive") or 0.0), closed=True)),
                (("f", _T_SPACE), ("G", _T_SPACE))),
         Family(SFFPEP, ("U", "T", "A", "B", "C", "Q", "alpha", "beta", "lam"),
-               _check_sffpep, (("U", _A_COLUMNS), ("T", _B_COLUMNS),
-                               ("C", _A_COLUMNS), ("Q", _B_COLUMNS)),
-               "uzwr", "ur", blocks=lambda spec: (spec.U, spec.T)),
-        Family(SCFPEP, ("U_family", "T_family", "A", "B", "alpha", "beta", "lam"),
-               _check_scfpep, (("U_family", _A_COLUMNS), ("T_family", _B_COLUMNS)),
-               "uzwr", "ur", blocks=_scfpep_blocks),
+               (_BRANCH, _B_ROWS, _quasi_nonexpansive("U"), _quasi_nonexpansive("T"),
+                _ALPHA, _BETA, _LAM),
+               (("U", _A_COLUMNS), ("T", _B_COLUMNS), ("C", _A_COLUMNS), ("Q", _B_COLUMNS)),
+               ("branch_assignment",), "uzwr", "ur", blocks=lambda spec: (spec.U, spec.T)),
+        Family(SCFPEP, ("U_family", "u_relax", "u_weights", "T_family", "t_relax",
+                        "t_weights", "A", "B", "alpha", "beta", "lam"),
+               (_BRANCH, *_operator_family("U_family", "u_relax", "u_weights"),
+                *_operator_family("T_family", "t_relax", "t_weights"),
+                _B_ROWS, _ALPHA, _BETA, _LAM),
+               (("U_family", _A_COLUMNS), ("T_family", _B_COLUMNS)),
+               ("branch_assignment",), "uzwr", "ur", blocks=_scfpep_blocks),
         Family(EXTRAGRADIENT_SFFPP,
                ("T", "G", "A", "C", "Q", "alpha", "beta", "gamma_seq"),
-               _check_extragradient, (("T", _A_COLUMNS), ("C", _A_COLUMNS),
-                                      ("G", _A_ROWS), ("Q", _A_ROWS)),
-               "uzwr", accumulates_cuts=True),
+               (_structural(lambda spec: spec.cut_cap >= 3,
+                            "cut_cap must allow at least one iteration"),
+                _quasi_nonexpansive("T"), _ALPHA, _BETA,
+                _range("gamma_seq", lambda spec: 1.0 / estimate_norm_squared(spec.A))),
+               (("T", _A_COLUMNS), ("C", _A_COLUMNS), ("G", _A_ROWS), ("Q", _A_ROWS)),
+               ("cut_cap",), "uzwr", accumulates_cuts=True),
     )
 }
 
@@ -251,26 +269,13 @@ FAMILIES = {
 class ProblemSpec:
     """One of the six split fixed-point problem families.
 
-    Operator slots by family:
-
-    - ``scfpp``: ``G`` acts on the primal space, ``T`` on the image space,
-      coupled through ``A``; fixed scalar step ``gamma``.
-    - ``scfpp_adaptive``: ``U`` primal, ``T`` image, step chosen per
-      iteration from the residual (no norm information needed).
-    - ``synchronal_vip``: fixed-point map ``T``, contraction ``f``,
-      strongly monotone Lipschitz operator ``G``; scalars ``mu`` and
-      ``gamma_visc``.
-    - ``sffpep``: ``U`` on the x block, ``T`` on the y block, coupled by
-      ``A``, ``B`` with projections onto ``C``, ``Q`` and step sequence
-      ``lam``.
-    - ``scfpep``: finite families ``U_family``/``T_family`` with relaxation
-      weights and convex-combination weights; no projections.
-    - ``extragradient_sffpp``: ``T`` primal, ``G`` image, sets ``C``, ``Q``,
-      step sequence ``gamma_seq``; accumulates distance-dominance cuts.
-
-    Construction records the range ``warnings`` and, for the two-variable
-    families, builds ``block_operators``: the (x-block, y-block) operators
-    after ``branch_assignment`` (for ``scfpep``, the combined families).
+    The family's record in :data:`FAMILIES` names the slots the spec fills
+    and may set; any other slot away from its default is an error naming
+    it.  Construction reads the record's rows: a structural row's violation
+    is an error, and range and class rows' are the ``warnings`` (the first
+    raised under ``enforce_ranges``).  A two-variable family also gets
+    ``block_operators``: the (x-block, y-block) operators after
+    ``branch_assignment`` (for ``scfpep``, the combined families).
     """
 
     family: str
@@ -306,10 +311,6 @@ class ProblemSpec:
         record = FAMILIES.get(self.family)
         if record is None:
             raise ValidationError("unknown family %r" % (self.family,))
-        if self.branch_assignment not in ("as_printed", "swapped"):
-            raise ValidationError("branch_assignment must be as_printed|swapped")
-        if self.gamma_bound_choice not in ("l_star", "lipschitz"):
-            raise ValidationError("gamma_bound_choice must be l_star|lipschitz")
         ref = self.reference_solution
         if ref is not None:
             if record.two_variable and len(ref) != 2:
@@ -320,27 +321,25 @@ class ProblemSpec:
             object.__setattr__(self, "reference_solution", tuple(
                 np.asarray(r, dtype=float).reshape(-1) for r in parts))
 
-        missing = [n for n in record.required if not getattr(self, n)]
+        default = {f.name: f.default for f in fields(self) if f.init}
+        missing = [n for n in record.required if _unset(getattr(self, n), default[n])]
         if missing:
-            raise ValidationError(
-                "family %r requires %s" % (self.family, ", ".join(missing))
-            )
+            raise ValidationError("family %r requires %s" % (self.family, ", ".join(missing)))
+        slots = {*record.required, *record.optional, "family", "reference_solution",
+                 "enforce_ranges"}
+        for name in default:
+            if name not in slots and not _unset(getattr(self, name), default[name]):
+                raise ValidationError("%s: family %r does not use this slot"
+                                      % (name, self.family))
         _check_spaces(self, record)
-        warnings = []
-
-        def warn(message):
-            warnings.append(message)
-            if self.enforce_ranges:
-                raise ValidationError(message)
-
-        record.check(self, warn)
-        object.__setattr__(self, "warnings", tuple(warnings))
-        blocks = None
-        if record.two_variable:
-            blocks = record.blocks(self)
-            if self.branch_assignment == "swapped":
-                blocks = blocks[::-1]
-        object.__setattr__(self, "block_operators", blocks)
+        warnings = tuple(filter(None, (row(self) for row in record.hypotheses)))
+        if warnings and self.enforce_ranges:
+            raise ValidationError(warnings[0])
+        object.__setattr__(self, "warnings", warnings)
+        # only a two-variable family may set branch_assignment
+        blocks = record.blocks(self) if record.two_variable else None
+        swapped = self.branch_assignment == "swapped"
+        object.__setattr__(self, "block_operators", blocks[::-1] if swapped else blocks)
 
     @property
     def two_variable(self):
@@ -357,24 +356,11 @@ class ProblemSpec:
         """
         if self.gamma_bound_choice == "l_star":
             return 1.0 / estimate_norm_squared(self.A)
-        ls = [c for c in (_declared(self.T, "lipschitz"), _declared(self.G, "lipschitz"))
-              if c is not None]
-        if not ls:
-            raise ValidationError(
-                "gamma_bound_choice='lipschitz' needs declared Lipschitz "
-                "constants on T and G"
-            )
-        return 1.0 / max(ls)
+        declared = (_declared(self.T, "lipschitz"), _declared(self.G, "lipschitz"))
+        return 1.0 / max(c for c in declared if c is not None)
 
     def demicontractive_k(self):
-        ks = []
-        for m in (self.U, self.T):
-            k = _declared(m, "demicontractive")
-            if k is None:
-                raise ValidationError("%s must declare a demicontractive-type class"
-                                      % (m.name or "map",))
-            ks.append(k)
-        return max(ks)
+        return max(_declared(m, "demicontractive") for m in (self.U, self.T))
 
     def synchronal_tau(self):
         """tau = mu (eta - mu L^2 / 2), from G's declared moduli."""

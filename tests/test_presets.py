@@ -20,11 +20,9 @@ def test_catalog_ids_unique_and_complete():
 
 
 def test_every_spec_constructs_and_carries_provenance():
+    # construction already ran validation; each preset's range warnings are
+    # pinned in test_hypotheses.py
     for ex in catalog().values():
-        # construction already ran validation; out-of-theory parameters must
-        # have been recorded rather than silently accepted
-        if not ex.spec.enforce_ranges:
-            assert ex.spec.warnings, ex.id
         for row in ex.expected:
             assert row.provenance in (TABULATED, DERIVED)
 
