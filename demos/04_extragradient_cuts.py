@@ -2,28 +2,28 @@
 Extra-gradient cuts
 ===================
 
-The cut-accumulating solver on the half-line: every iteration appends three
-distance-dominance halfspaces and re-projects the *initial* point onto what
-survives.  The departure ||x_n - x_0|| can only grow, and the solution 1.0
-is never cut away.
+The cut-accumulating solver on the half-line: every iteration folds three
+distance-dominance halfspaces into the running cut set and re-projects the
+*initial* point onto what survives.  The departure ||x_n - x_0|| can only
+grow, and the solution 1.0 is never cut away.
 """
 
 import numpy as np
 
 from splitfp.presets import get_example
-from splitfp.projections import contains
+from splitfp.projections import CutSet, contains
 from splitfp.solvers import step_extragradient
 from splitfp.spaces import norm
 
 spec = get_example("extragradient_1d").spec
 x0 = np.array([10.0])
-x, cuts = x0, []
+x, cuts, kept = x0, CutSet(spec.C), True
 
 print("n    x_n          departure   cuts  solution kept")
 for n in range(12):
     res = step_extragradient(spec, x, cuts, x0, n)
     x, cuts = res.x, res.cuts
-    kept = all(contains(cut, [1.0]) for cut in cuts)
+    kept = kept and all(contains(cut, [1.0]) for cut in cuts.latest)
     print("%-4d %-12.8f %-11.8f %-5d %s" % (n + 1, x[0], norm(x - x0), len(cuts), kept))
 
 print("\nafter 12 iterations the active interval has contracted toward 1.0;")

@@ -721,7 +721,7 @@ def relax(T, alpha):
     """
     alpha = float(alpha)  # a numpy float32 weight would make the kernel float32
     if not 0.0 < alpha <= 1.0:
-        raise ValueError("relaxation weight must lie in (0, 1]")
+        raise ValueError("relaxation weight %g must lie in (0, 1]" % alpha)
     if alpha == 1.0:
         return T
     rule = None if T.rule is None else Relaxed1D(T.rule, alpha)

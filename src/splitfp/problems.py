@@ -13,6 +13,7 @@ disable enforcement).
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -147,14 +148,17 @@ _LAM = _range("lam", lambda spec: 2.0 / (estimate_norm_squared(spec.A)
 
 
 def _scfpep_blocks(spec):
-    """U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i T_{tau_i}."""
-    return tuple(
-        convex_combine([relax(m, g) for m, g in zip(members, rel)], weights)
-        for members, rel, weights in (
-            (spec.U_family, spec.u_relax, spec.u_weights),
-            (spec.T_family, spec.t_relax, spec.t_weights),
-        )
-    )
+    """U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i T_{tau_i}; a
+    relaxation weight ``relax`` refuses is an error naming its entry."""
+    def relaxed(members, slot):
+        for m, (name, g) in zip(members, _entries(slot, getattr(spec, slot))):
+            try:
+                yield relax(m, g)
+            except ValueError as err:
+                raise ValidationError("%s: %s" % (name, err)) from None
+
+    return (convex_combine(list(relaxed(spec.U_family, "u_relax")), spec.u_weights),
+            convex_combine(list(relaxed(spec.T_family, "t_relax")), spec.t_weights))
 
 
 # the spaces a family applies its slots in: a name, and its dimension in a spec
@@ -360,6 +364,10 @@ class ProblemSpec:
         return 1.0 / max(c for c in declared if c is not None)
 
     def demicontractive_k(self):
+        return self._demicontractive_k
+
+    @cached_property
+    def _demicontractive_k(self):   # the class walks run once per spec, not per step
         return max(_declared(m, "demicontractive") for m in (self.U, self.T))
 
     def synchronal_tau(self):

@@ -1,7 +1,9 @@
 """Projectable convex sets and metric projections.
 
 Closed forms for boxes, halfspaces and balls.  An intersection (nested
-ones flattened) projects exactly, by one of two paths:
+ones flattened), and a :class:`CutSet` (a set cut by a growing family of
+sets, which holds only the fold and takes each new cut in once), project
+exactly, by one of two paths:
 
 - in 1-D, an analytic interval;
 - otherwise, rows K = {z : N z <= b} (the boxes, halfspaces and whole
@@ -29,6 +31,7 @@ __all__ = [
     "Halfspace",
     "Ball",
     "Intersection",
+    "CutSet",
     "project",
     "contains",
     "halfspace_from_distance_dominance",
@@ -321,33 +324,89 @@ class Intersection(ConvexBody):
 
     @cached_property
     def _parts(self):
-        parts = [body._parts for body in self.bodies]
-        return (_rows(np.concatenate([N for (N, _), _ in parts]),
-                      np.concatenate([b for (_, b), _ in parts])),
-                tuple(ball for _, balls in parts for ball in balls))
+        return _stack_parts(self.bodies)
 
     @cached_property
     def _interval(self):
-        lo, hi = -np.inf, np.inf
-        for body in self.bodies:
-            sub = body._interval
-            lo, hi = max(lo, sub[0]), min(hi, sub[1])
-        return (lo, hi)
+        return _fold_intervals(self.bodies)
 
     def _project(self, x):
+        return _project_folded(self, x)
+
+
+class CutSet(ConvexBody):
+    """A set C cut by a growing family of sets, folded as the cuts come.
+
+    ``CutSet(C)`` is C; ``add(*cuts)`` returns C ∩ every cut so far and
+    leaves this set as it is.  Each set holds only the fold: in 1-D the
+    ``_interval``, otherwise the ``_parts``, C's balls and the rows of C,
+    then of each cut, in order.  These are the fold of
+    ``Intersection([C, *cuts])``, bit for bit, so both project alike.  It
+    also carries the number of cuts (``count``, its ``len``) and the newest
+    ones (``latest``), but no earlier set or cut.
+    """
+
+    def __init__(self, C):
+        self.dim, self.count, self.latest = C.dim, 0, ()
+        self._defined = C._defined
+        self._fold((C,))
+
+    def add(self, *cuts):
+        grown = object.__new__(CutSet)
+        grown.dim, grown.count, grown.latest = self.dim, self.count + len(cuts), cuts
+        grown._defined = self._defined and all(cut._defined for cut in cuts)
+        grown._fold((self, *cuts))
+        return grown
+
+    def _fold(self, bodies):
         if self.dim == 1:
-            lo, hi = self._interval
-            if lo > hi or lo == np.inf or hi == -np.inf:
-                raise InfeasibleIntersection(
-                    "1-D intersection is empty: [%g, %g]" % (lo, hi)
-                )
-            return np.clip(x, lo, hi)
-        (N, b), balls = self._parts
-        if not balls:
-            return _project_polyhedron(N, b, x)[0]
-        if len(balls) == 1:
-            return _project_polyhedron_ball(N, b, balls[0], x)
-        return _project_balls(N, b, balls, x)
+            self._interval = _fold_intervals(bodies)
+        else:
+            self._parts = _stack_parts(bodies)
+
+    def __len__(self):
+        return self.count
+
+    def __repr__(self):
+        return "CutSet(%d cuts)" % self.count
+
+    def _project(self, x):
+        return _project_folded(self, x)
+
+
+def _stack_parts(bodies):
+    """The rows of ``bodies`` stacked in order, and their balls."""
+    parts = [body._parts for body in bodies]
+    return (_rows(np.concatenate([N for (N, _), _ in parts]),
+                  np.concatenate([b for (_, b), _ in parts])),
+            tuple(ball for _, balls in parts for ball in balls))
+
+
+def _fold_intervals(bodies):
+    """The 1-D bodies' intervals intersected in order (a NaN end is passed over)."""
+    lo, hi = -np.inf, np.inf
+    for body in bodies:
+        sub = body._interval
+        lo, hi = max(lo, sub[0]), min(hi, sub[1])
+    return (lo, hi)
+
+
+def _project_folded(body, x):
+    """Projection onto an intersection through its fold: the interval in
+    1-D, else its rows and balls."""
+    if body.dim == 1:
+        lo, hi = body._interval
+        if lo > hi or lo == np.inf or hi == -np.inf:
+            raise InfeasibleIntersection(
+                "1-D intersection is empty: [%g, %g]" % (lo, hi)
+            )
+        return np.clip(x, lo, hi)
+    (N, b), balls = body._parts
+    if not balls:
+        return _project_polyhedron(N, b, x)[0]
+    if len(balls) == 1:
+        return _project_polyhedron_ball(N, b, balls[0], x)
+    return _project_balls(N, b, balls, x)
 
 
 def _rows(N, b):
@@ -611,8 +670,13 @@ def halfspace_from_distance_dominance(near, far):
 
     {z : ||near - z|| <= ||far - z||} written as the halfspace
     {z : 2<far - near, z> <= ||far||^2 - ||near||^2}; the perpendicular
-    bisector is the boundary.  Equal inputs give the whole space.
+    bisector is the boundary.  Equal inputs give the whole space.  Two
+    Python floats are 1-D points, taken without the array round trip.
     """
+    if type(near) is float and type(far) is float:
+        if near == far:
+            return WholeSpace(1)
+        return Halfspace([2.0 * (far - near)], far * far - near * near)
     near = _vector(near)
     far = _vector(far)
     if near.shape != far.shape:

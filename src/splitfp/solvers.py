@@ -37,10 +37,9 @@ from .problems import (
     ValidationError,
 )
 from .projections import (
+    CutSet,
     InfeasibleIntersection,
-    Intersection,
     ProjectionNoConvergence,
-    WholeSpace,
     halfspace_from_distance_dominance,
     project,
 )
@@ -134,7 +133,7 @@ class StepResult:
     step: float | None = None
     residual_primary: float | None = None
     residual_coupling: float | None = None
-    cuts: list | None = None   # full cut list after an extra-gradient step
+    cuts: CutSet | None = None   # C and every cut after an extra-gradient step
 
 
 def _steps_on_floats(spec, x, y):
@@ -316,14 +315,15 @@ def step_extragradient(spec, x, cuts, x0, n):
     """Double-extrapolation step with distance-dominance cuts.
 
     Computes two projected extrapolations y_n, z_n, an Ishikawa-style inner
-    point, and the anchor w_n; appends the three halfspaces
+    point, and the anchor w_n; adds the three halfspaces
 
         ||w_n - z|| <= ||z_n - z||,  ||z_n - z|| <= ||y_n - z||,
         ||y_n - z|| <= ||x_n - z||
 
-    to the cut list and projects the *initial* point onto C intersected
-    with every cut so far.  Cuts are never dropped: the nesting of the cut
-    sets is what the strong-convergence argument rests on.
+    to ``cuts``, the :class:`CutSet` of C and every cut so far, and
+    projects the *initial* point onto the grown set.  Cuts fold into the
+    running set and are never dropped: the nesting of the cut sets is what
+    the strong-convergence argument rests on.
     """
     gamma = spec.gamma_seq(n)
     alpha = spec.alpha(n)
@@ -334,22 +334,21 @@ def step_extragradient(spec, x, cuts, x0, n):
     inner_pt = (1.0 - beta) * z_pt + beta * spec.T(z_pt)
     w_pt = (1.0 - alpha) * z_pt + alpha * spec.T(inner_pt)
 
-    new_cuts = list(cuts)
-    new_cuts.append(halfspace_from_distance_dominance(w_pt, z_pt))
-    new_cuts.append(halfspace_from_distance_dominance(z_pt, y_pt))
-    new_cuts.append(halfspace_from_distance_dominance(y_pt, x))
-    if len(new_cuts) > spec.cut_cap:
+    cuts = cuts.add(halfspace_from_distance_dominance(w_pt, z_pt),
+                    halfspace_from_distance_dominance(z_pt, y_pt),
+                    halfspace_from_distance_dominance(y_pt, x))
+    if cuts.count > spec.cut_cap:
         raise CutCapExceeded(
-            "cut list grew to %d, beyond the cap %d" % (len(new_cuts), spec.cut_cap),
+            "cut list grew to %d, beyond the cap %d" % (cuts.count, spec.cut_cap),
             n,
         )
-    x_next = project(Intersection([spec.C, *new_cuts]), x0)
+    x_next = project(cuts, x0)
     return StepResult(
         x=x_next,
         intermediates={"u": y_pt, "z": z_pt, "w": w_pt, "r": inner_pt},
         step=gamma,
         residual_primary=norm(x_next - x),
-        cuts=new_cuts,
+        cuts=cuts,
     )
 
 
@@ -454,7 +453,7 @@ def run(spec, x0, y0=None, rule=None):
         if target.shape[0] != start.shape[0]:
             raise ValidationError("the reference %s* has %d entries; %s0 has %d" % (
                 name, target.shape[0], name, start.shape[0]))
-    cuts = [] if family.accumulates_cuts else None
+    cuts = CutSet(spec.C) if family.accumulates_cuts else None
     if _steps_on_floats(spec, x, y):
         x, y = x.item(), None if y is None else y.item()
         ref = None if ref is None else tuple(r.item() for r in ref)

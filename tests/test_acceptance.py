@@ -31,6 +31,7 @@ from splitfp.problems import StoppingRule
 from splitfp.projections import (
     Ball,
     Box,
+    CutSet,
     Halfspace,
     Intersection,
     WholeSpace,
@@ -149,11 +150,11 @@ def test_criterion_05_adaptive():
 def test_criterion_06_extragradient():
     spec = get_example("extragradient_1d").spec
     x0 = np.array([10.0])
-    x, cuts = x0, []
+    x, cuts = x0, CutSet(spec.C)
     departures = [0.0]
     for n in range(200):
         res = step_extragradient(spec, x, cuts, x0, n)
-        for cut in res.cuts[len(cuts):]:
+        for cut in res.cuts.latest:
             assert contains(cut, [1.0])   # the solution survives every cut
         x, cuts = res.x, res.cuts
         departures.append(norm(x - x0))

@@ -644,6 +644,17 @@ def test_run_config_rejects_a_bad_key_naming_its_path(tmp_path, capsys, doc, pat
     assert_rejected(tmp_path, capsys, doc, path)
 
 
+@pytest.mark.parametrize("slot", ["u_relax", "t_relax"])
+def test_a_relaxation_weight_beyond_one_exits_2_naming_its_entry(tmp_path, capsys, slot):
+    # with enforce_ranges off the range row only warns, and relax() refuses
+    # the weight; the error used to name no entry ("problem: relaxation ...")
+    doc = {"problem": dict(catalog()["wq_t3"].problem, **{slot: [1.5]}),
+           "start": {"x": [5.0], "y": [5.0]}}
+    err = assert_rejected(tmp_path, capsys, doc, "problem.%s[0]" % slot)
+    assert err == ("configuration error: problem.%s[0]: relaxation weight 1.5 must "
+                   "lie in (0, 1]\n" % slot)
+
+
 def _key_paths(doc, path=()):
     """The path of every key of ``doc``, at every depth."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)

@@ -36,7 +36,15 @@ from splitfp.problems import (
     StoppingRule,
     ValidationError,
 )
-from splitfp.projections import Ball, Box, Halfspace, Intersection, WholeSpace, contains
+from splitfp.projections import (
+    Ball,
+    Box,
+    CutSet,
+    Halfspace,
+    Intersection,
+    WholeSpace,
+    contains,
+)
 from splitfp.rules import Rational1D
 from splitfp.solvers import (
     NonFiniteState,
@@ -258,6 +266,29 @@ def test_adaptive_rho_positive_on_nonzero_branch():
             assert rec.step > 0.0
 
 
+@pytest.mark.parametrize("iterations", [1, 50])
+def test_the_adaptive_constant_is_walked_once_per_spec(monkeypatch, iterations):
+    # demicontractive_k() walks the classes of U and T; the hypothesis row
+    # checks each once and the constant is found once, however long the run
+    from splitfp import problems
+
+    example = get_example("adaptive_demo")
+    walks = []
+    declared = problems._declared
+
+    def counting(m, constant):
+        walks.append(constant)
+        return declared(m, constant)
+
+    monkeypatch.setattr(problems, "_declared", counting)
+    spec = replace(example.spec)   # built anew, with the walks counted
+    trace = run(spec, example.starts[0][0], rule=StoppingRule(max_iters=iterations))
+    assert len(trace.records) == iterations + 1
+    assert walks.count("demicontractive") == 4
+    assert spec.demicontractive_k() == max(
+        declared(m, "demicontractive") for m in (spec.U, spec.T))
+
+
 def test_adaptive_zero_map_raises_adjoint_inconsistency():
     # A = 0 keeps the image residual nonzero while its adjoint annihilates
     # it; the step reports the breakdown rather than dividing by zero
@@ -468,7 +499,7 @@ def test_sffpep_lambda_range_enforced():
 def test_step_extragradient_worked_example():
     spec = get_example("extragradient_1d").spec
     x0 = np.array([10.0])
-    res = step_extragradient(spec, x0, [], x0, 0)
+    res = step_extragradient(spec, x0, CutSet(spec.C), x0, 0)
     # y0 = z0 = 10 (no image correction), w0 = 5 + 0.5 T(7) = 6.5,
     # first cut {z <= 8.25}, x1 = P(10) = 8.25
     assert res.intermediates["u"][0] == 10.0
@@ -476,7 +507,7 @@ def test_step_extragradient_worked_example():
     assert res.intermediates["w"][0] == pytest.approx(6.5, abs=1e-14)
     assert res.x[0] == pytest.approx(8.25, abs=1e-12)
     assert len(res.cuts) == 3
-    for cut in res.cuts:
+    for cut in res.cuts.latest:
         assert contains(cut, [1.0])   # the solution is never cut off
 
 
