@@ -12,17 +12,18 @@ import numpy as np
 
 from splitfp.presets import get_example
 from splitfp.projections import CutSet, contains
-from splitfp.solvers import step_extragradient
+from splitfp.solvers import StepResult, step_extragradient
 from splitfp.spaces import norm
 
 spec = get_example("extragradient_1d").spec
 x0 = np.array([10.0])
-x, cuts, kept = x0, CutSet(spec.C), True
+# the state carries the running cut set and the anchor x0
+state, kept = StepResult(x0, carry=(CutSet(spec.C), x0)), True
 
 print("n    x_n          departure   cuts  solution kept")
 for n in range(12):
-    res = step_extragradient(spec, x, cuts, x0, n)
-    x, cuts = res.x, res.cuts
+    state = step_extragradient(spec, state, n)
+    x, (cuts, _) = state.x, state.carry
     kept = kept and all(contains(cut, [1.0]) for cut in cuts.latest)
     print("%-4d %-12.8f %-11.8f %-5d %s" % (n + 1, x[0], norm(x - x0), len(cuts), kept))
 

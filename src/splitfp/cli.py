@@ -300,7 +300,7 @@ def cmd_run(args):
             summary["fejer"] = {"monotone": report.monotone,
                                 "max_uptick": report.max_uptick,
                                 "first_violation": report.first_violation}
-    if FAMILIES[spec.family].accumulates_cuts:
+    if trace.records[0].cut_count is not None:
         x0 = trace.records[0].x
         departures = [norm(rec.x - x0) for rec in trace.records]
         summary["departure_from_start"] = {

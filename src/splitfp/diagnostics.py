@@ -366,7 +366,7 @@ def _synchronal_step(spec):
     return step
 
 
-# family -> builder of its Decimal step, parallel to solvers._FAMILY_STEPS.
+# family -> builder of its Decimal step, parallel to solvers._family_steps().
 # A builder binds the family's Decimal constants, rule evaluators and
 # intervals once and returns its step (n, x, y) -> (x, y) on Decimal
 # scalars, with y None for a one-block family.  The extra-gradient family

@@ -195,9 +195,8 @@ class Family:
     space, and a two-variable family's second, its y-block operator as
     printed, in the y block's), the trace slots a step fills
     (``intermediates``, of which those in ``y_block`` have the y block's
-    dimension), whether it carries a growing cut list, and, for the
-    two-variable families, ``blocks(spec)``: the x-block and y-block
-    operators as printed.
+    dimension), and, for the two-variable families, ``blocks(spec)``: the
+    x-block and y-block operators as printed.
     """
 
     name: str
@@ -207,7 +206,6 @@ class Family:
     optional: tuple = ()
     intermediates: str = "u"
     y_block: str = ""
-    accumulates_cuts: bool = False
     blocks: Callable | None = None
 
     @property
@@ -264,7 +262,7 @@ FAMILIES = {
                 _quasi_nonexpansive("T"), _ALPHA, _BETA,
                 _range("gamma_seq", lambda spec: 1.0 / estimate_norm_squared(spec.A))),
                (("T", _A_COLUMNS), ("C", _A_COLUMNS), ("G", _A_ROWS), ("Q", _A_ROWS)),
-               ("cut_cap",), "uzwr", accumulates_cuts=True),
+               ("cut_cap",), "uzwr"),
     )
 }
 

@@ -1,9 +1,10 @@
 """The iteration step functions and the shared run driver.
 
-Each family's update is a pure function: current state in, next state plus
-the step's intermediates and residuals out.  :data:`_FAMILY_STEPS` maps each
-family to its initial residual and its step; everything else the driver
-needs to know about a family comes from its record in
+Every family steps as ``step_*(spec, state, n)``, a pure function from the
+state after n steps (a :class:`StepResult`) to the next, with the step's
+intermediates and residuals.  :func:`_family_steps` gives each family's
+start (its state at n = 0) and step; everything else the driver needs to
+know about a family comes from its record in
 :data:`splitfp.problems.FAMILIES`.  The driver applies a step repeatedly,
 records a self-describing trace, and stops on the first enabled
 criterion.  The recorded residuals are exactly the quantities the
@@ -51,7 +52,6 @@ __all__ = [
     "step_scfpp_adaptive",
     "step_synchronal",
     "step_sffpep",
-    "step_scfpep",
     "step_extragradient",
     "run",
     "SolverError",
@@ -98,11 +98,13 @@ _STEP_FAILURES = (SolverError, InfeasibleIntersection, ProjectionNoConvergence,
 
 
 def _breakdown(err, n):
+    """``err`` as a SolverError naming iteration n, of err's type if it is one."""
+    kind = type(err) if isinstance(err, SolverError) else SolverError
     if isinstance(err, ZeroDivisionError):
         err = "division by zero, an operator rule evaluated at its pole (%s)" % err
     elif isinstance(err, OverflowError):
         err = "float overflow: %s" % err
-    return SolverError("iteration %d: %s" % (n, err), n)
+    return kind("iteration %d: %s" % (n, err), n)
 
 
 def _state(rec):
@@ -127,13 +129,16 @@ def _check_finite(rec, last, n):
 
 @dataclass
 class StepResult:
+    """A run's state after n steps (at n = 0, its start) and what its step reports."""
+
     x: np.ndarray | float   # an array, or a float in a run that steps on floats
     y: np.ndarray | float | None = None
     intermediates: dict = field(default_factory=dict)
     step: float | None = None
     residual_primary: float | None = None
     residual_coupling: float | None = None
-    cuts: CutSet | None = None   # C and every cut after an extra-gradient step
+    cut_count: int | None = None
+    carry: object = None   # the family's own (extra-gradient: cuts, x0); run passes it on
 
 
 def _steps_on_floats(spec, x, y):
@@ -156,7 +161,7 @@ def _array(v):
 # one-variable families
 
 
-def step_scfpp(spec, x, n):
+def step_scfpp(spec, state, n):
     """Adjoint-corrected iterate-power step.
 
     u_n = x_n + gamma A*(T^{n+1} - I) A x_n, then the averaged update
@@ -164,7 +169,7 @@ def step_scfpp(spec, x, n):
     n + 1 at iteration counter n, so the first step applies the operators
     once rather than degenerating to the identity power.
     """
-    A = spec.A
+    A, x = spec.A, state.x
     ax = A.apply(x)
     t_ax = power_apply(spec.T, n + 1, ax)
     image_residual = norm(t_ax - ax)
@@ -182,13 +187,13 @@ def step_scfpp(spec, x, n):
     )
 
 
-def step_scfpp_adaptive(spec, x, n):
+def step_scfpp_adaptive(spec, state, n):
     """Norm-free variant: the correction step is chosen from the residual.
 
     rho_n = (1-k) ||(I-T)Ax||^2 / (2 ||A*(I-T)Ax||^2) when TAx differs from
     Ax (scale-aware zero test), else 0 with u_n = x_n exactly.
     """
-    A = spec.A
+    A, x = spec.A, state.x
     ax = A.apply(x)
     t_ax = spec.T(ax)
     diff = t_ax - ax
@@ -219,12 +224,13 @@ def step_scfpp_adaptive(spec, x, n):
     )
 
 
-def step_synchronal(spec, x, n):
+def step_synchronal(spec, state, n):
     """Viscosity / hybrid steepest-descent step around the averaged power.
 
     x_{n+1} = alpha_n gamma f(x_n) + (I - alpha_n mu G)(beta_n x_n +
     (1 - beta_n) T^{n+1} x_n).
     """
+    x = state.x
     alpha = spec.alpha(n)
     beta = spec.beta(n)
     t_pow = power_apply(spec.T, n + 1, x, check_domain=False)
@@ -246,9 +252,19 @@ def step_synchronal(spec, x, n):
 # two-variable (equality) families
 
 
-def _equality_step(spec, x, y, n, project_blocks):
+def step_sffpep(spec, state, n):
+    """Simultaneous update of both blocks of the equality problem.
+
+    The x block moves against A*(Ax - By), projects onto C, and applies U in
+    an inner/outer averaged pattern; the y block mirrors it with B, Q, T.
+    An ``scfpep`` spec steps here with U = sum_j delta_j U_{gamma_j} and
+    T = sum_i lambda_i T_{tau_i}, built once, and no C or Q, so unprojected;
+    its published table matches ``branch_assignment="swapped"``, not the
+    printed assignment, so both are available.
+    """
     u_op, t_op = spec.block_operators
     A, B = spec.A, spec.B
+    x, y = state.x, state.y
     lam = spec.lam(n)
     alpha = spec.alpha(n)
     beta = spec.beta(n)
@@ -256,14 +272,14 @@ def _equality_step(spec, x, y, n, project_blocks):
     coupling = norm(gap)
 
     z = x - lam * A.apply_adjoint(gap)
-    if project_blocks:
+    if spec.C is not None:
         z = project(spec.C, z)
     uz = u_op(z)
     w = (1.0 - beta) * z + beta * uz
     x_next = (1.0 - alpha) * z + alpha * u_op(w)
 
     u = y + lam * B.apply_adjoint(gap)
-    if project_blocks:
+    if spec.Q is not None:
         u = project(spec.Q, u)
     tu = t_op(u)
     r = (1.0 - beta) * u + beta * tu
@@ -280,27 +296,6 @@ def _equality_step(spec, x, y, n, project_blocks):
     )
 
 
-def step_sffpep(spec, x, y, n):
-    """Simultaneous projected update of both blocks of the equality problem.
-
-    The x block moves against A*(Ax - By), projects onto C, and applies U in
-    an inner/outer averaged pattern; the y block mirrors it with B, Q, T.
-    """
-    return _equality_step(spec, x, y, n, True)
-
-
-def step_scfpep(spec, x, y, n):
-    """Equality step over convex combinations of relaxed operator families.
-
-    The spec builds U = sum_j delta_j U_{gamma_j} and T = sum_i lambda_i
-    T_{tau_i} once; this runs the unprojected equality update with them.
-    ``branch_assignment`` chooses which block receives which combined
-    operator; the published reference table for this family matches the
-    swapped assignment, not the printed one, so both are available.
-    """
-    return _equality_step(spec, x, y, n, False)
-
-
 # ---------------------------------------------------------------------------
 # extra-gradient family
 
@@ -311,7 +306,7 @@ def _extragradient_correction(spec, v):
     return spec.A.apply_adjoint(av - mapped)
 
 
-def step_extragradient(spec, x, cuts, x0, n):
+def step_extragradient(spec, state, n):
     """Double-extrapolation step with distance-dominance cuts.
 
     Computes two projected extrapolations y_n, z_n, an Ishikawa-style inner
@@ -321,10 +316,12 @@ def step_extragradient(spec, x, cuts, x0, n):
         ||y_n - z|| <= ||x_n - z||
 
     to ``cuts``, the :class:`CutSet` of C and every cut so far, and
-    projects the *initial* point onto the grown set.  Cuts fold into the
-    running set and are never dropped: the nesting of the cut sets is what
-    the strong-convergence argument rests on.
+    projects the *initial* point x0 onto the grown set; the state carries
+    ``(cuts, x0)``.  Cuts fold into the running set and are never dropped:
+    the nesting of the cut sets is what the strong-convergence argument
+    rests on.
     """
+    x, (cuts, x0) = state.x, state.carry
     gamma = spec.gamma_seq(n)
     alpha = spec.alpha(n)
     beta = spec.beta(n)
@@ -348,7 +345,8 @@ def step_extragradient(spec, x, cuts, x0, n):
         intermediates={"u": y_pt, "z": z_pt, "w": w_pt, "r": inner_pt},
         step=gamma,
         residual_primary=norm(x_next - x),
-        cuts=cuts,
+        cut_count=cuts.count,
+        carry=(cuts, x0),
     )
 
 
@@ -387,27 +385,57 @@ def _equality_residual(spec, x, y):
     return max(gap, norm(u_op(x) - x), norm(t_op(y) - y))
 
 
-# family -> (residual of the starting point, one step).  The steps are
-# called through this module's global names, so a wrapper installed on
-# ``step_*`` sees every call.  The extra-gradient per-step residual
-# ||x_{n+1} - x_n|| has no n = 0 analogue, so its initial record carries the
-# fixed-point residual.
-_FAMILY_STEPS = {
-    SCFPP: (lambda spec, x, y: max(norm(spec.G(x) - x), _image_residual(spec, x)),
-            lambda spec, x, y, cuts, x0, n: step_scfpp(spec, x, n)),
-    SCFPP_ADAPTIVE: (
-        lambda spec, x, y: max(norm(spec.U(x) - x), _image_residual(spec, x)),
-        lambda spec, x, y, cuts, x0, n: step_scfpp_adaptive(spec, x, n)),
-    SYNCHRONAL_VIP: (_fixed_point_residual,
-                     lambda spec, x, y, cuts, x0, n: step_synchronal(spec, x, n)),
-    SFFPEP: (_equality_residual,
-             lambda spec, x, y, cuts, x0, n: step_sffpep(spec, x, y, n)),
-    SCFPEP: (_equality_residual,
-             lambda spec, x, y, cuts, x0, n: step_scfpep(spec, x, y, n)),
-    EXTRAGRADIENT_SFFPP: (
-        _fixed_point_residual,
-        lambda spec, x, y, cuts, x0, n: step_extragradient(spec, x, cuts, x0, n)),
-}
+def _starts_at(residual):
+    """The start whose state at n = 0 is x, y with ``residual(spec, x, y)``."""
+    def start(spec, x, y):
+        return StepResult(x, y, residual_primary=residual(spec, x, y))
+    return start
+
+
+def _start_extragradient(spec, x, y):
+    # the per-step residual ||x_{n+1} - x_n|| has no n = 0 analogue, so the
+    # start carries the fixed-point residual; x is the anchor every step
+    # projects onto the grown cut set
+    return StepResult(x, residual_primary=_fixed_point_residual(spec, x, y), cut_count=0,
+                      carry=(CutSet(spec.C), x))
+
+
+def _family_steps():
+    """family -> (its start: (spec, x, y) -> the state at n = 0; its step).
+
+    Built at each run from this module's global names, so a wrapper
+    installed on a ``step_*`` sees every call.
+    """
+    return {
+        SCFPP: (_starts_at(lambda spec, x, y: max(norm(spec.G(x) - x),
+                                                  _image_residual(spec, x))), step_scfpp),
+        SCFPP_ADAPTIVE: (_starts_at(lambda spec, x, y: max(norm(spec.U(x) - x),
+                                                           _image_residual(spec, x))),
+                         step_scfpp_adaptive),
+        SYNCHRONAL_VIP: (_starts_at(_fixed_point_residual), step_synchronal),
+        SFFPEP: (_starts_at(_equality_residual), step_sffpep),
+        SCFPEP: (_starts_at(_equality_residual), step_sffpep),
+        EXTRAGRADIENT_SFFPP: (_start_extragradient, step_extragradient),
+    }
+
+
+def _record(state, n, ref):
+    """The trace record of the state after n steps."""
+    slot = state.intermediates.get
+    return TraceRecord(
+        n=n,
+        x=_array(state.x),
+        y=_array(state.y),
+        u=_array(slot("u")),
+        z=_array(slot("z")),
+        w=_array(slot("w")),
+        r=_array(slot("r")),
+        step=state.step,
+        residual_primary=state.residual_primary,
+        residual_coupling=state.residual_coupling,
+        dist_to_target=_distance_to_reference(ref, state.x, state.y),
+        cut_count=state.cut_count,
+    )
 
 
 # overflow and invalid operations are reported by _check_finite as a typed
@@ -433,7 +461,7 @@ def run(spec, x0, y0=None, rule=None):
     if rule is None:
         raise ValidationError("a stopping rule is required")
     family = FAMILIES[spec.family]
-    initial_residual, step = _FAMILY_STEPS[spec.family]
+    start, step = _family_steps()[spec.family]
     if family.two_variable and y0 is None:
         raise ValidationError("family %r iterates two blocks; y0 missing"
                               % spec.family)
@@ -444,68 +472,38 @@ def run(spec, x0, y0=None, rule=None):
         raise ValidationError("the start point must be finite")
     # family.spaces lists the x block's space first and the y block's second,
     # as printed: the starts do not swap with the blocks' operators
-    for name, start, (_, (where, dim)) in zip(("x0", "y0"), (x, y), family.spaces):
-        if start is not None and start.shape[0] != dim(spec):
+    for name, point, (_, (where, dim)) in zip(("x0", "y0"), (x, y), family.spaces):
+        if point is not None and point.shape[0] != dim(spec):
             raise ValidationError("%s has %d entries; %s expects %d, %s" % (
-                name, start.shape[0], spec.family, dim(spec), where))
+                name, point.shape[0], spec.family, dim(spec), where))
     ref = spec.reference_solution
-    for name, start, target in zip(("x", "y"), (x, y), ref or ()):
-        if target.shape[0] != start.shape[0]:
+    for name, point, target in zip(("x", "y"), (x, y), ref or ()):
+        if target.shape[0] != point.shape[0]:
             raise ValidationError("the reference %s* has %d entries; %s0 has %d" % (
-                name, target.shape[0], name, start.shape[0]))
-    cuts = CutSet(spec.C) if family.accumulates_cuts else None
+                name, target.shape[0], name, point.shape[0]))
     if _steps_on_floats(spec, x, y):
         x, y = x.item(), None if y is None else y.item()
         ref = None if ref is None else tuple(r.item() for r in ref)
-    start = x
 
     try:
-        residual = initial_residual(spec, x, y)
+        state = start(spec, x, y)
     except (ZeroDivisionError, OverflowError) as err:
         raise _breakdown(err, 0) from err
-    records = [
-        TraceRecord(
-            n=0,
-            x=_array(x),
-            y=_array(y),
-            residual_primary=residual,
-            dist_to_target=_distance_to_reference(ref, x, y),
-            cut_count=None if cuts is None else 0,
-        )
-    ]
+    records = [_record(state, 0, ref)]
     _check_finite(records[0], None, 0)
     stop_reason = "max_iters"
     for n in range(rule.max_iters):
         try:
-            result = step(spec, x, y, cuts, start, n)
+            result = step(spec, state, n)
         except _STEP_FAILURES as err:
             raise _breakdown(err, n) from err
-        moved = norm(result.x - x) if y is None else _pair_norm(
-            norm(result.x - x), norm(result.y - y))
-        x = result.x
-        y = result.y
-        if cuts is not None:
-            cuts = result.cuts
-        dist = _distance_to_reference(ref, x, y)
-        slot = result.intermediates.get
-        records.append(
-            TraceRecord(
-                n=n + 1,
-                x=_array(x),
-                y=_array(y),
-                u=_array(slot("u")),
-                z=_array(slot("z")),
-                w=_array(slot("w")),
-                r=_array(slot("r")),
-                step=result.step,
-                residual_primary=result.residual_primary,
-                residual_coupling=result.residual_coupling,
-                dist_to_target=dist,
-                cut_count=None if cuts is None else len(cuts),
-            )
-        )
+        moved = norm(result.x - state.x) if state.y is None else _pair_norm(
+            norm(result.x - state.x), norm(result.y - state.y))
+        state = result
+        records.append(_record(state, n + 1, ref))
         _check_finite(records[-1], records[-2], n)
-        if rule.residual_tol is not None and result.residual_primary <= rule.residual_tol:
+        dist = records[-1].dist_to_target
+        if rule.residual_tol is not None and state.residual_primary <= rule.residual_tol:
             stop_reason = "residual_tol"
             break
         if rule.stagnation_tol is not None and moved <= rule.stagnation_tol:

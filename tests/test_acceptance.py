@@ -39,7 +39,7 @@ from splitfp.projections import (
     project,
 )
 from splitfp.rules import Rational1D
-from splitfp.solvers import run, step_extragradient
+from splitfp.solvers import StepResult, run, step_extragradient
 from splitfp.spaces import inner, norm
 
 from helpers import power_map
@@ -150,13 +150,13 @@ def test_criterion_05_adaptive():
 def test_criterion_06_extragradient():
     spec = get_example("extragradient_1d").spec
     x0 = np.array([10.0])
-    x, cuts = x0, CutSet(spec.C)
+    res = StepResult(x0, carry=(CutSet(spec.C), x0))
     departures = [0.0]
     for n in range(200):
-        res = step_extragradient(spec, x, cuts, x0, n)
-        for cut in res.cuts.latest:
+        res = step_extragradient(spec, res, n)
+        for cut in res.carry[0].latest:
             assert contains(cut, [1.0])   # the solution survives every cut
-        x, cuts = res.x, res.cuts
+        x = res.x
         departures.append(norm(x - x0))
         if res.residual_primary <= 1e-9:
             break

@@ -130,7 +130,7 @@ CASES = {
     "2-D at the solution": (_halfway(ORTHANT), [[1.0, 2.0]], 20, None, "max_iters"),
     "undefined cut": (_line(T=_UNDEFINED_BELOW_2), [[10.0]], 50, None, "NonFiniteState"),
     "empty fold": (_line(C=Box([5.0], [np.inf])), [[10.0]], 50, None, "SolverError"),
-    "cut cap 9": (_line(cut_cap=9), [[10.0]], 50, None, "SolverError"),
+    "cut cap 9": (_line(cut_cap=9), [[10.0]], 50, None, "CutCapExceeded"),
 }
 
 

@@ -91,7 +91,8 @@ def test_one_dimensional_runs_take_the_float_lane():
 
 def test_a_step_called_with_arrays_steps_on_arrays():
     spec = catalog()["bnm_t1"].spec
-    result = solvers.step_sffpep(spec, np.array([10.0]), np.array([15.0]), 0)
+    state = solvers.StepResult(np.array([10.0]), np.array([15.0]))
+    result = solvers.step_sffpep(spec, state, 0)
     for v in (result.x, result.y, *result.intermediates.values()):
         assert isinstance(v, np.ndarray) and v.shape == (1,)
 

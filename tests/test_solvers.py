@@ -47,8 +47,10 @@ from splitfp.projections import (
 )
 from splitfp.rules import Rational1D
 from splitfp.solvers import (
+    CutCapExceeded,
     NonFiniteState,
     SolverError,
+    StepResult,
     run,
     step_extragradient,
     step_scfpp,
@@ -81,7 +83,7 @@ def scfpp_spec(gamma=0.5, alpha=0.5):
 def test_step_scfpp_hand_values():
     # u0 = 10 + 0.5 (S(10) - 10) = 6.5; x1 = 0.5*6.5 + 0.5*S(6.5) = 4.4
     spec = scfpp_spec()
-    res = step_scfpp(spec, np.array([10.0]), 0)
+    res = step_scfpp(spec, StepResult(np.array([10.0])), 0)
     assert res.intermediates["u"][0] == pytest.approx(6.5, abs=1e-14)
     assert res.x[0] == pytest.approx(4.4, abs=1e-14)
 
@@ -94,14 +96,14 @@ def test_step_scfpp_identity_freezes():
     )
     x = np.array([3.7])
     for n in range(5):
-        res = step_scfpp(spec, x, n)
+        res = step_scfpp(spec, StepResult(x), n)
         assert res.x[0] == 3.7
         x = res.x
 
 
 def test_step_scfpp_solution_invariance():
     spec = scfpp_spec()
-    res = step_scfpp(spec, np.array([1.25]), 0)
+    res = step_scfpp(spec, StepResult(np.array([1.25])), 0)
     assert res.x[0] == 1.25
     assert res.residual_primary == 0.0
 
@@ -235,7 +237,7 @@ def test_step_adaptive_hand_values():
     # A = 2, x = 5: Ax = 10, TAx = 3, (I-T)Ax = 7, A*(...) = 14,
     # rho = 49 / (2 * 196) = 0.125, u = 5 + 0.125 * 2 * (-7) = 3.25
     spec = adaptive_spec(a=2.0)
-    res = step_scfpp_adaptive(spec, np.array([5.0]), 0)
+    res = step_scfpp_adaptive(spec, StepResult(np.array([5.0])), 0)
     assert res.step == pytest.approx(0.125, abs=1e-15)
     assert res.intermediates["u"][0] == pytest.approx(3.25, abs=1e-14)
     # x1 = 0.5 u + 0.5 S(u) with S(3.25) = 1.65
@@ -246,13 +248,13 @@ def test_step_adaptive_identity_coupling_gives_half():
     # A = I makes rho = (1-k)/2 independently of the point
     spec = adaptive_spec(a=1.0)
     for x in (4.0, 17.0, 0.2):
-        res = step_scfpp_adaptive(spec, np.array([x]), 0)
+        res = step_scfpp_adaptive(spec, StepResult(np.array([x])), 0)
         assert res.step == pytest.approx(0.5, abs=1e-15)
 
 
 def test_step_adaptive_zero_branch_is_exact():
     spec = adaptive_spec(a=1.0)
-    res = step_scfpp_adaptive(spec, np.array([1.25]), 0)
+    res = step_scfpp_adaptive(spec, StepResult(np.array([1.25])), 0)
     assert res.step == 0.0
     assert res.intermediates["u"][0] == 1.25  # u_n = x_n exactly
 
@@ -296,9 +298,13 @@ def test_adaptive_zero_map_raises_adjoint_inconsistency():
 
     spec = adaptive_spec(a=0.0)
     with pytest.raises(AdjointInconsistency):
-        step_scfpp_adaptive(spec, np.array([3.0]), 0)
-    with pytest.raises(SolverError):
+        step_scfpp_adaptive(spec, StepResult(np.array([3.0])), 0)
+    with pytest.raises(AdjointInconsistency) as exc:
         run(spec, [3.0], rule=StoppingRule(max_iters=2))
+    # run keeps the step's type, names the iteration and chains the original
+    assert (exc.value.iteration, str(exc.value)) == (
+        0, "iteration 0: A* annihilates a residual of norm 1.000e+00")
+    assert type(exc.value.__cause__) is AdjointInconsistency
 
 
 def test_adaptive_alpha_range_uses_demicontractive_constant():
@@ -319,7 +325,7 @@ def test_step_synchronal_hand_values():
     # from x0 = 4: averaged = 0.5*4 + 0.5*T(4) = 3;
     # x1 = (1/2)(0.5)(2) + 3 - (1/2)(1)(3) = 2.0
     spec = get_example("synchronal_demo").spec
-    res = step_synchronal(spec, np.array([4.0]), 0)
+    res = step_synchronal(spec, StepResult(np.array([4.0])), 0)
     assert res.intermediates["u"][0] == pytest.approx(3.0, abs=1e-14)
     assert res.x[0] == pytest.approx(2.0, abs=1e-14)
 
@@ -368,7 +374,7 @@ def test_synchronal_beta_bound_is_the_declared_demicontractive_constant():
 
 def test_step_sffpep_decoupled_first_row():
     ex = get_example("bnm_t1")
-    res = step_sffpep(ex.spec, np.array([10.0]), np.array([15.0]), 0)
+    res = step_sffpep(ex.spec, StepResult(np.array([10.0]), np.array([15.0])), 0)
     assert res.x[0] == pytest.approx(9.898293685, abs=1e-6)
     assert res.y[0] == pytest.approx(12.745, abs=1e-9)
 
@@ -377,7 +383,7 @@ def test_step_sffpep_stationary_at_solution():
     ex = get_example("bnm_t2")
     x, y = np.array([5.0]), np.array([1.25])
     for n in range(10):
-        res = step_sffpep(ex.spec, x, y, n)
+        res = step_sffpep(ex.spec, StepResult(x, y), n)
         assert res.x[0] == 5.0 and res.y[0] == 1.25
         x, y = res.x, res.y
 
@@ -391,19 +397,17 @@ def test_step_sffpep_consensus_freeze():
         alpha=SequenceSpec.const(0.3), beta=SequenceSpec.const(0.4),
         lam=SequenceSpec.const(0.5),
     )
-    res = step_sffpep(spec, np.array([7.0]), np.array([7.0]), 0)
+    res = step_sffpep(spec, StepResult(np.array([7.0]), np.array([7.0])), 0)
     assert res.x[0] == 7.0 and res.y[0] == 7.0
     # with distinct blocks the coupling contracts them toward consensus
-    res = step_sffpep(spec, np.array([9.0]), np.array([5.0]), 0)
+    res = step_sffpep(spec, StepResult(np.array([9.0]), np.array([5.0])), 0)
     assert res.intermediates["z"][0] == pytest.approx(7.0)   # 9 - 0.5*(9-5)
     assert res.intermediates["u"][0] == pytest.approx(7.0)
 
 
 def _wq_first_x(branch):
     ex_spec = replace(get_example("wq_t3").spec, branch_assignment=branch)
-    from splitfp.solvers import step_scfpep
-
-    res = step_scfpep(ex_spec, np.array([5.0]), np.array([5.0]), 0)
+    res = step_sffpep(ex_spec, StepResult(np.array([5.0]), np.array([5.0])), 0)
     return res
 
 
@@ -459,19 +463,15 @@ def test_step_scfpep_single_member_reduces_to_sffpep():
         family=SFFPEP, U=ops["bigU"], T=ops["smallS"],
         C=WholeSpace(1), Q=WholeSpace(1), **base,
     )
-    from splitfp.solvers import step_scfpep
-
-    r1 = step_scfpep(combined, np.array([10.0]), np.array([15.0]), 0)
-    r2 = step_sffpep(flat, np.array([10.0]), np.array([15.0]), 0)
+    r1 = step_sffpep(combined, StepResult(np.array([10.0]), np.array([15.0])), 0)
+    r2 = step_sffpep(flat, StepResult(np.array([10.0]), np.array([15.0])), 0)
     assert_allclose(r1.x, r2.x, rtol=0)
     assert_allclose(r1.y, r2.y, rtol=0)
 
 
 def test_scfpep_stationary_at_common_fixed_point():
     ex = get_example("wq_t3")
-    from splitfp.solvers import step_scfpep
-
-    res = step_scfpep(ex.spec, np.array([1.0]), np.array([1.0]), 0)
+    res = step_sffpep(ex.spec, StepResult(np.array([1.0]), np.array([1.0])), 0)
     # 1 is not an exact fixed point of the printed piecewise rule, but the
     # coupled pair is stationary up to the relaxed one-sided limit there:
     # the affine block fixes 1 exactly
@@ -499,15 +499,16 @@ def test_sffpep_lambda_range_enforced():
 def test_step_extragradient_worked_example():
     spec = get_example("extragradient_1d").spec
     x0 = np.array([10.0])
-    res = step_extragradient(spec, x0, CutSet(spec.C), x0, 0)
+    res = step_extragradient(spec, StepResult(x0, carry=(CutSet(spec.C), x0)), 0)
     # y0 = z0 = 10 (no image correction), w0 = 5 + 0.5 T(7) = 6.5,
     # first cut {z <= 8.25}, x1 = P(10) = 8.25
     assert res.intermediates["u"][0] == 10.0
     assert res.intermediates["z"][0] == 10.0
     assert res.intermediates["w"][0] == pytest.approx(6.5, abs=1e-14)
     assert res.x[0] == pytest.approx(8.25, abs=1e-12)
-    assert len(res.cuts) == 3
-    for cut in res.cuts.latest:
+    cuts, anchor = res.carry
+    assert res.cut_count == len(cuts) == 3 and anchor is x0
+    for cut in cuts.latest:
         assert contains(cut, [1.0])   # the solution is never cut off
 
 
@@ -542,9 +543,11 @@ def test_extragradient_monotone_departure_and_cut_membership():
 
 def test_extragradient_cut_cap_aborts():
     spec = replace(get_example("extragradient_1d").spec, cut_cap=5)
-    with pytest.raises(SolverError) as exc:
+    with pytest.raises(CutCapExceeded) as exc:
         run(spec, [10.0], rule=StoppingRule(max_iters=10))
     assert exc.value.iteration == 1
+    assert str(exc.value) == "iteration 1: cut list grew to 6, beyond the cap 5"
+    assert type(exc.value.__cause__) is CutCapExceeded
 
 
 def _halfway_extragradient_run(C):
@@ -617,6 +620,28 @@ def test_run_requires_valid_rule_and_counts_records():
     assert tr.records[0].n == 0 and tr.records[1].n == 1
     with pytest.raises(ValidationError):
         run(spec, [10.0], rule=None)
+
+
+def test_each_iteration_steps_through_a_module_global_step(monkeypatch):
+    # a wrapper installed on a solvers.step_* name, as a tracer installs
+    # one, sees every step a run takes; scfpep steps through the sffpep step
+    from splitfp import solvers
+
+    calls = {}
+    for name in [name for name in vars(solvers) if name.startswith("step_")]:
+        def counting(spec, state, n, _name=name, _step=getattr(solvers, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _step(spec, state, n)
+        monkeypatch.setattr(solvers, name, counting)
+    seen = {}
+    for ex_id, ex in preset_catalog().items():
+        calls.clear()
+        trace = ex.run()
+        assert list(calls.values()) == [trace.final.n] and trace.final.n > 0, ex_id
+        seen[ex_id] = next(iter(calls))
+    assert seen["wq_t3"] == seen["wq_t4"] == seen["bnm_t1"] == "step_sffpep"
+    assert set(seen.values()) == {"step_scfpp", "step_scfpp_adaptive", "step_synchronal",
+                                  "step_sffpep", "step_extragradient"}
 
 
 def test_run_rejects_a_start_of_the_wrong_dimension():
