@@ -15,16 +15,16 @@ reports are bit-reproducible across platforms.
 """
 
 import math
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
-from .rules import Piecewise1D, Rational1D, Relaxed1D
+from .rules import Piecewise1D, Rational1D, Relaxed1D, kernel_power
 from .spaces import _vector, norm
 
 __all__ = [
@@ -577,9 +577,11 @@ class FixedPointMap:
     ``kernel`` of one Python float, built once here: its rule's
     ``float_kernel()``, or else ``eval_fn`` on ``np.array([v])``, which has
     the bits of ``T(np.array([v]))``; calling the map with a Python float
-    (exactly that type) runs it.  ``extra_classes`` lists additional
-    regularity declarations beyond the primary one, e.g. a Lipschitz
-    constant alongside a strong-monotonicity modulus.
+    (exactly that type) runs it.  A 1-D map compiles its power loops on a
+    float once, at its first power (see :func:`power_apply`).
+    ``extra_classes`` lists additional regularity declarations beyond the
+    primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
+    modulus.
     """
 
     def __init__(self, eval_fn, domain, declared_class=None,
@@ -624,6 +626,22 @@ class FixedPointMap:
         for declared in filter(None, (self.declared_class, *self.extra_classes)):
             yield from declared.implied()
 
+    @cached_property
+    def _power_loops(self):
+        """A 1-D map's power loops on floats, unchecked and checked against
+        the domain before every application (a whole line holds the finite
+        points): its rule's, with the rule's arithmetic inline, or else
+        around calls of its ``kernel``."""
+        domain = self.domain
+        if isinstance(domain, WholeSpace) and domain.dim == 1:
+            inside = math.isfinite
+        else:
+            inside = lambda v: contains(domain, np.array([v]), tol=1e-9)
+        escape = lambda i, n, v: _domain_escape(i, n, [v])
+        if self.rule is None:
+            return kernel_power(self.kernel), kernel_power(self.kernel, inside, escape)
+        return self.rule.power_kernel(), self.rule.power_kernel(inside, escape)
+
     def _stack(self, V):
         """T of each row of the (S, d) stack V: a rule's array kernel, compiled
         once, evaluating a non-finite row again by the float kernel (so a
@@ -652,10 +670,7 @@ def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
 
 def _domain_escape(i, n, point):
     return DomainEscape("iterate left the domain before application %d of %d: %s"
-                        % (i + 1, n, point.tolist()))
-
-
-_bits = struct.Struct("<d").pack
+                        % (i + 1, n, point))
 
 
 def power_apply(T, n, x, check_domain=True):
@@ -670,39 +685,31 @@ def power_apply(T, n, x, check_domain=True):
 
     A Python ``float`` x (exactly that type) gives a ``float``, the entry of
     the power of ``np.array([x])``.  There is one loop per dimension: a 1-D
-    map with a one-element x iterates ``T.kernel`` on a Python float,
-    without wrapping every iterate in an array, and d > 1 iterates
-    ``T.__call__`` on arrays.  Both answer a whole-space domain as
-    :func:`contains` does, by finiteness.
+    map with a one-element x runs one of its power loops on a Python float,
+    compiled once per map, without wrapping any iterate in an array.
+    A rule map's loop holds the rule's arithmetic inline, so on a whole
+    line, or unchecked, it makes no call per application; any other checks
+    its domain through :func:`contains`, and an opaque map's calls its
+    kernel.  d > 1 iterates ``T.__call__`` on arrays.  Both answer a
+    whole-space domain as :func:`contains` does, by finiteness.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
-    kernel, domain = T.kernel, T.domain
     as_float = type(x) is float
-    cur = None if as_float and kernel is not None else _vector(x)
-    if kernel is not None and (as_float or cur.shape == (1,)):
-        v = x if as_float else float(cur[0])
-        whole = isinstance(domain, WholeSpace) and domain.dim == 1
-        for i in range(n):
-            if check_domain and not (math.isfinite(v) if whole
-                                     else contains(domain, np.array([v]), tol=1e-9)):
-                raise _domain_escape(i, n, np.array([v]))
-            image = kernel(v)
-            if image == v:
-                if math.copysign(1.0, image) == math.copysign(1.0, v):
-                    break   # image has the bits of v
-            elif image != image and _bits(image) == _bits(v):
-                break   # a NaN with the bits of v
-            v = image
+    cur = None if as_float and T.kernel is not None else _vector(x)
+    if T.kernel is not None and (as_float or cur.shape == (1,)):
+        unchecked, checked = T._power_loops
+        v = (checked if check_domain else unchecked)(x if as_float else float(cur[0]), n)
         return v if as_float else np.array([v])
     # a whole space holds exactly the finite points of its shape; any other
     # domain or shape asks contains
+    domain = T.domain
     whole = (domain.dim,) if isinstance(domain, WholeSpace) else None
     before = cur.tobytes()   # each image's bytes are the next test's before
     for i in range(n):
         if check_domain and not (all(map(math.isfinite, cur.tolist())) if cur.shape == whole
                                  else contains(domain, cur, tol=1e-9)):
-            raise _domain_escape(i, n, cur)
+            raise _domain_escape(i, n, cur.tolist())
         nxt = T(cur)
         after = nxt.tobytes()
         if after == before and nxt.shape == cur.shape:

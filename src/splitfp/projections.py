@@ -98,11 +98,14 @@ class ConvexBody:
     balls whose intersection is the body, and ``_interval`` is a 1-D body as
     (lo, hi).  They hold when ``_defined``: numbers with a NaN, or an
     infinite normal or centre, describe no set, and project to NaN.
-    ``_empty`` marks a body that is empty by itself.
+    ``_empty`` marks a body that is empty by itself.  A body that
+    ``_clips`` projects a 1-D point by clipping it to its interval, and its
+    ``_project`` takes a Python float as the point and gives a float.
     """
 
     _defined = True
     _empty = False
+    _clips = False
 
     def project(self, x):
         return project(self, x)
@@ -127,8 +130,10 @@ def _empty_rows(dim):
 class WholeSpace(ConvexBody):
     dim: int
 
+    _clips = True   # in 1-D, to (-inf, inf), which leaves every point
+
     def _project(self, x):
-        return x.copy()
+        return x if type(x) is float else x.copy()
 
     @cached_property
     def _parts(self):
@@ -143,6 +148,8 @@ class Box(ConvexBody):
     Equal infinite bounds on one axis describe the empty set: projecting
     onto it raises :class:`InfeasibleIntersection`.
     """
+
+    _clips = True
 
     def __init__(self, lower, upper):
         lo = _vector(lower)
@@ -165,6 +172,8 @@ class Box(ConvexBody):
     def _project(self, x):
         if self._empty:
             raise InfeasibleIntersection("box %r is empty" % (self,))
+        if type(x) is float:
+            return _clip_as_by_arrays(x, *self._interval)
         return np.clip(x, self.lower, self.upper)
 
     @cached_property
@@ -179,7 +188,7 @@ class Box(ConvexBody):
 
     @cached_property
     def _interval(self):
-        return (self.lower[0], self.upper[0])
+        return (float(self.lower[0]), float(self.upper[0]))
 
     def __repr__(self):
         return "Box(%s, %s)" % (self.lower.tolist(), self.upper.tolist())
@@ -256,7 +265,7 @@ class Halfspace(ConvexBody):
         if self.is_whole_space:
             return (-np.inf, np.inf)
         a, b = self.a[0], self.b
-        return (b / a, np.inf) if a < 0 else (-np.inf, b / a)
+        return (float(b / a), np.inf) if a < 0 else (-np.inf, float(b / a))
 
     def __repr__(self):
         return "Halfspace(a=%s, b=%s)" % (self.a.tolist(), self.b)
@@ -291,7 +300,7 @@ class Ball(ConvexBody):
 
     @cached_property
     def _interval(self):
-        c, r = self.center[0], self.radius
+        c, r = float(self.center[0]), self.radius
         return (c - r, c + r)
 
     def __repr__(self):
@@ -304,6 +313,8 @@ class Intersection(ConvexBody):
     Its ``_parts`` stack the rows and collect the balls of its members,
     nested intersections included.
     """
+
+    _clips = True   # in 1-D
 
     def __init__(self, bodies):
         bodies = tuple(bodies)
@@ -346,6 +357,8 @@ class CutSet(ConvexBody):
     ones (``latest``), but no earlier set or cut.
     """
 
+    _clips = True   # in 1-D
+
     def __init__(self, C):
         self.dim, self.count, self.latest = C.dim, 0, ()
         self._defined = C._defined
@@ -383,12 +396,36 @@ def _stack_parts(bodies):
 
 
 def _fold_intervals(bodies):
-    """The 1-D bodies' intervals intersected in order (a NaN end is passed over)."""
+    """The 1-D bodies' intervals, as Python floats, intersected in order (a
+    NaN end is passed over)."""
     lo, hi = -np.inf, np.inf
     for body in bodies:
         sub = body._interval
         lo, hi = max(lo, sub[0]), min(hi, sub[1])
     return (lo, hi)
+
+
+# np.clip of a 1-element array on Python floats, bit for bit: numpy takes
+# max(v, lo) then min(., hi), but its bounds decide ties and NaNs one way when
+# they are arrays and another when they are scalars
+
+
+def _clip_as_by_arrays(v, lo, hi):
+    """``np.clip(np.array([v]), [lo], [hi])``: a NaN v is kept, else a NaN
+    bound or a tie (-0.0 against 0.0) gives the bound."""
+    v = v if v != v or v > lo else lo
+    return v if v != v or v < hi else hi
+
+
+def _clip_as_by_scalars(v, lo, hi):
+    """``np.clip(np.array([v]), lo, hi)``: a NaN lo, else a NaN hi, is the
+    result, and a tie keeps v."""
+    if lo != lo:
+        return lo
+    if hi != hi:
+        return hi
+    v = lo if v < lo else v
+    return hi if v > hi else v
 
 
 def _project_folded(body, x):
@@ -400,7 +437,7 @@ def _project_folded(body, x):
             raise InfeasibleIntersection(
                 "1-D intersection is empty: [%g, %g]" % (lo, hi)
             )
-        return np.clip(x, lo, hi)
+        return _clip_as_by_scalars(x, lo, hi) if type(x) is float else np.clip(x, lo, hi)
     (N, b), balls = body._parts
     if not balls:
         return _project_polyhedron(N, b, x)[0]
@@ -641,12 +678,13 @@ def project(S, x):
     """Metric projection of ``x`` onto the convex body ``S``; all NaN when
     the numbers of ``S`` describe no set.
 
-    A Python float x (exactly that type) is a 1-D point and gives a float:
-    itself on the whole space, else the entry of the array projection.
+    A Python float x (exactly that type) is a 1-D point and gives a float,
+    the entry of the array projection; a body that ``_clips`` (the whole
+    space, a box, an intersection, a cut set) clips it without an array.
     """
     as_float = type(x) is float
-    if as_float and type(S) is WholeSpace and S.dim == 1:
-        return x
+    if as_float and S._clips and S.dim == 1 and S._defined:
+        return S._project(x)
     x = _point_of(S, x)
     out = S._project(x) if S._defined else np.full(S.dim, np.nan)
     return out.item() if as_float else out

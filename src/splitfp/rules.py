@@ -11,19 +11,30 @@ the JSON configuration format.  Rules are immutable.
 ``rule.float_kernel()`` returns a new function of one Python float that
 performs exactly the IEEE operations of ``rule(v)``, in the same order, so
 its result has the same bits (and a pole raises the same
-``ZeroDivisionError``).  A rational rule's kernel is straight-line Horner
-code, one statement per term, compiled once per pair of degrees; piecewise
-and relaxed rules compose their children's kernels.
+``ZeroDivisionError``).  ``rule.power_kernel()`` returns a new
+``power(v, n)``: the kernel's statements inline in a loop of at most n
+applications, which stops once an image is bitwise fixed (``==`` with the
+same sign bit, or a NaN with the same bits), optionally checking a domain
+before each application; :func:`kernel_power` builds the same loop around
+calls of an opaque float kernel.  Both compile from one piece of
+straight-line source each rule kind writes for its shape: Horner
+statements, one per term, for a rational rule, an ``if`` around its
+branches' statements for a piecewise rule, and the average after the
+inner rule's statements for a relaxed one.  The source is compiled once per
+shape (kinds, degrees, closed sides), and the rule's numbers are bound to
+it; an ``operators.FixedPointMap`` given a rule compiles its kernel once,
+and its power loops once at its first power, and keeps them.
 
 ``rule.array_kernel()`` performs the same operations elementwise on a
 float64 array, so each element has the bits of ``float_kernel`` at that
 element wherever the latter returns.  At a pole it gives an infinity or a
 NaN (under numpy's error state) where the float kernel raises.  A rule
-with constant branches may return a scalar; callers broadcast.  Neither
-kernel is cached on the rule: an ``operators.FixedPointMap`` given a rule
-compiles both once and keeps them.
+with constant branches may return a scalar; callers broadcast.  No kernel
+is cached on the rule.
 """
 
+import math
+import struct
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
@@ -40,39 +51,118 @@ def _horner(coeffs, v):
     return acc
 
 
+def _horner_statements(acc, coeffs, v):
+    """:func:`_horner` as one statement per term, so that no degree nests
+    too deep to compile, and the name of its value: a constant is its one
+    coefficient."""
+    if len(coeffs) == 1:
+        return [], coeffs[0]
+    return (["%s = %s * %s + %s" % (acc, coeffs[-1], v, coeffs[-2])]
+            + ["%s = %s * %s + %s" % (acc, acc, v, c) for c in reversed(coeffs[:-2])]), acc
+
+
+class _Names:
+    """Names in generated source: ``c0, c1, ..`` for the rule's numbers, in
+    the order of its ``_form()``, and ``t0, t1, ..`` for temporaries."""
+
+    def __init__(self):
+        self.consts = self.temps = 0
+
+    def const(self):
+        self.consts += 1
+        return "c%d" % (self.consts - 1)
+
+    def temp(self):
+        self.temps += 1
+        return "t%d" % (self.temps - 1)
+
+
+def _statements(shape, v, out, names):
+    """Statements that set ``out`` to the rule of this shape at ``v``."""
+    return shape[0]._statements(shape, v, out, names)
+
+
+def _indent(lines, depth=1):
+    return ["    " * depth + line for line in lines]
+
+
+# the exit of a power loop: the image has the bits of v (the same sign of a
+# zero, the same NaN)
+_FIXED_EXIT = [
+    "if image == v:",
+    "    if copysign(1.0, image) == copysign(1.0, v):",
+    "        break",
+    "elif image != image and pack(image) == pack(v):",
+    "    break",
+    "v = image",
+]
+
+
 @cache
-def _rational_factory(num_terms, den_terms):
-    """Compile the Horner kernel of p/q for these numbers of coefficients.
+def _factory(shape, loop):
+    """Compile the ``"kernel"``, the ``"power"`` loop or the ``"checked"``
+    power loop of rules of this shape.
 
-    The result takes the coefficients ``n0, .., d0, ..`` and returns
-    ``kernel(v)``, which runs one statement ``p = p * v + n_i`` per term in
-    the order of :func:`_horner`, so no degree nests too deep to compile.
-    The coefficients are bound as closure variables, not written as
-    literals, so that inf, nan and -0.0 keep their exact values.
+    The result takes the rule's numbers (then ``inside`` and ``escape``,
+    when checked) and returns the function.  The numbers are bound as
+    closure variables, not written as literals, so that inf, nan and -0.0
+    keep their exact values.
     """
-
-    def horner(acc, prefix, terms):
-        if terms == 1:
-            return ["        %s = %s0" % (acc, prefix)]
-        lines = ["        %s = %s%d * v + %s%d"
-                 % (acc, prefix, terms - 1, prefix, terms - 2)]
-        lines += ["        %s = %s * v + %s%d" % (acc, acc, prefix, i)
-                  for i in reversed(range(terms - 2))]
-        return lines
-
-    params = ["n%d" % i for i in range(num_terms)]
-    params += ["d%d" % i for i in range(den_terms)]
-    source = "\n".join(
-        ["def factory(%s):" % ", ".join(params), "    def kernel(v):"]
-        + horner("p", "n", num_terms) + horner("q", "d", den_terms)
-        + ["        return p / q", "    return kernel"])
-    namespace = {}
+    names = _Names()
+    body = _statements(shape, "v", "image", names)
+    params = ["c%d" % i for i in range(names.consts)]
+    if loop == "kernel":
+        name, inner = "kernel", ["def kernel(v):"] + _indent(body + ["return image"])
+    else:
+        if loop == "checked":
+            params += ["inside", "escape"]
+            body = ["if not inside(v):", "    raise escape(i, n, v)"] + body
+        name, inner = "power", (["def power(v, n):", "    for i in range(n):"]
+                                + _indent(body + _FIXED_EXIT, 2) + ["    return v"])
+    source = "\n".join(["def factory(%s):" % ", ".join(params)]
+                       + _indent(inner + ["return " + name]))
+    namespace = {"copysign": math.copysign, "pack": struct.Struct("<d").pack}
     exec(source, namespace)
     return namespace["factory"]
 
 
+def _power(shape, numbers, inside, escape):
+    if inside is None:
+        return _factory(shape, "power")(*numbers)
+    return _factory(shape, "checked")(*numbers, inside, escape)
+
+
+class _Call:
+    """The shape of an opaque float kernel: one call per application."""
+
+    @staticmethod
+    def _statements(shape, v, out, names):
+        return ["%s = %s(%s)" % (out, names.const(), v)]
+
+
+def kernel_power(kernel, inside=None, escape=None):
+    """The power loop of :meth:`_Rule.power_kernel` around calls of an
+    opaque float ``kernel``, for a map that has no rule."""
+    return _power((_Call,), (kernel,), inside, escape)
+
+
+class _Rule:
+    """The compiled functions of a rule, from its ``_form()``: its shape,
+    the key its source is compiled under, and its numbers."""
+
+    def float_kernel(self):
+        shape, numbers = self._form()
+        return _factory(shape, "kernel")(*numbers)
+
+    def power_kernel(self, inside=None, escape=None):
+        """``power(v, n)``, the n-th power of the rule at v.  With
+        ``inside``, a v that ``inside(v)`` rejects before application
+        i + 1 of n raises ``escape(i, n, v)``: a domain check."""
+        return _power(*self._form(), inside, escape)
+
+
 @dataclass(frozen=True, repr=False)
-class Rational1D:
+class Rational1D(_Rule):
     """p(x)/q(x) with coefficient lists in ascending powers of x."""
 
     num: tuple
@@ -89,11 +179,21 @@ class Rational1D:
     def __call__(self, v):
         return _horner(self.num, v) / _horner(self.den, v)
 
-    def float_kernel(self):
-        return _rational_factory(len(self.num), len(self.den))(*self.num, *self.den)
+    def _form(self):
+        return (Rational1D, len(self.num), len(self.den)), self.num + self.den
 
-    # the Horner statements are elementwise on an array
-    array_kernel = float_kernel
+    @staticmethod
+    def _statements(shape, v, out, names):
+        _, num_terms, den_terms = shape
+        p, q = names.temp(), names.temp()
+        num = [names.const() for _ in range(num_terms)]
+        den = [names.const() for _ in range(den_terms)]
+        (p_lines, p), (q_lines, q) = _horner_statements(p, num, v), _horner_statements(q, den, v)
+        return p_lines + q_lines + ["%s = %s / %s" % (out, p, q)]
+
+    def array_kernel(self):
+        # the Horner statements are elementwise on an array
+        return self.float_kernel()
 
     def eval_decimal(self, v):
         num = tuple(map(Decimal, self.num))
@@ -108,7 +208,7 @@ class Rational1D:
 
 
 @dataclass(frozen=True, repr=False)
-class Piecewise1D:
+class Piecewise1D(_Rule):
     """Two rational branches split at one breakpoint.
 
     The left branch applies for ``v <= breakpoint`` (or ``v < breakpoint``
@@ -130,12 +230,18 @@ class Piecewise1D:
     def __call__(self, v):
         return self.left(v) if self._is_left(v) else self.right(v)
 
-    def float_kernel(self):
-        left, right = self.left.float_kernel(), self.right.float_kernel()
-        at = self.breakpoint
-        if self.left_closed:
-            return lambda v: left(v) if v <= at else right(v)
-        return lambda v: left(v) if v < at else right(v)
+    def _form(self):
+        (left, left_numbers), (right, right_numbers) = self.left._form(), self.right._form()
+        return ((Piecewise1D, self.left_closed, left, right),
+                (self.breakpoint, *left_numbers, *right_numbers))
+
+    @staticmethod
+    def _statements(shape, v, out, names):
+        # a NaN takes the right branch
+        _, left_closed, left, right = shape
+        return (["if %s %s %s:" % (v, "<=" if left_closed else "<", names.const())]
+                + _indent(_statements(left, v, out, names))
+                + ["else:"] + _indent(_statements(right, v, out, names)))
 
     def array_kernel(self):
         # both branches run on every element; a NaN takes the right one, as
@@ -167,7 +273,7 @@ class Piecewise1D:
 
 
 @dataclass(frozen=True)
-class Relaxed1D:
+class Relaxed1D(_Rule):
     """The averaged rule v -> (1 - alpha) v + alpha rule(v).
 
     In float64 this performs exactly the operations of the array form
@@ -185,14 +291,18 @@ class Relaxed1D:
     def __call__(self, v):
         return (1.0 - self.alpha) * v + self.alpha * self.rule(v)
 
-    def float_kernel(self):
-        return self._averaged(self.rule.float_kernel())
+    def _form(self):
+        inner, numbers = self.rule._form()
+        return (Relaxed1D, inner), (1.0 - self.alpha, self.alpha, *numbers)
+
+    @staticmethod
+    def _statements(shape, v, out, names):
+        keep, alpha, kept, image = names.const(), names.const(), names.temp(), names.temp()
+        return (["%s = %s * %s" % (kept, keep, v)] + _statements(shape[1], v, image, names)
+                + ["%s = %s + %s * %s" % (out, kept, alpha, image)])
 
     def array_kernel(self):
-        return self._averaged(self.rule.array_kernel())
-
-    def _averaged(self, inner):
-        alpha = self.alpha
+        alpha, inner = self.alpha, self.rule.array_kernel()
         keep = 1.0 - alpha
         return lambda v: keep * v + alpha * inner(v)
 

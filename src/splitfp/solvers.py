@@ -152,11 +152,6 @@ def _steps_on_floats(spec, x, y):
                 or any(p and p.dim != 1 for p in parts))
 
 
-def _array(v):
-    """A trace slot's array: a float state as a 1-element array."""
-    return np.array([v]) if type(v) is float else v
-
-
 # ---------------------------------------------------------------------------
 # one-variable families
 
@@ -362,6 +357,13 @@ def _pair_norm(a, b):
     return math.hypot(a, b) if r == math.inf else r
 
 
+def _moved(last, state):
+    """How far a step moved the state: the pair norm of both blocks' moves."""
+    if state.y is None:
+        return norm(state.x - last.x)
+    return _pair_norm(norm(state.x - last.x), norm(state.y - last.y))
+
+
 def _distance_to_reference(ref, x, y):
     if ref is None:
         return None
@@ -419,23 +421,32 @@ def _family_steps():
     }
 
 
-def _record(state, n, ref):
-    """The trace record of the state after n steps."""
-    slot = state.intermediates.get
+def _record(state, n, ref, on_floats):
+    """The trace record of the state after n steps; a run on floats holds
+    each float as a 1-element array."""
+    x, y, slots = state.x, state.y, state.intermediates
+    if on_floats:
+        x, y = np.array([x]), None if y is None else np.array([y])
+        slots = {name: np.array([v]) for name, v in slots.items()}
     return TraceRecord(
         n=n,
-        x=_array(state.x),
-        y=_array(state.y),
-        u=_array(slot("u")),
-        z=_array(slot("z")),
-        w=_array(slot("w")),
-        r=_array(slot("r")),
+        x=x,
+        y=y,
+        **slots,
         step=state.step,
         residual_primary=state.residual_primary,
         residual_coupling=state.residual_coupling,
         dist_to_target=_distance_to_reference(ref, state.x, state.y),
         cut_count=state.cut_count,
     )
+
+
+def _finite_floats(state):
+    """Whether a float state's iterates and residuals are all finite: the
+    test of :func:`_check_finite`, read off the state's floats."""
+    return (math.isfinite(state.x) and (state.y is None or math.isfinite(state.y))
+            and math.isfinite(state.residual_primary)
+            and (state.residual_coupling is None or math.isfinite(state.residual_coupling)))
 
 
 # overflow and invalid operations are reported by _check_finite as a typed
@@ -456,7 +467,10 @@ def run(spec, x0, y0=None, rule=None):
     many entries as its start; a NaN or infinite iterate or
     residual later raises :class:`NonFiniteState`, and a rule's pole a
     :class:`SolverError`.  A run whose blocks are all 1-D steps on Python
-    floats (see the module notes), with the same trace.
+    floats (see the module notes), with the same trace: it tests each state
+    for finiteness on its floats, and only a state that fails goes through
+    :func:`_check_finite`'s record-based check, which names the failure;
+    each record is built once, its floats wrapped as 1-element arrays.
     """
     if rule is None:
         raise ValidationError("a stopping rule is required")
@@ -481,7 +495,8 @@ def run(spec, x0, y0=None, rule=None):
         if target.shape[0] != point.shape[0]:
             raise ValidationError("the reference %s* has %d entries; %s0 has %d" % (
                 name, target.shape[0], name, point.shape[0]))
-    if _steps_on_floats(spec, x, y):
+    on_floats = _steps_on_floats(spec, x, y)
+    if on_floats:
         x, y = x.item(), None if y is None else y.item()
         ref = None if ref is None else tuple(r.item() for r in ref)
 
@@ -489,7 +504,7 @@ def run(spec, x0, y0=None, rule=None):
         state = start(spec, x, y)
     except (ZeroDivisionError, OverflowError) as err:
         raise _breakdown(err, 0) from err
-    records = [_record(state, 0, ref)]
+    records = [_record(state, 0, ref, on_floats)]
     _check_finite(records[0], None, 0)
     stop_reason = "max_iters"
     for n in range(rule.max_iters):
@@ -497,16 +512,15 @@ def run(spec, x0, y0=None, rule=None):
             result = step(spec, state, n)
         except _STEP_FAILURES as err:
             raise _breakdown(err, n) from err
-        moved = norm(result.x - state.x) if state.y is None else _pair_norm(
-            norm(result.x - state.x), norm(result.y - state.y))
-        state = result
-        records.append(_record(state, n + 1, ref))
-        _check_finite(records[-1], records[-2], n)
+        last, state = state, result
+        records.append(_record(state, n + 1, ref, on_floats))
+        if not (on_floats and _finite_floats(state)):
+            _check_finite(records[-1], records[-2], n)
         dist = records[-1].dist_to_target
         if rule.residual_tol is not None and state.residual_primary <= rule.residual_tol:
             stop_reason = "residual_tol"
             break
-        if rule.stagnation_tol is not None and moved <= rule.stagnation_tol:
+        if rule.stagnation_tol is not None and _moved(last, state) <= rule.stagnation_tol:
             stop_reason = "stagnation_tol"
             break
         if rule.target_tol is not None and dist is not None and dist <= rule.target_tol:

@@ -23,8 +23,9 @@ from splitfp import cli, operators, projections, solvers
 from splitfp.cli import build_spec_from_config, main
 from splitfp.operators import DomainEscape, FixedPointMap, operator_catalog, relax
 from splitfp.presets import catalog, run_example
-from splitfp.problems import StoppingRule
-from splitfp.projections import Ball, Box, WholeSpace, project
+from splitfp.problems import IterationTrace, StoppingRule
+from splitfp.projections import (Ball, Box, CutSet, Halfspace, InfeasibleIntersection,
+                                 Intersection, WholeSpace, project)
 from splitfp.solvers import NonFiniteState, SolverError, run
 from splitfp.spaces import LinearMap, norm
 
@@ -231,6 +232,43 @@ def test_projection_leaf_matches_project(S):
         assert outcome(float_out, project, S, v) == outcome(project, S, np.array([v])), v
 
 
+SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, 2.0, np.inf, -np.inf,
+                   np.nan, -np.nan, 1.7976931348623157e308]
+NEGATIVE_ZERO_RAY = Halfspace([-1.0], 0.0)   # x >= 0/-1 = -0.0
+# 1-D bodies a float projection clips to an interval, with -0.0, infinite and
+# NaN bounds (a NaN bound makes no set: all NaN); a box clips by its bound
+# arrays, an intersection or a cut set by its interval's scalars
+CLIPPED = [
+    Box([0.0], [0.0]), Box([-0.0], [0.0]), Box([-0.0], [-0.0]), Box([0.0], [np.inf]),
+    Box([-np.inf], [-0.0]), Box([-np.inf], [np.inf]), Box([1.0], [2.0]),
+    Box([np.inf], [np.inf]), Box([np.nan], [1.0]), Box([-1.0], [np.nan]),
+    Intersection([Box([-0.0], [1.0]), Halfspace([1.0], 0.0)]),
+    Intersection([Box([0.0], [1.0]), NEGATIVE_ZERO_RAY]),
+    Intersection([NEGATIVE_ZERO_RAY, Ball([0.5], 2.0)]),
+    Intersection([Box([0.0], [1.0]), Box([2.0], [3.0])]),
+    Intersection([Box([0.0], [1.0]), Halfspace([1.0], np.nan)]),
+    CutSet(Box([0.0], [np.inf])), CutSet(WholeSpace(1)).add(NEGATIVE_ZERO_RAY),
+    CutSet(Box([-0.0], [0.0])).add(Halfspace([1.0], 0.0), WholeSpace(1)),
+    CutSet(Box([0.0], [1.0])).add(Halfspace([-1.0], -2.0)),
+]
+
+
+def projected(S, x):
+    """project(S, x) as bits, or the type and text of its error."""
+    try:
+        return outcome(project, S, x)
+    except InfeasibleIntersection as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("S", CLIPPED, ids=repr)
+def test_a_float_clips_as_the_array_projection_does(S):
+    # bit for bit: a tie of -0.0 and 0.0, NaN points and bounds, infinities
+    for v in SPECIAL_DOUBLES + DOUBLES[::10]:
+        got, want = projected(S, v), projected(S, np.array([v]))
+        assert got == want, (v, got, want)
+
+
 def _leaf_calls(go):
     """go() with counting wrappers on ``solvers.norm``, ``solvers.project``
     and ``FixedPointMap.__call__``, and on ``projections.project``, which a
@@ -304,6 +342,46 @@ FAILURES = {
     "sine": (dict(SCFPP_BASE, T={"num": [0.0, 1.0]}, G={"catalog": "browderPetryshyn"}),
              1e-300, SolverError),
 }
+
+
+SFFPEP_BASE = json.loads((Path(__file__).parent.parent / "demos" / "configs"
+                          / "sffpep_inline_rules.json").read_text())["problem"]
+OVERFLOWS = {
+    # 3x^2 in the viscosity step: its power overflows, and x becomes NaN
+    "one block": (dict(SYNCHRONAL_BASE, T={"num": [0.0, 0.0, 3.0]}, reference=[0.0]),
+                  [2.0], None),
+    # T = -x: at every even n the step maps x to itself and the residual
+    # |x - T^{n+1} x| = |2x| overflows, while x stays finite
+    "residual only": (dict(SYNCHRONAL_BASE, T={"num": [0.0, -1.0]}, alpha={"constant": 0.5},
+                           gamma_visc=4.0, reference=[0.0]), [4e307], None),
+    # U = 3x^2 on the x block: x overflows while y is still finite
+    "two blocks": (dict(SFFPEP_BASE, U={"num": [0.0, 0.0, 3.0]}, lam={"constant": 0.1},
+                        reference=[[5.0], [1.25]]), [10.0], [15.0]),
+}
+
+
+def _overflow(problem, x0, y0):
+    spec = build_spec_from_config(problem)
+    with pytest.raises(NonFiniteState) as exc:
+        run(spec, x0, y0, rule=StoppingRule(max_iters=50))
+    return exc.value
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_a_float_run_fails_as_an_array_run_does(case):
+    # the float finiteness test hands the failing state to the array check,
+    # which names the iteration and keeps the last finite record
+    problem, x0, y0 = OVERFLOWS[case]
+    got = _overflow(problem, x0, y0)
+    with array_lane():
+        want = _overflow(problem, x0, y0)
+    assert str(got) == str(want) and got.iteration == want.iteration > 0
+    assert "non-finite state" in str(got) and "inf" in str(got)
+    if case == "residual only":
+        assert "x=[8.999999999999999e+307], residual=inf;" in str(got)
+    assert_same_trace(IterationTrace(got.last_finite.n, [got.last_finite]),
+                      IterationTrace(want.last_finite.n, [want.last_finite]))
+    assert got.last_finite.dist_to_target is not None
 
 
 def _failure(problem, x0):

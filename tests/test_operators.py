@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -155,7 +156,7 @@ def test_power_apply_keeps_signed_zeros_apart():
     got = power_apply(flip, 2, [0.0, 0.0])
     assert got.tobytes() == flip(flip(np.zeros(2))).tobytes() == np.zeros(2).tobytes()
     negate = map_from_rule(Rational1D([-0.0, -1.0]), WholeSpace(1))
-    assert negate.kernel is not None   # the scalar loop
+    assert negate.kernel is not None   # the float loop, compiled from the rule
     assert power_apply(negate, 2, [0.0]).tobytes() == np.array([0.0]).tobytes()
     assert power_apply(negate, 3, [0.0]).tobytes() == np.array([-0.0]).tobytes()
 
@@ -178,6 +179,52 @@ def test_power_apply_stops_at_a_bitwise_fixed_nan():
             got = power_apply(T, 50, x, check_domain=False)
             assert np.array(got).tobytes() == want.tobytes()
             assert len(evaluations) == 2
+
+
+def _python_calls(f):
+    """The names of the Python functions f() calls, in order (f not among them)."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return calls[1:]
+
+
+def test_a_rule_map_powers_by_its_compiled_loop():
+    # on a whole line, checked or not, and on any domain unchecked, the power
+    # is one call of the rule's compiled loop, not one call per application;
+    # a checked power on another domain, and an opaque map, call per application
+    line = map_from_rule(Rational1D([2.0, 1.0], [3.0]), WholeSpace(1))
+    ray = map_from_rule(Rational1D([2.0, 1.0], [3.0]), Box([0.0], [np.inf]))
+    opaque = FixedPointMap(lambda x: (x + 2.0) / 3.0, WholeSpace(1))
+    for T, check in ((line, True), (line, False), (ray, False)):
+        power_apply(T, 1, 4.0)   # the first power compiles the map's loops
+        assert _python_calls(lambda: power_apply(T, 30, 4.0, check)) == [
+            "power_apply", "power"]
+        assert power_apply(T, 30, 4.0, check) == power_apply_arrays(
+            T, 30, np.array([4.0]), check).item()
+    for T, check in ((ray, True), (opaque, True), (opaque, False)):
+        assert len(_python_calls(lambda: power_apply(T, 30, 4.0, check))) > 30
+
+
+def test_compiled_power_escapes_the_line_at_the_same_application():
+    # 3x^2 from 2 overflows to inf; the whole line holds only finite points.
+    # A one-element array runs the map's float loop too.
+    for T in (map_from_rule(Rational1D([0.0, 0.0, 3.0]), WholeSpace(1)),
+              relax(map_from_rule(Rational1D([0.0, 0.0, 3.0]), WholeSpace(1)), 0.5)):
+        escapes = 0
+        for n in range(1, 40):
+            want = _outcome(power_apply_arrays, T, n, np.array([2.0]), True)
+            assert _outcome(power_apply, T, n, np.array([2.0]), True) == want, n
+            escapes += want[0] is DomainEscape
+        assert escapes > 0
 
 
 def test_a_rule_map_needs_a_1d_domain():

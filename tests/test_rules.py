@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from splitfp.operators import _Lcg, operator_catalog
-from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
+from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D, kernel_power
 
 TINY = 5e-324                      # smallest subnormal
 EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, TINY, -TINY, 2.5e-310,
@@ -123,3 +123,150 @@ def test_kernel_of_a_high_degree_rule_has_the_bits_of_the_rule():
     values = EDGES + [v / 10.0 for v in _samples(7, count=50)] + _around(1.0)
     _assert_kernel_matches(rule, values)
     _assert_kernel_matches(Relaxed1D(rule, 0.25), values)
+
+
+# ---------------------------------------------------------------------------
+# compiled power loops
+
+
+def _iterated(kernel, v, n):
+    """The float kernel applied up to n times, stopping once the image has
+    the bits of v: the reference for ``power_kernel()``."""
+    for _ in range(n):
+        image = kernel(v)
+        if struct.pack("d", image) == struct.pack("d", v):
+            break
+        v = image
+    return v
+
+
+def _assert_power_matches(rule, values, powers=(1, 2, 3, 5, 8, 60)):
+    # at every power, so a pole raises at the same application
+    kernel, power = rule.float_kernel(), rule.power_kernel()
+    for v in values:
+        for n in powers:
+            assert _bits(lambda v: power(v, n), v) == _bits(
+                lambda v: _iterated(kernel, v, n), v), (rule, v, n)
+
+
+STEP_AT_HALF = Piecewise1D(0.5, Rational1D([-1.0, 2.0], [1.0]),
+                           Rational1D([3.0, 0.0, -1.0], [1.0, 1.0]))
+POWER_RULES = dict(
+    CATALOG_RULES,
+    **{"relaxed heDu": Relaxed1D(CATALOG_RULES["heDu"], 0.4),
+       "closed step": STEP_AT_HALF,
+       "open step": OPEN_STEP,
+       "relaxed closed step": Relaxed1D(STEP_AT_HALF, 0.3),
+       "relaxed open step": EXTRA_RULES["relaxed open step"]})
+
+
+@pytest.mark.parametrize("name", sorted(POWER_RULES))
+def test_power_kernel_has_the_bits_of_the_iterated_kernel(name):
+    # the steps' breakpoint 0.5, wqU's at 1 and the heDu/bigU pole at -1,
+    # each at and beside, among the values
+    values = EDGES + _samples(len(name), count=60) + _around(1.0) + _around(0.5)
+    values += _around(-1.0)
+    _assert_power_matches(POWER_RULES[name], values)
+
+
+def test_power_kernel_of_a_high_degree_rule_has_the_bits_of_the_iterated_kernel():
+    lcg = _Lcg(250)
+    num = [2.0 * lcg.next_double() - 1.0 for _ in range(251)]
+    den = [2.0 * lcg.next_double() - 1.0 for _ in range(300)]
+    rule = Rational1D(num, den)
+    values = EDGES + [v / 10.0 for v in _samples(7, count=10)] + _around(1.0)
+    _assert_power_matches(rule, values, powers=(1, 4, 30))
+    _assert_power_matches(Relaxed1D(rule, 0.25), values, powers=(1, 4, 30))
+
+
+def test_power_kernel_raises_at_the_pole_on_the_same_application():
+    # 1/(1 - x): 0 maps to 1, its pole, so the second application raises
+    pole = Rational1D([1.0], [1.0, -1.0])
+    power = pole.power_kernel()
+    assert power(0.0, 1) == 1.0
+    for n in (2, 3, 50):
+        with pytest.raises(ZeroDivisionError):
+            power(0.0, n)
+    with pytest.raises(ZeroDivisionError):
+        Relaxed1D(pole, 0.5).power_kernel()(1.0, 1)
+
+
+def test_power_kernel_keeps_signed_zeros_apart():
+    # -0.0 == 0.0, so a value test would stop at the wrong-signed zero
+    power = Rational1D([-0.0, -1.0]).power_kernel()
+    assert struct.pack("d", power(0.0, 2)) == struct.pack("d", 0.0)
+    assert struct.pack("d", power(0.0, 3)) == struct.pack("d", -0.0)
+
+
+def test_power_kernel_stops_at_a_bitwise_fixed_point():
+    # 0 * inf is NaN and 0 * NaN that NaN again; 1 is fixed by (x + 2)/3.
+    # Without the exit, 10**12 applications would not end.
+    vanish = Rational1D([0.0, 0.0]).power_kernel()
+    want = _iterated(Rational1D([0.0, 0.0]).float_kernel(), math.inf, 3)
+    assert math.isnan(want)
+    assert struct.pack("d", vanish(math.inf, 10**12)) == struct.pack("d", want)
+    assert CATALOG_RULES["wqT"].power_kernel()(4.0, 10**12) == 1.0
+
+
+def test_checked_power_kernel_escapes_before_a_point_outside():
+    # 3x^2 from 2 overflows to inf after 9 applications; the finiteness
+    # check before the 10th raises, naming it, and a finite orbit is not
+    # checked away
+    rule = Rational1D([0.0, 0.0, 3.0])
+    escapes = []
+
+    def escape(i, n, v):
+        escapes.append((i, n, v))
+        return ValueError(i)
+
+    checked = rule.power_kernel(math.isfinite, escape)
+    assert checked(2.0, 9) == rule.power_kernel()(2.0, 9) == _iterated(
+        rule.float_kernel(), 2.0, 9)
+    assert not escapes
+    with pytest.raises(ValueError):
+        checked(2.0, 20)
+    assert escapes == [(9, 20, math.inf)]
+    # any test of v: 2 -> 12 -> 432 passes 100 before the third application
+    with pytest.raises(ValueError):
+        rule.power_kernel(lambda v: v < 100.0, escape)(2.0, 5)
+    assert escapes[-1] == (2, 5, 432.0)
+
+
+def test_kernel_power_iterates_an_opaque_kernel_like_a_rule():
+    calls = []
+
+    def third(v):
+        calls.append(v)
+        return (v + 2.0) / 3.0
+
+    rule = CATALOG_RULES["wqT"]
+    for v in EDGES + _around(1.0):
+        for n in (1, 3, 60):
+            calls.clear()
+            assert _bits(lambda v: kernel_power(third)(v, n), v) == _bits(
+                lambda v: rule.power_kernel()(v, n), v), (v, n)
+            assert len(calls) <= n
+    with pytest.raises(ValueError):
+        kernel_power(third, math.isfinite, lambda i, n, v: ValueError(i))(math.inf, 2)
+
+
+def test_kernel_power_stops_at_the_first_bitwise_fixed_image():
+    # each loop has the exit of every other: x - x from inf is NaN, and NaN -
+    # NaN that NaN again; -x never fixes +-0.0, which == each other
+    calls = []
+
+    def counted(f):
+        def kernel(v):
+            calls.append(v)
+            return f(v)
+        return kernel
+
+    for f, v, n, applications in ((lambda v: v - v, math.inf, 50, 2),
+                                  (lambda v: -v, 0.0, 50, 50)):
+        calls.clear()
+        got = kernel_power(counted(f))(v, n)
+        assert _bits(lambda v: got, v) == _bits(lambda v: _iterated(f, v, n), v)
+        assert len(calls) == applications
+    calls.clear()
+    assert kernel_power(counted(lambda v: (v + 2.0) / 3.0))(4.0, 10**6) == 1.0
+    assert len(calls) < 100
