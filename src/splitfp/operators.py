@@ -86,11 +86,11 @@ class SequenceSpec:
     evaluates it in float64, ``Decimal(1)`` in decimal arithmetic.
     """
 
-    _FORMULAS: ClassVar[dict] = {   # name -> (formula, its limit)
-        "1/(n+1)": (lambda n, one: one / (n + 1), 0.0),
-        "1/(n+2)": (lambda n, one: one / (n + 2), 0.0),
-        "1/(n+1)^2": (lambda n, one: one / (n + 1) ** 2, 0.0),
-        "1+1/(n+1)^2": (lambda n, one: one + one / (n + 1) ** 2, 1.0),
+    _FORMULAS: ClassVar[dict] = {   # name -> its limit; :meth:`_eval` writes each
+        "1/(n+1)": 0.0,
+        "1/(n+2)": 0.0,
+        "1/(n+1)^2": 0.0,
+        "1+1/(n+1)^2": 1.0,
     }
 
     kind: str
@@ -131,17 +131,27 @@ class SequenceSpec:
     def from_formula(cls, name):
         return cls("formula", formula=name)
 
-    def _eval(self, n, one):
+    def _eval(self, n, one=1.0):
+        """The term at n over the unit ``one``.  Every formula is written
+        inline, so that a float term is one Python call."""
         if n < 0:
             raise ValueError("sequence index must be >= 0")
-        if self.kind == "constant":
+        kind = self.kind
+        if kind == "constant":
             return self.constant
-        if self.kind == "table":
-            return self.values[n] if n < len(self.values) else self.tail
-        return self._FORMULAS[self.formula][0](n, one)
+        if kind == "table":
+            values = self.values
+            return values[n] if n < len(values) else self.tail
+        formula = self.formula
+        if formula == "1/(n+1)":
+            return one / (n + 1)
+        if formula == "1/(n+2)":
+            return one / (n + 2)
+        if formula == "1/(n+1)^2":
+            return one / (n + 1) ** 2
+        return one + one / (n + 1) ** 2   # "1+1/(n+1)^2"
 
-    def __call__(self, n):
-        return self._eval(n, 1.0)
+    __call__ = _eval
 
     def first_outside(self, lo, hi):
         """The first (n, value) outside (lo, hi) over every n, or None: a
@@ -152,7 +162,7 @@ class SequenceSpec:
 
         n = next(filter(outside, range(len(self.values or ()) + 1)), None)
         if n is None and self.kind == "formula" and not (
-                lo <= self._FORMULAS[self.formula][1] <= hi):
+                lo <= self._FORMULAS[self.formula] <= hi):
             n = 1
             while not outside(n):
                 n *= 2
@@ -577,8 +587,9 @@ class FixedPointMap:
     ``kernel`` of one Python float, built once here: its rule's
     ``float_kernel()``, or else ``eval_fn`` on ``np.array([v])``, which has
     the bits of ``T(np.array([v]))``; calling the map with a Python float
-    (exactly that type) runs it.  A 1-D map compiles its power loops on a
-    float once, at its first power (see :func:`power_apply`).
+    (exactly that type) runs it.  Every map builds its power loops once, at
+    its first power: a 1-D map's on a float, and the array loops, which
+    call ``eval_fn`` directly (see :func:`power_apply`).
     ``extra_classes`` lists additional regularity declarations beyond the
     primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
     modulus.
@@ -628,19 +639,30 @@ class FixedPointMap:
 
     @cached_property
     def _power_loops(self):
-        """A 1-D map's power loops on floats, unchecked and checked against
-        the domain before every application (a whole line holds the finite
-        points): its rule's, with the rule's arithmetic inline, or else
-        around calls of its ``kernel``."""
+        """The map's power loops, unchecked and checked against the domain
+        before every application.  A 1-D map's run on a Python float: its
+        rule's, with the rule's arithmetic inline, or else around calls of
+        its ``kernel``; a whole line holds the finite points, and any other
+        domain is asked through :func:`contains` of the float.  A map of
+        more dimensions has only its :attr:`_array_loops`."""
+        if self.kernel is None:
+            return self._array_loops
         domain = self.domain
         if isinstance(domain, WholeSpace) and domain.dim == 1:
             inside = math.isfinite
         else:
-            inside = lambda v: contains(domain, np.array([v]), tol=1e-9)
+            # ``contains`` is looked up at each call, where a wrapper sees it
+            inside = lambda v: contains(domain, v, tol=1e-9)
         escape = lambda i, n, v: _domain_escape(i, n, [v])
         if self.rule is None:
             return kernel_power(self.kernel), kernel_power(self.kernel, inside, escape)
         return self.rule.power_kernel(), self.rule.power_kernel(inside, escape)
+
+    @cached_property
+    def _array_loops(self):
+        """The map's power loops on float64 arrays, unchecked and checked."""
+        return (_array_power(self.eval_fn, self.domain, False),
+                _array_power(self.eval_fn, self.domain, True))
 
     def _stack(self, V):
         """T of each row of the (S, d) stack V: a rule's array kernel, compiled
@@ -673,6 +695,32 @@ def _domain_escape(i, n, point):
                         % (i + 1, n, point))
 
 
+def _array_power(eval_fn, domain, check):
+    """A power loop on float64 arrays that calls ``eval_fn`` directly and
+    makes only each image an array.  With ``check``, the iterate is tested
+    against ``domain`` before every application: a whole space holds
+    exactly the finite points of its shape, and any other domain or shape
+    asks :func:`contains`, so an iterate that grew raises its
+    DimensionMismatch."""
+    whole = (domain.dim,) if isinstance(domain, WholeSpace) else None
+    isfinite = math.isfinite
+
+    def power(cur, n):
+        before = cur.tobytes()   # each image's bytes are the next test's before
+        for i in range(n):
+            if check and not (all(map(isfinite, cur.tolist())) if cur.shape == whole
+                              else contains(domain, cur, tol=1e-9)):
+                raise _domain_escape(i, n, cur.tolist())
+            nxt = _vector(eval_fn(cur))
+            after = nxt.tobytes()
+            if after == before and nxt.shape == cur.shape:
+                return nxt
+            cur, before = nxt, after
+        return cur
+
+    return power
+
+
 def power_apply(T, n, x, check_domain=True):
     """n-fold composition T(T(...T(x))).
 
@@ -684,39 +732,29 @@ def power_apply(T, n, x, check_domain=True):
     offending step is named on escape.
 
     A Python ``float`` x (exactly that type) gives a ``float``, the entry of
-    the power of ``np.array([x])``.  There is one loop per dimension: a 1-D
-    map with a one-element x runs one of its power loops on a Python float,
-    compiled once per map, without wrapping any iterate in an array.
-    A rule map's loop holds the rule's arithmetic inline, so on a whole
-    line, or unchecked, it makes no call per application; any other checks
-    its domain through :func:`contains`, and an opaque map's calls its
-    kernel.  d > 1 iterates ``T.__call__`` on arrays.  Both answer a
-    whole-space domain as :func:`contains` does, by finiteness.
+    the power of ``np.array([x])``.  Each map builds its power loops once,
+    at its first power (:attr:`FixedPointMap._power_loops`), and a power is
+    one call of one of them.  A 1-D map given a float or a one-element
+    array runs its loop on a Python float, without wrapping any iterate in
+    an array.  A rule map's loop holds the rule's arithmetic inline, so on
+    a whole line, or unchecked, it makes no call per application; any other
+    domain is checked through :func:`contains` of the float, and an opaque
+    map's loop calls its kernel.  Every other input runs the map's array
+    loop, which calls ``eval_fn`` directly, not ``T.__call__``.  Both
+    answer a whole-space domain as :func:`contains` does, by finiteness.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
-    as_float = type(x) is float
-    cur = None if as_float and T.kernel is not None else _vector(x)
-    if T.kernel is not None and (as_float or cur.shape == (1,)):
-        unchecked, checked = T._power_loops
-        v = (checked if check_domain else unchecked)(x if as_float else float(cur[0]), n)
-        return v if as_float else np.array([v])
-    # a whole space holds exactly the finite points of its shape; any other
-    # domain or shape asks contains
-    domain = T.domain
-    whole = (domain.dim,) if isinstance(domain, WholeSpace) else None
-    before = cur.tobytes()   # each image's bytes are the next test's before
-    for i in range(n):
-        if check_domain and not (all(map(math.isfinite, cur.tolist())) if cur.shape == whole
-                                 else contains(domain, cur, tol=1e-9)):
-            raise _domain_escape(i, n, cur.tolist())
-        nxt = T(cur)
-        after = nxt.tobytes()
-        if after == before and nxt.shape == cur.shape:
-            cur = nxt
-            break
-        cur, before = nxt, after
-    return cur.item() if as_float else cur
+    check, loops = 1 if check_domain else 0, T._power_loops
+    if T.kernel is not None:
+        if type(x) is float:
+            return loops[check](x, n)
+        x = _vector(x)
+        if x.shape == (1,):
+            return np.array([loops[check](float(x[0]), n)])
+        loops = T._array_loops
+    out = loops[check](_vector(x), n)
+    return out.item() if type(x) is float else out
 
 
 def relax(T, alpha):

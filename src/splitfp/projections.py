@@ -695,8 +695,12 @@ def contains(S, x, tol=1e-10):
 
     The whole space is answered without projecting: its projection moves a
     finite x by exactly 0, and a NaN or infinite entry gives a NaN distance,
-    so x is in it iff every entry is finite.
+    so x is in it iff every entry is finite.  A Python float x (exactly
+    that type) is a 1-D point; a body that ``_clips`` tests it on floats,
+    with the answer of the array test.
     """
+    if type(x) is float and S._clips and S.dim == 1 and S._defined:
+        return norm(S._project(x) - x) <= tol
     x = _point_of(S, x)
     if isinstance(S, WholeSpace):
         return bool(np.isfinite(x).all()) and 0.0 <= tol

@@ -269,6 +269,29 @@ def test_a_float_clips_as_the_array_projection_does(S):
         assert got == want, (v, got, want)
 
 
+def membership(S, x, tol):
+    """contains(S, x, tol), which must be a bool, or the type and text of
+    its error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = projections.contains(S, x, tol)
+    except InfeasibleIntersection as err:
+        return type(err), str(err)
+    assert type(out) is bool
+    return out
+
+
+@pytest.mark.parametrize("S", CLIPPED, ids=repr)
+def test_a_float_is_contained_as_its_array_is(S, monkeypatch):
+    # a body that clips tests a float on floats, without an array of it
+    want = {(v, tol): membership(S, np.array([v]), tol)
+            for v in SPECIAL_DOUBLES for tol in (1e-9, 0.0, -1.0)}
+    if S._defined:
+        monkeypatch.setattr(projections, "_point_of", None)
+    for (v, tol), answer in want.items():
+        assert membership(S, v, tol) == answer, (v, tol)
+
+
 def _leaf_calls(go):
     """go() with counting wrappers on ``solvers.norm``, ``solvers.project``
     and ``FixedPointMap.__call__``, and on ``projections.project``, which a

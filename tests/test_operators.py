@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import struct
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -94,6 +95,37 @@ EXACT_FORMULAS = {
     "1/(n+1)^2": lambda n: Fraction(1, (n + 1) ** 2),
     "1+1/(n+1)^2": lambda n: 1 + Fraction(1, (n + 1) ** 2),
 }
+
+
+# each registry formula in float64, as the registry wrote it before its
+# terms were inlined
+FLOAT_FORMULAS = {
+    "1/(n+1)": lambda n: 1.0 / (n + 1),
+    "1/(n+2)": lambda n: 1.0 / (n + 2),
+    "1/(n+1)^2": lambda n: 1.0 / (n + 1) ** 2,
+    "1+1/(n+1)^2": lambda n: 1.0 + 1.0 / (n + 1) ** 2,
+}
+
+
+def test_a_sequence_term_is_one_python_call():
+    # a constant, a table on either side of where its tail starts, and every
+    # registry formula: one call, with the bits of _eval(n, 1.0)
+    assert sorted(FLOAT_FORMULAS) == sorted(SequenceSpec._FORMULAS)
+    table = SequenceSpec.table([0.5, -0.0, 2.0], tail=0.125)
+    cases = [(SequenceSpec.const(-0.0), lambda n: -0.0), (table, None)]
+    cases += [(SequenceSpec.from_formula(name), f) for name, f in FLOAT_FORMULAS.items()]
+    for seq, reference in cases:
+        for n in [*range(60), 10**6, 10**9 + 7]:
+            assert len(_python_calls(lambda: seq(n))) == 1, (seq, n)
+            got = seq(n)
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", seq._eval(n, 1.0)), (seq, n)
+            if reference is not None:
+                assert struct.pack("<d", got) == struct.pack("<d", reference(n)), (seq, n)
+        with pytest.raises(ValueError, match=r"^sequence index must be >= 0$"):
+            seq(-1)
+    assert [table(n) for n in range(5)] == [0.5, -0.0, 2.0, 0.125, 0.125]
+    assert math.copysign(1.0, table(1)) == -1.0
 
 
 def test_formula_registry_matches_the_exact_values():
@@ -301,10 +333,38 @@ def test_power_apply_array_loop_matches_the_reference(name, domain, d):
     assert (DimensionMismatch in kinds) == (name == "grow")
 
 
+# d > 1 maps whose image is not a float64 vector: a list, which the loop
+# makes an array as T.__call__ does, and a row of the same bytes, which is
+# not bitwise fixed and then leaves the domain's shape
+ODD_IMAGE_MAPS = {
+    "list": lambda x: [-x[1], 0.5 * x[0]],
+    "row": lambda x: x.reshape(1, -1),
+}
+
+
+@pytest.mark.parametrize("domain", ["whole", "ball"])
+@pytest.mark.parametrize("name", sorted(ODD_IMAGE_MAPS))
+def test_power_apply_array_loop_takes_an_odd_image(name, domain):
+    S = WholeSpace(2) if domain == "whole" else projections.Ball(np.zeros(2), 3.0)
+    T = FixedPointMap(ODD_IMAGE_MAPS[name], S)
+    kinds = set()
+    for pair in itertools.product(VECTOR_VALUES, repeat=2):
+        for check_domain in (True, False):
+            for n in (1, 2, 3, 8):
+                with np.errstate(all="ignore"):
+                    want = _outcome(power_apply_arrays, T, n, np.array(pair), check_domain)
+                    got = _outcome(power_apply, T, n, np.array(pair), check_domain)
+                assert got == want, (pair, check_domain, n)
+                kinds.add(want[0])
+    assert (DimensionMismatch in kinds) == (name == "row")
+    assert np.dtype(np.float64) in kinds
+
+
 def test_power_apply_iterates_the_kernel_of_every_1d_map(monkeypatch):
     # every 1-D map has a ``kernel``: catalog maps and relaxed rule-backed
     # maps their rule's, an opaque closure map its eval_fn on a 1-element
-    # array; only a map of more dimensions iterates through __call__
+    # array; a map of more dimensions iterates its eval_fn, and no power
+    # goes through __call__
     cat = operator_catalog()
     wqT = cat["wqT"]
     relaxed = relax(wqT, 0.3)
@@ -320,14 +380,19 @@ def test_power_apply_iterates_the_kernel_of_every_1d_map(monkeypatch):
         calls.append(self.name)
         return original(self, x)
 
+    neg = cat["scaledNeg"]
+    want_neg = power_apply_arrays(neg, 5, np.ones(3)).tobytes()
+    evals = []
+    eval_fn = neg.eval_fn
+    neg.eval_fn = lambda x: evals.append(x) or eval_fn(x)   # before its first power
     monkeypatch.setattr(FixedPointMap, "__call__", counting)
     for T in (wqT, relaxed, cat["wqU"], cat["browderPetryshyn"]):
         power_apply(T, 5, np.array([0.75]))
     assert power_apply(closure, 5, np.array([4.0])).tobytes() == want
     assert power_apply(closure, 5, 4.0) == np.frombuffer(want)[0]
+    assert power_apply(neg, 5, np.ones(3)).tobytes() == want_neg
     assert calls == []
-    power_apply(cat["scaledNeg"], 5, np.ones(3))
-    assert calls == ["scaledNeg"] * 5
+    assert len(evals) == 5
 
 
 def test_power_apply_scalar_loop_calls_the_kernel_not_the_rule(monkeypatch):
