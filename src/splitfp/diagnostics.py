@@ -204,9 +204,6 @@ class HighPrecisionTrace:
     digits: int
     records: list
 
-    def __len__(self):
-        return len(self.records)
-
 
 def _scalar_of(linear_map, name):
     m = linear_map.matrix

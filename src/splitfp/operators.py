@@ -18,14 +18,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
+from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
-from .rules import Piecewise1D, Rational1D, Relaxed1D, kernel_power
-from .spaces import _vector, norm
+from .rules import Piecewise1D, Rational1D, Relaxed1D
+from .spaces import DimensionMismatch, _vector, norm
 
 __all__ = [
     "SequenceSpec",
@@ -153,20 +153,21 @@ class SequenceSpec:
 
     __call__ = _eval
 
-    def first_outside(self, lo, hi):
-        """The first (n, value) outside (lo, hi) over every n, or None: a
-        constant's value, a table's values then its tail, a formula's value at
-        0 and its limit, bisecting for the crossing when the limit is past a bound."""
+    def first_outside(self, lo, hi, start=0):
+        """The first (n, value) with n >= ``start`` outside (lo, hi) over every
+        n, or None: a constant's value, a table's values then its tail, a
+        formula's value at ``start`` and its limit, bisecting for the crossing
+        when the limit is past a bound."""
         def outside(n):
             return not lo < self(n) < hi
 
-        n = next(filter(outside, range(len(self.values or ()) + 1)), None)
+        n = next(filter(outside, range(start, max(start, len(self.values or ())) + 1)), None)
         if n is None and self.kind == "formula" and not (
                 lo <= self._FORMULAS[self.formula] <= hi):
             n = 1
             while not outside(n):
                 n *= 2
-            n = bisect_left(range(n + 1), True, key=outside)
+            n = bisect_left(range(n + 1), True, lo=start, key=outside)
         return None if n is None else (n, self(n))
 
     def eval_decimal(self, n):
@@ -194,38 +195,22 @@ class SequenceSpec:
         return "SequenceSpec(%r)" % (self.to_config(),)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Gauge:
-    """Strictly increasing continuous gauge with gauge(0) = 0.
+    """The quadratic gauge t -> t^2, strictly increasing and continuous with
+    gauge(0) = 0: the only gauge the verified inequalities ever need.
 
-    Restricted to the registry {t, t^2, c*t^2}; the quadratic gauge is the
-    only one the verified inequalities ever need.
+    It multiplies (``t * t``, not the libm ``pow`` of :func:`_sq`), so the
+    sides that add it keep their bits.
     """
 
-    kind: str = "t^2"
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("t", "t^2", "c*t^2"):
-            raise ValueError("gauge registry: 't', 't^2', 'c*t^2'")
-        if self.kind == "c*t^2" and self.c <= 0:
-            raise ValueError("gauge scale must be positive")
-        object.__setattr__(self, "c", float(self.c))
-
     def __call__(self, t):
-        if self.kind == "t":
-            return t
-        if self.kind == "t^2":
-            return t * t
-        return self.c * t * t
-
-    def __repr__(self):
-        return "Gauge(%r, c=%r)" % (self.kind, self.c)
+        return t * t
 
 
 _ZERO = SequenceSpec.const(0.0)
 _ONE = SequenceSpec.const(1.0)
-_QUADRATIC = Gauge("t^2")
+_QUADRATIC = Gauge()
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +543,28 @@ def class_from_token(token):
         raise ValueError("invalid parameter for class %s: %s" % (name, err)) from None
 
 
-# class constraints quantify over iterate powers, which start at n = 1
+# class constraints quantify over iterate powers, which start at n = 1.  A
+# derived sequence (k_n^2, t_n - 1) is a plain function, in range whenever
+# its source is, and is not checked again.
 
-def _check_nonnegative(seq, name, upto=50):
-    for n in range(1, upto + 1):
-        if seq(n) < 0:
-            raise ValueError("%s must be nonnegative (n=%d)" % (name, n))
+def _first_below(seq, bound):
+    """The first (n, term) with n >= 1 whose term is not a finite number at
+    least ``bound``, decided over every n, or None."""
+    if isinstance(seq, SequenceSpec):
+        return seq.first_outside(math.nextafter(bound, -math.inf), math.inf, start=1)
+    return None
 
 
-def _check_at_least_one(seq, name, upto=50):
-    for n in range(1, upto + 1):
-        if seq(n) < 1.0:
-            raise ValueError("%s must be >= 1 (n=%d gives %r)" % (name, n, seq(n)))
+def _check_nonnegative(seq, name):
+    bad = _first_below(seq, 0.0)
+    if bad:
+        raise ValueError("%s must be nonnegative (n=%d)" % (name, bad[0]))
+
+
+def _check_at_least_one(seq, name):
+    bad = _first_below(seq, 1.0)
+    if bad:
+        raise ValueError("%s must be >= 1 (n=%d gives %r)" % (name, *bad))
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +578,14 @@ class FixedPointMap:
     ``eval_fn`` takes and returns 1-D float arrays.  ``rule``, when present,
     is the portable scalar rule the map evaluates, which the oracle
     re-evaluates in Decimal; ``eval_fn`` may then be None, and a given one
-    must compute exactly the rule's float kernel.  Every 1-D map has a
-    ``kernel`` of one Python float, built once here: its rule's
-    ``float_kernel()``, or else ``eval_fn`` on ``np.array([v])``, which has
-    the bits of ``T(np.array([v]))``; calling the map with a Python float
-    (exactly that type) runs it.  Every map builds its power loops once, at
-    its first power: a 1-D map's on a float, and the array loops, which
-    call ``eval_fn`` directly (see :func:`power_apply`).
+    must compute exactly the rule's float kernel; the default one takes a
+    one-entry array only.  Every 1-D map has a ``kernel`` of one Python
+    float, built once here: its rule's ``float_kernel()``, or else
+    ``eval_fn`` on ``np.array([v])``, which has the bits of
+    ``T(np.array([v]))``; calling the map with a Python float (exactly that
+    type) runs it.  Every map builds its power loops once, at its first
+    power: a rule map's on a float, and the array loops, which call
+    ``eval_fn`` directly (see :func:`power_apply`).
     ``extra_classes`` lists additional regularity declarations beyond the
     primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
     modulus.
@@ -600,7 +596,7 @@ class FixedPointMap:
         kernel = None   # a map of more dimensions has none
         if rule is not None:
             kernel = rule.float_kernel()
-            eval_fn = eval_fn or (lambda x: np.array([kernel(float(x[0]))]))
+            eval_fn = eval_fn or partial(_eval_rule, kernel)
         elif eval_fn is None:
             raise ValueError("a map needs an eval_fn or a rule")
         elif domain.dim == 1:
@@ -639,14 +635,11 @@ class FixedPointMap:
 
     @cached_property
     def _power_loops(self):
-        """The map's power loops, unchecked and checked against the domain
-        before every application.  A 1-D map's run on a Python float: its
-        rule's, with the rule's arithmetic inline, or else around calls of
-        its ``kernel``; a whole line holds the finite points, and any other
-        domain is asked through :func:`contains` of the float.  A map of
-        more dimensions has only its :attr:`_array_loops`."""
-        if self.kernel is None:
-            return self._array_loops
+        """A rule map's power loops on a Python float, unchecked and checked
+        against the domain before every application, with the rule's
+        arithmetic inline: a whole line holds the finite points, and any
+        other domain is asked through :func:`contains` of the float.  Every
+        other map powers by its :attr:`_array_loops` only."""
         domain = self.domain
         if isinstance(domain, WholeSpace) and domain.dim == 1:
             inside = math.isfinite
@@ -654,8 +647,6 @@ class FixedPointMap:
             # ``contains`` is looked up at each call, where a wrapper sees it
             inside = lambda v: contains(domain, v, tol=1e-9)
         escape = lambda i, n, v: _domain_escape(i, n, [v])
-        if self.rule is None:
-            return kernel_power(self.kernel), kernel_power(self.kernel, inside, escape)
         return self.rule.power_kernel(), self.rule.power_kernel(inside, escape)
 
     @cached_property
@@ -688,6 +679,15 @@ def map_from_rule(rule, domain, declared_class=None, known_fixed_points=(),
                          % domain.dim)
     return FixedPointMap(None, domain, declared_class, known_fixed_points,
                          name=name, rule=rule, extra_classes=extra_classes)
+
+
+def _eval_rule(kernel, x):
+    """The default ``eval_fn`` of a rule map: its float kernel at the one
+    entry of x."""
+    if x.shape != (1,):
+        raise DimensionMismatch("point of shape %s does not match map dimension 1"
+                                % (x.shape,))
+    return np.array([kernel(float(x[0]))])
 
 
 def _domain_escape(i, n, point):
@@ -733,27 +733,28 @@ def power_apply(T, n, x, check_domain=True):
 
     A Python ``float`` x (exactly that type) gives a ``float``, the entry of
     the power of ``np.array([x])``.  Each map builds its power loops once,
-    at its first power (:attr:`FixedPointMap._power_loops`), and a power is
-    one call of one of them.  A 1-D map given a float or a one-element
-    array runs its loop on a Python float, without wrapping any iterate in
-    an array.  A rule map's loop holds the rule's arithmetic inline, so on
-    a whole line, or unchecked, it makes no call per application; any other
-    domain is checked through :func:`contains` of the float, and an opaque
-    map's loop calls its kernel.  Every other input runs the map's array
-    loop, which calls ``eval_fn`` directly, not ``T.__call__``.  Both
-    answer a whole-space domain as :func:`contains` does, by finiteness.
+    at its first power, and a power is one call of one of them.  A rule map
+    given a float or a one-element array runs its compiled loop on a Python
+    float (:attr:`FixedPointMap._power_loops`), without wrapping any
+    iterate in an array: the loop holds the rule's arithmetic inline, so on
+    a whole line, or unchecked, it makes no call per application, and any
+    other domain is checked through :func:`contains` of the float.  Every
+    other map and input runs the map's array loop
+    (:attr:`FixedPointMap._array_loops`), which calls ``eval_fn`` directly,
+    not ``T.__call__``; a float is wrapped in a one-element array and its
+    power unwrapped.  Both answer a whole-space domain as :func:`contains`
+    does, by finiteness.
     """
     if n < 1:
         raise ValueError("power requires n >= 1")
-    check, loops = 1 if check_domain else 0, T._power_loops
-    if T.kernel is not None:
+    check = 1 if check_domain else 0
+    if T.rule is not None:
         if type(x) is float:
-            return loops[check](x, n)
+            return T._power_loops[check](x, n)
         x = _vector(x)
         if x.shape == (1,):
-            return np.array([loops[check](float(x[0]), n)])
-        loops = T._array_loops
-    out = loops[check](_vector(x), n)
+            return np.array([T._power_loops[check](float(x[0]), n)])
+    out = T._array_loops[check](_vector(x), n)
     return out.item() if type(x) is float else out
 
 

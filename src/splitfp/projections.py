@@ -107,9 +107,6 @@ class ConvexBody:
     _empty = False
     _clips = False
 
-    def project(self, x):
-        return project(self, x)
-
     @property
     def polyhedron(self):
         rows, balls = self._parts
@@ -418,12 +415,9 @@ def _clip_as_by_arrays(v, lo, hi):
 
 
 def _clip_as_by_scalars(v, lo, hi):
-    """``np.clip(np.array([v]), lo, hi)``: a NaN lo, else a NaN hi, is the
-    result, and a tie keeps v."""
-    if lo != lo:
-        return lo
-    if hi != hi:
-        return hi
+    """``np.clip(np.array([v]), lo, hi)`` on bounds that are not NaN: a tie
+    keeps v.  Only ``_defined`` bodies reach it, and no end of their
+    intervals is NaN."""
     v = lo if v < lo else v
     return hi if v > hi else v
 

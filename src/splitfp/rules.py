@@ -15,15 +15,15 @@ its result has the same bits (and a pole raises the same
 ``power(v, n)``: the kernel's statements inline in a loop of at most n
 applications, which stops once an image is bitwise fixed (``==`` with the
 same sign bit, or a NaN with the same bits), optionally checking a domain
-before each application; :func:`kernel_power` builds the same loop around
-calls of an opaque float kernel.  Both compile from one piece of
-straight-line source each rule kind writes for its shape: Horner
-statements, one per term, for a rational rule, an ``if`` around its
-branches' statements for a piecewise rule, and the average after the
-inner rule's statements for a relaxed one.  The source is compiled once per
-shape (kinds, degrees, closed sides), and the rule's numbers are bound to
-it; an ``operators.FixedPointMap`` given a rule compiles its kernel once,
-and its power loops once at its first power, and keeps them.
+before each application.  Both compile from one piece of straight-line
+source each rule kind writes for its shape: Horner statements, one per
+term, for a rational rule, an ``if`` around its branches' statements for a
+piecewise rule, and the average after the inner rule's statements for a
+relaxed one.  The source is compiled once per shape (kinds, degrees, closed
+sides), and the rule's numbers are bound to it; an
+``operators.FixedPointMap`` given a rule compiles its kernel once, and its
+power loops once at its first power, and keeps them.  A map without a rule
+has no compiled loop: it powers on arrays, by calls of its ``eval_fn``.
 
 ``rule.array_kernel()`` performs the same operations elementwise on a
 float64 array, so each element has the bits of ``float_kernel`` at that
@@ -126,26 +126,6 @@ def _factory(shape, loop):
     return namespace["factory"]
 
 
-def _power(shape, numbers, inside, escape):
-    if inside is None:
-        return _factory(shape, "power")(*numbers)
-    return _factory(shape, "checked")(*numbers, inside, escape)
-
-
-class _Call:
-    """The shape of an opaque float kernel: one call per application."""
-
-    @staticmethod
-    def _statements(shape, v, out, names):
-        return ["%s = %s(%s)" % (out, names.const(), v)]
-
-
-def kernel_power(kernel, inside=None, escape=None):
-    """The power loop of :meth:`_Rule.power_kernel` around calls of an
-    opaque float ``kernel``, for a map that has no rule."""
-    return _power((_Call,), (kernel,), inside, escape)
-
-
 class _Rule:
     """The compiled functions of a rule, from its ``_form()``: its shape,
     the key its source is compiled under, and its numbers."""
@@ -158,7 +138,10 @@ class _Rule:
         """``power(v, n)``, the n-th power of the rule at v.  With
         ``inside``, a v that ``inside(v)`` rejects before application
         i + 1 of n raises ``escape(i, n, v)``: a domain check."""
-        return _power(*self._form(), inside, escape)
+        shape, numbers = self._form()
+        if inside is None:
+            return _factory(shape, "power")(*numbers)
+        return _factory(shape, "checked")(*numbers, inside, escape)
 
 
 @dataclass(frozen=True, repr=False)

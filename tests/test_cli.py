@@ -11,14 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitfp import cli, config
-from splitfp.cli import main, parse_trace_csv, write_trace_csv
+from splitfp import cli, config, presets
+from splitfp.cli import main, parse_trace_csv, write_residual_svg, write_trace_csv
 from splitfp.operators import (CLASS_TOKENS, FixedPointMap, SequenceSpec, class_from_token,
                                operator_catalog)
 from splitfp.presets import catalog, run_example
-from splitfp.problems import ProblemSpec, StoppingRule
+from splitfp.problems import IterationTrace, ProblemSpec, StoppingRule, TraceRecord
 from splitfp.projections import WholeSpace
-from splitfp.solvers import run
+from splitfp.solvers import SolverError, run
 from splitfp.spaces import LinearMap
 
 
@@ -86,6 +86,16 @@ def test_run_inline_problem_and_json_format(tmp_path):
     assert abs(float(trace["records"][1][x_col]) - 4.4) < 1e-12
 
 
+def test_a_bare_number_is_a_constant_sequence(tmp_path):
+    problem = dict(SCFPP_INLINE["problem"], alpha=0.5)
+    assert config.build_spec_from_config(problem).alpha == SequenceSpec.const(0.5)
+    for name, doc in (("bare", dict(SCFPP_INLINE, problem=problem)), ("object", SCFPP_INLINE)):
+        cfg = write_config(tmp_path, doc, name=name + ".json")
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "bare" / "trace.csv").read_bytes()
+            == (tmp_path / "object" / "trace.csv").read_bytes())
+
+
 def test_run_inline_rule_operator(tmp_path):
     doc = {
         "problem": {
@@ -128,7 +138,7 @@ def test_run_config_errors_exit_2(tmp_path):
     assert main(["run", "--config", invalid, "--out-dir", str(tmp_path)]) == 2
 
 
-def test_run_unwritable_output_exit_2(tmp_path):
+def test_run_unwritable_output_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, BNM_CONFIG)
     # a path under a regular file cannot become a directory, even for root
     plain_file = tmp_path / "occupied"
@@ -136,6 +146,17 @@ def test_run_unwritable_output_exit_2(tmp_path):
     code = main(["run", "--config", cfg, "--out-dir",
                  str(plain_file / "out"), "--max-iters", "1"])
     assert code == 2
+    capsys.readouterr()
+    # a trace named after an existing directory cannot be written: no
+    # summary is printed
+    (tmp_path / "out" / "taken").mkdir(parents=True)
+    cfg = write_config(tmp_path, dict(BNM_CONFIG, outputs={"trace": "taken"}))
+    code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                 "--max-iters", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot write outputs: ")
+    assert err.endswith("%s'\n" % (tmp_path / "out" / "taken"))
 
 
 def test_run_numerical_breakdown_exit_3(tmp_path):
@@ -438,6 +459,21 @@ def test_csv_of_a_parsed_trace_keeps_each_block_dimension(tmp_path):
     assert again.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("residual, y_lo", [(0.01, "-2.0"), (None, "0.0")])
+def test_residual_svg_of_a_single_point(tmp_path, residual, y_lo):
+    # a trace with one residual, and a trace with none (drawn as the point
+    # (0, 0)): a single point, at the lower left of unit ranges (n in [0, 1],
+    # log10 residual from y_lo)
+    trace = IterationTrace("scfpp", [TraceRecord(0, np.array([1.0]),
+                                                 residual_primary=residual)])
+    write_residual_svg(trace, tmp_path / "residual.svg")
+    svg = (tmp_path / "residual.svg").read_text()
+    ET.fromstring(svg)
+    assert '<polyline points="50.00,350.00" ' in svg
+    labels = re.findall(r'font-size="11">([^<]*)</text>', svg)
+    assert labels == ["0", "1", y_lo, "%.1f" % (float(y_lo) + 1.0)]
+
+
 def test_repeated_runs_byte_identical(tmp_path):
     cfg = write_config(tmp_path, BNM_CONFIG)
     main(["run", "--config", cfg, "--out-dir", str(tmp_path / "a"),
@@ -476,7 +512,31 @@ def test_reproduce_unknown_table():
     assert main(["reproduce", "t9"]) == 2
 
 
-def test_verify_exit_codes(capsys):
+def test_reproduce_exits_1_on_a_mismatched_row_and_3_on_a_breakdown(monkeypatch, capsys):
+    # t3 with its second pinned row moved 1.0 away, then with a run that
+    # breaks down
+    example = presets.get_example("wq_t3")
+    row = example.expected[1]
+    moved = dataclasses.replace(row, values=(row.values[0] + 1.0, *row.values[1:]))
+    pinned = dataclasses.replace(example, expected=(example.expected[0], moved,
+                                                    *example.expected[2:]))
+    monkeypatch.setattr(presets, "get_example", lambda name: pinned)
+    assert main(["reproduce", "t3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("n x_n y_n\n") and "pinned rows reproduced" not in out
+    assert re.fullmatch(r"MISMATCH row n=%d expected \S+ got \S+ delta 1\.000e\+00\n"
+                        % row.n, err)
+
+    def breakdown(self, *args, **kwargs):
+        raise SolverError("iteration 2: planted breakdown", 2)
+
+    monkeypatch.setattr(presets.NamedExample, "run", breakdown)
+    assert main(["reproduce", "t3"]) == 3
+    assert capsys.readouterr() == ("", "numerical breakdown: iteration 2: "
+                                       "planted breakdown\n")
+
+
+def test_verify_exit_codes(capsys, monkeypatch):
     assert main(["verify", "heDu", "quasi_nonexpansive", "--samples", "200"]) == 0
     capsys.readouterr()
     assert main(["verify", "heDu", "nonexpansive"]) == 1
@@ -488,6 +548,12 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "heDu", "nosuchclass"]) == 2
     # class needing fixed points against an operator with none is a usage error
     assert main(["verify", "identity", "contraction:0.5"]) == 1
+    capsys.readouterr()
+    # an operator that declares no class: verify_class refuses the None class
+    bare = FixedPointMap(lambda x: x, WholeSpace(1), name="bare")
+    monkeypatch.setattr(cli, "operator_catalog", lambda: {"bare": bare})
+    assert main(["verify", "bare", "declared"]) == 2
+    assert capsys.readouterr() == ("", "cannot verify: unsupported operator class None\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-3", "ten"])

@@ -19,7 +19,8 @@ from splitfp.diagnostics import (
     reexecute_high_precision,
 )
 from splitfp.config import build_spec_from_config
-from splitfp.operators import SequenceSpec, map_from_rule, operator_catalog, relax
+from splitfp.operators import (FixedPointMap, SequenceSpec, map_from_rule, operator_catalog,
+                               relax)
 from splitfp.presets import get_example, run_example
 from splitfp.problems import IterationTrace, SFFPEP, ProblemSpec, StoppingRule, TraceRecord
 from splitfp.projections import Ball, WholeSpace
@@ -294,3 +295,11 @@ def test_oracle_rejects_unsupported_problems():
         # matrix coupling and rule-free operators are outside the fragment
         reexecute_high_precision(get_example("adaptive_demo").spec,
                                  [1.0, 1.0, 1.0])
+    spec = get_example("scfpp_smallS").spec
+    with pytest.raises(OracleUnsupported,
+                       match="^the oracle re-executes one-dimensional runs only$"):
+        reexecute_high_precision(spec, [10.0, 1.0])
+    bare = FixedPointMap(lambda x: (x + 5.0) / 5.0, WholeSpace(1), name="bare")
+    with pytest.raises(OracleUnsupported,
+                       match="^T carries no portable scalar rule; cannot re-execute$"):
+        reexecute_high_precision(replace(spec, T=bare), [10.0])

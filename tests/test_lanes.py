@@ -199,7 +199,7 @@ def test_power_leaf_matches_the_array_loop(T):
                                   relax(operator_catalog()["identity"], 0.25)], ids=repr)
 def test_power_apply_takes_and_gives_a_float(T):
     # a float gives a float, the entry of the power of np.array([v]) by the
-    # array loop, also for an opaque map, which iterates its eval_fn's kernel
+    # array loop, also for an opaque map, which runs that array loop
     escapes = 0
     for k, v in enumerate(DOUBLES):
         n, check = 1 + k % 5, k % 3 == 0

@@ -31,6 +31,8 @@ from splitfp.operators import (
     Directed,
     FirmlyQuasiNonexpansive,
     StronglyMonotone,
+    TotalAsymStrictPseudocontraction,
+    TotalAsymptoticallyNonexpansive,
     TotalQuasiAsymptoticallyNonexpansive,
     _Lcg,
     class_from_token,
@@ -213,6 +215,65 @@ def test_power_apply_stops_at_a_bitwise_fixed_nan():
             assert len(evaluations) == 2
 
 
+def _float_outcome(T, n, v, check_domain):
+    """:func:`_outcome` of ``power_apply`` given the Python float v."""
+    try:
+        out = power_apply(T, n, v, check_domain=check_domain)
+    except (DomainEscape, ZeroDivisionError, DimensionMismatch) as err:
+        return type(err), str(err)
+    assert type(out) is float
+    return np.dtype(float), (1,), np.array([out]).tobytes()
+
+
+def test_an_opaque_1d_map_powers_by_its_array_loop():
+    # (x + 2)/3 without a rule, given a float or a one-element array: the
+    # bits of the array reference and of wqT's compiled loop, with at most n
+    # calls of eval_fn, and the same escape
+    calls = []
+
+    def third(x):
+        calls.append(x)
+        return (x + 2.0) / 3.0
+
+    opaque = FixedPointMap(third, WholeSpace(1))
+    wqT = map_from_rule(Rational1D([2.0, 1.0], [3.0]), WholeSpace(1))
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300,
+              -1.0, 2.0, math.nextafter(1.0, -math.inf), 1.0, math.nextafter(1.0, math.inf)]
+    escapes = 0
+    for v in values:
+        for n, check in itertools.product((1, 3, 60), (False, True)):
+            want = _outcome(power_apply_arrays, opaque, n, [v], check)
+            assert _outcome(power_apply, wqT, n, [v], check) == want, (v, n, check)
+            calls.clear()
+            assert _outcome(power_apply, opaque, n, [v], check) == want, (v, n, check)
+            assert len(calls) <= n
+            calls.clear()
+            assert _float_outcome(opaque, n, v, check) == want, (v, n, check)
+            assert len(calls) <= n
+            escapes += want[0] is DomainEscape
+    assert escapes > 0
+    with pytest.raises(DomainEscape, match=r"before application 1 of 2: \[inf\]$"):
+        power_apply(opaque, 2, math.inf)
+
+
+def test_an_opaque_1d_power_stops_at_the_first_bitwise_fixed_image():
+    # x - x from inf is NaN, and NaN - NaN that NaN again; -x never fixes
+    # +-0.0, which == each other; (x + 2)/3 from 4 reaches 1 long before
+    # 10**6 applications
+    for f, v, n, applications in ((lambda x: x - x, math.inf, 50, 2),
+                                  (lambda x: -x, 0.0, 50, 50),
+                                  (lambda x: (x + 2.0) / 3.0, 4.0, 10**6, 36)):
+        calls = []
+        T = FixedPointMap(lambda x: calls.append(x) or f(x), WholeSpace(1))
+        with np.errstate(invalid="ignore"):
+            want = power_apply_arrays(T, n, np.array([v]), check_domain=False)
+            calls.clear()
+            got = power_apply(T, n, v, check_domain=False)
+        assert np.array([got]).tobytes() == want.tobytes()
+        assert len(calls) == applications
+    assert got == 1.0
+
+
 def _python_calls(f):
     """The names of the Python functions f() calls, in order (f not among them)."""
     calls = []
@@ -259,6 +320,19 @@ def test_compiled_power_escapes_the_line_at_the_same_application():
         assert escapes > 0
 
 
+def test_a_rule_map_refuses_a_point_of_more_than_one_entry():
+    # its default eval_fn reads its rule at one entry, and drops none
+    wqT = operator_catalog()["wqT"]
+    one_entry = r"^point of shape \(2,\) does not match map dimension 1$"
+    with pytest.raises(DimensionMismatch, match=one_entry):
+        wqT(np.array([1.0, 4.0]))
+    with pytest.raises(DimensionMismatch, match=one_entry):
+        power_apply(wqT, 3, np.array([1.0, 2.0]), check_domain=False)
+    with pytest.raises(DimensionMismatch,
+                       match="^point dimension 2 does not match set dimension 1$"):
+        power_apply(wqT, 3, np.array([1.0, 2.0]))
+
+
 def test_a_rule_map_needs_a_1d_domain():
     with pytest.raises(ValueError, match="a rule map is 1-D, but its domain has "
                                          "dimension 2"):
@@ -280,7 +354,8 @@ RULE_MAPS = ("heDu", "bigU", "smallS", "wqT", "wqU", "identity")
 @pytest.mark.parametrize("name", RULE_MAPS + ("relax(wqT, 0.3)", "browderPetryshyn",
                                               "wqT^2"))
 def test_power_apply_scalar_loop_matches_array_loop(name):
-    # rule maps, and opaque 1-D maps, which iterate their eval_fn's kernel
+    # rule maps, on their compiled float loop, and opaque 1-D maps, on the
+    # array loop
     cat = operator_catalog()
     T = {"relax(wqT, 0.3)": lambda: relax(cat["wqT"], 0.3),
          "wqT^2": lambda: power_map(cat["wqT"], 2)}.get(name, lambda: cat[name])()
@@ -360,11 +435,11 @@ def test_power_apply_array_loop_takes_an_odd_image(name, domain):
     assert np.dtype(np.float64) in kinds
 
 
-def test_power_apply_iterates_the_kernel_of_every_1d_map(monkeypatch):
+def test_power_apply_never_goes_through_call(monkeypatch):
     # every 1-D map has a ``kernel``: catalog maps and relaxed rule-backed
     # maps their rule's, an opaque closure map its eval_fn on a 1-element
-    # array; a map of more dimensions iterates its eval_fn, and no power
-    # goes through __call__
+    # array.  A rule map powers by its compiled loop, every other map, 1-D
+    # or not, iterates its eval_fn, and no power goes through __call__
     cat = operator_catalog()
     wqT = cat["wqT"]
     relaxed = relax(wqT, 0.3)
@@ -509,7 +584,7 @@ def test_rules_sequences_and_gauges_are_immutable():
     for obj, attr in ((r, "num"), (Piecewise1D(1.0, r, r), "breakpoint"),
                       (Relaxed1D(r, 0.5), "alpha"),
                       (SequenceSpec.const(0.5), "constant"),
-                      (Gauge("t^2"), "c")):
+                      (Gauge(), "c")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, attr, 0.0)
     r.eval_decimal(Decimal(2))
@@ -664,6 +739,44 @@ def test_sine_map_strict_pseudocontraction_witness():
     assert verify_class(T, Demicontractive(0.0), samples=1000, seed=1).passed
 
 
+# (a class built from a sequence out of range at some n >= 1, its message)
+OUT_OF_RANGE_SEQUENCES = [
+    (lambda: TotalQuasiAsymptoticallyNonexpansive(
+        SequenceSpec.table([0.0] * 60 + [-1.0], 0.0), SequenceSpec.const(0.0), Gauge()),
+     "v_n must be nonnegative (n=60)"),
+    (lambda: AsymptoticallyNonexpansive(SequenceSpec.table([1.0] * 60 + [0.5], 1.0)),
+     "AsymptoticallyNonexpansive k_n must be >= 1 (n=60 gives 0.5)"),
+    # a tail past the table, a formula from n = 1 on, and a constant
+    (lambda: TotalAsymptoticallyNonexpansive(
+        SequenceSpec.const(0.0), SequenceSpec.table([0.0] * 3, -0.5), Gauge()),
+     "mu_n must be nonnegative (n=3)"),
+    (lambda: AsymptoticallyQuasiNonexpansive(SequenceSpec.from_formula("1/(n+1)")),
+     "AsymptoticallyQuasiNonexpansive t_n must be >= 1 (n=1 gives 0.5)"),
+    (lambda: TotalAsymStrictPseudocontraction(
+        0.0, SequenceSpec.const(0.0), SequenceSpec.const(-1e-300), Gauge()),
+     "xi_n must be nonnegative (n=1)"),
+]
+
+
+@pytest.mark.parametrize("make, message", OUT_OF_RANGE_SEQUENCES,
+                         ids=[message for _, message in OUT_OF_RANGE_SEQUENCES])
+def test_a_class_sequence_is_checked_at_every_power(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_a_class_sequence_is_not_checked_before_the_first_power():
+    # powers start at n = 1, so a table's entry 0 is never read, and the
+    # sequences a class implies (k_n^2, then t_n - 1) are in range with it
+    k = SequenceSpec.table([0.0, 1.5, 1.0], 1.0)
+    cls = AsymptoticallyNonexpansive(k)
+    assert [c.__class__.__name__ for c in cls.implied()] == [
+        "AsymptoticallyNonexpansive", "AsymptoticallyQuasiNonexpansive",
+        "TotalQuasiAsymptoticallyNonexpansive"]
+    assert [cls.total_quasi.v_seq(n) for n in range(1, 4)] == [1.25, 0.0, 0.0]
+
+
 def test_identity_passes_zero_parameter_classes():
     ident = operator_catalog()["identity"]
     from splitfp.operators import (
@@ -690,15 +803,34 @@ def test_identity_passes_zero_parameter_classes():
         Directed(),
         AsymptoticallyNonexpansive(one),
         AsymptoticallyQuasiNonexpansive(one),
-        TotalAsymptoticallyNonexpansive(zero, zero, Gauge("t^2")),
-        TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge("t^2")),
-        TotalAsymStrictPseudocontraction(0.0, zero, zero, Gauge("t^2")),
+        TotalAsymptoticallyNonexpansive(zero, zero, Gauge()),
+        TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge()),
+        TotalAsymStrictPseudocontraction(0.0, zero, zero, Gauge()),
         Lipschitzian(1.0),
         UniformlyLipschitzian(1.0),
         StronglyMonotone(1.0),
     ]
     for cls in classes:
         assert verify_class(ident, cls, samples=200, seed=3).passed, cls
+
+
+def test_a_box_beyond_the_sampling_window_is_sampled_near_its_nearest_end():
+    # the window [-10, 10] misses the box: the samples re-centre on the
+    # box's end nearest the window, over at most 2 * scale
+    assert operators._sample_interval(20.0, 30.0, 0.5, 10.0) == 25.0
+    assert operators._sample_interval(20.0, 100.0, 0.5, 10.0) == 30.0
+    assert operators._sample_interval(-30.0, -20.0, 0.5, 10.0) == -25.0
+    assert operators._sample_interval(-100.0, -20.0, 0.5, 10.0) == -30.0
+
+
+def test_a_near_pair_with_a_zero_direction_steps_along_the_first_axis():
+    # this LCG state draws exactly 0.5 second, so the direction 2u - 1 is 0,
+    # and z steps the first near offset, 1e-1 * scale, along the first axis
+    state = 10050053534331647390
+    first = _Lcg(state).next_double()
+    x, z = operators._sample_pair(WholeSpace(1), _Lcg(state), 1, 10.0)
+    assert x.tolist() == [-10.0 + 20.0 * first]
+    assert z.tolist() == [x[0] + 1.0]
 
 
 def test_report_serialization_lists_every_sample():
@@ -721,7 +853,7 @@ def test_verify_orbits_that_stop_early_give_the_full_orbit_records(
     T = operator_catalog()[name]
     zero = SequenceSpec.const(0.0)
     cls, samples = ((T.declared_class, 1000) if claimed == "declared" else
-                    (TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge("t^2")), 300))
+                    (TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge()), 300))
     for seed in (1, 2, 3):
         got = verify_class(T, cls, samples=samples, seed=seed)
         with monkeypatch.context() as m:
@@ -850,7 +982,7 @@ def test_stacked_verify_gives_the_records_of_the_row_loop(name, claimed):
     cls, samples = {
         "declared": (T.declared_class, 1000),
         "total_quasi": (T.declared_class.total_quasi
-                        or TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge("t^2")),
+                        or TotalQuasiAsymptoticallyNonexpansive(zero, zero, Gauge()),
                         300),
         "nonexpansive": (Nonexpansive(), 300),
     }[claimed]
@@ -864,7 +996,7 @@ def test_stacked_verify_gives_the_records_of_the_row_loop(name, claimed):
 
 def test_stacked_verify_takes_the_first_worst_case_and_never_a_nan_margin():
     cls = TotalQuasiAsymptoticallyNonexpansive(
-        SequenceSpec.const(0.0), SequenceSpec.const(0.0), Gauge("t^2"))
+        SequenceSpec.const(0.0), SequenceSpec.const(0.0), Gauge())
     # x -> x^2 fixes 0 and 1; at x = 0 and x = 1 every case has margin 0,
     # so the first case (p = 1, n = 1) stays
     T = map_from_rule(Rational1D([0.0, 0.0, 1.0], [1.0]), WholeSpace(1),
@@ -972,17 +1104,17 @@ def test_power_inequalities_first_row_values():
 def test_total_quasi_view_of_each_class():
     t_seq = SequenceSpec.from_formula("1+1/(n+1)^2")
     zero = SequenceSpec.const(0.0)
-    tqan = TotalQuasiAsymptoticallyNonexpansive(t_seq, zero, Gauge("t^2"))
+    tqan = TotalQuasiAsymptoticallyNonexpansive(t_seq, zero, Gauge())
     assert tqan.total_quasi is tqan
     assert QuasiNonexpansive().total_quasi == TotalQuasiAsymptoticallyNonexpansive(
-        zero, zero, Gauge("t^2"))
+        zero, zero, Gauge())
     view = AsymptoticallyQuasiNonexpansive(t_seq).total_quasi
     assert [view.v_seq(n) for n in range(30)] == [t_seq(n) - 1.0 for n in range(30)]
-    assert (view.mu_seq, view.gauge) == (zero, Gauge("t^2"))
+    assert (view.mu_seq, view.gauge) == (zero, Gauge())
     # nonexpansive -> quasi-nonexpansive, and contraction -> nonexpansive
     for cls in (Nonexpansive(), Contraction(0.5)):
         assert cls.total_quasi == TotalQuasiAsymptoticallyNonexpansive(
-            zero, zero, Gauge("t^2"))
+            zero, zero, Gauge())
     assert Demicontractive(0.0).total_quasi is None
 
 
@@ -1022,7 +1154,7 @@ def test_every_class_a_declaration_implies_verifies(name):
 
 def test_the_walk_visits_each_implied_class_once_nearest_first():
     tqan = TotalQuasiAsymptoticallyNonexpansive(
-        SequenceSpec.const(0.0), SequenceSpec.const(0.0), Gauge("t^2"))
+        SequenceSpec.const(0.0), SequenceSpec.const(0.0), Gauge())
     assert list(Contraction(0.5).implied()) == [
         Contraction(0.5), Nonexpansive(), QuasiNonexpansive(), tqan]
     # firmly quasi-nonexpansive <=> directed: the cycle is walked once

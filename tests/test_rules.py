@@ -1,14 +1,16 @@
 """Float and array kernels of scalar rules: the same IEEE operations as
 the rule."""
 
+import json
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from splitfp import config
 from splitfp.operators import _Lcg, operator_catalog
-from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D, kernel_power
+from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 
 TINY = 5e-324                      # smallest subnormal
 EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, TINY, -TINY, 2.5e-310,
@@ -232,41 +234,10 @@ def test_checked_power_kernel_escapes_before_a_point_outside():
     assert escapes[-1] == (2, 5, 432.0)
 
 
-def test_kernel_power_iterates_an_opaque_kernel_like_a_rule():
-    calls = []
-
-    def third(v):
-        calls.append(v)
-        return (v + 2.0) / 3.0
-
-    rule = CATALOG_RULES["wqT"]
-    for v in EDGES + _around(1.0):
-        for n in (1, 3, 60):
-            calls.clear()
-            assert _bits(lambda v: kernel_power(third)(v, n), v) == _bits(
-                lambda v: rule.power_kernel()(v, n), v), (v, n)
-            assert len(calls) <= n
-    with pytest.raises(ValueError):
-        kernel_power(third, math.isfinite, lambda i, n, v: ValueError(i))(math.inf, 2)
-
-
-def test_kernel_power_stops_at_the_first_bitwise_fixed_image():
-    # each loop has the exit of every other: x - x from inf is NaN, and NaN -
-    # NaN that NaN again; -x never fixes +-0.0, which == each other
-    calls = []
-
-    def counted(f):
-        def kernel(v):
-            calls.append(v)
-            return f(v)
-        return kernel
-
-    for f, v, n, applications in ((lambda v: v - v, math.inf, 50, 2),
-                                  (lambda v: -v, 0.0, 50, 50)):
-        calls.clear()
-        got = kernel_power(counted(f))(v, n)
-        assert _bits(lambda v: got, v) == _bits(lambda v: _iterated(f, v, n), v)
-        assert len(calls) == applications
-    calls.clear()
-    assert kernel_power(counted(lambda v: (v + 2.0) / 3.0))(4.0, 10**6) == 1.0
-    assert len(calls) < 100
+@pytest.mark.parametrize("rule", [CATALOG_RULES["heDu"], CATALOG_RULES["wqU"], OPEN_STEP],
+                         ids=repr)
+def test_a_rule_round_trips_through_its_config(rule):
+    # a rule map's config, read back as an inline operator, holds an equal rule
+    doc = rule.to_config()
+    assert json.loads(json.dumps(doc)) == doc
+    assert config._operator(doc, "T", {}).rule == rule

@@ -148,6 +148,9 @@ def test_apply_identity_and_scalar():
     A = LinearMap([[2.0]])
     assert A.apply([5.0])[0] == 10.0
     assert A.apply_adjoint([7.0])[0] == 14.0
+    # a scalar is a 1x1 matrix, and a vector one row
+    assert LinearMap(2.0).matrix.tolist() == [[2.0]]
+    assert LinearMap([1.0, 2.0]).matrix.tolist() == [[1.0, 2.0]]
 
 
 def test_apply_derived_matrix():
@@ -169,6 +172,9 @@ def test_estimate_norm_squared_values():
     assert_allclose(estimate_norm_squared(A), expected, rtol=1e-9)
     # cached and surfaced as a norm bound
     assert A.norm_bound == pytest.approx(np.sqrt(expected), rel=1e-9)
+    # the all-ones start lies in the kernel of A^T A = [[1, -1], [-1, 1]]:
+    # the iteration restarts along the first axis
+    assert estimate_norm_squared(LinearMap([[1.0, -1.0]])) == 2.0000000000000004
 
 
 def test_estimate_norm_squared_caches_only_the_default_estimate():
