@@ -32,9 +32,9 @@ from .config import (_FIELD, _KINDS, _PROBLEM_TYPES, _object, _string, _vector,
 from .diagnostics import FejerOverflow, fejer_check
 from .operators import (CLASS_TOKENS, ClassMismatch, class_from_token, operator_catalog,
                         verify_class)
-from .problems import FAMILIES, IterationTrace, StoppingRule, TraceRecord, ValidationError
+from .problems import FAMILIES, IterationTrace, StoppingRule, ValidationError
 from .solvers import SolverError, run
-from .spaces import norm
+from .spaces import row_norms
 
 __all__ = ["main", "write_trace_csv", "parse_trace_csv", "write_trace_json",
            "write_residual_svg", "build_spec_from_config"]
@@ -115,17 +115,15 @@ _fmt = "%.17g".__mod__   # 17 significant digits: every double round-trips
 
 def _vector_slots(trace):
     """The vector slots of a trace in column order, each with its dimension."""
-    first = trace.records[0]
-    slots = [("x", first.x.shape[0])]
-    if first.y is not None:
-        slots.append(("y", first.y.shape[0]))
-    # each intermediate has the dimension of the first record holding it,
-    # else of its block; a parsed trace has no family, so x's
+    cols = trace.columns
+    slots = [(slot, cols[slot].shape[1]) for slot in ("x", "y") if slot in cols]
+    # an intermediate no record holds has the dimension of its block; a
+    # parsed trace has no family, so x's
     family = FAMILIES.get(trace.family)
     y_block = family.y_block if family else ""
     for slot in trace.intermediates:
-        held = (v for v in (getattr(rec, slot) for rec in trace.records) if v is not None)
-        slots.append((slot, next(held, first.y if slot in y_block else first.x).shape[0]))
+        held = cols.get(slot, cols["y" if slot in y_block else "x"])
+        slots.append((slot, held.shape[1]))
     return slots
 
 
@@ -137,23 +135,29 @@ def _trace_columns(trace):
                    "cut_count"]
 
 
+def _values(trace, name, entry=None):
+    """One field's values over the records (entry ``entry`` of a vector
+    field's), None where a record lacks it."""
+    col = trace.columns.get(name)
+    if col is None:
+        return [None] * len(trace)
+    values = (col if entry is None else col[:, entry]).tolist()
+    for i in np.flatnonzero(trace.absent.get(name, ())):
+        values[i] = None
+    return values
+
+
 def _trace_cells(trace):
-    """Each record's cells, in the order of :func:`_trace_columns`."""
-    slots = _vector_slots(trace)
-    for rec in trace.records:
-        cells = [str(rec.n)]
-        for slot, dim in slots:
-            vec = getattr(rec, slot)
-            if vec is None:
-                cells += [""] * dim
-            else:
-                values = vec.tolist()
-                cells += [_fmt(values[i]) for i in range(dim)]
-        cells += ["" if v is None else _fmt(v)
-                  for v in (rec.step, rec.residual_primary, rec.residual_coupling,
-                            rec.dist_to_target)]
-        cells.append("" if rec.cut_count is None else str(rec.cut_count))
-        yield cells
+    """Each record's cells, in the order of :func:`_trace_columns`.  A count
+    (``n``, ``cut_count``) is held as a float, which ``_fmt`` writes as the
+    integer."""
+    columns = [_values(trace, "n")]
+    columns += [_values(trace, slot, i) for slot, dim in _vector_slots(trace)
+                for i in range(dim)]
+    columns += [_values(trace, name) for name in ("step", "residual_primary",
+                                                  "residual_coupling", "dist_to_target",
+                                                  "cut_count")]
+    return zip(*(["" if v is None else _fmt(v) for v in column] for column in columns))
 
 
 def write_trace_csv(trace, path):
@@ -167,29 +171,27 @@ def parse_trace_csv(path):
     """Read back a trace CSV; float cells round-trip exactly."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.split("\n") if ln]
-    cols = lines[0].split(",")
+    header = lines[0].split(",")
+    table = list(zip(*(ln.split(",") for ln in lines[1:]))) or [()] * len(header)
+    cells = dict(zip(header, table))
+
+    def floats(column):
+        return [None if c == "" else float(c) for c in column]
+
     vector_slots = {}   # slot -> dimension
-    for col in cols:
+    for col in header:
         name, _, idx = col.rpartition("_")
         if name and idx.isdigit():
             vector_slots[name] = max(vector_slots.get(name, 0), int(idx) + 1)
-    records = []
-    for ln in lines[1:]:
-        cells = dict(zip(cols, ln.split(",")))
-        vectors = {}
-        for name, dim in vector_slots.items():
-            vals = [cells["%s_%d" % (name, i)] for i in range(dim)]
-            vectors[name] = None if "" in vals else np.array([float(v) for v in vals])
-        scalars = {col: None if cells.get(col, "") == "" else float(cells[col])
-                   for col in ("step", "residual_primary", "residual_coupling",
-                               "dist_to_target")}
-        count = cells.get("cut_count", "")
-        records.append(TraceRecord(
-            int(cells["n"]), **{slot: vectors.get(slot) for slot in "xyuzwr"},
-            **scalars, cut_count=None if count == "" else int(count)))
+    values = {"n": floats(cells["n"])}
+    for name, dim in vector_slots.items():
+        entries = zip(*(floats(cells["%s_%d" % (name, i)]) for i in range(dim)))
+        values[name] = [None if None in row else row for row in entries]
+    for name in ("step", "residual_primary", "residual_coupling", "dist_to_target",
+                 "cut_count"):
+        values[name] = floats(cells.get(name, ()))
     intermediates = tuple(s for s in ("u", "z", "w", "r") if s in vector_slots)
-    return IterationTrace(family="parsed", records=records,
-                          intermediates=intermediates)
+    return IterationTrace(family="parsed", intermediates=intermediates, values=values)
 
 
 def write_trace_json(trace, path):
@@ -206,11 +208,9 @@ def write_trace_json(trace, path):
 
 def write_residual_svg(trace, path, width=640, height=400):
     """Self-contained SVG line chart of log10(residual) against n."""
-    pts = [
-        (rec.n, rec.residual_primary)
-        for rec in trace.records
-        if rec.residual_primary is not None
-    ]
+    pts = [(n, r) for n, r in zip(trace.columns["n"].astype(int).tolist(),
+                                  _values(trace, "residual_primary"))
+           if r is not None]
     floor = 1e-300
     series = [(n, math.log10(max(r, floor))) for n, r in pts]
     margin = 50
@@ -297,9 +297,9 @@ def cmd_run(args):
             summary["fejer"] = {"monotone": report.monotone,
                                 "max_uptick": report.max_uptick,
                                 "first_violation": report.first_violation}
-    if trace.records[0].cut_count is not None:
-        x0 = trace.records[0].x
-        departures = [norm(rec.x - x0) for rec in trace.records]
+    if "cut_count" in trace.columns:
+        xs = trace.columns["x"]
+        departures = row_norms(xs - xs[0])
         summary["departure_from_start"] = {
             "non_decreasing": all(
                 b >= a - 1e-12 for a, b in zip(departures, departures[1:])
@@ -336,17 +336,14 @@ def cmd_reproduce(args):
         print("unknown table id %r (use t1..t4)" % table, file=sys.stderr)
         return _EXIT_CONFIG
     example = presets.get_example(_TABLE_IDS[table])
-    trace = example.run()
+    cols = example.run().columns
+    xs, ys = cols["x"][:, 0].tolist(), cols["y"][:, 0].tolist()
     print("n x_n y_n")
-    for rec in trace.records:
-        print(
-            "%d %s %s"
-            % (rec.n, _format_sig10(rec.x[0]), _format_sig10(rec.y[0]))
-        )
+    print("\n".join("%d %s %s" % (n, _format_sig10(x), _format_sig10(y))
+                    for n, x, y in zip(cols["n"].tolist(), xs, ys)))
     failures = []
     for row in example.expected:
-        rec = trace.records[row.n]
-        got = (rec.x[0],) if len(row.values) == 1 else (rec.x[0], rec.y[0])
+        got = (xs[row.n],) if len(row.values) == 1 else (xs[row.n], ys[row.n])
         for g, want, tol in zip(got, row.values, row.tolerances):
             if abs(g - want) > tol:
                 failures.append((row.n, want, g, abs(g - want)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .problems import SCFPP, SCFPP_ADAPTIVE, SCFPEP, SFFPEP, SYNCHRONAL_VIP
 from .projections import Box, Halfspace, Intersection, WholeSpace
-from .spaces import _vector, norm
+from .spaces import _vector, row_norms
 
 __all__ = [
     "FejerReport",
@@ -54,17 +54,18 @@ class FejerOverflow(OverflowError):
 
 
 def _trace_distances(trace, target):
-    if trace.records[0].y is None:
-        x_ref = _vector(target)
-        return [norm(r.x - x_ref) for r in trace.records]
-    x_ref, y_ref = _vector(target[0]), _vector(target[1])
+    cols = trace.columns
+    if "y" not in cols:
+        return row_norms(cols["x"] - _vector(target))
+    dx = row_norms(cols["x"] - _vector(target[0]))
+    dy = row_norms(cols["y"] - _vector(target[1]))
 
-    def squared(r):   # float ** raises OverflowError beyond the largest double
+    def squared(a, b):   # float ** raises OverflowError beyond the largest double
         try:
-            return norm(r.x - x_ref) ** 2 + norm(r.y - y_ref) ** 2
+            return a ** 2 + b ** 2
         except OverflowError:
             return np.inf
-    return [squared(r) for r in trace.records]
+    return list(map(squared, dx, dy))
 
 
 def fejer_check(trace, target, slack=1e-10):
@@ -75,12 +76,12 @@ def fejer_check(trace, target, slack=1e-10):
     monotone iff every step satisfies d_{n+1} <= d_n + slack.  A distance
     beyond the largest double raises :class:`FejerOverflow`.
     """
-    if len(trace.records) < 2:
+    if len(trace) < 2:
         raise ValueError("need at least two records")
     with np.errstate(over="ignore"):   # x - x* of two finite states can overflow
         d = _trace_distances(trace, target)
     if np.inf in d:
-        raise FejerOverflow(trace.records[d.index(np.inf)].n)
+        raise FejerOverflow(int(trace.columns["n"][d.index(np.inf)]))
     first = None
     max_uptick = 0.0
     for n in range(len(d) - 1):

@@ -11,7 +11,7 @@ reference configurations knowingly sit outside the theoretical ranges and
 disable enforcement).
 """
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -400,7 +400,8 @@ class StoppingRule:
 
 @dataclass
 class TraceRecord:
-    """One iteration snapshot.  Intermediate slots are family-specific:
+    """One iteration snapshot, as :class:`IterationTrace` reads it out of
+    its columns or takes it in.  Intermediate slots are family-specific:
 
     - sffpep/scfpep: z, w from the x block; u, r from the y block
     - scfpp/scfpp_adaptive: u is the adjoint-corrected point
@@ -423,16 +424,96 @@ class TraceRecord:
     cut_count: int | None = None
 
 
-@dataclass
-class IterationTrace:
-    family: str
-    records: list
-    stop_reason: str = "max_iters"
-    intermediates: tuple = ()   # which of u/z/w/r this family fills
+_FIELDS = tuple(f.name for f in fields(TraceRecord))
+_VECTORS = ("x", "y", "u", "z", "w", "r")
+_COUNTS = ("n", "cut_count")   # read back as ints
+
+
+def _columns(values):
+    """The columns and absent masks of :class:`IterationTrace` from
+    ``values``: each field's values over the records (a list or tuple), None
+    where a record has none, and a float as a 1-D point.  A field no record
+    holds gets no column; ``n`` always gets one."""
+    columns, absent = {}, {}
+    for name, column in values.items():
+        last = column[-1] if len(column) else None   # tested first: counting is slow
+        if name != "n" and last is None and column.count(None) == len(column):
+            continue   # no record holds the field
+        shape = ()
+        if name in _VECTORS:
+            shape = np.shape(next(v for v in column if v is not None)) or (1,)
+        try:
+            col = np.array(column, dtype=float)   # a None becomes NaN
+        except ValueError:   # arrays with a None among them
+            fill = np.full(shape, np.nan)
+            col = np.array([fill if v is None else v for v in column], dtype=float)
+        columns[name] = col = col.reshape(len(column), *shape)
+        # a None is among the NaNs, and only a None there is absent
+        nan = np.isnan(col).any(axis=tuple(range(1, col.ndim)))
+        holes = [i for i in np.flatnonzero(nan) if column[i] is None]
+        if holes:
+            absent[name] = np.zeros(len(column), dtype=bool)
+            absent[name][holes] = True
+    for a in (*columns.values(), *absent.values()):
+        a.flags.writeable = False
+    return columns, absent
+
+
+class IterationTrace(Sequence):
+    """A run's records, held as columns.
+
+    ``columns`` maps each field the records hold to one read-only float64
+    array: (N,) for ``n``, ``step``, both residuals, ``dist_to_target`` and
+    ``cut_count``, (N, d) for x, y and the intermediates (``intermediates``
+    names the family's).  A field no record holds has no column, and
+    ``absent`` maps one that some records lack (record 0's step) to a mask,
+    True at those records, whose column entries are NaN.  The trace is a
+    sequence of records, ``records`` a view of it: reading record i builds
+    its :class:`TraceRecord`, its vectors read-only rows of the columns, its
+    scalars ints (``n``, ``cut_count``) and floats, None where absent; a
+    slice or an iteration reads its part of each column once.  Built from
+    records, or from ``values`` (see :func:`_columns`).
+    """
+
+    def __init__(self, family, records=(), stop_reason="max_iters", intermediates=(),
+                 values=None):
+        self.family = family
+        self.stop_reason = stop_reason
+        self.intermediates = tuple(intermediates)   # which of u/z/w/r this family fills
+        if values is None:
+            values = {name: [getattr(rec, name) for rec in records] for name in _FIELDS}
+        self.columns, self.absent = _columns(values)
+
+    def __len__(self):
+        return len(self.columns["n"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._read(i))
+        k = range(len(self))[i]   # an IndexError out of range
+        return next(self._read(slice(k, k + 1)))
+
+    def __iter__(self):
+        return self._read(slice(None))
+
+    def _read(self, rows):
+        """The records of the slice ``rows``, each built when it is drawn."""
+        fields = {}
+        for name, col in self.columns.items():
+            part = col[rows]
+            values = list(part) if part.ndim > 1 else part.tolist()   # rows are views
+            if name in self.absent:
+                for k in np.flatnonzero(self.absent[name][rows]):
+                    values[k] = None
+            if name in _COUNTS:
+                values = [None if v is None else int(v) for v in values]
+            fields[name] = values
+        return (TraceRecord(**dict(zip(fields, row))) for row in zip(*fields.values()))
+
+    @property
+    def records(self):
+        return self
 
     @property
     def final(self):
-        return self.records[-1]
-
-    def __len__(self):
-        return len(self.records)
+        return self[-1]

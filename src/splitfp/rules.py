@@ -247,11 +247,12 @@ class Piecewise1D(_Rule):
             "left_closed": self.left_closed,
         }
 
-    def __repr__(self):
-        return "Piecewise1D(breakpoint=%r, left=%r, right=%r)" % (
+    def __repr__(self):   # left_closed is shown only where it is False
+        return "Piecewise1D(breakpoint=%r, left=%r, right=%r%s)" % (
             self.breakpoint,
             self.left,
             self.right,
+            "" if self.left_closed else ", left_closed=False",
         )
 
 

@@ -16,11 +16,14 @@ Each step is written once, on its leaves: ``A.apply`` and
 ``power_apply``.  Each leaf takes a Python float as a 1-D point and gives a
 float with the bits of its array form's entry, so a run whose blocks are all
 1-D carries its state as floats, and any other run as arrays, through the
-same steps.  Trace records hold arrays either way.
+same steps.  The driver keeps one tuple of each state's values and builds
+the trace's columns once, when the run stops (see
+:class:`splitfp.problems.IterationTrace`).
 """
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .problems import (
     SFFPEP,
     SYNCHRONAL_VIP,
     IterationTrace,
-    TraceRecord,
     ValidationError,
 )
 from .projections import (
@@ -114,17 +116,27 @@ def _state(rec):
     return text + ", residual=%r" % rec.residual_primary
 
 
-def _check_finite(rec, last, n):
-    """Raise :class:`NonFiniteState` unless rec's iterates and residuals are finite."""
-    values = rec.x.tolist() + ([] if rec.y is None else rec.y.tolist())
-    values += [v for v in (rec.residual_primary, rec.residual_coupling)
-               if v is not None]
-    if all(map(math.isfinite, values)):
-        return
+def _finite(state):
+    """Whether a state's iterates and residuals are all finite."""
+    x, y, coupling = state.x, state.y, state.residual_coupling
+    if type(x) is float:   # a run on floats
+        blocks = math.isfinite(x) and (y is None or math.isfinite(y))
+    else:
+        blocks = np.isfinite(x).all() and (y is None or np.isfinite(y).all())
+    return (blocks and math.isfinite(state.residual_primary)
+            and (coupling is None or math.isfinite(coupling)))
+
+
+def _nonfinite(tail, n):
+    """The :class:`NonFiniteState` of iteration n, whose state is the last
+    record of ``tail``, a trace of it and the record before it (none when
+    the start is not finite)."""
+    *earlier, rec = tail
+    last = earlier[-1] if earlier else None
     before = ("the start" if last is None
               else "last finite state n=%d: %s" % (last.n, _state(last)))
-    raise NonFiniteState("iteration %d: non-finite state %s; %s"
-                         % (n, _state(rec), before), n, last)
+    return NonFiniteState("iteration %d: non-finite state %s; %s"
+                          % (n, _state(rec), before), n, last)
 
 
 @dataclass
@@ -421,35 +433,26 @@ def _family_steps():
     }
 
 
-def _record(state, n, ref, on_floats):
-    """The trace record of the state after n steps; a run on floats holds
-    each float as a 1-element array."""
-    x, y, slots = state.x, state.y, state.intermediates
-    if on_floats:
-        x, y = np.array([x]), None if y is None else np.array([y])
-        slots = {name: np.array([v]) for name, v in slots.items()}
-    return TraceRecord(
-        n=n,
-        x=x,
-        y=y,
-        **slots,
-        step=state.step,
-        residual_primary=state.residual_primary,
-        residual_coupling=state.residual_coupling,
-        dist_to_target=_distance_to_reference(ref, state.x, state.y),
-        cut_count=state.cut_count,
-    )
+# what the trace keeps of a state, as one tuple: these fields, then its
+# intermediates
+_ROW = ("x", "y", "step", "residual_primary", "residual_coupling", "cut_count")
+_row = attrgetter(*_ROW, "intermediates")
 
 
-def _finite_floats(state):
-    """Whether a float state's iterates and residuals are all finite: the
-    test of :func:`_check_finite`, read off the state's floats."""
-    return (math.isfinite(state.x) and (state.y is None or math.isfinite(state.y))
-            and math.isfinite(state.residual_primary)
-            and (state.residual_coupling is None or math.isfinite(state.residual_coupling)))
+def _trace(family, rows, dists, first, stop_reason=None):
+    """The trace of the states after ``first``, ``first`` + 1, ... steps,
+    given as ``rows`` (:data:`_row` of each) and their distances to the
+    reference (``dists``)."""
+    *columns, slots = zip(*rows)
+    values = {"n": np.arange(first, first + len(rows)), **dict(zip(_ROW, columns)),
+              "dist_to_target": dists}
+    for name in family.intermediates:
+        values[name] = [s.get(name) for s in slots]
+    return IterationTrace(family.name, stop_reason=stop_reason,
+                          intermediates=tuple(family.intermediates), values=values)
 
 
-# overflow and invalid operations are reported by _check_finite as a typed
+# overflow and invalid operations are reported by _finite and _nonfinite as a typed
 # NonFiniteState, so numpy's warnings about them are silenced
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run(spec, x0, y0=None, rule=None):
@@ -467,10 +470,11 @@ def run(spec, x0, y0=None, rule=None):
     many entries as its start; a NaN or infinite iterate or
     residual later raises :class:`NonFiniteState`, and a rule's pole a
     :class:`SolverError`.  A run whose blocks are all 1-D steps on Python
-    floats (see the module notes), with the same trace: it tests each state
-    for finiteness on its floats, and only a state that fails goes through
-    :func:`_check_finite`'s record-based check, which names the failure;
-    each record is built once, its floats wrapped as 1-element arrays.
+    floats (see the module notes), with the same trace.  The run keeps each
+    state's values (:data:`_row`) and builds the trace's columns once it
+    stops; it builds no :class:`~splitfp.problems.TraceRecord`, except the
+    records of a state that is not finite and of the one before it, which
+    :class:`NonFiniteState` names and keeps.
     """
     if rule is None:
         raise ValidationError("a stopping rule is required")
@@ -504,8 +508,9 @@ def run(spec, x0, y0=None, rule=None):
         state = start(spec, x, y)
     except (ZeroDivisionError, OverflowError) as err:
         raise _breakdown(err, 0) from err
-    records = [_record(state, 0, ref, on_floats)]
-    _check_finite(records[0], None, 0)
+    rows, dists = [_row(state)], [_distance_to_reference(ref, state.x, state.y)]
+    if not _finite(state):
+        raise _nonfinite(_trace(family, rows, dists, 0), 0)
     stop_reason = "max_iters"
     for n in range(rule.max_iters):
         try:
@@ -513,10 +518,11 @@ def run(spec, x0, y0=None, rule=None):
         except _STEP_FAILURES as err:
             raise _breakdown(err, n) from err
         last, state = state, result
-        records.append(_record(state, n + 1, ref, on_floats))
-        if not (on_floats and _finite_floats(state)):
-            _check_finite(records[-1], records[-2], n)
-        dist = records[-1].dist_to_target
+        dist = _distance_to_reference(ref, state.x, state.y)
+        rows.append(_row(state))
+        dists.append(dist)
+        if not _finite(state):
+            raise _nonfinite(_trace(family, rows[-2:], dists[-2:], n), n)
         if rule.residual_tol is not None and state.residual_primary <= rule.residual_tol:
             stop_reason = "residual_tol"
             break
@@ -526,9 +532,4 @@ def run(spec, x0, y0=None, rule=None):
         if rule.target_tol is not None and dist is not None and dist <= rule.target_tol:
             stop_reason = "target_tol"
             break
-    return IterationTrace(
-        family=spec.family,
-        records=records,
-        stop_reason=stop_reason,
-        intermediates=tuple(family.intermediates),
-    )
+    return _trace(family, rows, dists, 0, stop_reason)

@@ -14,6 +14,7 @@ __all__ = [
     "point",
     "inner",
     "norm",
+    "row_norms",
     "DimensionMismatch",
     "PowerIterationError",
     "LinearMap",
@@ -102,11 +103,25 @@ def norm(a):
     return r
 
 
+def row_norms(a):
+    """``[norm(row) for row in a]`` of a 2-D array, bit for bit.  A column
+    of 1-D points takes one pass: sqrt(v*v), or |v| where v*v overflows."""
+    if a.shape[1] != 1:
+        return [norm(row) for row in a]
+    v = a[:, 0]
+    with np.errstate(over="ignore"):
+        r = np.sqrt(v * v)
+    over = np.isinf(r) & np.isfinite(v)
+    r[over] = np.abs(v[over])
+    return r.tolist()
+
+
 class LinearMap:
     """Bounded linear operator given by a dense real matrix.
 
-    The adjoint is the transpose.  ``norm_bound`` is a write-once cache of
-    an upper bound on the operator norm, filled by
+    The adjoint is the transpose, bound once as a read-only view.
+    ``rows`` and ``cols`` are the matrix's shape.  ``norm_bound`` is a
+    write-once cache of an upper bound on the operator norm, filled by
     :func:`estimate_norm_squared`.  A 1x1 map takes a Python float v to
     ``0.0 + m*v``, its matmul's bits: the matmul sums from +0.0, turning a
     -0.0 product into +0.0.
@@ -124,16 +139,10 @@ class LinearMap:
             raise ValueError("matrix entries must be finite")
         self.matrix = m.copy()
         self.matrix.flags.writeable = False
+        self._adjoint = self.matrix.T
+        self.rows, self.cols = m.shape
         self._entry = float(m[0, 0]) if m.shape == (1, 1) else None
         self._norm_sq = None  # write-once: largest eigenvalue of A^T A
-
-    @property
-    def rows(self):
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self):
-        return self.matrix.shape[1]
 
     @property
     def norm_bound(self):
@@ -160,7 +169,7 @@ class LinearMap:
             raise DimensionMismatch(
                 "adjoint expects dimension %d, got %d" % (self.rows, z.shape[0])
             )
-        return self.matrix.T @ z
+        return self._adjoint @ z
 
     def __repr__(self):
         return "LinearMap(%dx%d)" % (self.rows, self.cols)

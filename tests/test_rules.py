@@ -241,3 +241,18 @@ def test_a_rule_round_trips_through_its_config(rule):
     doc = rule.to_config()
     assert json.loads(json.dumps(doc)) == doc
     assert config._operator(doc, "T", {}).rule == rule
+
+
+def test_a_piecewise_repr_shows_left_closed_only_where_it_is_false():
+    # the two rules differ at the breakpoint, and so do their reprs
+    left, right = Rational1D([0.0]), Rational1D([0.0, 2.0], [1.0, 1.0])
+    closed = Piecewise1D(1.0, left, right)
+    half_open = Piecewise1D(1.0, left, right, left_closed=False)
+    assert (closed(1.0), half_open(1.0)) == (0.0, 1.0)
+    assert repr(half_open) == repr(closed)[:-1] + ", left_closed=False)"
+    names = {"Piecewise1D": Piecewise1D, "Rational1D": Rational1D}
+    assert [eval(repr(rule), names) for rule in (closed, half_open)] == [closed, half_open]
+    # the default repr is as it was, so no pytest id built from a catalog rule moves
+    assert repr(closed) == repr(CATALOG_RULES["wqU"]) == (
+        "Piecewise1D(breakpoint=1.0, left=Rational1D(num=[0.0], den=[1.0]), "
+        "right=Rational1D(num=[0.0, 2.0], den=[1.0, 1.0]))")

@@ -161,6 +161,17 @@ def test_apply_derived_matrix():
         A.apply([1.0, 2.0, 3.0])
 
 
+def test_a_linear_map_names_both_dimensions_it_expects():
+    A = LinearMap(np.arange(6.0).reshape(2, 3))
+    assert (A.rows, A.cols) == (2, 3) and repr(A) == "LinearMap(2x3)"
+    assert A.apply([1.0, 0.0, 0.0]).tolist() == [0.0, 3.0]
+    assert A.apply_adjoint([1.0, 0.0]).tolist() == [0.0, 1.0, 2.0]
+    with pytest.raises(DimensionMismatch, match=r"^map expects dimension 3, got 2$"):
+        A.apply([1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match=r"^adjoint expects dimension 2, got 3$"):
+        A.apply_adjoint([1.0, 2.0, 3.0])
+
+
 def test_estimate_norm_squared_values():
     assert_allclose(estimate_norm_squared(LinearMap([[1.0]])), 1.0, rtol=1e-9)
     assert_allclose(

@@ -6,14 +6,17 @@ statement inside a function (nested functions and their classes included,
 docstrings excluded) counts, and it is reached when a line event fired at
 its first line.  Prints one ``path:line: source`` line per unreached
 statement, then the count.  Standard library only, apart from pytest,
-which runs the suite.
+which runs the suite.  Exits non-zero when the suite fails or, given
+``--max N``, when more than N statements are unreached.
 
     python tools/unreached.py            # the whole tier-1 suite
+    python tools/unreached.py --max 7    # fail above 7 unreached statements
     python tools/unreached.py -- -k cli  # extra arguments go to pytest
 
 Under the tracer the suite runs about three times slower than without it.
 """
 
+import argparse
 import ast
 import sys
 import threading
@@ -80,8 +83,12 @@ def _trace_suite(pytest_args):
 
 
 def main(argv):
-    pytest_args = argv[argv.index("--") + 1:] if "--" in argv else []
-    code, seen = _trace_suite(pytest_args)
+    split = argv.index("--") if "--" in argv else len(argv)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--max", type=int, default=None, metavar="N",
+                        help="exit 1 when more than N statements are unreached")
+    args = parser.parse_args(argv[:split])
+    code, seen = _trace_suite(argv[split + 1:])
     total, unreached = 0, []
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
@@ -95,6 +102,9 @@ def main(argv):
         print("%s:%d: %s" % (path, n, text))
     print("%d of %d statements inside src/ functions unreached (pytest exit %d)"
           % (len(unreached), total, code))
+    if args.max is not None and len(unreached) > args.max:
+        print("more than the %d allowed" % args.max)
+        return 1
     return 0 if code == 0 else 1
 
 
