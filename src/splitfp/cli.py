@@ -111,6 +111,7 @@ def _load_run_config(path, args):
 
 
 _fmt = "%.17g".__mod__   # 17 significant digits: every double round-trips
+_quoted = '"%.17g"'.__mod__   # the same, as a JSON string
 
 
 def _vector_slots(trace):
@@ -147,9 +148,10 @@ def _values(trace, name, entry=None):
     return values
 
 
-def _trace_cells(trace):
-    """Each record's cells, in the order of :func:`_trace_columns`.  A count
-    (``n``, ``cut_count``) is held as a float, which ``_fmt`` writes as the
+def _trace_cells(trace, fmt=_fmt, absent=""):
+    """Each record's cells, in the order of :func:`_trace_columns`: ``fmt``
+    of each value, and ``absent`` where a record lacks one.  A count (``n``,
+    ``cut_count``) is held as a float, which ``_fmt`` writes as the
     integer."""
     columns = [_values(trace, "n")]
     columns += [_values(trace, slot, i) for slot, dim in _vector_slots(trace)
@@ -157,7 +159,7 @@ def _trace_cells(trace):
     columns += [_values(trace, name) for name in ("step", "residual_primary",
                                                   "residual_coupling", "dist_to_target",
                                                   "cut_count")]
-    return zip(*(["" if v is None else _fmt(v) for v in column] for column in columns))
+    return zip(*([absent if v is None else fmt(v) for v in column] for column in columns))
 
 
 def write_trace_csv(trace, path):
@@ -194,16 +196,27 @@ def parse_trace_csv(path):
     return IterationTrace(family="parsed", intermediates=intermediates, values=values)
 
 
+def _json_list(items, indent):
+    """A list of encoded JSON items laid out as ``json.dumps(..., indent=2)``
+    lays it out ``indent`` spaces deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
 def write_trace_json(trace, path):
-    cols = _trace_columns(trace)
-    doc = {
-        "family": trace.family,
-        "stop_reason": trace.stop_reason,
-        "columns": cols,
-        "records": [[cell if cell != "" else None for cell in cells]
-                    for cells in _trace_cells(trace)],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    """The text of ``json.dumps(doc, indent=2)`` of the trace document
+    (family, stop reason, columns, and each record's cells as strings, null
+    where a record lacks one), built from the cells directly: a cell is
+    ``%.17g`` of a float in quotes, which needs no escaping."""
+    records = [_json_list(cells, 4) for cells in _trace_cells(trace, _quoted, "null")]
+    fields = (("family", json.dumps(trace.family)),
+              ("stop_reason", json.dumps(trace.stop_reason)),
+              ("columns", _json_list([json.dumps(c) for c in _trace_columns(trace)], 2)),
+              ("records", _json_list(records, 2)))
+    text = "{\n" + ",\n".join('  "%s": %s' % field for field in fields) + "\n}\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_residual_svg(trace, path, width=640, height=400):

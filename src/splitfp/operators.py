@@ -588,11 +588,14 @@ class FixedPointMap:
     ``eval_fn`` directly (see :func:`power_apply`).
     ``extra_classes`` lists additional regularity declarations beyond the
     primary one, e.g. a Lipschitz constant alongside a strong-monotonicity
-    modulus.
+    modulus.  ``rowwise`` says that ``eval_fn`` also takes an (S, d) stack
+    and maps each row with the bits it gives that row alone, so that
+    :meth:`_stack` makes one call.
     """
 
     def __init__(self, eval_fn, domain, declared_class=None,
-                 known_fixed_points=(), name=None, rule=None, extra_classes=()):
+                 known_fixed_points=(), name=None, rule=None, extra_classes=(),
+                 rowwise=False):
         kernel = None   # a map of more dimensions has none
         if rule is not None:
             kernel = rule.float_kernel()
@@ -602,6 +605,7 @@ class FixedPointMap:
         elif domain.dim == 1:
             kernel = lambda v: _vector(eval_fn(np.array([v]))).item()
         self.rule, self.kernel, self.eval_fn = rule, kernel, eval_fn
+        self.rowwise = rowwise
         self._array_kernel = None if rule is None else rule.array_kernel()
         self.domain = domain
         self.declared_class = declared_class
@@ -656,9 +660,12 @@ class FixedPointMap:
                 _array_power(self.eval_fn, self.domain, True))
 
     def _stack(self, V):
-        """T of each row of the (S, d) stack V: a rule's array kernel, compiled
-        once, evaluating a non-finite row again by the float kernel (so a
-        pole raises), else ``T(row)`` row by row."""
+        """T of each row of the (S, d) stack V: one call of a ``rowwise``
+        ``eval_fn``; a rule's array kernel, compiled once, evaluating a
+        non-finite row again by the float kernel (so a pole raises); else
+        ``T(row)`` row by row."""
+        if self.rowwise:
+            return self.eval_fn(V)
         if self._array_kernel is None:
             return np.array([self(row) for row in V])
         with np.errstate(all="ignore"):
@@ -857,8 +864,23 @@ class _Lcg:
     def next_double(self):
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
+    def next_doubles(self, k):
+        """The next k doubles as one array, the bits of k :meth:`next_double`
+        calls, and the state they leave.  The j-th state is
+        A^j s + C (1 + A + ... + A^(j-1)) mod 2^64, and ``uint64`` products
+        and sums wrap mod 2^64."""
+        powers = np.cumprod(np.full(k, self.A, dtype=np.uint64))   # A^1 .. A^k
+        sums = np.cumsum(np.concatenate([np.ones(min(k, 1), dtype=np.uint64),
+                                         powers[:-1]]))   # 1 + A + ... + A^(j-1)
+        states = powers * np.uint64(self.state) + np.uint64(self.C) * sums
+        if k:
+            self.state = int(states[-1])
+        return (states >> np.uint64(11)).astype(float) * (2.0 ** -53)
+
 
 def _sample_interval(lo, hi, u, scale):
+    """The doubles u (one, or an array of them) scaled into [lo, hi] clipped
+    to [-scale, scale], or to 2 * scale of it nearest the window."""
     lo_c = max(lo, -scale)
     hi_c = min(hi, scale)
     if lo_c > hi_c:
@@ -870,48 +892,73 @@ def _sample_interval(lo, hi, u, scale):
     return lo_c + u * (hi_c - lo_c)
 
 
-def sample_point(body, lcg, scale=10.0):
-    """Draw a point of ``body`` from the LCG stream.
+def _project_rows(body, X):
+    """``project(body, row)`` of each row of the (S, d) stack X, bit for bit.
 
-    Boxes sample coordinates uniformly inside bounds clipped to
-    [-scale, scale]; other bodies sample that window and project, so every
-    returned point is a member.
+    The whole space copies and a box clips the stack at once; a ball
+    measures every row by :func:`_norm`, which has the bits of
+    ``spaces.norm``; any other body is projected row by row.
     """
-    d = body.dim
+    if not body._defined:
+        return np.full(X.shape, np.nan)
+    if isinstance(body, (WholeSpace, Box)):
+        return body._project(X)
+    if isinstance(body, Ball):
+        with np.errstate(all="ignore"):   # NaN and inf rows, and the rows inside
+            D = X - body.center
+            dist = _norm(D)[:, None]
+            return np.where(dist <= body.radius, X,
+                            body.center + (body.radius / dist) * D)
+    return np.array([project(body, row) for row in X]).reshape(X.shape)
+
+
+def _points(body, U, scale):
+    """The points of ``body`` that the (S, d) block U of LCG doubles maps to.
+
+    Boxes scale each coordinate into bounds clipped to [-scale, scale];
+    other bodies scale the block into that window and project, so every
+    point is a member.
+    """
     if isinstance(body, Box):
-        return np.array(
-            [
-                _sample_interval(body.lower[i], body.upper[i], lcg.next_double(), scale)
-                for i in range(d)
-            ]
-        )
-    if isinstance(body, WholeSpace):
-        return np.array([-scale + 2 * scale * lcg.next_double() for _ in range(d)])
-    raw = np.array([-scale + 2 * scale * lcg.next_double() for _ in range(d)])
-    return project(body, raw)
+        return np.stack([_sample_interval(lo, hi, u, scale)
+                         for lo, hi, u in zip(body.lower, body.upper, U.T)], -1)
+    raw = -scale + 2 * scale * U
+    return raw if isinstance(body, WholeSpace) else _project_rows(body, raw)
+
+
+def _sample_points(body, lcg, count, scale):
+    """Draw ``count`` points of ``body`` from the LCG stream as one (count, d)
+    stack, each from the next d doubles."""
+    return _points(body, lcg.next_doubles(count * body.dim).reshape(count, body.dim), scale)
 
 
 _NEAR_OFFSETS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def _sample_pair(body, lcg, index, scale):
-    """Alternate far pairs (independent draws) with near pairs (small offsets).
+def _sample_pairs(body, lcg, count, scale):
+    """Draw ``count`` point pairs from the LCG stream as two (count, d)
+    stacks, each pair from the next 2d doubles: its first point from the
+    first d, then its partner from the other d.
 
-    Near pairs probe local Lipschitz-type violations that independent
-    uniform draws almost never hit.
+    Even pairs are far (two independent points), odd pairs near: the
+    partner steps a small offset from the first point along the direction
+    2u - 1 (the first axis where that is zero) and is projected back.  Near
+    pairs probe local Lipschitz-type violations that independent uniform
+    draws almost never hit.
     """
-    x = sample_point(body, lcg, scale)
-    if index % 2 == 0:
-        return x, sample_point(body, lcg, scale)
-    delta = _NEAR_OFFSETS[(index // 2) % len(_NEAR_OFFSETS)] * scale
-    direction = np.array([2.0 * lcg.next_double() - 1.0 for _ in range(body.dim)])
-    nd = norm(direction)
-    if nd == 0.0:
-        direction = np.zeros(body.dim)
-        direction[0] = 1.0
-        nd = 1.0
-    z = project(body, x + (delta / nd) * direction)
-    return x, z
+    U = lcg.next_doubles(count * 2 * body.dim).reshape(count, 2, body.dim)
+    X = _points(body, U[:, 0], scale)
+    Z = np.empty_like(X)
+    Z[0::2] = _points(body, U[0::2, 1], scale)
+    near = np.arange(1, count, 2)
+    delta = np.array(_NEAR_OFFSETS)[(near // 2) % len(_NEAR_OFFSETS)] * scale
+    direction = 2.0 * U[1::2, 1] - 1.0
+    nd = _norm(direction)
+    zero = nd == 0.0
+    direction[zero] = np.eye(body.dim)[0]
+    nd[zero] = 1.0
+    Z[1::2] = _project_rows(body, X[1::2] + (delta / nd)[:, None] * direction)
+    return X, Z
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +1032,13 @@ def _orbits(T, X, n_max):
     return stacks
 
 
+def _on_top(extra, stack):
+    """The given points as rows on top of the sampled stack."""
+    if not extra:
+        return stack
+    return np.concatenate([np.array([_vector(v) for v in extra]), stack])
+
+
 def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
                  scale=10.0, extra_points=(), extra_pairs=()):
     """Falsification-test a declared operator class by deterministic sampling.
@@ -998,12 +1052,16 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     instance (the first of equal margins; a NaN margin never replaces
     another); the report lists every violating sample with both sides.
 
-    The samples are drawn one by one, in the LCG's order, and then checked
-    as one (S, d) stack: :func:`_orbits` gives every power of the stack,
-    and ``claimed.sides`` is evaluated on whole stacks, with the bits a
-    single row gives.  Each orbit stops at its first bitwise-fixed iterate,
-    which gives every later power exactly, and the inequality is still
-    evaluated at every n.
+    The samples are built as whole stacks, with the bits and in the stream
+    order of drawing them one at a time: one block of LCG doubles
+    (:meth:`_Lcg.next_doubles`) is mapped into the domain at once, a box by
+    scaling, the whole space and a ball by scaling and a stacked projection
+    (any other body is projected row by row), and each pair takes 2d
+    doubles, near or far.  :func:`_orbits` gives every power of the (S, d)
+    stack through :meth:`FixedPointMap._stack`, and ``claimed.sides`` is
+    evaluated on whole stacks, with the bits a single row gives.  Each
+    orbit stops at its first bitwise-fixed iterate, which gives every later
+    power exactly, and the inequality is still evaluated at every n.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -1019,19 +1077,16 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     powers = range(1, (n_max if claimed.asymptotic else 1) + 1)
 
     if pairwise:
-        pairs = [(_vector(x), _vector(z)) for x, z in extra_pairs]
-        pairs += [_sample_pair(T.domain, lcg, i, scale) for i in range(samples)]
-        X = np.array([x for x, _ in pairs])
-        Z = np.array([z for _, z in pairs])
+        X, Z = _sample_pairs(T.domain, lcg, samples, scale)
+        X = _on_top([x for x, _ in extra_pairs], X)
+        Z = _on_top([z for _, z in extra_pairs], Z)
         xs, zs = _orbits(T, X, powers[-1]), _orbits(T, Z, powers[-1])
         # (n, each row's partner) of each case
         partners = Z.tolist()
         cases = [(n, partners) for n in powers]
         sides = (claimed.sides(X, Z, xs[n], zs[n], n) for n in powers)
     else:
-        points = [_vector(pt) for pt in extra_points]
-        points += [sample_point(T.domain, lcg, scale) for _ in range(samples)]
-        X = np.array(points)
+        X = _on_top(extra_points, _sample_points(T.domain, lcg, samples, scale))
         xs = _orbits(T, X, powers[-1])
         cases = [(n, [p.tolist()] * len(X))
                  for p in T.known_fixed_points for n in powers]
@@ -1080,6 +1135,7 @@ def scaled_negation(dim=3):
         declared_class=Demicontractive(3.0 / 7.0),
         known_fixed_points=(np.zeros(dim),),
         name="scaledNeg",
+        rowwise=True,
     )
 
 
@@ -1088,7 +1144,9 @@ def shift_square_ball_map(dim=4):
 
     The damping factors multiply to 1/2, making the iterate Lipschitz
     constants k_n = 2 * prod(a_2..a_n) decrease to 1: asymptotically
-    nonexpansive but not nonexpansive.
+    nonexpansive but not nonexpansive.  It maps a stack of points row by
+    row; x1^2 is ``np.float_power``, the libm ``pow`` of Python's
+    ``x1 ** 2``, on a single point and on a stack alike.
     """
     if dim < 3:
         raise ValueError("needs dimension >= 3")
@@ -1097,8 +1155,8 @@ def shift_square_ball_map(dim=4):
 
     def eval_fn(x):
         out = np.zeros(x.shape)
-        out[1] = x[0] ** 2
-        out[2:] = factors * x[1:-1]
+        out[..., 1] = np.float_power(x[..., 0], 2.0)
+        out[..., 2:] = factors * x[..., 1:-1]
         return out
 
     ks = [2.0]
@@ -1113,6 +1171,7 @@ def shift_square_ball_map(dim=4):
         declared_class=AsymptoticallyNonexpansive(k_seq),
         known_fixed_points=(np.zeros(dim),),
         name="ballMap",
+        rowwise=True,
     )
 
 

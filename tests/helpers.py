@@ -8,16 +8,23 @@ import numpy as np
 from splitfp import solvers
 
 from splitfp.operators import (
+    _NEAR_OFFSETS,
     CheckRecord,
     ClassReport,
     DomainEscape,
     FixedPointMap,
     _Lcg,
-    _sample_pair,
+    _sample_interval,
     power_apply,
-    sample_point,
 )
-from splitfp.projections import InfeasibleIntersection, ProjectionNoConvergence, contains
+from splitfp.projections import (
+    Box,
+    InfeasibleIntersection,
+    ProjectionNoConvergence,
+    WholeSpace,
+    contains,
+    project,
+)
 from splitfp.spaces import norm
 
 
@@ -72,12 +79,47 @@ def full_orbits(T, X, n_max):
     return [np.array(column) for column in zip(*(full_orbit(T, x, n_max) for x in X))]
 
 
+def sample_point(body, lcg, scale=10.0):
+    """Draw one point of ``body`` from the LCG stream, one double at a time:
+    the reference for ``operators._sample_points``.
+
+    Boxes sample coordinates uniformly inside bounds clipped to
+    [-scale, scale]; other bodies sample that window and project, so every
+    returned point is a member.
+    """
+    d = body.dim
+    if isinstance(body, Box):
+        return np.array([_sample_interval(body.lower[i], body.upper[i], lcg.next_double(),
+                                          scale) for i in range(d)])
+    raw = np.array([-scale + 2 * scale * lcg.next_double() for _ in range(d)])
+    return raw if isinstance(body, WholeSpace) else project(body, raw)
+
+
+def sample_pair(body, lcg, index, scale):
+    """Draw the pair of sample ``index`` one double at a time: the reference
+    for ``operators._sample_pairs``.  Even pairs are far (independent
+    draws), odd pairs near (a small offset from the first point)."""
+    x = sample_point(body, lcg, scale)
+    if index % 2 == 0:
+        return x, sample_point(body, lcg, scale)
+    delta = _NEAR_OFFSETS[(index // 2) % len(_NEAR_OFFSETS)] * scale
+    direction = np.array([2.0 * lcg.next_double() - 1.0 for _ in range(body.dim)])
+    nd = norm(direction)
+    if nd == 0.0:
+        direction = np.zeros(body.dim)
+        direction[0] = 1.0
+        nd = 1.0
+    z = project(body, x + (delta / nd) * direction)
+    return x, z
+
+
 def verify_class_rows(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
                       scale=10.0, extra_points=(), extra_pairs=()):
     """``operators.verify_class`` one sample at a time: the reference its
     stacked evaluation is compared with.
 
-    Each sample's orbit is evaluated at every power (:func:`full_orbit`),
+    Each sample is drawn by :func:`sample_point` or :func:`sample_pair`,
+    its orbit is evaluated at every power (:func:`full_orbit`),
     ``claimed.sides`` is called on single vectors, and each sample's worst
     case is picked with Python comparisons.
     """
@@ -89,7 +131,7 @@ def verify_class_rows(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
             tasks.append((np.atleast_1d(np.asarray(x, dtype=float)),
                           np.atleast_1d(np.asarray(z, dtype=float))))
         for i in range(samples):
-            tasks.append(_sample_pair(T.domain, lcg, i, scale))
+            tasks.append(sample_pair(T.domain, lcg, i, scale))
     else:
         for pt in extra_points:
             tasks.append((np.atleast_1d(np.asarray(pt, dtype=float)), None))

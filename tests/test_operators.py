@@ -41,7 +41,6 @@ from splitfp.operators import (
     operator_catalog,
     power_apply,
     relax,
-    sample_point,
     shift_square_ball_map,
     verify_class,
 )
@@ -51,7 +50,7 @@ from splitfp.rules import Piecewise1D, Rational1D, Relaxed1D
 from splitfp.spaces import DimensionMismatch, inner, norm
 
 from helpers import (full_orbit, full_orbits, power_apply_arrays, power_map,
-                     verify_class_rows)
+                     sample_pair, sample_point, verify_class_rows)
 from lemmas import (
     check_power_inequality_equivalences,
     strong_monotonicity_of_complement,
@@ -828,9 +827,136 @@ def test_a_near_pair_with_a_zero_direction_steps_along_the_first_axis():
     # and z steps the first near offset, 1e-1 * scale, along the first axis
     state = 10050053534331647390
     first = _Lcg(state).next_double()
-    x, z = operators._sample_pair(WholeSpace(1), _Lcg(state), 1, 10.0)
+    x, z = sample_pair(WholeSpace(1), _Lcg(state), 1, 10.0)
     assert x.tolist() == [-10.0 + 20.0 * first]
     assert z.tolist() == [x[0] + 1.0]
+    # the block sampler reaches that state after pair 0's two doubles: two
+    # LCG steps back from it, pair 1 is that near pair
+    inverse = pow(_Lcg.A, -1, 1 << 64)
+    for _ in range(2):
+        state = ((state - _Lcg.C) * inverse) & _Lcg.MASK
+    X, Z = operators._sample_pairs(WholeSpace(1), _Lcg(state), 2, 10.0)
+    assert X[1].tolist() == x.tolist() and Z[1].tolist() == z.tolist()
+    lcg = _Lcg(state)
+    pairs = [sample_pair(WholeSpace(1), lcg, i, 10.0) for i in range(2)]
+    assert np.array(pairs).tobytes() == np.stack([X, Z], 1).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# block draws, block sampling and stacked projection
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 1000, 8000])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345, 10050053534331647390])
+def test_block_draws_have_the_bits_and_state_of_single_draws(seed, k):
+    one, block = _Lcg(seed), _Lcg(seed)
+    want = np.array([one.next_double() for _ in range(k)], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # uint64 products wrap without a warning
+        got = block.next_doubles(k)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert block.state == one.state
+    # the stream goes on from the state a block leaves
+    assert block.next_doubles(3).tolist() == [one.next_double() for _ in range(3)]
+
+
+def _rows_project(body, X):
+    with np.errstate(all="ignore"):   # project warns on NaN and inf rows
+        return np.array([project(body, row) for row in X]).reshape(X.shape)
+
+
+@pytest.mark.parametrize("body", [
+    projections.Ball([1.0, -2.0, 0.5], 2.0),
+    projections.Ball([1.0, -2.0, 0.5], 0.0),
+    projections.Ball([1.0, -2.0, 0.5], math.inf),
+    projections.Ball([0.0, 0.0, 0.0], 1e-300),
+    projections.Ball([1.0, math.nan, 0.5], 2.0),
+    Box([-1.0, -math.inf, 0.0], [1.0, 2.0, math.inf]),
+    WholeSpace(3),
+], ids=repr)
+def test_stacked_projection_has_the_bits_of_project(body):
+    rows = [[1.0, -2.0, 0.5],        # the centre
+            [3.0, -2.0, 0.5],        # on the sphere of radius 2
+            [1.5, -1.0, 0.0],        # inside
+            [-0.0, 0.0, -0.0],
+            [7.0, 4.0, -3.0],        # outside
+            [math.nan, 0.0, 1.0],
+            [math.inf, 0.0, 1.0],
+            [-math.inf, 1.0, math.inf],
+            [1e200, -3e199, 1.0],    # a.a overflows: the scaled norm
+            [-1e200, 1e200, 1e200]]
+    X = np.array(rows + [list(r) for r in _seeded_rows(3, 50, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = operators._project_rows(body, X)
+    assert got.shape == X.shape
+    assert got.tobytes() == _rows_project(body, X).tobytes()
+    assert operators._project_rows(body, X[:0]).shape == (0, 3)
+
+
+def test_stacked_projection_onto_an_empty_box_raises_as_project_does():
+    empty = Box([math.inf], [math.inf])
+    with pytest.raises(projections.InfeasibleIntersection, match="is empty"):
+        project(empty, np.array([1.0]))
+    with pytest.raises(projections.InfeasibleIntersection, match="is empty"):
+        operators._project_rows(empty, np.array([[1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("body", [
+    Box([-1.0, 20.0], [1.0, 30.0]),
+    projections.Ball([0.0, 3.0], 1.5),
+    WholeSpace(2),
+    projections.Intersection([projections.Ball([0.0, 0.0], 4.0), Box([-1.0, -5.0],
+                                                                      [5.0, 5.0])]),
+], ids=repr)
+def test_block_sampling_has_the_bits_of_drawing_one_at_a_time(body):
+    # pairs alternate far and near over all four near offsets
+    for count in (0, 1, 2, 9):
+        lcg, one = _Lcg(count + 3), _Lcg(count + 3)
+        X, Z = operators._sample_pairs(body, lcg, count, 10.0)
+        want = [sample_pair(body, one, i, 10.0) for i in range(count)]
+        assert X.shape == Z.shape == (count, 2)
+        assert X.tobytes() == np.array([x for x, _ in want]).tobytes()
+        assert Z.tobytes() == np.array([z for _, z in want]).tobytes()
+        assert lcg.state == one.state
+        P = operators._sample_points(body, lcg, count, 10.0)
+        assert P.tobytes() == np.array([sample_point(body, one) for _ in range(count)]).tobytes()
+        assert lcg.state == one.state
+
+
+def test_verify_on_an_intersection_projects_row_by_row(monkeypatch):
+    # a domain neither a box, a ball nor the whole space takes the row loop
+    # of project, and gives the records of the one-at-a-time verifier
+    domain = projections.Intersection([projections.Ball([0.0, 0.0], 4.0),
+                                       Box([-1.0, -5.0], [5.0, 5.0])])
+    T = FixedPointMap(lambda x: 0.5 * x, domain, known_fixed_points=([0.0, 0.0],))
+    calls = []
+    monkeypatch.setattr(operators, "project",
+                        lambda body, x: calls.append(body) or project(body, x))
+    for cls, per_sample in ((Nonexpansive(), 2), (QuasiNonexpansive(), 1)):
+        del calls[:]
+        got = verify_class(T, cls, samples=40, seed=6)
+        assert calls == [domain] * (per_sample * 40)
+        want = verify_class_rows(T, cls, samples=40, seed=6)
+        assert got.records == want.records
+        assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("name", ["ballMap", "scaledNeg"])
+def test_a_rowwise_map_evaluates_a_stack_in_one_call_with_the_bits_of_each_row(name):
+    T = operator_catalog()[name]
+    assert T.rowwise
+    calls = []
+    counted = FixedPointMap(lambda x: calls.append(1) or T.eval_fn(x), T.domain,
+                            rowwise=True)
+    X = np.concatenate([_seeded_rows(11, 5000, T.dim),
+                        [[0.0] * T.dim, [-0.0] * T.dim, [math.nan] * T.dim]])
+    got = counted._stack(X)
+    assert len(calls) == 1
+    assert got.tobytes() == np.array([T(x) for x in X]).tobytes()
+    if name == "ballMap":
+        # x1^2 is libm pow, as on a single point; x1 * x1 rounds otherwise
+        assert (got[:, 1] != X[:, 0] * X[:, 0]).any()
 
 
 def test_report_serialization_lists_every_sample():
@@ -894,7 +1020,7 @@ def test_ball_map_orbit_stops_after_its_first_fixed_evaluation():
     ball = shift_square_ball_map()
     T, calls = _counting_map(ball.eval_fn, ball.domain)
     lcg = _Lcg(5)
-    X = np.array([operators.sample_point(ball.domain, lcg, 10.0) for _ in range(20)])
+    X = np.array([sample_point(ball.domain, lcg, 10.0) for _ in range(20)])
     costs = []
     for x in X:
         want = full_orbit(T, x, 20)

@@ -6,6 +6,7 @@ read, and a trace built from records holds the columns the run built.
 """
 
 import contextlib
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -13,8 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from splitfp import problems
-from splitfp.cli import build_spec_from_config, parse_trace_csv, write_trace_csv
+from splitfp import cli, problems
+from splitfp.cli import (build_spec_from_config, parse_trace_csv, write_trace_csv,
+                         write_trace_json)
 from splitfp.diagnostics import fejer_check
 from splitfp.presets import catalog, run_example
 from splitfp.problems import IterationTrace, StoppingRule, TraceRecord
@@ -77,6 +79,28 @@ def test_a_header_only_csv_parses_to_an_empty_trace(tmp_path):
     parsed = parse_trace_csv(path)
     assert len(parsed) == 0 and list(parsed.records) == []
     assert list(parsed.columns) == ["n"]
+
+
+def _json_dumps_text(trace):
+    """The trace document as ``json.dumps(..., indent=2)`` writes it."""
+    doc = {"family": trace.family, "stop_reason": trace.stop_reason,
+           "columns": cli._trace_columns(trace),
+           "records": [[cell or None for cell in cells] for cells in cli._trace_cells(trace)]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_the_json_writer_writes_the_text_of_json_dumps(tmp_path):
+    csv = tmp_path / "trace.csv"
+    csv.write_text("n,x_0\n")
+    records = [TraceRecord(0, np.array([1.0, -0.0]), residual_primary=math.nan),
+               TraceRecord(1, np.array([math.inf, 1e-310]), step=0.5, cut_count=4)]
+    traces = [run_example("bnm_t1"), run_example("extragradient_1d"),
+              run_example("scfpp_smallS"), parse_trace_csv(csv),
+              IterationTrace("t", records, stop_reason=None)]
+    for trace in traces:
+        write_trace_json(trace, tmp_path / "trace.json")
+        assert (tmp_path / "trace.json").read_text() == _json_dumps_text(trace)
+    assert _json_dumps_text(traces[3]).count("[]") == 1   # an empty trace's records
 
 
 # ---------------------------------------------------------------------------
