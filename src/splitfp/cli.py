@@ -128,24 +128,15 @@ def _vector_slots(trace):
     return slots
 
 
+# the scalar columns, after n and the vector entries
+_SCALARS = ("step", "residual_primary", "residual_coupling", "dist_to_target", "cut_count")
+
+
 def _trace_columns(trace):
     cols = ["n"]
     cols += ["%s_%d" % (slot, i) for slot, dim in _vector_slots(trace)
              for i in range(dim)]
-    return cols + ["step", "residual_primary", "residual_coupling", "dist_to_target",
-                   "cut_count"]
-
-
-def _values(trace, name, entry=None):
-    """One field's values over the records (entry ``entry`` of a vector
-    field's), None where a record lacks it."""
-    col = trace.columns.get(name)
-    if col is None:
-        return [None] * len(trace)
-    values = (col if entry is None else col[:, entry]).tolist()
-    for i in np.flatnonzero(trace.absent.get(name, ())):
-        values[i] = None
-    return values
+    return cols + list(_SCALARS)
 
 
 def _trace_cells(trace, fmt=_fmt, absent=""):
@@ -153,12 +144,10 @@ def _trace_cells(trace, fmt=_fmt, absent=""):
     of each value, and ``absent`` where a record lacks one.  A count (``n``,
     ``cut_count``) is held as a float, which ``_fmt`` writes as the
     integer."""
-    columns = [_values(trace, "n")]
-    columns += [_values(trace, slot, i) for slot, dim in _vector_slots(trace)
+    columns = [trace.field_values("n")]
+    columns += [trace.field_values(slot, i) for slot, dim in _vector_slots(trace)
                 for i in range(dim)]
-    columns += [_values(trace, name) for name in ("step", "residual_primary",
-                                                  "residual_coupling", "dist_to_target",
-                                                  "cut_count")]
+    columns += [trace.field_values(name) for name in _SCALARS]
     return zip(*([absent if v is None else fmt(v) for v in column] for column in columns))
 
 
@@ -189,8 +178,7 @@ def parse_trace_csv(path):
     for name, dim in vector_slots.items():
         entries = zip(*(floats(cells["%s_%d" % (name, i)]) for i in range(dim)))
         values[name] = [None if None in row else row for row in entries]
-    for name in ("step", "residual_primary", "residual_coupling", "dist_to_target",
-                 "cut_count"):
+    for name in _SCALARS:
         values[name] = floats(cells.get(name, ()))
     intermediates = tuple(s for s in ("u", "z", "w", "r") if s in vector_slots)
     return IterationTrace(family="parsed", intermediates=intermediates, values=values)
@@ -222,7 +210,7 @@ def write_trace_json(trace, path):
 def write_residual_svg(trace, path, width=640, height=400):
     """Self-contained SVG line chart of log10(residual) against n."""
     pts = [(n, r) for n, r in zip(trace.columns["n"].astype(int).tolist(),
-                                  _values(trace, "residual_primary"))
+                                  trace.field_values("residual_primary"))
            if r is not None]
     floor = 1e-300
     series = [(n, math.log10(max(r, floor))) for n, r in pts]
@@ -312,7 +300,7 @@ def cmd_run(args):
                                 "first_violation": report.first_violation}
     if "cut_count" in trace.columns:
         xs = trace.columns["x"]
-        departures = row_norms(xs - xs[0])
+        departures = row_norms(xs - xs[0]).tolist()
         summary["departure_from_start"] = {
             "non_decreasing": all(
                 b >= a - 1e-12 for a, b in zip(departures, departures[1:])

@@ -56,9 +56,9 @@ class FejerOverflow(OverflowError):
 def _trace_distances(trace, target):
     cols = trace.columns
     if "y" not in cols:
-        return row_norms(cols["x"] - _vector(target))
-    dx = row_norms(cols["x"] - _vector(target[0]))
-    dy = row_norms(cols["y"] - _vector(target[1]))
+        return row_norms(cols["x"] - _vector(target)).tolist()
+    dx = row_norms(cols["x"] - _vector(target[0])).tolist()
+    dy = row_norms(cols["y"] - _vector(target[1])).tolist()
 
     def squared(a, b):   # float ** raises OverflowError beyond the largest double
         try:

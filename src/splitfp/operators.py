@@ -25,7 +25,7 @@ import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
 from .rules import Piecewise1D, Rational1D, Relaxed1D
-from .spaces import DimensionMismatch, _vector, norm
+from .spaces import DimensionMismatch, _vector, norm, row_norms
 
 __all__ = [
     "SequenceSpec",
@@ -218,20 +218,12 @@ _QUADRATIC = Gauge()
 
 # The defining inequalities are written over stacks: arrays whose last axis
 # is the vector, a single vector being a stack with no leading axis.  Each
-# row gets the bits of ``spaces.norm``, ``spaces.inner`` and Python's float
-# ``t ** 2``: ``np.vecdot`` of a row is the BLAS ``a.dot(b)`` those use
-# (einsum and ``(a * a).sum(-1)`` may sum in another order), and Python's
-# ``t ** 2`` calls libm ``pow``, which ``np.float_power(t, 2.0)`` matches
-# and an array's ``t ** 2`` (``t * t``) does not.
-
-
-def _norm(a):
-    out = np.sqrt(np.vecdot(a, a))
-    if np.isinf(out).any():   # spaces.norm's scaled form, under verify_class's errstate
-        m = np.abs(a).max(-1)
-        s = a / m[..., None]
-        out = np.where(np.isinf(out) & np.isfinite(m), m * np.sqrt(np.vecdot(s, s)), out)[()]
-    return out
+# row gets the bits of ``spaces.norm`` (through ``spaces.row_norms``),
+# ``spaces.inner`` and Python's float ``t ** 2``: ``np.vecdot`` of a row is
+# the BLAS ``a.dot(b)`` those use (einsum and ``(a * a).sum(-1)`` may sum in
+# another order), and Python's ``t ** 2`` calls libm ``pow``, which
+# ``np.float_power(t, 2.0)`` matches and an array's ``t ** 2`` (``t * t``)
+# does not.
 
 
 def _sq(t):
@@ -321,7 +313,7 @@ class Contraction(OperatorClass, token="contraction", default=0.9):
     implies = property(lambda self: (Nonexpansive(),))
 
     def sides(self, x, z, tx, tz, n):
-        return _norm(tx - tz), self.k * _norm(x - z)
+        return row_norms(tx - tz), self.k * row_norms(x - z)
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,7 @@ class Nonexpansive(OperatorClass, token="nonexpansive"):
     implies = property(lambda self: (QuasiNonexpansive(),))
 
     def sides(self, x, z, tx, tz, n):
-        return _norm(tx - tz), _norm(x - z)
+        return row_norms(tx - tz), row_norms(x - z)
 
 
 @dataclass(frozen=True)
@@ -340,7 +332,7 @@ class QuasiNonexpansive(OperatorClass, token="quasi_nonexpansive", pairwise=Fals
         TotalQuasiAsymptoticallyNonexpansive(_ZERO, _ZERO, _QUADRATIC),))
 
     def sides(self, x, p, tx, n):
-        return _norm(tx - p), _norm(x - p)
+        return row_norms(tx - p), row_norms(x - p)
 
 
 @dataclass(frozen=True)
@@ -351,7 +343,7 @@ class FirmlyQuasiNonexpansive(OperatorClass, token="firmly_quasi_nonexpansive",
     implies = property(lambda self: (Directed(), QuasiNonexpansive()))
 
     def sides(self, x, p, tx, n):
-        return _sq(_norm(tx - p)), _sq(_norm(x - p)) - _sq(_norm(tx - x))
+        return _sq(row_norms(tx - p)), _sq(row_norms(x - p)) - _sq(row_norms(tx - x))
 
 
 @dataclass(frozen=True)
@@ -365,7 +357,7 @@ class Demicontractive(OperatorClass, token="demicontractive", default=0.0,
     demicontractive = property(lambda self: self.k)
 
     def sides(self, x, p, tx, n):
-        return _sq(_norm(tx - p)), _sq(_norm(x - p)) + self.k * _sq(_norm(tx - x))
+        return _sq(row_norms(tx - p)), _sq(row_norms(x - p)) + self.k * _sq(row_norms(tx - x))
 
 
 @dataclass(frozen=True)
@@ -381,8 +373,8 @@ class StrictlyPseudocontractive(OperatorClass, token="strictly_pseudocontractive
 
     def sides(self, x, z, tx, tz, n):
         return (
-            _sq(_norm(tx - tz)),
-            _sq(_norm(x - z)) + self.k * _sq(_norm((x - tx) - (z - tz))),
+            _sq(row_norms(tx - tz)),
+            _sq(row_norms(x - z)) + self.k * _sq(row_norms((x - tx) - (z - tz))),
         )
 
 
@@ -409,7 +401,7 @@ class AsymptoticallyNonexpansive(
         lambda n: self.k_seq(n) ** 2),))
 
     def sides(self, x, z, tx, tz, n):
-        return _norm(tx - tz), self.k_seq(n) * _norm(x - z)
+        return row_norms(tx - tz), self.k_seq(n) * row_norms(x - z)
 
 
 @dataclass(frozen=True)
@@ -426,7 +418,7 @@ class AsymptoticallyQuasiNonexpansive(
         lambda n: self.t_seq(n) - 1.0, _ZERO, _QUADRATIC),))
 
     def sides(self, x, p, tx, n):
-        return _sq(_norm(tx - p)), self.t_seq(n) * _sq(_norm(x - p))
+        return _sq(row_norms(tx - p)), self.t_seq(n) * _sq(row_norms(x - p))
 
 
 @dataclass(frozen=True)
@@ -446,8 +438,9 @@ class TotalAsymptoticallyNonexpansive(
 
     def sides(self, x, z, tx, tz, n):
         return (
-            _sq(_norm(tx - tz)),
-            _sq(_norm(x - z)) + self.v_seq(n) * self.gauge(_norm(x - z)) + self.mu_seq(n),
+            _sq(row_norms(tx - tz)),
+            _sq(row_norms(x - z)) + self.v_seq(n) * self.gauge(row_norms(x - z))
+            + self.mu_seq(n),
         )
 
 
@@ -465,8 +458,9 @@ class TotalQuasiAsymptoticallyNonexpansive(
 
     def sides(self, x, p, tx, n):
         return (
-            _sq(_norm(tx - p)),
-            _sq(_norm(x - p)) + self.v_seq(n) * self.gauge(_norm(x - p)) + self.mu_seq(n),
+            _sq(row_norms(tx - p)),
+            _sq(row_norms(x - p)) + self.v_seq(n) * self.gauge(row_norms(x - p))
+            + self.mu_seq(n),
         )
 
 
@@ -484,10 +478,10 @@ class TotalAsymStrictPseudocontraction(OperatorClass, asymptotic=True):
 
     def sides(self, x, z, tx, tz, n):
         return (
-            _sq(_norm(tx - tz)),
-            _sq(_norm(x - z))
-            + self.k * _sq(_norm((x - tx) - (z - tz)))
-            + self.mu_seq(n) * self.gauge(_norm(x - z))
+            _sq(row_norms(tx - tz)),
+            _sq(row_norms(x - z))
+            + self.k * _sq(row_norms((x - tx) - (z - tz)))
+            + self.mu_seq(n) * self.gauge(row_norms(x - z))
             + self.xi_seq(n),
         )
 
@@ -503,7 +497,7 @@ class Lipschitzian(OperatorClass, token="lipschitzian", default=1.0):
     lipschitz = property(lambda self: self.K)
 
     def sides(self, x, z, tx, tz, n):
-        return _norm(tx - tz), self.K * _norm(x - z)
+        return row_norms(tx - tz), self.K * row_norms(x - z)
 
 
 @dataclass(frozen=True)
@@ -524,7 +518,7 @@ class StronglyMonotone(OperatorClass, token="strongly_monotone", default=1.0):
 
     def sides(self, x, z, tx, tz, n):
         # sign flipped so the check is uniformly lhs <= rhs
-        return self.eta * _sq(_norm(x - z)), np.vecdot(tx - tz, x - z)
+        return self.eta * _sq(row_norms(x - z)), np.vecdot(tx - tz, x - z)
 
 
 def class_from_token(token):
@@ -892,38 +886,17 @@ def _sample_interval(lo, hi, u, scale):
     return lo_c + u * (hi_c - lo_c)
 
 
-def _project_rows(body, X):
-    """``project(body, row)`` of each row of the (S, d) stack X, bit for bit.
-
-    The whole space copies and a box clips the stack at once; a ball
-    measures every row by :func:`_norm`, which has the bits of
-    ``spaces.norm``; any other body is projected row by row.
-    """
-    if not body._defined:
-        return np.full(X.shape, np.nan)
-    if isinstance(body, (WholeSpace, Box)):
-        return body._project(X)
-    if isinstance(body, Ball):
-        with np.errstate(all="ignore"):   # NaN and inf rows, and the rows inside
-            D = X - body.center
-            dist = _norm(D)[:, None]
-            return np.where(dist <= body.radius, X,
-                            body.center + (body.radius / dist) * D)
-    return np.array([project(body, row) for row in X]).reshape(X.shape)
-
-
 def _points(body, U, scale):
     """The points of ``body`` that the (S, d) block U of LCG doubles maps to.
 
     Boxes scale each coordinate into bounds clipped to [-scale, scale];
-    other bodies scale the block into that window and project, so every
-    point is a member.
+    other bodies scale the block into that window and :func:`project` it as
+    one stack, so every point is a member.
     """
     if isinstance(body, Box):
         return np.stack([_sample_interval(lo, hi, u, scale)
                          for lo, hi, u in zip(body.lower, body.upper, U.T)], -1)
-    raw = -scale + 2 * scale * U
-    return raw if isinstance(body, WholeSpace) else _project_rows(body, raw)
+    return project(body, -scale + 2 * scale * U)
 
 
 def _sample_points(body, lcg, count, scale):
@@ -953,11 +926,11 @@ def _sample_pairs(body, lcg, count, scale):
     near = np.arange(1, count, 2)
     delta = np.array(_NEAR_OFFSETS)[(near // 2) % len(_NEAR_OFFSETS)] * scale
     direction = 2.0 * U[1::2, 1] - 1.0
-    nd = _norm(direction)
+    nd = row_norms(direction)
     zero = nd == 0.0
     direction[zero] = np.eye(body.dim)[0]
     nd[zero] = 1.0
-    Z[1::2] = _project_rows(body, X[1::2] + (delta / nd)[:, None] * direction)
+    Z[1::2] = project(body, X[1::2] + (delta / nd)[:, None] * direction)
     return X, Z
 
 
@@ -1055,13 +1028,14 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     The samples are built as whole stacks, with the bits and in the stream
     order of drawing them one at a time: one block of LCG doubles
     (:meth:`_Lcg.next_doubles`) is mapped into the domain at once, a box by
-    scaling, the whole space and a ball by scaling and a stacked projection
-    (any other body is projected row by row), and each pair takes 2d
-    doubles, near or far.  :func:`_orbits` gives every power of the (S, d)
-    stack through :meth:`FixedPointMap._stack`, and ``claimed.sides`` is
-    evaluated on whole stacks, with the bits a single row gives.  Each
-    orbit stops at its first bitwise-fixed iterate, which gives every later
-    power exactly, and the inequality is still evaluated at every n.
+    scaling and any other body by scaling and one :func:`project` of the
+    stack, and each pair takes 2d doubles, near or far.  :func:`_orbits`
+    gives every power of the (S, d) stack through
+    :meth:`FixedPointMap._stack`, and ``claimed.sides`` is evaluated on
+    whole stacks with ``spaces.row_norms``, with the bits a single row
+    gives.  Each orbit stops at its first bitwise-fixed iterate, which gives
+    every later power exactly, and the inequality is still evaluated at
+    every n.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

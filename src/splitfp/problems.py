@@ -471,7 +471,8 @@ class IterationTrace(Sequence):
     sequence of records, ``records`` a view of it: reading record i builds
     its :class:`TraceRecord`, its vectors read-only rows of the columns, its
     scalars ints (``n``, ``cut_count``) and floats, None where absent; a
-    slice or an iteration reads its part of each column once.  Built from
+    slice or an iteration reads its part of each column once, and
+    :meth:`field_values` reads one field, None where absent.  Built from
     records, or from ``values`` (see :func:`_columns`).
     """
 
@@ -496,15 +497,26 @@ class IterationTrace(Sequence):
     def __iter__(self):
         return self._read(slice(None))
 
+    def field_values(self, name, entry=None, rows=slice(None)):
+        """Field ``name``'s values over the records of the slice ``rows``,
+        None where a record lacks it (every record, when none holds it): a
+        vector field's read-only rows of its column, or with ``entry`` that
+        entry's floats, and a scalar field's floats."""
+        col = self.columns.get(name)
+        if col is None:
+            return [None] * len(range(len(self))[rows])
+        part = col[rows] if entry is None else col[rows, entry]
+        values = list(part) if part.ndim > 1 else part.tolist()   # rows are views
+        if name in self.absent:
+            for k in np.flatnonzero(self.absent[name][rows]):
+                values[k] = None
+        return values
+
     def _read(self, rows):
         """The records of the slice ``rows``, each built when it is drawn."""
         fields = {}
-        for name, col in self.columns.items():
-            part = col[rows]
-            values = list(part) if part.ndim > 1 else part.tolist()   # rows are views
-            if name in self.absent:
-                for k in np.flatnonzero(self.absent[name][rows]):
-                    values[k] = None
+        for name in self.columns:
+            values = self.field_values(name, rows=rows)
             if name in _COUNTS:
                 values = [None if v is None else int(v) for v in values]
             fields[name] = values

@@ -14,6 +14,9 @@ exactly, by one of two paths:
   the answer; if none does, every sphere is active, and the answer is the
   projection onto (K ∩ the radical hyperplanes of the spheres) ∩ one ball.
   Memoised by subset, m balls cost at most 2^m one-ball projections.
+
+:func:`project` takes one point or an (S, d) stack of points, and
+:func:`contains` one point.
 """
 
 import math
@@ -22,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import DimensionMismatch, _vector, norm
+from .spaces import DimensionMismatch, _vector, norm, row_norms
 
 __all__ = [
     "ConvexBody",
@@ -100,12 +103,15 @@ class ConvexBody:
     infinite normal or centre, describe no set, and project to NaN.
     ``_empty`` marks a body that is empty by itself.  A body that
     ``_clips`` projects a 1-D point by clipping it to its interval, and its
-    ``_project`` takes a Python float as the point and gives a float.
+    ``_project`` takes a Python float as the point and gives a float.  A
+    body that ``_stacks`` projects an (S, d) stack in one ``_project`` call,
+    each row with the bits of its own projection.
     """
 
     _defined = True
     _empty = False
     _clips = False
+    _stacks = False
 
     @property
     def polyhedron(self):
@@ -128,6 +134,7 @@ class WholeSpace(ConvexBody):
     dim: int
 
     _clips = True   # in 1-D, to (-inf, inf), which leaves every point
+    _stacks = True
 
     def _project(self, x):
         return x if type(x) is float else x.copy()
@@ -147,6 +154,7 @@ class Box(ConvexBody):
     """
 
     _clips = True
+    _stacks = True
 
     def __init__(self, lower, upper):
         lo = _vector(lower)
@@ -271,6 +279,8 @@ class Halfspace(ConvexBody):
 class Ball(ConvexBody):
     """Closed ball; a radius of +inf (with a finite centre) is the whole space."""
 
+    _stacks = True
+
     def __init__(self, center, radius):
         center = _vector(center).copy()
         center.flags.writeable = False
@@ -285,6 +295,12 @@ class Ball(ConvexBody):
         return self.center.shape[0]
 
     def _project(self, x):
+        if x.ndim == 2:
+            with np.errstate(all="ignore"):   # NaN and inf rows, and the rows inside
+                D = x - self.center
+                dist = row_norms(D)[:, None]
+                return np.where(dist <= self.radius, x,
+                                self.center + (self.radius / dist) * D)
         d = x - self.center
         dist = norm(d)
         if dist <= self.radius:
@@ -659,33 +675,49 @@ def _project_on_spheres(N, b, balls, x):
                                      "active, %s" % (", ".join(map(repr, balls)), err)) from None
 
 
-def _point_of(S, x):
+def _point_of(S, x, stack=False):
+    """``x`` as a float64 array: one point of ``S``, or with ``stack`` also
+    an (S, d) stack of them."""
     x = _vector(x)
-    if x.shape[0] != S.dim:
+    if x.ndim > 1 + stack:
+        raise DimensionMismatch("expected %s, got shape %s" % (
+            "a point or an (S, d) stack" if stack else "one point", x.shape))
+    if x.shape[-1] != S.dim:
         raise DimensionMismatch(
-            "point dimension %d does not match set dimension %d" % (x.shape[0], S.dim)
+            "point dimension %d does not match set dimension %d" % (x.shape[-1], S.dim)
         )
     return x
 
 
 def project(S, x):
-    """Metric projection of ``x`` onto the convex body ``S``; all NaN when
-    the numbers of ``S`` describe no set.
+    """Metric projection onto the convex body ``S`` of one point x, or of
+    each row of an (S, d) stack x; all NaN when the numbers of ``S``
+    describe no set.
 
-    A Python float x (exactly that type) is a 1-D point and gives a float,
-    the entry of the array projection; a body that ``_clips`` (the whole
-    space, a box, an intersection, a cut set) clips it without an array.
+    A body that ``_stacks`` (the whole space, a box, a ball) projects a
+    stack at once; any other is projected row by row.  Either way each row
+    has the bits of its own projection.  A Python float x (exactly that
+    type) is a 1-D point and gives a float, the entry of the array
+    projection; a body that ``_clips`` (the whole space, a box, an
+    intersection, a cut set) clips it without an array.
     """
     as_float = type(x) is float
     if as_float and S._clips and S.dim == 1 and S._defined:
         return S._project(x)
-    x = _point_of(S, x)
-    out = S._project(x) if S._defined else np.full(S.dim, np.nan)
+    x = _point_of(S, x, True)
+    if not S._defined:
+        out = np.full(x.shape, np.nan)
+    elif S._stacks or x.ndim == 1:
+        out = S._project(x)
+    else:
+        out = np.array([S._project(row) for row in x]).reshape(x.shape)
     return out.item() if as_float else out
 
 
 def contains(S, x, tol=1e-10):
-    """Membership test via the projection: x in S iff project(S, x) == x.
+    """Membership test of one point via the projection: x in S iff
+    project(S, x) == x.  Any other shape than one point of ``S``'s
+    dimension raises :class:`DimensionMismatch`.
 
     The whole space is answered without projecting: its projection moves a
     finite x by exactly 0, and a NaN or infinite entry gives a NaN distance,

@@ -2,8 +2,7 @@
 
 Vectors ("points") are one-dimensional float64 numpy arrays, frozen after
 construction.  Linear maps are dense matrices carrying their transpose as
-the adjoint and a write-once cache for the spectral norm estimated by
-power iteration.
+the adjoint; their spectral norm is estimated by power iteration.
 """
 
 import math
@@ -104,25 +103,29 @@ def norm(a):
 
 
 def row_norms(a):
-    """``[norm(row) for row in a]`` of a 2-D array, bit for bit.  A column
-    of 1-D points takes one pass: sqrt(v*v), or |v| where v*v overflows."""
-    if a.shape[1] != 1:
-        return [norm(row) for row in a]
-    v = a[:, 0]
-    with np.errstate(over="ignore"):
-        r = np.sqrt(v * v)
-    over = np.isinf(r) & np.isfinite(v)
-    r[over] = np.abs(v[over])
-    return r.tolist()
+    """The norm of each row of ``a`` along its last axis, with :func:`norm`'s
+    bits: an array, or a 0-d numpy float64 for a single vector.
+
+    ``np.vecdot`` of a row is the BLAS ``a.dot(a)`` of ``norm``'s
+    ``np.vdot``, and a finite row whose ``a.a`` overflows takes ``norm``'s
+    scaled form.  It raises no warning: an overflowing ``a.a``, and the 0/0
+    and inf/inf the scaled form meets on zero and infinite rows, stay
+    inside its ``errstate``.
+    """
+    with np.errstate(all="ignore"):
+        out = np.sqrt(np.vecdot(a, a))
+        if np.isinf(out).any():
+            m = np.abs(a).max(-1)
+            s = a / m[..., None]
+            out = np.where(np.isinf(out) & np.isfinite(m), m * np.sqrt(np.vecdot(s, s)), out)[()]
+    return out
 
 
 class LinearMap:
     """Bounded linear operator given by a dense real matrix.
 
     The adjoint is the transpose, bound once as a read-only view.
-    ``rows`` and ``cols`` are the matrix's shape.  ``norm_bound`` is a
-    write-once cache of an upper bound on the operator norm, filled by
-    :func:`estimate_norm_squared`.  A 1x1 map takes a Python float v to
+    ``rows`` and ``cols`` are the matrix's shape.  A 1x1 map takes a Python float v to
     ``0.0 + m*v``, its matmul's bits: the matmul sums from +0.0, turning a
     -0.0 product into +0.0.
     """
@@ -142,14 +145,6 @@ class LinearMap:
         self._adjoint = self.matrix.T
         self.rows, self.cols = m.shape
         self._entry = float(m[0, 0]) if m.shape == (1, 1) else None
-        self._norm_sq = None  # write-once: largest eigenvalue of A^T A
-
-    @property
-    def norm_bound(self):
-        """Cached operator-norm bound (sqrt of the spectral estimate), or None."""
-        if self._norm_sq is None:
-            return None
-        return float(np.sqrt(self._norm_sq))
 
     def apply(self, x):
         if type(x) is float and self._entry is not None:
@@ -179,16 +174,12 @@ def estimate_norm_squared(A, tol=1e-10, max_iters=10000):
     """Largest eigenvalue of A^T A (= ||A||^2 = ||A A*||) by power iteration.
 
     Deterministic all-ones start vector, Rayleigh-quotient convergence test
-    ``|lam_new - lam| <= tol * lam_new``.  Only a call at the default ``tol``
-    and ``max_iters`` reads and fills the cache behind ``A.norm_bound``.
-    Raises :class:`PowerIterationError` carrying the best estimate if the
-    test is not met within ``max_iters``.
+    ``|lam_new - lam| <= tol * lam_new``.  Raises
+    :class:`PowerIterationError` carrying the best estimate if the test is
+    not met within ``max_iters``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cached = (tol, max_iters) == (1e-10, 10000)
-    if cached and A._norm_sq is not None:
-        return A._norm_sq
     if not np.any(A.matrix):
         raise ValueError("power iteration requires a nonzero map")
     M = A.matrix.T @ A.matrix
@@ -209,8 +200,6 @@ def estimate_norm_squared(A, tol=1e-10, max_iters=10000):
         v = w / nw
         lam_new = float(v @ (M @ v))
         if abs(lam_new - lam) <= tol * max(lam_new, np.finfo(float).tiny):
-            if cached:
-                A._norm_sq = lam_new
             return lam_new
         lam = lam_new
     raise PowerIterationError(

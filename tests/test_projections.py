@@ -1,6 +1,7 @@
 """Metric projections, the halfspace builder, and the exact polyhedral and
 ball projections, checked against the test-side Dykstra method."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from splitfp.projections import (
     Ball,
     Box,
+    CutSet,
     Halfspace,
     InfeasibleIntersection,
     Intersection,
@@ -19,7 +21,7 @@ from splitfp.projections import (
     halfspace_from_distance_dominance,
     project,
 )
-from splitfp.spaces import inner, norm
+from splitfp.spaces import DimensionMismatch, inner, norm
 
 from helpers import DykstraNoConvergence, _dykstra
 from lemmas import check_projection_inequalities
@@ -572,3 +574,52 @@ def test_three_discs_without_a_common_point_are_empty():
         project(_three_discs(1.0), [5.0, 5.0])
     assert exc.value.certificate is None
     assert "Ball(center=[0.95, 1.55], radius=1.0)" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+
+
+@pytest.mark.parametrize("S", [
+    Halfspace([1.0, -2.0], 0.5),
+    Intersection([Ball([0.0, 0.0], 4.0), Box([-1.0, -5.0], [5.0, 5.0])]),
+    CutSet(Box([-1.0], [2.0])).add(Halfspace([1.0], 1.5), Halfspace([-1.0], 0.5)),
+    CutSet(Ball([0.0, 0.0], 3.0)).add(Halfspace([1.0, 1.0], 1.0), Box([-2.0, -5.0],
+                                                                     [5.0, 5.0])),
+    Halfspace([math.nan, 1.0], 0.0),   # no set: every row projects to NaN
+    Ball([0.0, math.nan], 1.0),
+], ids=repr)
+def test_a_stack_projects_as_its_rows_do(S):
+    # a body that does not stack is projected row by row, each row with the
+    # bits of its own projection
+    X = np.random.default_rng(29).uniform(-8.0, 8.0, (60, S.dim))
+    X = np.concatenate([X, np.zeros((1, S.dim)), -X[:1], np.full((1, S.dim), math.nan)])
+    got = project(S, X)
+    assert got.shape == X.shape
+    assert got.tobytes() == np.array([project(S, x) for x in X]).tobytes()
+    assert project(S, X[:0]).shape == (0, S.dim)
+
+
+def test_a_square_stack_projects_row_by_row():
+    # a (2, 2) stack is two points of the disc's plane, not one point
+    assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5]]).tolist() == [[1.0, 0.0],
+                                                                      [0.0, 0.5]]
+    assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5], [0, -2]]).tolist() == [
+        [1.0, 0.0], [0.0, 0.5], [0.0, -1.0]]
+
+
+def test_a_stack_must_end_in_the_sets_dimension():
+    with pytest.raises(DimensionMismatch, match=r"^expected a point or an \(S, d\) stack"):
+        project(Ball([0, 0], 1), np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatch,
+                       match="^point dimension 3 does not match set dimension 2$"):
+        project(Halfspace([1.0, 0.0], 0.0), np.zeros((2, 3)))
+
+
+def test_contains_takes_one_point_only():
+    # a pair of points is refused, not read as one point
+    with pytest.raises(DimensionMismatch, match=r"^expected one point, got shape \(2, 2\)$"):
+        contains(WholeSpace(2), [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DimensionMismatch, match=r"^expected one point"):
+        contains(Ball([0, 0], 1), [[3, 0], [0, 0.5]])
+    assert contains(Ball([0, 0], 1), [0, 0.5]) and not contains(Ball([0, 0], 1), [3, 0])

@@ -17,6 +17,7 @@ from splitfp.spaces import (
     inner,
     norm,
     point,
+    row_norms,
 )
 
 from lemmas import polarization_check
@@ -181,27 +182,15 @@ def test_estimate_norm_squared_values():
     expected = (3.0 + np.sqrt(5.0)) / 2.0
     A = LinearMap([[1.0, 1.0], [0.0, 1.0]])
     assert_allclose(estimate_norm_squared(A), expected, rtol=1e-9)
-    # cached and surfaced as a norm bound
-    assert A.norm_bound == pytest.approx(np.sqrt(expected), rel=1e-9)
-    # the all-ones start lies in the kernel of A^T A = [[1, -1], [-1, 1]]:
-    # the iteration restarts along the first axis
-    assert estimate_norm_squared(LinearMap([[1.0, -1.0]])) == 2.0000000000000004
-
-
-def test_estimate_norm_squared_caches_only_the_default_estimate():
     # a coarse tolerance stops early, at 13.0769..., short of the largest
     # eigenvalue (15 + 5 sqrt(5))/2 = 13.0902 of A^T A
     A = LinearMap([[2.0, 1.0], [1.0, 3.0]])
-    coarse = estimate_norm_squared(A, tol=0.5)
-    assert coarse == pytest.approx(13.0769, abs=1e-4) and A.norm_bound is None
-    fine = estimate_norm_squared(A)
-    assert fine == pytest.approx((15.0 + 5.0 * np.sqrt(5.0)) / 2.0, rel=1e-9)
-    assert fine == estimate_norm_squared(LinearMap(A.matrix))
-    # a cached estimate is not what a call at other settings computes
-    assert estimate_norm_squared(A, tol=0.5) == coarse
-    with pytest.raises(PowerIterationError):
-        estimate_norm_squared(A, max_iters=1)
-    assert estimate_norm_squared(A) == fine and A.norm_bound == np.sqrt(fine)
+    assert estimate_norm_squared(A, tol=0.5) == pytest.approx(13.0769, abs=1e-4)
+    assert estimate_norm_squared(A) == pytest.approx((15.0 + 5.0 * np.sqrt(5.0)) / 2.0,
+                                                     rel=1e-9)
+    # the all-ones start lies in the kernel of A^T A = [[1, -1], [-1, 1]]:
+    # the iteration restarts along the first axis
+    assert estimate_norm_squared(LinearMap([[1.0, -1.0]])) == 2.0000000000000004
 
 
 def test_estimate_norm_squared_errors():
@@ -213,6 +202,19 @@ def test_estimate_norm_squared_errors():
         estimate_norm_squared(LinearMap(np.diag([1.0, 1.0 + 1e-3])), tol=1e-30,
                               max_iters=3)
     assert exc.value.best_estimate > 0
+    with pytest.raises(PowerIterationError):
+        estimate_norm_squared(LinearMap([[2.0, 1.0], [1.0, 3.0]]), max_iters=1)
+
+
+def test_row_norms_of_zero_overflowing_and_nan_rows_raise_no_warning():
+    # the overflow of a.a and the scaled form's 0/0 and inf/inf stay inside
+    A = np.array([[0.0, 0.0], [1e200, 1e200], [math.nan, 1.0], [math.inf, 0.0],
+                  [-0.0, 1e-320], [1.7976931348623157e308, -1.7976931348623157e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = row_norms(A)
+    assert got.tobytes() == np.array([norm(a) for a in A]).tobytes()
+    assert got[1] == norm(A[1]) == 1.4142135623730951e200
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 20])
