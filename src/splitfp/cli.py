@@ -21,7 +21,7 @@ import math
 import sys
 import traceback
 from dataclasses import fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -410,7 +410,11 @@ def _positive_int(text):
     return value
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The argument parser, built once per process as ``presets.catalog()``
+    is; each ``parse_args`` call fills a fresh namespace, and ``main``
+    looks the subcommand's handler up at each call."""
     parser = argparse.ArgumentParser(
         prog="splitfp",
         description="Split fixed-point solvers: run, reproduce reference "
@@ -427,11 +431,9 @@ def main(argv=None):
     p_run.add_argument("--wq-branch", choices=["as_printed", "swapped"],
                        default=None)
     p_run.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("reproduce", help="rerun a bundled reference table")
     p_rep.add_argument("table", help="t1, t2, t3, or t4")
-    p_rep.set_defaults(func=cmd_reproduce)
 
     p_ver = sub.add_parser("verify", help="sampling-check an operator class")
     p_ver.add_argument("operator", help="catalog operator id")
@@ -441,15 +443,18 @@ def main(argv=None):
                             % ", ".join(CLASS_TOKENS))
     p_ver.add_argument("--samples", type=_positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=1)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_list = sub.add_parser("list-examples", help="list named configurations")
     p_list.add_argument("--format", choices=["text", "json"], default="text")
-    p_list.set_defaults(func=cmd_list_examples)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    handler = {"run": cmd_run, "reproduce": cmd_reproduce, "verify": cmd_verify,
+               "list-examples": cmd_list_examples}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except SolverError as err:
         print("numerical breakdown: %s" % err, file=sys.stderr)
         return _EXIT_BREAKDOWN

@@ -15,6 +15,13 @@ exactly, by one of two paths:
   projection onto (K ∩ the radical hyperplanes of the spheres) ∩ one ball.
   Memoised by subset, m balls cost at most 2^m one-ball projections.
 
+A fold computes the constants of its set once, not per point: its rows'
+tolerances when it is first projected onto (its ``_K``), each ball's
+P_K(c) and reach ||c - P_K(c)|| when a projection first leaves that ball,
+and each ball's ||c|| when first read; only the radical-hyperplane rows of
+the all-active step are built per point.  Every projected bit, error and
+certificate is that of computing them afresh.
+
 :func:`project` takes one point or an (S, d) stack of points, and
 :func:`contains` one point.
 """
@@ -117,6 +124,11 @@ class ConvexBody:
     def polyhedron(self):
         rows, balls = self._parts
         return None if balls else rows
+
+    @cached_property
+    def _K(self):
+        """The rows of ``_parts`` with the constants their projections read."""
+        return _Polyhedron(*self._parts[0])
 
 
 def _no_rows(dim):
@@ -294,6 +306,10 @@ class Ball(ConvexBody):
     def dim(self):
         return self.center.shape[0]
 
+    @cached_property
+    def _center_norm(self):
+        return norm(self.center)
+
     def _project(self, x):
         if x.ndim == 2:
             with np.errstate(all="ignore"):   # NaN and inf rows, and the rows inside
@@ -305,6 +321,9 @@ class Ball(ConvexBody):
         dist = norm(d)
         if dist <= self.radius:
             return x.copy()
+        if dist == math.inf:   # an infinite entry: 0 * inf is NaN, silently as in a stack
+            with np.errstate(invalid="ignore"):
+                return self.center + (self.radius / dist) * d
         return self.center + (self.radius / dist) * d
 
     @cached_property
@@ -448,12 +467,12 @@ def _project_folded(body, x):
                 "1-D intersection is empty: [%g, %g]" % (lo, hi)
             )
         return _clip_as_by_scalars(x, lo, hi) if type(x) is float else np.clip(x, lo, hi)
-    (N, b), balls = body._parts
+    K, balls = body._K, body._parts[1]
     if not balls:
-        return _project_polyhedron(N, b, x)[0]
+        return _project_polyhedron(K, x)[0]
     if len(balls) == 1:
-        return _project_polyhedron_ball(N, b, balls[0], x)
-    return _project_balls(N, b, balls, x)
+        return _project_polyhedron_ball(K, balls[0], x)
+    return _project_balls(K, balls, x)
 
 
 def _rows(N, b):
@@ -470,8 +489,27 @@ _VIOLATION_TOL = 1e-12
 _DEPENDENT = 1e-12
 
 
-def _project_polyhedron(N, b, x):
-    """Exact projection of ``x`` onto {z : N z <= b}, N with unit-norm rows.
+class _Polyhedron:
+    """Rows K = {z : N z <= b}, N with unit-norm rows, and the constants that
+    every projection onto K reads, as the module docstring lists them."""
+
+    def __init__(self, N, b):
+        self.N, self.b = N, b
+        self.row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
+        self._nearest = {}
+
+    def nearest(self, ball):
+        """P_K(c) for the centre c of ``ball``, and ||c - P_K(c)||."""
+        found = self._nearest.get(ball)
+        if found is None:
+            c = ball.center
+            z = _project_polyhedron(self, c)[0]
+            found = self._nearest[ball] = (z, norm(c - z))
+        return found
+
+
+def _project_polyhedron(K, x):
+    """Exact projection of ``x`` onto K = {z : N z <= b}, a :class:`_Polyhedron`.
 
     The dual active-set method of Goldfarb & Idnani (1983) for
     min ||z - x||^2 / 2: start from z = x with no active row, repeatedly
@@ -485,37 +523,37 @@ def _project_polyhedron(N, b, x):
     (up to _DEPENDENT): y = e_p - r on the active rows is a Farkas
     certificate of emptiness.  Returns z and the list of active rows.
     """
+    N, b, row_tol = K.N, K.b, K.row_tol
     z = x.copy()
     active = []
     if not b.size:
         return z, active
     x_norm = norm(x)
-    row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
 
-    def excess(z):
+    def excess(z, scale):
         """How far z lies beyond each row, less the row's tolerance."""
-        scale = max(x_norm, norm(z))
         return N @ z - b - row_tol - _VIOLATION_TOL * scale
 
     u = np.zeros(b.size)
-    over = excess(z)
-    p = int(np.argmax(over))
+    over = excess(z, x_norm)
+    p = int(over.argmax())
     max_steps = 10 * (b.size + x.size)
     for _ in range(max_steps):
         if not over[p] > 0.0:   # a NaN point comes back as it went in
             return z, active
+        row = N[p]
         if active:
             columns = N[active].T
-            r = np.linalg.lstsq(columns, N[p], rcond=None)[0]
-            d = N[p] - columns @ r
+            r = np.linalg.lstsq(columns, row, rcond=None)[0]
+            d = row - columns @ r
         else:
             r = np.zeros(0)
-            d = N[p]
+            d = row
         dd = float(d @ d)
-        violation = float(N[p] @ z - b[p])
+        violation = float(row @ z - b[p])
         full = violation / dd if dd > _DEPENDENT ** 2 else np.inf
         partial, block = np.inf, None
-        for k, rk in zip(active, r):
+        for k, rk in zip(active, r.tolist()):
             if rk > 0.0 and u[k] / rk < partial:
                 partial, block = u[k] / rk, k
         if block is None and full == np.inf:
@@ -535,12 +573,13 @@ def _project_polyhedron(N, b, x):
                 "certificate; violation %.3e" % (p, violation), violation)
         t = min(full, partial)
         z = z - t * d
-        u[active] -= t * r
+        if active:
+            u[active] -= t * r
         u[p] += t
         if full <= partial:
             active.append(p)
-            over = excess(z)
-            p = int(np.argmax(over))
+            over = excess(z, max(x_norm, norm(z)))
+            p = int(over.argmax())
         else:
             active.remove(block)
             u[block] = 0.0
@@ -556,8 +595,8 @@ def _project_polyhedron(N, b, x):
 _BALL_STEPS = 100
 
 
-def _project_polyhedron_ball(N, b, ball, x):
-    """Exact projection of ``x`` onto K ∩ ball, K = {z : N z <= b}.
+def _project_polyhedron_ball(K, ball, x):
+    """Exact projection of ``x`` onto K ∩ ball, K a :class:`_Polyhedron`.
 
     The KKT point with ball multiplier mu is P_K(x + s (c - x)) with
     s = mu / (1 + mu), and ||P_K(x + s (c - x)) - c|| does not increase
@@ -570,16 +609,18 @@ def _project_polyhedron_ball(N, b, ball, x):
     closed form and confirmed by one more projection onto K; a candidate
     outside the bracket of s values seen on either side is replaced by the
     bracket's midpoint.
+
+    K holds each row's tolerance, and P_K(c) with its reach once the first
+    point that leaves the ball has solved them; the ball holds ||c||.
     """
     c, r = ball.center, ball.radius
-    scale = max(norm(x), norm(c))
+    scale = max(norm(x), ball._center_norm)
     tol = _VIOLATION_TOL * (1.0 + scale + r)
-    z, active = _project_polyhedron(N, b, x)
+    z, active = _project_polyhedron(K, x)
     gap = norm(z - c) - r
     if not gap > tol:   # in the ball, or a NaN point
         return z
-    nearest, _ = _project_polyhedron(N, b, c)
-    reach = norm(c - nearest)
+    nearest, reach = K.nearest(ball)
     if reach > r:
         normal = (c - nearest) / reach
         raise InfeasibleIntersection(
@@ -590,11 +631,11 @@ def _project_polyhedron_ball(N, b, ball, x):
     for _ in range(_BALL_STEPS):
         rate = direction
         if active:
-            rows = N[active].T
+            rows = K.N[active].T
             rate = direction - rows @ np.linalg.lstsq(rows, direction, rcond=None)[0]
         s_next = s + _sphere_crossing(z - c, rate, r)
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
-        z, active = _project_polyhedron(N, b, x + s * direction)
+        z, active = _project_polyhedron(K, x + s * direction)
         gap = norm(z - c) - r
         if abs(gap) <= tol:
             return z
@@ -613,38 +654,41 @@ def _sphere_crossing(p, v, r):
     disc = h * h - a * q
     if not (a > 0.0 and disc >= 0.0):
         return np.nan
-    root = np.sqrt(disc)
+    root = math.sqrt(disc)
     # the two forms avoid cancelling -h against the root
     return q / (root - h) if h < 0.0 else (-h - root) / a
 
 
-def _project_balls(N, b, balls, x):
-    """Exact projection of ``x`` onto K ∩ balls, K = {z : N z <= b}, by the
-    reduction in the module docstring; each subset of the balls is solved
+def _project_balls(K, balls, x):
+    """Exact projection of ``x`` onto K ∩ balls, K a :class:`_Polyhedron`, by
+    the reduction in the module docstring; each subset of the balls is solved
     once."""
     solved = {}
+    x_norm = norm(x)
 
     def solve(subset):
         if subset in solved:
             return solved[subset]
         if len(subset) == 1:
-            z = _project_polyhedron_ball(N, b, balls[subset[0]], x)
+            z = _project_polyhedron_ball(K, balls[subset[0]], x)
         else:
             for i in subset:
                 z = solve(tuple(j for j in subset if j != i))
-                c, r = balls[i].center, balls[i].radius
+                ball = balls[i]
+                r = ball.radius
                 # in ball i, to the tolerance its sphere is reached with
-                if norm(z - c) <= r + _VIOLATION_TOL * (1.0 + max(norm(x), norm(c)) + r):
+                if norm(z - ball.center) <= r + _VIOLATION_TOL * (
+                        1.0 + max(x_norm, ball._center_norm) + r):
                     break
             else:
-                z = _project_on_spheres(N, b, [balls[j] for j in subset], x)
+                z = _project_on_spheres(K, [balls[j] for j in subset], x)
         solved[subset] = z
         return z
 
     return solve(tuple(range(len(balls))))
 
 
-def _project_on_spheres(N, b, balls, x):
+def _project_on_spheres(K, balls, x):
     """Projection of ``x`` onto K ∩ balls when every sphere is active there:
     onto (K ∩ the radical hyperplanes ||z - c_1||^2 - r_1^2 =
     ||z - c_i||^2 - r_i^2) ∩ B_1, as every ball is B_1 on those hyperplanes.
@@ -654,7 +698,7 @@ def _project_on_spheres(N, b, balls, x):
     so it raises with no certificate.
     """
     c1, r1 = balls[0].center, balls[0].radius
-    rows, offsets = [N], [b]
+    rows, offsets = [K.N], [K.b]
     for ball in balls[1:]:
         apart = norm(ball.center - c1)
         u = (ball.center - c1) / apart if apart else None
@@ -668,8 +712,8 @@ def _project_on_spheres(N, b, balls, x):
             rows.append(np.array([u, -u]))
             offsets.append(np.array([t, -t]))
     try:
-        return _project_polyhedron_ball(np.concatenate(rows), np.concatenate(offsets),
-                                        balls[0], x)
+        return _project_polyhedron_ball(
+            _Polyhedron(np.concatenate(rows), np.concatenate(offsets)), balls[0], x)
     except InfeasibleIntersection as err:
         raise InfeasibleIntersection("intersection is empty: with the spheres of %s all "
                                      "active, %s" % (", ".join(map(repr, balls)), err)) from None

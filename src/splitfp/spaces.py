@@ -94,7 +94,9 @@ def norm(a):
     if type(a) is float:
         r = math.sqrt(a * a)
         return abs(a) if r == math.inf and math.isfinite(a) else r
-    a = _vector(a).ravel(order="K")
+    if not (type(a) is np.ndarray and a.dtype is _FLOAT64 and a.ndim == 1
+            and a.flags.c_contiguous):   # else ravel, as a strided vdot sums in another order
+        a = _vector(a).ravel(order="K")
     r = math.sqrt(np.vdot(a, a))
     if r == math.inf and np.isfinite(a).all():
         m = float(np.abs(a).max())

@@ -615,6 +615,34 @@ def test_list_examples_formats(capsys):
     assert {d["id"] for d in docs} >= {"bnm_t1", "wq_t3"}
 
 
+def test_main_parses_each_call_afresh(tmp_path, capsys):
+    # the parser is built once, and no call's flags leak into the next
+    cfg = write_config(tmp_path, BNM_CONFIG)
+    for name, flags in (("a", ["--format", "json"]), ("b", []), ("c", ["--format", "json"])):
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / name),
+                     "--max-iters", "3", *flags]) == 0
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+        "residual.svg", "summary.json", "trace.csv"]
+    for name in ("a", "c"):
+        assert (tmp_path / name / "trace.json").is_file()
+        assert not (tmp_path / name / "trace.csv").exists()
+    capsys.readouterr()
+    assert main(["list-examples", "--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert main(["list-examples"]) == 0
+    text = capsys.readouterr().out
+    assert [line.split()[0] for line in text.splitlines()
+            if not line.startswith(" ")] == [d["id"] for d in docs]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("usage: splitfp run ")
+    assert cli._parser() is cli._parser()
+
+
 def test_wq_branch_flag_changes_first_row(tmp_path):
     doc = {"problem": {"example": "wq_t3"}}
     cfg = write_config(tmp_path, doc)

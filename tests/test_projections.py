@@ -1,6 +1,7 @@
 """Metric projections, the halfspace builder, and the exact polyhedral and
 ball projections, checked against the test-side Dykstra method."""
 
+import hashlib
 import math
 import warnings
 
@@ -600,6 +601,17 @@ def test_a_stack_projects_as_its_rows_do(S):
     assert project(S, X[:0]).shape == (0, S.dim)
 
 
+@pytest.mark.parametrize("x", [[math.inf, 0.0], [-math.inf, 2.0], [math.inf, -math.inf],
+                               [math.nan, math.inf]])
+def test_a_point_with_an_infinite_entry_projects_onto_a_ball_as_its_stack_row(x):
+    # 0 * inf is NaN for one point as for a stack, and neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = project(Ball([0.0, 0.0], 1.0), x)
+        assert got.tobytes() == project(Ball([0.0, 0.0], 1.0), [x])[0].tobytes()
+    assert np.isnan(got[np.isinf(x) | np.isnan(x)]).all()
+
+
 def test_a_square_stack_projects_row_by_row():
     # a (2, 2) stack is two points of the disc's plane, not one point
     assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5]]).tolist() == [[1.0, 0.0],
@@ -623,3 +635,75 @@ def test_contains_takes_one_point_only():
     with pytest.raises(DimensionMismatch, match=r"^expected one point"):
         contains(Ball([0, 0], 1), [[3, 0], [0, 0.5]])
     assert contains(Ball([0, 0], 1), [0, 0.5]) and not contains(Ball([0, 0], 1), [3, 0])
+
+
+# ---------------------------------------------------------------------------
+# the bits of every exact path
+
+
+def _digest_cases():
+    """Sets and points over every path of the exact projection: box ∩ ball ∩
+    halfspace sets with stratified points as the bench builds them, rows
+    alone, the lens, two to four balls with and without rows, empty rows
+    next to a ball, a ball beyond its rows, and stacks."""
+    rng = np.random.default_rng(71)
+    for box, ball, cut in ((([-1.0, -1.0], [2.0, 2.0]), ([0.5, 0.5], 2.0),
+                            ([1.0, 1.0], 2.0)),
+                           (([-1.0] * 3, [1.0] * 3), ([0.0] * 3, 1.3),
+                            ([1.0, -1.0, 1.0], 1.0))):
+        S = Intersection([Box(*box), Ball(*ball), Halfspace(*cut)])
+        directions = rng.normal(size=(150, S.dim))
+        radii = rng.uniform(0.5, 5.0, (150, 1))
+        for x in ball[0] + radii * directions / np.linalg.norm(directions, axis=1)[:, None]:
+            yield S, x
+    for S, points in _seeded_polyhedra(83, 60):
+        for x in points:
+            yield S, x
+    for S, points in _ball_sets(84, 60):
+        for x in points:
+            yield S, x
+    lens = [Ball([0.0, 0.0], 1.0), Ball([2.0, 0.0], 1.01)]
+    for S in (Intersection(lens), Intersection(lens + [Halfspace([0.0, 1.0], 0.5)]),
+              _three_discs(1.1), _three_discs(1.0)):
+        for x in ([1.0, 3.0], [1.0, -3.0], [-4.0, 0.5], [1.0, 0.0], [np.nan, 1.0]):
+            yield S, np.array(x)
+    strip = [Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)]
+    far = [Box([0.0, 0.0], [1.0, 1.0]), Ball([3.0, 2.5], 2.0)]
+    for S in (Intersection(strip + [Ball([0.0, 0.0], 5.0)]),
+              Intersection(strip + [Ball([0.0, 0.0], 5.0), Ball([1.0, 0.0], 5.0)]),
+              Intersection(far), Intersection(far + [Ball([3.0, 2.5], 2.5)])):
+        for x in ([0.0, 0.0], [0.5, 0.5], [9.0, -7.0], [3.0, 2.5]):
+            yield S, np.array(x)
+    yield Intersection([Ball([0.0, 0.0, 0.0], 1.0), Ball([1.0, 2.0, 2.0], 1.9)]), \
+        np.array([0.0, 0.0, 5.0])
+    X = rng.uniform(-4.0, 4.0, (40, 2))
+    for S in (Intersection([Box([-1.0, -1.0], [2.0, 2.0]), Ball([0.5, 0.5], 2.0),
+                            Halfspace([1.0, 1.0], 2.0)]),
+              Intersection(lens), Ball([0.5, 0.5], 2.0), Box([-1.0, -1.0], [2.0, 2.0]),
+              CutSet(Ball([0.0, 0.0], 3.0)).add(Halfspace([1.0, 1.0], 1.0))):
+        yield S, X
+
+
+def _outcome_bytes(S, x):
+    """The bits of project(S, x), or the error's type, message and
+    certificate."""
+    try:
+        out = project(S, x)
+    except InfeasibleIntersection as err:
+        cert = err.certificate
+        if isinstance(cert, SeparatingHyperplane):
+            cert = np.concatenate([cert.normal, [cert.offset, cert.gap]])
+        return b"|".join([type(err).__name__.encode(), str(err).encode(),
+                          b"" if cert is None else cert.tobytes()])
+    return str(out.shape).encode() + out.tobytes()
+
+
+def test_every_exact_path_keeps_its_bits():
+    # the digest of the outputs at the commit before the projections held
+    # their sets' constants; any change to a projected bit, an error or a
+    # certificate changes it
+    digest = hashlib.sha256()
+    for S, x in _digest_cases():
+        digest.update(_outcome_bytes(S, x))
+    assert digest.hexdigest() == (
+        "524c51d2666a4d56aaf502720e4777087348465bb8e7d562a101d55ece56a187")
