@@ -15,12 +15,20 @@ exactly, by one of two paths:
   projection onto (K ∩ the radical hyperplanes of the spheres) ∩ one ball.
   Memoised by subset, m balls cost at most 2^m one-ball projections.
 
-A fold computes the constants of its set once, not per point: its rows'
-tolerances when it is first projected onto (its ``_K``), each ball's
-P_K(c) and reach ||c - P_K(c)|| when a projection first leaves that ball,
-and each ball's ||c|| when first read; only the radical-hyperplane rows of
-the all-active step are built per point.  Every projected bit, error and
-certificate is that of computing them afresh.
+A fold computes what depends on its set alone once, not per point, and
+holds it in its ``_K`` for the set's lifetime:
+
+- its rows' tolerances, when it is first projected onto;
+- each active-set step: for the active rows A and the entering row p, the
+  multipliers r of the least-squares solve N_A^T r = N_p and the rest
+  d = N_p - N_A^T r, solved when some point first takes that step;
+- each ball's P_K(c) and reach ||c - P_K(c)||, when a projection first
+  leaves that ball (each ball also holds its ||c||);
+- for each set of balls that the all-active step reaches, K with their
+  radical hyperplanes, itself a ``_K`` with these constants.
+
+Every projected bit, error and certificate is that of computing them
+afresh; an error is not kept, and is raised again by the next point.
 
 :func:`project` takes one point or an (S, d) stack of points, and
 :func:`contains` one point.
@@ -288,6 +296,11 @@ class Halfspace(ConvexBody):
         return "Halfspace(a=%s, b=%s)" % (self.a.tolist(), self.b)
 
 
+# A finite x - c overflows only where |c_i| >= 2^970, half an ulp of the
+# largest double, and ||c|| bounds every |c_i|.
+_WIDE = 2.0 ** 970
+
+
 class Ball(ConvexBody):
     """Closed ball; a radius of +inf (with a finite centre) is the whole space."""
 
@@ -315,16 +328,32 @@ class Ball(ConvexBody):
             with np.errstate(all="ignore"):   # NaN and inf rows, and the rows inside
                 D = x - self.center
                 dist = row_norms(D)[:, None]
-                return np.where(dist <= self.radius, x,
-                                self.center + (self.radius / dist) * D)
-        d = x - self.center
+                out = np.where(dist <= self.radius, x,
+                               self.center + (self.radius / dist) * D)
+            if self._center_norm >= _WIDE and self.radius < math.inf:
+                wide = np.isinf(dist[:, 0]) & np.isfinite(x).all(axis=1)
+                out[wide] = self._beyond(x[wide])
+            return out
+        if self._center_norm < _WIDE:
+            d = x - self.center
+        else:
+            with np.errstate(over="ignore"):
+                d = x - self.center
         dist = norm(d)
         if dist <= self.radius:
             return x.copy()
-        if dist == math.inf:   # an infinite entry: 0 * inf is NaN, silently as in a stack
-            with np.errstate(invalid="ignore"):
-                return self.center + (self.radius / dist) * d
+        if dist == math.inf:
+            if np.isfinite(x).all():   # x - c overflowed
+                return self._beyond(x)
+            with np.errstate(invalid="ignore"):   # an infinite entry: 0 * inf is NaN,
+                return self.center + (self.radius / dist) * d   # silently as in a stack
         return self.center + (self.radius / dist) * d
+
+    def _beyond(self, x):
+        """The projection of finite points whose difference from the centre
+        overflows, from the halves 0.5 x - 0.5 c, which do not."""
+        h = 0.5 * x - 0.5 * self.center
+        return self.center + (self.radius / row_norms(h)[..., None]) * h
 
     @cached_property
     def _parts(self):
@@ -496,7 +525,25 @@ class _Polyhedron:
     def __init__(self, N, b):
         self.N, self.b = N, b
         self.row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
+        self._steps = {}
         self._nearest = {}
+        self._radical = {}
+
+    def step(self, active, p):
+        """Row p entering the active rows A: read-only r with N_A^T r the
+        least-squares part of N_p in their span, d = N_p - N_A^T r, and d.d.
+        With no active row, r is empty and d is N_p."""
+        key = (tuple(active), p)
+        found = self._steps.get(key)
+        if found is None:
+            d, r = self.N[p], np.zeros(0)
+            if active:
+                columns = self.N[active].T
+                r = np.linalg.lstsq(columns, d, rcond=None)[0]
+                d = d - columns @ r
+            r.flags.writeable = d.flags.writeable = False
+            found = self._steps[key] = (r, d, float(d @ d))
+        return found
 
     def nearest(self, ball):
         """P_K(c) for the centre c of ``ball``, and ||c - P_K(c)||."""
@@ -507,8 +554,34 @@ class _Polyhedron:
             found = self._nearest[ball] = (z, norm(c - z))
         return found
 
+    def radical(self, balls):
+        """K with the radical hyperplanes ||z - c_1||^2 - r_1^2 =
+        ||z - c_i||^2 - r_i^2 of ``balls``, as one more :class:`_Polyhedron`.
 
-def _project_polyhedron(K, x):
+        Two balls that lie apart raise a ``SeparatingHyperplane`` between
+        them."""
+        found = self._radical.get(balls)
+        if found is None:
+            c1, r1 = balls[0].center, balls[0].radius
+            rows, offsets = [self.N], [self.b]
+            for ball in balls[1:]:
+                apart = norm(ball.center - c1)
+                u = (ball.center - c1) / apart if apart else None
+                if apart > r1 + ball.radius:
+                    raise InfeasibleIntersection(
+                        "the balls lie %.3e apart" % (apart - r1 - ball.radius),
+                        certificate=SeparatingHyperplane(u, float(u @ c1) + r1,
+                                                         apart - r1 - ball.radius))
+                if u is not None:   # equal centres with both spheres active: equal balls, no row
+                    t = float(u @ c1) + (apart * apart + r1 * r1 - ball.radius ** 2) / (2.0 * apart)
+                    rows.append(np.array([u, -u]))
+                    offsets.append(np.array([t, -t]))
+            found = self._radical[balls] = _Polyhedron(
+                *_rows(np.concatenate(rows), np.concatenate(offsets)))
+        return found
+
+
+def _project_polyhedron(K, x, x_norm=None):
     """Exact projection of ``x`` onto K = {z : N z <= b}, a :class:`_Polyhedron`.
 
     The dual active-set method of Goldfarb & Idnani (1983) for
@@ -522,35 +595,31 @@ def _project_polyhedron(K, x):
     multiplier decreases, N_p lies in the cone of the negated active rows
     (up to _DEPENDENT): y = e_p - r on the active rows is a Farkas
     certificate of emptiness.  Returns z and the list of active rows.
+    ``x_norm``, when given, is norm(x).
     """
     N, b, row_tol = K.N, K.b, K.row_tol
     z = x.copy()
     active = []
     if not b.size:
         return z, active
-    x_norm = norm(x)
+    if x_norm is None:
+        x_norm = norm(x)
 
     def excess(z, scale):
         """How far z lies beyond each row, less the row's tolerance."""
         return N @ z - b - row_tol - _VIOLATION_TOL * scale
 
-    u = np.zeros(b.size)
     over = excess(z, x_norm)
     p = int(over.argmax())
+    if not over[p] > 0.0:   # in K, or a NaN point, which comes back as it went in
+        return z, active
+    u = np.zeros(b.size)
     max_steps = 10 * (b.size + x.size)
     for _ in range(max_steps):
-        if not over[p] > 0.0:   # a NaN point comes back as it went in
+        if not over[p] > 0.0:
             return z, active
-        row = N[p]
-        if active:
-            columns = N[active].T
-            r = np.linalg.lstsq(columns, row, rcond=None)[0]
-            d = row - columns @ r
-        else:
-            r = np.zeros(0)
-            d = row
-        dd = float(d @ d)
-        violation = float(row @ z - b[p])
+        r, d, dd = K.step(active, p)
+        violation = float(N[p] @ z - b[p])
         full = violation / dd if dd > _DEPENDENT ** 2 else np.inf
         partial, block = np.inf, None
         for k, rk in zip(active, r.tolist()):
@@ -610,13 +679,16 @@ def _project_polyhedron_ball(K, ball, x):
     outside the bracket of s values seen on either side is replaced by the
     bracket's midpoint.
 
-    K holds each row's tolerance, and P_K(c) with its reach once the first
-    point that leaves the ball has solved them; the ball holds ||c||.
+    K holds each row's tolerance, its active-set steps, and P_K(c) with its
+    reach once the first point that leaves the ball has solved them; the
+    ball holds ||c||.  The rate along c - x on a face depends on the point,
+    so its solve is made afresh.
     """
     c, r = ball.center, ball.radius
-    scale = max(norm(x), ball._center_norm)
+    x_norm = norm(x)
+    scale = max(x_norm, ball._center_norm)
     tol = _VIOLATION_TOL * (1.0 + scale + r)
-    z, active = _project_polyhedron(K, x)
+    z, active = _project_polyhedron(K, x, x_norm)
     gap = norm(z - c) - r
     if not gap > tol:   # in the ball, or a NaN point
         return z
@@ -681,7 +753,7 @@ def _project_balls(K, balls, x):
                         1.0 + max(x_norm, ball._center_norm) + r):
                     break
             else:
-                z = _project_on_spheres(K, [balls[j] for j in subset], x)
+                z = _project_on_spheres(K, tuple(balls[j] for j in subset), x)
         solved[subset] = z
         return z
 
@@ -695,25 +767,12 @@ def _project_on_spheres(K, balls, x):
 
     Two disjoint balls raise a ``SeparatingHyperplane`` between them.  Any
     other emptiness found here is certified by rows that are not the set's,
-    so it raises with no certificate.
+    so it raises with no certificate.  K holds the radical rows of each
+    tuple of ``balls``.
     """
-    c1, r1 = balls[0].center, balls[0].radius
-    rows, offsets = [K.N], [K.b]
-    for ball in balls[1:]:
-        apart = norm(ball.center - c1)
-        u = (ball.center - c1) / apart if apart else None
-        if apart > r1 + ball.radius:
-            raise InfeasibleIntersection(
-                "the balls lie %.3e apart" % (apart - r1 - ball.radius),
-                certificate=SeparatingHyperplane(u, float(u @ c1) + r1,
-                                                 apart - r1 - ball.radius))
-        if u is not None:   # equal centres with both spheres active: equal balls, no row
-            t = float(u @ c1) + (apart * apart + r1 * r1 - ball.radius ** 2) / (2.0 * apart)
-            rows.append(np.array([u, -u]))
-            offsets.append(np.array([t, -t]))
+    radical = K.radical(balls)   # outside the try: balls apart keep their own certificate
     try:
-        return _project_polyhedron_ball(
-            _Polyhedron(np.concatenate(rows), np.concatenate(offsets)), balls[0], x)
+        return _project_polyhedron_ball(radical, balls[0], x)
     except InfeasibleIntersection as err:
         raise InfeasibleIntersection("intersection is empty: with the spheres of %s all "
                                      "active, %s" % (", ".join(map(repr, balls)), err)) from None

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from splitfp import projections
 from splitfp.projections import (
     Ball,
     Box,
@@ -612,6 +613,25 @@ def test_a_point_with_an_infinite_entry_projects_onto_a_ball_as_its_stack_row(x)
     assert np.isnan(got[np.isinf(x) | np.isnan(x)]).all()
 
 
+def test_a_finite_point_whose_difference_from_the_centre_overflows_projects_onto_a_ball():
+    # x - c overflows to inf; the halves 0.5 x - 0.5 c do not, and give the
+    # direction, for one point as for a stack row, and neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        B = Ball([-1e308, 0.0], 1.0)
+        assert project(B, [1e308, 0.0]).tolist() == [-1e308, 0.0]
+        X = np.array([[1e308, 0.0], [1e308, 1e308], [0.0, 0.0], [-1e308, 0.5],
+                      [math.inf, 0.0]])
+        for S in (B, Ball([-1e308, 0.0], 1e307), Ball([-1e308, 0.0], math.inf)):
+            got = project(S, X)
+            assert got.tobytes() == np.array([project(S, x) for x in X]).tobytes()
+        assert_allclose(got[:2], X[:2])   # no point lies outside an infinite radius
+        assert_allclose(project(Ball([-1e308, 0.0], 1e307), X[:2]),
+                        [[-9e307, 0.0], [-1e308 + 2e307 / 5 ** 0.5, 1e307 / 5 ** 0.5]],
+                        rtol=1e-15)
+    assert np.isnan(project(B, X[4])[0])
+
+
 def test_a_square_stack_projects_row_by_row():
     # a (2, 2) stack is two points of the disc's plane, not one point
     assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5]]).tolist() == [[1.0, 0.0],
@@ -707,3 +727,85 @@ def test_every_exact_path_keeps_its_bits():
         digest.update(_outcome_bytes(S, x))
     assert digest.hexdigest() == (
         "524c51d2666a4d56aaf502720e4777087348465bb8e7d562a101d55ece56a187")
+
+
+# ---------------------------------------------------------------------------
+# what a set keeps between points
+
+
+def _bench_3d_set():
+    """The box ∩ ball ∩ halfspace set of the bench's 3-D projections, and 300
+    points 0.5 to 5 from the ball's centre."""
+    S = Intersection([Box([-1.0] * 3, [1.0] * 3), Ball([0.0] * 3, 1.3),
+                      Halfspace([1.0, -1.0, 1.0], 1.0)])
+    rng = np.random.default_rng(37)
+    directions = rng.normal(size=(300, 3))
+    radii = rng.uniform(0.5, 5.0, (300, 1))
+    return S, radii * directions / np.linalg.norm(directions, axis=1)[:, None]
+
+
+def test_a_set_solves_each_active_set_step_once(monkeypatch):
+    # a step's solve N_A^T r = N_p depends on the set's rows alone; the ball
+    # search's solve for its rate depends on the point, and is not counted
+    S, X = _bench_3d_set()
+    N = S._K.N
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counted(a, b, rcond=None):
+        if any(np.array_equal(b, row) for row in N):
+            solves.append((a.tobytes(), b.tobytes()))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    first = np.array([project(S, x) for x in X])
+    assert solves and len(solves) == len(set(solves))
+    assert len(solves) == sum(1 for active, _ in S._K._steps if active)
+    solves.clear()
+    again = np.array([project(S, x) for x in X])
+    assert solves == []
+    assert again.tobytes() == first.tobytes()
+
+
+def test_a_kept_step_is_read_only_with_the_bits_of_a_fresh_solve():
+    S, X = _bench_3d_set()
+    for x in X:
+        project(S, x)
+    K = S._K
+    assert sum(1 for active, _ in K._steps if len(active) > 1)
+    for (active, p), (r, d, dd) in K._steps.items():
+        assert not r.flags.writeable and not d.flags.writeable
+        columns = K.N[list(active)].T
+        fresh = np.linalg.lstsq(columns, K.N[p], rcond=None)[0] if active else np.zeros(0)
+        assert r.tobytes() == fresh.tobytes()
+        assert d.tobytes() == (K.N[p] - columns @ fresh if active else K.N[p]).tobytes()
+        assert dd == float(d @ d)
+
+
+def test_the_lens_builds_its_radical_rows_once(monkeypatch):
+    balls = ([0.0, 0.0], 1.0), ([2.0, 0.0], 1.01)
+    points = [[1.0, 3.0], [1.0, -3.0], [0.8, 4.0], [1.3, -6.0], [1.0, 3.0]]
+    fresh = [project(Intersection([Ball(*b) for b in balls]), x) for x in points]
+    built = []
+    init = projections._Polyhedron.__init__
+
+    def counted(self, N, b):
+        built.append(N.shape)
+        init(self, N, b)
+
+    monkeypatch.setattr(projections._Polyhedron, "__init__", counted)
+    lens = Intersection([Ball(*b) for b in balls])
+    got = [project(lens, x) for x in points]
+    # the set's (empty) rows, and one radical hyperplane as two rows
+    assert built == [(0, 2), (2, 2)]
+    assert np.array(got).tobytes() == np.array(fresh).tobytes()
+    for z in got:   # every point reached the all-active step: on both spheres
+        assert abs(norm(z) - 1.0) <= 1e-12 and abs(norm(z - [2.0, 0.0]) - 1.01) <= 1e-12
+    # balls that lie apart raise their certificate for every point
+    apart = Intersection([Ball([0.0, 0.0], 1.0), Ball([3.0, 0.0], 1.0)])
+    for x in ([1.5, 2.0], [1.5, -2.0]):
+        with pytest.raises(InfeasibleIntersection, match="the balls lie 1.000e[+]00 apart") \
+                as exc:
+            project(apart, x)
+        assert (exc.value.certificate.normal.tolist(), exc.value.certificate.offset,
+                exc.value.certificate.gap) == ([1.0, 0.0], 1.0, 1.0)
