@@ -25,7 +25,7 @@ import numpy as np
 
 from .projections import Ball, Box, WholeSpace, contains, project
 from .rules import Piecewise1D, Rational1D, Relaxed1D
-from .spaces import DimensionMismatch, _vector, norm, row_norms
+from .spaces import _FLOAT64, DimensionMismatch, _vector, norm, row_norms
 
 __all__ = [
     "SequenceSpec",
@@ -698,23 +698,33 @@ def _domain_escape(i, n, point):
 
 def _array_power(eval_fn, domain, check):
     """A power loop on float64 arrays that calls ``eval_fn`` directly and
-    makes only each image an array.  With ``check``, the iterate is tested
-    against ``domain`` before every application: a whole space holds
-    exactly the finite points of its shape, and any other domain or shape
-    asks :func:`contains`, so an iterate that grew raises its
-    DimensionMismatch."""
+    passes only an image that is not yet a float64 array through
+    :func:`_vector`.  With ``check``, the iterate is tested against
+    ``domain`` before every application: a whole space holds exactly the
+    finite points of its shape, and any other domain or shape asks
+    :func:`contains`, so an iterate that grew raises its DimensionMismatch.
+    Which of the two tests applies is decided again only when an image
+    changes the iterate's shape."""
     whole = (domain.dim,) if isinstance(domain, WholeSpace) else None
     isfinite = math.isfinite
+    ndarray = np.ndarray
 
     def power(cur, n):
         before = cur.tobytes()   # each image's bytes are the next test's before
+        shape = cur.shape
+        finite = shape == whole
         for i in range(n):
-            if check and not (all(map(isfinite, cur.tolist())) if cur.shape == whole
+            if check and not (all(map(isfinite, cur.tolist())) if finite
                               else contains(domain, cur, tol=1e-9)):
                 raise _domain_escape(i, n, cur.tolist())
-            nxt = _vector(eval_fn(cur))
+            nxt = eval_fn(cur)
+            if not (type(nxt) is ndarray and nxt.dtype is _FLOAT64 and nxt.ndim):
+                nxt = _vector(nxt)
             after = nxt.tobytes()
-            if after == before and nxt.shape == cur.shape:
+            if nxt.shape != shape:
+                shape = nxt.shape
+                finite = shape == whole
+            elif after == before:
                 return nxt
             cur, before = nxt, after
         return cur

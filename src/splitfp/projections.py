@@ -368,6 +368,16 @@ class Ball(ConvexBody):
         return "Ball(center=%s, radius=%s)" % (self.center.tolist(), self.radius)
 
 
+def _from_centre(ball, z):
+    """z - c for the centre c of ``ball``, and the f with ||z - c|| = f ||that||:
+    z - c and 1, or where ||c|| >= _WIDE, so that a finite z - c may
+    overflow, the halves 0.5 z - 0.5 c and 2, as :meth:`Ball._beyond`
+    takes them."""
+    if ball._center_norm < _WIDE:
+        return z - ball.center, 1.0
+    return 0.5 * z - 0.5 * ball.center, 2.0
+
+
 class Intersection(ConvexBody):
     """Intersection of convex bodies of one dimension.
 
@@ -549,9 +559,9 @@ class _Polyhedron:
         """P_K(c) for the centre c of ``ball``, and ||c - P_K(c)||."""
         found = self._nearest.get(ball)
         if found is None:
-            c = ball.center
-            z = _project_polyhedron(self, c)[0]
-            found = self._nearest[ball] = (z, norm(c - z))
+            z = _project_polyhedron(self, ball.center)[0]
+            offset, f = _from_centre(ball, z)
+            found = self._nearest[ball] = (z, f * norm(offset))
         return found
 
     def radical(self, balls):
@@ -677,7 +687,9 @@ def _project_polyhedron_ball(K, ball, x):
     the active rows, so reaching the sphere is a quadratic in s, solved in
     closed form and confirmed by one more projection onto K; a candidate
     outside the bracket of s values seen on either side is replaced by the
-    bracket's midpoint.
+    bracket's midpoint.  Where ||c|| >= _WIDE, so that z - c and c - x may
+    overflow, the search takes their halves (:func:`_from_centre`) and
+    moves x by s (c - x) in two half steps.
 
     K holds each row's tolerance, its active-set steps, and P_K(c) with its
     reach once the first point that leaves the ball has solved them; the
@@ -689,26 +701,31 @@ def _project_polyhedron_ball(K, ball, x):
     scale = max(x_norm, ball._center_norm)
     tol = _VIOLATION_TOL * (1.0 + scale + r)
     z, active = _project_polyhedron(K, x, x_norm)
-    gap = norm(z - c) - r
+    offset, f = _from_centre(ball, z)
+    gap = f * norm(offset) - r
     if not gap > tol:   # in the ball, or a NaN point
         return z
+    halves = f == 2.0   # then c - P_K(c) and c - x are taken as halves too
     nearest, reach = K.nearest(ball)
     if reach > r:
-        normal = (c - nearest) / reach
+        normal = 0.5 * c - 0.5 * nearest if halves else c - nearest
+        normal = normal / norm(normal)
         raise InfeasibleIntersection(
             "the ball lies %.3e beyond the polyhedron" % (reach - r),
             certificate=SeparatingHyperplane(normal, float(normal @ nearest), reach - r))
-    direction = c - x
+    direction = 0.5 * c - 0.5 * x if halves else c - x
     lo, hi, s = 0.0, 1.0, 0.0
     for _ in range(_BALL_STEPS):
         rate = direction
         if active:
             rows = K.N[active].T
             rate = direction - rows @ np.linalg.lstsq(rows, direction, rcond=None)[0]
-        s_next = s + _sphere_crossing(z - c, rate, r)
+        s_next = s + _sphere_crossing(offset, rate, r / f)
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
-        z, active = _project_polyhedron(K, x + s * direction)
-        gap = norm(z - c) - r
+        y = x + s * direction
+        z, active = _project_polyhedron(K, y + s * direction if halves else y)
+        offset, f = _from_centre(ball, z)
+        gap = f * norm(offset) - r
         if abs(gap) <= tol:
             return z
         if gap > 0.0:
@@ -721,8 +738,10 @@ def _project_polyhedron_ball(K, ball, x):
 
 
 def _sphere_crossing(p, v, r):
-    """The smaller t with ||p + t v|| = r, or NaN when there is none."""
-    a, h, q = float(v @ v), float(p @ v), float(p @ p) - r * r
+    """The smaller t with ||p + t v|| = r, or NaN when there is none, or
+    when a product overflows.  ``np.vdot`` gives ``p @ v``'s bits, and does
+    not warn where it overflows."""
+    a, h, q = float(np.vdot(v, v)), float(np.vdot(p, v)), float(np.vdot(p, p)) - r * r
     disc = h * h - a * q
     if not (a > 0.0 and disc >= 0.0):
         return np.nan

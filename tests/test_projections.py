@@ -632,6 +632,23 @@ def test_a_finite_point_whose_difference_from_the_centre_overflows_projects_onto
     assert np.isnan(project(B, X[4])[0])
 
 
+def test_a_ball_whose_difference_from_the_point_overflows_projects_inside_an_intersection():
+    # with rows beside the ball, z - c and c - x overflow as for the ball
+    # alone; the search takes their halves, and neither warns nor stops short
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = Intersection([Ball([-1e308, 0.0], 1.0), Halfspace([0.0, 1.0], 5.0)])
+        assert_allclose(project(S, [1e308, 0.0]), [-1e308, 0.0], rtol=1e-11)
+        S = Intersection([Ball([-1e308, 0.0], 1e307), Halfspace([0.0, 1.0], 5.0)])
+        assert_allclose(project(S, [1e308, 1e308]), [-9e307, 0.0], rtol=1e-11, atol=5.0)
+        assert_allclose(project(S, [1e308, -1e307]),
+                        project(Ball([-1e308, 0.0], 1e307), [1e308, -1e307]), rtol=1e-11)
+        S = Intersection([Ball([-1e308, 0.0], 1e306), Halfspace([0.0, -1.0], -1e307)])
+        with pytest.raises(InfeasibleIntersection, match="9.000e[+]306 beyond") as err:
+            project(S, [1e308, 0.0])
+    assert err.value.certificate.normal.tolist() == [0.0, -1.0]
+
+
 def test_a_square_stack_projects_row_by_row():
     # a (2, 2) stack is two points of the disc's plane, not one point
     assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5]]).tolist() == [[1.0, 0.0],

@@ -644,6 +644,35 @@ def test_each_iteration_steps_through_a_module_global_step(monkeypatch):
                                   "step_sffpep", "step_extragradient"}
 
 
+def test_a_class_level_wrapper_of_linear_map_products_sees_every_product(monkeypatch):
+    # apply and apply_adjoint stay methods of LinearMap, so a wrapper
+    # installed on the class, as a tracer installs one, sees each 2-D
+    # product: record 0's image residual takes A x0 and one rotation, and
+    # step n one A x, one A* (T^{n+1} A x - A x) and the n + 1 rotations of
+    # T^{n+1}, which never settles
+    calls = {}
+    for name in ("apply", "apply_adjoint"):
+        def counting(self, x, _name=name, _method=getattr(LinearMap, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self, x)
+        monkeypatch.setattr(LinearMap, name, counting)
+    c, s = math.cos(1.0), math.sin(1.0)
+    rotation = LinearMap([[c, -s], [s, c]])
+    plane, origin = WholeSpace(2), ([0.0, 0.0],)
+    spec = ProblemSpec(
+        family=SCFPP, A=LinearMap([[1.0, 0.5], [0.0, 1.0]]),
+        T=FixedPointMap(lambda x: rotation.apply(x), plane, Nonexpansive(),
+                        known_fixed_points=origin),
+        G=FixedPointMap(lambda x: x, plane, Nonexpansive(), known_fixed_points=origin),
+        alpha=SequenceSpec.const(0.5), gamma=0.05)
+    steps = 20
+    calls.clear()
+    tr = run(spec, [1.0, 2.0], rule=StoppingRule(max_iters=steps))
+    assert tr.final.n == steps
+    rotations = 1 + steps * (steps + 1) // 2
+    assert calls == {"apply": 1 + steps + rotations, "apply_adjoint": steps}
+
+
 def test_run_rejects_a_start_of_the_wrong_dimension():
     ex = get_example("bnm_t1")
     with pytest.raises(ValidationError,

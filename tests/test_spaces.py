@@ -173,6 +173,39 @@ def test_a_linear_map_names_both_dimensions_it_expects():
         A.apply_adjoint([1.0, 2.0, 3.0])
 
 
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 1e308, -1e308]
+
+
+def _bits_and_warnings(product):
+    """The product's bytes and its warnings, each without the "in dot" or
+    "in matmul" that names numpy's function."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = product()
+    return out.tobytes(), sorted(str(w.message).rsplit(" in ", 1)[0] for w in caught)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+@pytest.mark.parametrize("cols", [1, 2, 3, 4])
+def test_apply_and_its_adjoint_have_the_bits_of_matmul(rows, cols):
+    # a product over two or more entries is ndarray.dot on the map's own
+    # contiguous copy, over one entry it is @, whose sum from +0.0 turns a
+    # -0.0 product into +0.0; either way the bits and the warnings of
+    # matrix @ x and matrix.T @ z, on special entries, strided vectors and
+    # a map built from a strided matrix
+    rng = np.random.default_rng(10 * rows + cols)
+    finite = [v for v in _SPECIAL if math.isfinite(v)]
+    for _ in range(200):
+        wide = rng.choice(finite, size=(rows, 2 * cols))
+        A = LinearMap(wide[:, ::2])
+        matrix = wide[:, ::2].copy()
+        x = rng.choice(_SPECIAL, size=2 * cols)[::2]
+        z = rng.choice(_SPECIAL, size=2 * rows)[::2]
+        assert _bits_and_warnings(lambda: A.apply(x)) == _bits_and_warnings(lambda: matrix @ x)
+        assert (_bits_and_warnings(lambda: A.apply_adjoint(z))
+                == _bits_and_warnings(lambda: matrix.T @ z))
+
+
 def test_estimate_norm_squared_values():
     assert_allclose(estimate_norm_squared(LinearMap([[1.0]])), 1.0, rtol=1e-9)
     assert_allclose(
