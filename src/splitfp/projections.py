@@ -21,7 +21,9 @@ holds it in its ``_K`` for the set's lifetime:
 - its rows' tolerances, when it is first projected onto;
 - each active-set step: for the active rows A and the entering row p, the
   multipliers r of the least-squares solve N_A^T r = N_p and the rest
-  d = N_p - N_A^T r, solved when some point first takes that step;
+  d = N_p - N_A^T r, solved when some point first takes that step (a
+  grown :class:`CutSet`, whose rows begin with its parent's, starts with
+  the parent's steps);
 - each ball's P_K(c) and reach ||c - P_K(c)||, when a projection first
   leaves that ball (each ball also holds its ||c||);
 - for each set of balls that the all-active step reaches, K with their
@@ -29,6 +31,13 @@ holds it in its ``_K`` for the set's lifetime:
 
 Every projected bit, error and certificate is that of computing them
 afresh; an error is not kept, and is raised again by the next point.
+
+The active-set method makes few numpy calls per step.  Its products over
+two or more entries (N z, N_p z, N_A^T w over two or more active rows) are
+``ndarray.dot`` on C-contiguous rows or their transpose, with the bits of
+``@``; over one entry ``@`` stays, as its sum from +0.0 turns a -0.0
+product into +0.0.  The multipliers are Python floats: u_k - t r_k is the
+one double operation of numpy's ``u[A] -= t * r``, with its bits.
 
 :func:`project` takes one point or an (S, d) stack of points, and
 :func:`contains` one point.
@@ -395,11 +404,8 @@ class Intersection(ConvexBody):
         if len(dims) != 1:
             raise DimensionMismatch("intersection members differ in dimension")
         self.bodies = bodies
+        self.dim = bodies[0].dim
         self._defined = all(body._defined for body in bodies)
-
-    @property
-    def dim(self):
-        return self.bodies[0].dim
 
     def __repr__(self):
         return "Intersection(%d bodies)" % len(self.bodies)
@@ -425,7 +431,9 @@ class CutSet(ConvexBody):
     then of each cut, in order.  These are the fold of
     ``Intersection([C, *cuts])``, bit for bit, so both project alike.  It
     also carries the number of cuts (``count``, its ``len``) and the newest
-    ones (``latest``), but no earlier set or cut.
+    ones (``latest``), but no earlier set or cut.  A grown set starts with
+    the active-set steps its parent has solved, as its rows begin with the
+    parent's, at the same indices.
     """
 
     _clips = True   # in 1-D
@@ -440,6 +448,8 @@ class CutSet(ConvexBody):
         grown.dim, grown.count, grown.latest = self.dim, self.count + len(cuts), cuts
         grown._defined = self._defined and all(cut._defined for cut in cuts)
         grown._fold((self, *cuts))
+        if "_K" in self.__dict__:   # its rows lead the grown rows: its steps hold there
+            grown._K._steps.update(self._K._steps)
         return grown
 
     def _fold(self, bodies):
@@ -533,11 +543,20 @@ class _Polyhedron:
     every projection onto K reads, as the module docstring lists them."""
 
     def __init__(self, N, b):
-        self.N, self.b = N, b
-        self.row_tol = _VIOLATION_TOL * (1.0 + np.abs(b))
+        self.N, self.b, self.b_list = N, b, b.tolist()
+        magnitude = np.abs(b)
+        self.row_tol = _VIOLATION_TOL * (1.0 + magnitude)
+        self.wide = bool(magnitude.max(initial=0.0) >= _WIDE)   # N z - b may overflow
         self._steps = {}
         self._nearest = {}
         self._radical = {}
+
+    @cached_property
+    def halved(self):
+        """K / 2 = {z : N z <= b / 2}, with K's steps: P_K(x) = 2 P_{K/2}(x / 2)."""
+        half = _Polyhedron(*_rows(self.N, 0.5 * self.b))
+        half._steps = self._steps
+        return half
 
     def step(self, active, p):
         """Row p entering the active rows A: read-only r with N_A^T r the
@@ -575,8 +594,9 @@ class _Polyhedron:
             c1, r1 = balls[0].center, balls[0].radius
             rows, offsets = [self.N], [self.b]
             for ball in balls[1:]:
-                apart = norm(ball.center - c1)
-                u = (ball.center - c1) / apart if apart else None
+                half = 0.5 * ball.center - 0.5 * c1   # (c_i - c_1) / 2 does not overflow
+                apart = 2.0 * norm(half)
+                u = half / norm(half) if apart else None
                 if apart > r1 + ball.radius:
                     raise InfeasibleIntersection(
                         "the balls lie %.3e apart" % (apart - r1 - ball.radius),
@@ -606,33 +626,61 @@ def _project_polyhedron(K, x, x_norm=None):
     (up to _DEPENDENT): y = e_p - r on the active rows is a Farkas
     certificate of emptiness.  Returns z and the list of active rows.
     ``x_norm``, when given, is norm(x).
+
+    Where ||x|| or some |b_p| is at least _WIDE, a finite N z - b may
+    overflow, and the method runs without overflow warnings.  A finite x
+    whose norm, or whose entering row's violation, overflows is solved on
+    the halves: P_K(x) = 2 P_{K/2}(x / 2).
     """
-    N, b, row_tol = K.N, K.b, K.row_tol
-    z = x.copy()
-    active = []
-    if not b.size:
-        return z, active
     if x_norm is None:
         x_norm = norm(x)
+    if x_norm < _WIDE and not K.wide:
+        found = _active_set(K, x, x_norm)
+    elif x_norm == math.inf and np.isfinite(x).all():
+        found = None
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = _active_set(K, x, x_norm)
+    if found is None:
+        z, active = _project_polyhedron(K.halved, 0.5 * x)
+        return 2.0 * z, active
+    return found
+
+
+def _active_set(K, x, x_norm):
+    """The method of :func:`_project_polyhedron`; None where the entering
+    row's violation overflows at a finite x."""
+    N, b, b_list, row_tol = K.N, K.b, K.b_list, K.row_tol
+    z = x.copy()
+    active = []
+    if not b_list:
+        return z, active
 
     def excess(z, scale):
         """How far z lies beyond each row, less the row's tolerance."""
-        return N @ z - b - row_tol - _VIOLATION_TOL * scale
+        over = N.dot(z)
+        over -= b
+        over -= row_tol
+        over -= _VIOLATION_TOL * scale
+        return over
 
     over = excess(z, x_norm)
     p = int(over.argmax())
     if not over[p] > 0.0:   # in K, or a NaN point, which comes back as it went in
         return z, active
-    u = np.zeros(b.size)
-    max_steps = 10 * (b.size + x.size)
+    u = [0.0] * len(b_list)
+    max_steps = 10 * (len(b_list) + x.size)
     for _ in range(max_steps):
         if not over[p] > 0.0:
             return z, active
+        violation = float(N[p].dot(z)) - b_list[p]
+        if not violation < math.inf and math.isfinite(b_list[p]) and np.isfinite(x).all():
+            return None
         r, d, dd = K.step(active, p)
-        violation = float(N[p] @ z - b[p])
+        r_list = r.tolist()
         full = violation / dd if dd > _DEPENDENT ** 2 else np.inf
         partial, block = np.inf, None
-        for k, rk in zip(active, r.tolist()):
+        for k, rk in zip(active, r_list):
             if rk > 0.0 and u[k] / rk < partial:
                 partial, block = u[k] / rk, k
         if block is None and full == np.inf:
@@ -651,9 +699,9 @@ def _project_polyhedron(K, x, x_norm=None):
                 "row %d depends on the active rows but gives no Farkas "
                 "certificate; violation %.3e" % (p, violation), violation)
         t = min(full, partial)
-        z = z - t * d
-        if active:
-            u[active] -= t * r
+        z -= t * d
+        for k, rk in zip(active, r_list):
+            u[k] -= t * rk
         u[p] += t
         if full <= partial:
             active.append(p)
@@ -670,8 +718,10 @@ def _project_polyhedron(K, x, x_norm=None):
 
 # Steps of the search for the ball multiplier; each costs one projection
 # onto the polyhedron, and plain bisection of [0, 1] reaches the spacing of
-# doubles near 1 within 53.
+# doubles near 1 within 53.  Its rate solves give lstsq numpy's default
+# rcond, eps * max(shape), which spares each call a finfo lookup.
 _BALL_STEPS = 100
+_EPS = float(np.finfo(float).eps)
 
 
 def _project_polyhedron_ball(K, ball, x):
@@ -719,7 +769,8 @@ def _project_polyhedron_ball(K, ball, x):
         rate = direction
         if active:
             rows = K.N[active].T
-            rate = direction - rows @ np.linalg.lstsq(rows, direction, rcond=None)[0]
+            w = np.linalg.lstsq(rows, direction, rcond=_EPS * max(rows.shape))[0]
+            rate = direction - (rows.dot(w) if len(active) > 1 else rows @ w)
         s_next = s + _sphere_crossing(offset, rate, r / f)
         s = s_next if lo < s_next < hi else 0.5 * (lo + hi)
         y = x + s * direction
@@ -767,8 +818,9 @@ def _project_balls(K, balls, x):
                 z = solve(tuple(j for j in subset if j != i))
                 ball = balls[i]
                 r = ball.radius
+                offset, f = _from_centre(ball, z)
                 # in ball i, to the tolerance its sphere is reached with
-                if norm(z - ball.center) <= r + _VIOLATION_TOL * (
+                if f * norm(offset) <= r + _VIOLATION_TOL * (
                         1.0 + max(x_norm, ball._center_norm) + r):
                     break
             else:

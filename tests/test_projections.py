@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from splitfp import projections
+from splitfp import projections, solvers
+from splitfp.operators import FixedPointMap, Nonexpansive, QuasiNonexpansive, SequenceSpec
+from splitfp.problems import EXTRAGRADIENT_SFFPP, ProblemSpec, StoppingRule
 from splitfp.projections import (
     Ball,
     Box,
@@ -23,7 +25,8 @@ from splitfp.projections import (
     halfspace_from_distance_dominance,
     project,
 )
-from splitfp.spaces import DimensionMismatch, inner, norm
+from splitfp.solvers import run
+from splitfp.spaces import DimensionMismatch, LinearMap, inner, norm
 
 from helpers import DykstraNoConvergence, _dykstra
 from lemmas import check_projection_inequalities
@@ -649,6 +652,32 @@ def test_a_ball_whose_difference_from_the_point_overflows_projects_inside_an_int
     assert err.value.certificate.normal.tolist() == [0.0, -1.0]
 
 
+def test_a_row_violation_that_overflows_is_solved_on_halves():
+    # a finite point whose N z - b overflows was read as lying beyond a
+    # dependent row, so the set looked empty, and one whose norm overflows
+    # looked inside every row; the halves, P_K(x) = 2 P_{K/2}(x / 2),
+    # overflow in neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = Intersection([Halfspace([1.0, 0.0], -1e308), Halfspace([0.0, 1.0], 0.0)])
+        assert project(S, [1e308, 0.0]).tolist() == [-1e308, 0.0]
+        S = Intersection([Halfspace([1.0, 1.0], 0.0), Halfspace([0.0, 1.0], 1.0)])
+        assert project(S, [1.7e308, 1.7e308]).tolist() == [0.0, 0.0]
+        assert project(S, [1.7e308, -1.7e308]).tolist() == [1.7e308, -1.7e308]
+
+
+def test_balls_too_far_apart_to_subtract_carry_a_finite_certificate():
+    # c_2 - c_1 overflows; its halves give the normal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = Intersection([Ball([-1e308, 0.0], 1.0), Ball([1e308, 0.0], 1.0)])
+        with pytest.raises(InfeasibleIntersection, match="the balls lie inf apart") as err:
+            project(S, [0.0, 1.0])
+    certificate = err.value.certificate
+    assert certificate.normal.tolist() == [1.0, 0.0]
+    assert math.isfinite(certificate.offset) and certificate.gap > 0.0
+
+
 def test_a_square_stack_projects_row_by_row():
     # a (2, 2) stack is two points of the disc's plane, not one point
     assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5]]).tolist() == [[1.0, 0.0],
@@ -746,6 +775,45 @@ def test_every_exact_path_keeps_its_bits():
         "524c51d2666a4d56aaf502720e4777087348465bb8e7d562a101d55ece56a187")
 
 
+def _strided(x):
+    """``x``'s values in a view that steps two entries along its last axis."""
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., ::2] = x
+    return wide[..., ::2]
+
+
+def test_a_strided_point_keeps_the_bits_of_its_copy():
+    for S, x in _digest_cases():
+        assert _outcome_bytes(S, _strided(x)) == _outcome_bytes(S, x)
+
+
+_KERNEL_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300,
+                   1e300, -1e300, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_kernels_products_have_the_bits_of_matmul(d):
+    # the active-set kernel takes N z, N_p z and, over two or more active
+    # rows, N_A^T w as ndarray.dot: each contracts two or more entries of
+    # C-contiguous rows or their transpose, where dot has the bits of @
+    rng = np.random.default_rng(d)
+    with np.errstate(all="ignore"):
+        for _ in range(4000):
+            m = int(rng.integers(1, 129))
+            N, z = rng.normal(size=(m, d)), rng.normal(size=d)
+            for a in (N, z):
+                special = rng.random(a.shape) < 0.4
+                a[special] = rng.choice(_KERNEL_SPECIAL, int(special.sum()))
+            assert N.dot(z).tobytes() == (N @ z).tobytes()
+            p = int(rng.integers(m))
+            assert np.float64(N[p].dot(z)).tobytes() == (N[p] @ z).tobytes()
+            if m > 1:
+                k = int(rng.integers(2, min(m, d) + 1))
+                rows = N[list(rng.choice(m, k, replace=False))].T
+                w = z[:k]
+                assert rows.dot(w).tobytes() == (rows @ w).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # what a set keeps between points
 
@@ -826,3 +894,48 @@ def test_the_lens_builds_its_radical_rows_once(monkeypatch):
             project(apart, x)
         assert (exc.value.certificate.normal.tolist(), exc.value.certificate.offset,
                 exc.value.certificate.gap) == ([1.0, 0.0], 1.0, 1.0)
+
+
+def test_a_grown_cut_set_solves_no_step_its_parent_solved(monkeypatch):
+    # the bench's orthant extra-gradient run, taken to 80 steps: a grown
+    # fold's rows begin with its parent's, at the same indices, so it takes
+    # over the parent's step solves and no solve is made twice (else 28 of
+    # 134 would be); each projection keeps the bits of the cold
+    # Intersection([C, *cuts])
+    shift = np.array([1.0, 2.0])
+    plane, orthant = WholeSpace(2), Box([0.0, 0.0], [np.inf, np.inf])
+    spec = ProblemSpec(
+        family=EXTRAGRADIENT_SFFPP,
+        T=FixedPointMap(lambda x: (x + shift) / 2.0, plane, QuasiNonexpansive(),
+                        known_fixed_points=([1.0, 2.0],)),
+        G=FixedPointMap(lambda x: x, plane, Nonexpansive(),
+                        known_fixed_points=([0.0, 0.0],)),
+        A=LinearMap(np.eye(2)), C=orthant, Q=plane, alpha=SequenceSpec.const(0.5),
+        beta=SequenceSpec.const(0.5), gamma_seq=SequenceSpec.const(0.5))
+    solves, made, projected = [], [], []
+    lstsq, cut = np.linalg.lstsq, solvers.halfspace_from_distance_dominance
+    real_project = solvers.project
+
+    def counted(a, b, rcond=None):
+        solves.append((a.tobytes(), b.tobytes()))
+        return lstsq(a, b, rcond=rcond)
+
+    def recording_cut(near, far):
+        made.append(cut(near, far))
+        return made[-1]
+
+    def recording_project(S, x):
+        out = real_project(S, x)
+        if isinstance(S, CutSet):
+            projected.append((len(made), x, out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(solvers, "halfspace_from_distance_dominance", recording_cut)
+    monkeypatch.setattr(solvers, "project", recording_project)
+    trace = run(spec, [10.0, -3.0], rule=StoppingRule(max_iters=80))
+    monkeypatch.undo()
+    assert trace.stop_reason == "max_iters" and len(projected) == 80
+    assert len(solves) == len(set(solves)) == 106
+    for count, x, out in projected:
+        assert project(Intersection([orthant, *made[:count]]), x).tobytes() == out.tobytes()

@@ -1,0 +1,102 @@
+"""The two scaling probes: how a run's cost grows with its length.
+
+- the 2-D rotation ``scfpp`` run (T a rotation by 1 rad, G the identity,
+  A = I), whose ``T^{n+1}`` is recomputed from scratch each step: seconds
+  for the whole run of n iterations;
+- the 2-D orthant extra-gradient run (T(x) = (x + (1, 2)) / 2, G the
+  identity, C the nonnegative orthant), whose cut set grows by three cuts
+  each step: milliseconds per iteration over n iterations.
+
+Each figure is the best of ``--repeats`` runs in one process, which the
+script pins to one CPU.  The output is one JSON line with the figures keyed
+by n, and the Python, numpy and platform it ran on.  It measures, and does
+not gate: the exit status is 0 unless a run fails or stops short of n
+iterations.  Standard library and the checkout's ``src/splitfp`` only:
+
+    python tools/probes.py                                   # n as in ROADMAP.md
+    python tools/probes.py --rotation 250 --orthant 100 --repeats 1
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import sys
+from importlib.metadata import version
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import splitfp  # noqa: E402
+from splitfp.operators import Nonexpansive, QuasiNonexpansive  # noqa: E402
+
+PLANE = splitfp.WholeSpace(2)
+IDENTITY = splitfp.FixedPointMap(lambda x: x, PLANE, Nonexpansive(),
+                                 known_fixed_points=([0.0, 0.0],), name="identity2")
+ROTATION_X0 = [1.5, 0.5]
+ORTHANT_X0 = [10.0, -3.0]
+
+
+def rotation_spec():
+    c, s = math.cos(1.0), math.sin(1.0)
+    rot = splitfp.LinearMap([[c, -s], [s, c]])
+    T = splitfp.FixedPointMap(lambda x: rot.apply(x), PLANE, Nonexpansive(),
+                              known_fixed_points=([0.0, 0.0],), name="rotation")
+    return splitfp.ProblemSpec(family="scfpp", T=T, G=IDENTITY,
+                               A=splitfp.LinearMap([[1.0, 0.0], [0.0, 1.0]]),
+                               alpha=splitfp.SequenceSpec.const(0.5), gamma=0.05)
+
+
+def orthant_spec():
+    T = splitfp.FixedPointMap(lambda x: (x + [1.0, 2.0]) / 2.0, PLANE, QuasiNonexpansive(),
+                              known_fixed_points=([1.0, 2.0],), name="halfway")
+    half = splitfp.SequenceSpec.const(0.5)
+    return splitfp.ProblemSpec(
+        family="extragradient_sffpp", T=T, G=IDENTITY,
+        A=splitfp.LinearMap([[1.0, 0.0], [0.0, 1.0]]),
+        C=splitfp.Box([0.0, 0.0], [math.inf, math.inf]), Q=PLANE,
+        alpha=half, beta=half, gamma_seq=half)
+
+
+def best_run_s(spec, x0, n, repeats):
+    """The shortest of ``repeats`` timed runs of ``spec`` for n iterations."""
+    best = math.inf
+    for _ in range(repeats):
+        t0 = perf_counter()
+        trace = splitfp.run(spec, list(x0), rule=splitfp.StoppingRule(max_iters=n))
+        best = min(best, perf_counter() - t0)
+        if trace.stop_reason != "max_iters" or len(trace) != n + 1:
+            raise SystemExit("probes: the run stopped at %s after %d records, not at n = %d"
+                             % (trace.stop_reason, len(trace), n))
+    return best
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rotation", type=int, nargs="+", default=[250, 500, 1000, 2000],
+                        help="iterations of the rotation scfpp run")
+    parser.add_argument("--orthant", type=int, nargs="+", default=[100, 200, 400, 800],
+                        help="iterations of the orthant extra-gradient run")
+    parser.add_argument("--repeats", type=int, default=3, help="runs per figure; the best counts")
+    args = parser.parse_args(argv)
+    rotation, orthant = rotation_spec(), orthant_spec()
+    print(json.dumps({
+        "rotation_scfpp_s": {n: round(best_run_s(rotation, ROTATION_X0, n, args.repeats), 5)
+                             for n in args.rotation},
+        "orthant_extragradient_ms_per_iter": {
+            n: round(1e3 * best_run_s(orthant, ORTHANT_X0, n, args.repeats) / n, 5)
+            for n in args.orthant},
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "numpy": version("numpy"),
+        "platform": platform.platform(),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    if hasattr(os, "sched_setaffinity"):   # one CPU, as bench/run.py pins itself
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    sys.exit(main())
