@@ -22,6 +22,7 @@ import sys
 import traceback
 from dataclasses import fields, replace
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -208,31 +209,28 @@ def write_trace_json(trace, path):
 
 
 def write_residual_svg(trace, path, width=640, height=400):
-    """Self-contained SVG line chart of log10(residual) against n."""
-    pts = [(n, r) for n, r in zip(trace.columns["n"].astype(int).tolist(),
-                                  trace.field_values("residual_primary"))
-           if r is not None]
-    floor = 1e-300
-    series = [(n, math.log10(max(r, floor))) for n, r in pts]
+    """Self-contained SVG line chart of log10(residual) against n.
+
+    Each residual's log10 is ``math.log10`` of a Python float; the polyline's
+    coordinates are computed on arrays, with the operations and in the
+    order of one point at a time, and written with one ``%`` format.
+    """
+    held = [(n, r) for n, r in zip(trace.columns["n"].astype(int).tolist(),
+                                   trace.field_values("residual_primary"))
+            if r is not None] or [(0, 1.0)]   # no residual: the point (0, log10 1)
+    xs, rs = zip(*held)
+    ys = list(map(math.log10, np.maximum(rs, 1e-300).tolist()))   # floored, as max(r, 1e-300)
     margin = 50
-    if not series:
-        series = [(0, 0.0)]
-    xs = [p[0] for p in series]
-    ys = [p[1] for p in series]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
         x_hi = x_lo + 1
     if y_hi == y_lo:
         y_hi = y_lo + 1
-
-    def sx(v):
-        return margin + (v - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    poly = " ".join("%.2f,%.2f" % (sx(n), sy(v)) for n, v in series)
+    with np.errstate(all="ignore"):   # as Python floats: an inf or NaN, silently
+        sx = margin + (np.array(xs) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        sy = height - margin - (np.array(ys) - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+    poly = ("%.2f,%.2f " * len(xs) % tuple(np.column_stack((sx, sy)).ravel().tolist()))[:-1]
     svg = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (width, height, width, height),
@@ -326,11 +324,6 @@ def cmd_run(args):
     return _EXIT_OK
 
 
-def _format_sig10(v):
-    # alternate form keeps trailing zeros: 10 significant digits, always
-    return "%#.10g" % v
-
-
 def cmd_reproduce(args):
     table = args.table
     if table not in _TABLE_IDS:
@@ -339,9 +332,10 @@ def cmd_reproduce(args):
     example = presets.get_example(_TABLE_IDS[table])
     cols = example.run().columns
     xs, ys = cols["x"][:, 0].tolist(), cols["y"][:, 0].tolist()
+    # the alternate form keeps trailing zeros: 10 significant digits, always
     print("n x_n y_n")
-    print("\n".join("%d %s %s" % (n, _format_sig10(x), _format_sig10(y))
-                    for n, x, y in zip(cols["n"].tolist(), xs, ys)))
+    print(("%d %#.10g %#.10g\n" * len(xs)) % tuple(chain.from_iterable(
+        zip(cols["n"].tolist(), xs, ys))), end="")
     failures = []
     for row in example.expected:
         got = (xs[row.n],) if len(row.values) == 1 else (xs[row.n], ys[row.n])

@@ -19,6 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, partial
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -959,40 +960,109 @@ class CheckRecord:
     passed: bool
 
     def to_line(self):
-        status = "PASS" if self.passed else "FAIL"
-        partner = "" if self.partner is None else " partner=%s" % (self.partner,)
-        power = "" if self.n is None else " n=%d" % self.n
-        return "sample=%d point=%s%s%s lhs=%.17g rhs=%.17g %s" % (
-            self.index, self.point, partner, power, self.lhs, self.rhs, status
-        )
+        return _Samples.of_records([self]).lines()[:-1]
 
 
 @dataclass
+class _Samples:
+    """A class report's samples as columns.
+
+    Sample i is number ``index[i]`` at ``points[i]``, with the sides
+    ``lhs[i]`` and ``rhs[i]`` of its worst case and its verdict
+    ``passed[i]``.  That case is ``cases[which[i]]``, a pair (n, partner):
+    n is None for a class that is not asymptotic, and the partner is a
+    fixed point, or None where a pairwise report keeps one partner per
+    sample in ``partners``.  Points and partners are lists of floats.
+    """
+
+    index: range | list
+    points: list
+    which: range | list
+    cases: list
+    partners: list | None
+    lhs: list
+    rhs: list
+    passed: list
+
+    @classmethod
+    def of_records(cls, records):
+        """The columns of ``records``, each record its own case."""
+        return cls([r.index for r in records], [r.point for r in records],
+                   range(len(records)), [(r.n, r.partner) for r in records], None,
+                   [r.lhs for r in records], [r.rhs for r in records],
+                   [r.passed for r in records])
+
+    def records(self, rows):
+        """The :class:`CheckRecord` of each sample in ``rows``, built when drawn."""
+        for i in rows:
+            n, partner = self.cases[self.which[i]]
+            if self.partners is not None:
+                partner = self.partners[i]
+            yield CheckRecord(self.index[i], list(self.points[i]),
+                              None if partner is None else list(partner), n,
+                              self.lhs[i], self.rhs[i], self.passed[i])
+
+    def lines(self):
+        """Every sample's line, each ending in a newline, from one ``%`` over
+        a flat tuple.  A point is ``[%r, ..., %r]``, the ``repr`` of its list
+        of floats, and each case's tail (its partner and n) is formatted
+        once."""
+        if not self.points:
+            return ""
+        vector = "[%s]" % ", ".join(["%r"] * len(self.points[0]))   # partners' too
+        line = "sample=%d point=" + vector
+        columns = [self.index, *zip(*self.points)]
+        if self.partners is not None:
+            line += " partner=" + vector
+            columns += zip(*self.partners)
+        tails = [("" if partner is None else " partner=%s" % (partner,))
+                 + ("" if n is None else " n=%d" % n) for n, partner in self.cases]
+        columns += ([tails[k] for k in self.which], self.lhs, self.rhs,
+                    ["PASS" if ok else "FAIL" for ok in self.passed])
+        line += "%s lhs=%.17g rhs=%.17g %s\n"
+        return (line * len(self.points)) % tuple(chain.from_iterable(zip(*columns)))
+
+
 class ClassReport:
-    operator: str
-    claimed: str
-    samples: int
-    seed: int
-    records: list
-    violations: list
+    """The outcome of :func:`verify_class`, its samples held as columns
+    (:class:`_Samples`, in ``columns``).
+
+    ``records`` builds a :class:`CheckRecord` per sample when it is read,
+    and ``violations`` one per failing sample.  A report built from
+    ``records`` (one sample each) takes its columns from them and prints
+    through the same :meth:`to_text`; ``violations``, the failing ones
+    among them, is implied and not read.
+    """
+
+    def __init__(self, operator, claimed, samples, seed, records=(), violations=None, *,
+                 columns=None):
+        self.operator = operator
+        self.claimed = claimed
+        self.samples = samples
+        self.seed = seed
+        self.columns = _Samples.of_records(records) if columns is None else columns
+
+    @cached_property
+    def _failed(self):
+        return [i for i, ok in enumerate(self.columns.passed) if not ok]
+
+    @property
+    def records(self):
+        return list(self.columns.records(range(len(self.columns.points))))
+
+    @property
+    def violations(self):
+        return list(self.columns.records(self._failed))
 
     @property
     def passed(self):
-        return not self.violations
+        return not self._failed
 
     def to_text(self):
-        lines = [
-            "operator=%s claimed=%s samples=%d seed=%d verdict=%s"
-            % (
-                self.operator,
-                self.claimed,
-                self.samples,
-                self.seed,
-                "PASS" if self.passed else "FAIL (%d violations)" % len(self.violations),
-            )
-        ]
-        lines.extend(r.to_line() for r in self.records)
-        return "\n".join(lines) + "\n"
+        return "operator=%s claimed=%s samples=%d seed=%d verdict=%s\n%s" % (
+            self.operator, self.claimed, self.samples, self.seed,
+            "FAIL (%d violations)" % len(self._failed) if self._failed else "PASS",
+            self.columns.lines())
 
 
 def _orbits(T, X, n_max):
@@ -1031,9 +1101,10 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
     at each, allowing scale-aware slack ``slack * (1 + |rhs|)``.  Asymptotic
     classes are checked at iterate powers n = 1..``n_max``.  ``extra_points``
     / ``extra_pairs`` are prepended verbatim, for analytically known
-    witnesses.  One record per sample is kept, carrying the worst-margin
-    instance (the first of equal margins; a NaN margin never replaces
-    another); the report lists every violating sample with both sides.
+    witnesses.  Each sample keeps its worst-margin case (the first of equal
+    margins; a NaN margin never replaces another).  The report holds the
+    samples as the columns computed here, builds a record per sample only
+    when read, and lists every violating sample with both sides.
 
     The samples are built as whole stacks, with the bits and in the stream
     order of drawing them one at a time: one block of LCG doubles
@@ -1059,21 +1130,21 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
         )
     lcg = _Lcg(seed)
     powers = range(1, (n_max if claimed.asymptotic else 1) + 1)
+    ns = list(powers) if claimed.asymptotic else [None]   # each case's n
 
     if pairwise:
         X, Z = _sample_pairs(T.domain, lcg, samples, scale)
         X = _on_top([x for x, _ in extra_pairs], X)
         Z = _on_top([z for _, z in extra_pairs], Z)
         xs, zs = _orbits(T, X, powers[-1]), _orbits(T, Z, powers[-1])
-        # (n, each row's partner) of each case
         partners = Z.tolist()
-        cases = [(n, partners) for n in powers]
+        cases = [(n, None) for n in ns]
         sides = (claimed.sides(X, Z, xs[n], zs[n], n) for n in powers)
     else:
         X = _on_top(extra_points, _sample_points(T.domain, lcg, samples, scale))
         xs = _orbits(T, X, powers[-1])
-        cases = [(n, [p.tolist()] * len(X))
-                 for p in T.known_fixed_points for n in powers]
+        partners = None
+        cases = [(n, p.tolist()) for p in T.known_fixed_points for n in ns]
         sides = (claimed.sides(X, p, xs[n], n)
                  for p in T.known_fixed_points for n in powers)
 
@@ -1089,22 +1160,9 @@ def verify_class(T, claimed, samples=1000, seed=1, slack=1e-9, n_max=20,
                 np.copyto(have, new, where=wins)
         margin, lhs, rhs, which = worst
         ok = margin <= slack * (1.0 + np.abs(rhs))
-    records = []
-    for idx, (x, k, left, right, passed) in enumerate(zip(
-            X.tolist(), which.tolist(), lhs.tolist(), rhs.tolist(), ok.tolist())):
-        n, partners = cases[k]
-        records.append(CheckRecord(idx, x, list(partners[idx]),
-                                   n if claimed.asymptotic else None,
-                                   left, right, passed))
-    violations = [r for r in records if not r.passed]
-    return ClassReport(
-        T.name or "unnamed",
-        repr(claimed),
-        samples,
-        seed,
-        records,
-        violations,
-    )
+    return ClassReport(T.name or "unnamed", repr(claimed), samples, seed, columns=_Samples(
+        range(len(X)), X.tolist(), which.tolist(), cases, partners,
+        lhs.tolist(), rhs.tolist(), ok.tolist()))
 
 
 # ---------------------------------------------------------------------------

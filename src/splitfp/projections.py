@@ -603,12 +603,27 @@ class _Polyhedron:
                         certificate=SeparatingHyperplane(u, float(u @ c1) + r1,
                                                          apart - r1 - ball.radius))
                 if u is not None:   # equal centres with both spheres active: equal balls, no row
-                    t = float(u @ c1) + (apart * apart + r1 * r1 - ball.radius ** 2) / (2.0 * apart)
+                    t = float(u @ c1) + _radical_offset(apart, r1, ball.radius)
                     rows.append(np.array([u, -u]))
                     offsets.append(np.array([t, -t]))
             found = self._radical[balls] = _Polyhedron(
                 *_rows(np.concatenate(rows), np.concatenate(offsets)))
         return found
+
+
+def _radical_offset(a, r1, r2):
+    """(a^2 + r1^2 - r2^2) / 2a, where the radical hyperplane of two spheres
+    of radii r1 and r2 with centres a apart crosses the line of the centres,
+    measured from the first.  Wherever that formula is finite the value
+    keeps the bits it always had.  Where a square overflows (``r2 ** 2``
+    raises, ``a * a + r1 * r1`` is inf) it is a/2 + (r1 - r2)(r1 + r2)/2a,
+    which squares nothing: where both spheres are active they meet, so
+    |r1 - r2| <= a.  All three are Python floats."""
+    try:
+        t = (a * a + r1 * r1 - r2 ** 2) / (2.0 * a)
+    except OverflowError:
+        t = math.inf
+    return t if math.isfinite(t) else 0.5 * a + (r1 - r2) / a * (0.5 * r1 + 0.5 * r2)
 
 
 def _project_polyhedron(K, x, x_norm=None):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -472,6 +473,45 @@ def test_residual_svg_of_a_single_point(tmp_path, residual, y_lo):
     assert '<polyline points="50.00,350.00" ' in svg
     labels = re.findall(r'font-size="11">([^<]*)</text>', svg)
     assert labels == ["0", "1", y_lo, "%.1f" % (float(y_lo) + 1.0)]
+
+
+def _polyline_one_point_at_a_time(trace, width=640, height=400, margin=50):
+    """The polyline points of ``write_residual_svg``, one point at a time."""
+    series = [(n, math.log10(max(r, 1e-300)))
+              for n, r in zip(trace.columns["n"].astype(int).tolist(),
+                              trace.field_values("residual_primary"))
+              if r is not None] or [(0, 0.0)]
+    xs, ys = [n for n, _ in series], [v for _, v in series]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    x_hi += x_hi == x_lo
+    y_hi += y_hi == y_lo
+    return " ".join("%.2f,%.2f" % (
+        margin + (n - x_lo) / (x_hi - x_lo) * (width - 2 * margin),
+        height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin))
+        for n, v in series)
+
+
+@pytest.mark.parametrize("residuals", [
+    [None, 1.0, math.nan, 0.0, 5e-324, math.inf],
+    [None, math.inf, 1.0],
+    [None, math.nan],
+    [None, math.nan, 3.0, 2.0],
+    [None] + np.logspace(-320, 300, 257).tolist(),
+    [None] + (10.0 ** np.random.default_rng(7).uniform(-16, 4, 2001)).tolist(),
+])
+def test_residual_svg_polyline_has_the_bits_of_one_point_at_a_time(tmp_path, residuals):
+    # the polyline is computed on arrays; a NaN, an inf or a residual below
+    # the floor is drawn as one point at a time draws it, with no warning
+    n = len(residuals)
+    trace = IterationTrace("parsed", values={
+        "n": [float(k) for k in range(n)], "x": [[0.0]] * n,
+        "residual_primary": residuals})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_residual_svg(trace, tmp_path / "residual.svg")
+    svg = (tmp_path / "residual.svg").read_text()
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    assert points == _polyline_one_point_at_a_time(trace)
 
 
 def test_repeated_runs_byte_identical(tmp_path):

@@ -19,6 +19,7 @@ from splitfp.operators import (
     AsymptoticallyNonexpansive,
     AsymptoticallyQuasiNonexpansive,
     ClassMismatch,
+    ClassReport,
     Contraction,
     Demicontractive,
     DomainEscape,
@@ -702,6 +703,30 @@ def test_verify_nonexpansive_fails_with_witness():
     assert worst.lhs > worst.rhs  # both sides reported
 
 
+def test_a_report_builds_its_records_only_when_they_are_read(monkeypatch):
+    heDu = operator_catalog()["heDu"]
+    built, record = [], operators.CheckRecord
+    monkeypatch.setattr(operators, "CheckRecord",
+                        lambda *fields: built.append(fields[0]) or record(*fields))
+    report = verify_class(heDu, QuasiNonexpansive(), samples=300, seed=4)
+    assert report.passed and report.violations == []
+    report.to_text()
+    assert built == []   # the verdict, the violations and the text read columns
+    records = report.records
+    assert built == list(range(300))
+    want = verify_class_rows(heDu, QuasiNonexpansive(), samples=300, seed=4)
+    assert records == want.records and want.violations == []
+    # a failing report builds a record for each failing sample only
+    del built[:]
+    report = verify_class(heDu, Nonexpansive(), samples=1000, seed=4)
+    violations = report.violations
+    assert len(violations) == len(built) == 9
+    assert built == [r.index for r in violations]
+    want = verify_class_rows(heDu, Nonexpansive(), samples=1000, seed=4)
+    assert violations == want.violations
+    assert report.records == want.records
+
+
 def test_verify_requires_fixed_points():
     bare = affine_map(3.0, 2.0)
     with pytest.raises(ClassMismatch):
@@ -970,6 +995,32 @@ def test_report_serialization_lists_every_sample():
     # bit-reproducible given the seed
     again = verify_class(heDu, QuasiNonexpansive(), samples=25, seed=4)
     assert again.to_text() == text
+
+
+_ZERO = SequenceSpec.const(0.0)
+
+
+@pytest.mark.parametrize("name, cls", [
+    ("heDu", Nonexpansive()),   # a partner per sample
+    ("ballMap", None),          # a partner per sample, an n per case
+    ("heDu", QuasiNonexpansive()),   # a fixed point per case
+    ("wqU", TotalQuasiAsymptoticallyNonexpansive(_ZERO, _ZERO, Gauge())),   # and an n
+])
+def test_each_record_prints_its_line_of_the_report(name, cls):
+    T = operator_catalog()[name]
+    report = verify_class(T, cls or T.declared_class, samples=40, seed=4)
+    lines = report.to_text().split("\n")[1:-1]
+    assert [r.to_line() for r in report.records] == lines
+    rebuilt = ClassReport(report.operator, report.claimed, report.samples, report.seed,
+                          report.records, report.violations)
+    assert rebuilt.to_text() == report.to_text()
+
+
+def test_a_report_of_no_records_prints_its_header():
+    report = ClassReport("T", "Nonexpansive()", 0, 1, [], [])
+    assert report.passed and report.records == [] and report.violations == []
+    assert report.to_text() == (
+        "operator=T claimed=Nonexpansive() samples=0 seed=1 verdict=PASS\n")
 
 
 @pytest.mark.parametrize("claimed", ["declared", "total_quasi"])

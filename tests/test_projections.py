@@ -678,6 +678,22 @@ def test_balls_too_far_apart_to_subtract_carry_a_finite_certificate():
     assert math.isfinite(certificate.offset) and certificate.gap > 0.0
 
 
+@pytest.mark.parametrize("R", [1e154, 1e155, 1e160, 1e300])
+def test_a_lens_of_balls_whose_radii_square_past_the_largest_double(R):
+    # the radical hyperplane's offset squares the radii and the distance of
+    # the centres; at R = 1e155 and 1e160 a square overflowed (a bare
+    # OverflowError), and at R = 1e154 their sum did (a point outside B2)
+    S = Intersection([Ball([0.0, 0.0], R), Ball([R, 0.0], R)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = project(S, [0.5 * R, 10.0 * R])
+    # the same lens at unit scale: its top corner (1/2, sqrt(3)/2)
+    unit = project(Intersection([Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)]), [0.5, 10.0])
+    assert_allclose(z / R, unit, rtol=1e-9)
+    for c in ([0.0, 0.0], [1.0, 0.0]):
+        assert norm(z / R - c) <= 1.0 + 1e-9
+
+
 def test_a_square_stack_projects_row_by_row():
     # a (2, 2) stack is two points of the disc's plane, not one point
     assert project(Ball([0, 0], 1), [[3, 0], [0, 0.5]]).tolist() == [[1.0, 0.0],
