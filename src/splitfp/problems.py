@@ -427,6 +427,9 @@ class TraceRecord:
 _FIELDS = tuple(f.name for f in fields(TraceRecord))
 _VECTORS = ("x", "y", "u", "z", "w", "r")
 _COUNTS = ("n", "cut_count")   # read back as ints
+# the rows a trace converts at a time: run turns each full block of states
+# into columns, and a read of many records builds one block's fields at a time
+_BLOCK = 1024
 
 
 def _columns(values):
@@ -459,6 +462,21 @@ def _columns(values):
     return columns, absent
 
 
+def _join(blocks):
+    """The columns and absent masks of the rows of ``blocks`` in order, each
+    the :func:`_columns` of consecutive rows with the same fields: one block
+    as it is, and more with the bits :func:`_columns` gives all their rows."""
+    if len(blocks) == 1:
+        return blocks[0]
+    columns = {name: np.concatenate([c[name] for c, _ in blocks]) for name in blocks[0][0]}
+    absent = {name: np.concatenate([a[name] if name in a else np.zeros(len(c["n"]), dtype=bool)
+                                    for c, a in blocks])
+              for name in columns if any(name in a for _, a in blocks)}
+    for a in (*columns.values(), *absent.values()):
+        a.flags.writeable = False
+    return columns, absent
+
+
 class IterationTrace(Sequence):
     """A run's records, held as columns.
 
@@ -471,19 +489,24 @@ class IterationTrace(Sequence):
     sequence of records, ``records`` a view of it: reading record i builds
     its :class:`TraceRecord`, its vectors read-only rows of the columns, its
     scalars ints (``n``, ``cut_count``) and floats, None where absent; a
-    slice or an iteration reads its part of each column once, and
+    slice or an iteration reads its part of each column in blocks of
+    :data:`_BLOCK` records, building one block's fields at a time, and
     :meth:`field_values` reads one field, None where absent.  Built from
-    records, or from ``values`` (see :func:`_columns`).
+    records (an iterable, read once), from ``values`` (see :func:`_columns`),
+    or from ``blocks``, the :func:`_columns` of consecutive rows, joined.
     """
 
     def __init__(self, family, records=(), stop_reason="max_iters", intermediates=(),
-                 values=None):
+                 values=None, blocks=None):
         self.family = family
         self.stop_reason = stop_reason
         self.intermediates = tuple(intermediates)   # which of u/z/w/r this family fills
-        if values is None:
-            values = {name: [getattr(rec, name) for rec in records] for name in _FIELDS}
-        self.columns, self.absent = _columns(values)
+        if blocks is None:
+            if values is None:
+                records = list(records)
+                values = {name: [getattr(rec, name) for rec in records] for name in _FIELDS}
+            blocks = [_columns(values)]
+        self.columns, self.absent = _join(blocks)
 
     def __len__(self):
         return len(self.columns["n"])
@@ -513,14 +536,22 @@ class IterationTrace(Sequence):
         return values
 
     def _read(self, rows):
-        """The records of the slice ``rows``, each built when it is drawn."""
-        fields = {}
-        for name in self.columns:
-            values = self.field_values(name, rows=rows)
-            if name in _COUNTS:
-                values = [None if v is None else int(v) for v in values]
-            fields[name] = values
-        return (TraceRecord(**dict(zip(fields, row))) for row in zip(*fields.values()))
+        """The records of the slice ``rows``, each built when it is drawn, from
+        the fields of its block of :data:`_BLOCK` records."""
+        indices = range(len(self))[rows]
+        for start in range(0, len(indices), _BLOCK):
+            part = indices[start:start + _BLOCK]
+            # a part read down to record 0 may stop below 0, which a slice
+            # would count from the end: its stop is None
+            block = slice(part.start, part.stop if part.stop >= 0 else None, part.step)
+            fields = {}
+            for name in self.columns:
+                values = self.field_values(name, rows=block)
+                if name in _COUNTS:
+                    values = [None if v is None else int(v) for v in values]
+                fields[name] = values
+            for row in zip(*fields.values()):
+                yield TraceRecord(**dict(zip(fields, row)))
 
     @property
     def records(self):

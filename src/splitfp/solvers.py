@@ -16,9 +16,10 @@ Each step is written once, on its leaves: ``A.apply`` and
 ``power_apply``.  Each leaf takes a Python float as a 1-D point and gives a
 float with the bits of its array form's entry, so a run whose blocks are all
 1-D carries its state as floats, and any other run as arrays, through the
-same steps.  The driver keeps one tuple of each state's values and builds
-the trace's columns once, when the run stops (see
-:class:`splitfp.problems.IterationTrace`).
+same steps.  The driver keeps one tuple of each state's values, turns
+each full block of them into float64 columns as soon as it fills, keeping
+only the last state's tuple, and joins the blocks' columns when the run
+stops (see :class:`splitfp.problems.IterationTrace`).
 """
 
 import math
@@ -27,6 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import problems
 from .operators import DomainEscape, power_apply
 from .problems import (
     EXTRAGRADIENT_SFFPP,
@@ -38,6 +40,7 @@ from .problems import (
     SYNCHRONAL_VIP,
     IterationTrace,
     ValidationError,
+    _columns,
 )
 from .projections import (
     CutSet,
@@ -439,17 +442,22 @@ _ROW = ("x", "y", "step", "residual_primary", "residual_coupling", "cut_count")
 _row = attrgetter(*_ROW, "intermediates")
 
 
-def _trace(family, rows, dists, first, stop_reason=None):
-    """The trace of the states after ``first``, ``first`` + 1, ... steps,
-    given as ``rows`` (:data:`_row` of each) and their distances to the
-    reference (``dists``)."""
+def _block(family, rows, dists, first):
+    """The columns and absent masks (:func:`splitfp.problems._columns`) of
+    the states after ``first``, ``first`` + 1, ... steps, given as ``rows``
+    (:data:`_row` of each) and their distances to the reference (``dists``)."""
     *columns, slots = zip(*rows)
     values = {"n": np.arange(first, first + len(rows)), **dict(zip(_ROW, columns)),
               "dist_to_target": dists}
     for name in family.intermediates:
         values[name] = [s.get(name) for s in slots]
+    return _columns(values)
+
+
+def _trace(family, blocks, stop_reason=None):
+    """The trace of ``blocks``, the :func:`_block` of consecutive states."""
     return IterationTrace(family.name, stop_reason=stop_reason,
-                          intermediates=tuple(family.intermediates), values=values)
+                          intermediates=tuple(family.intermediates), blocks=blocks)
 
 
 # overflow and invalid operations are reported by _finite and _nonfinite as a typed
@@ -471,9 +479,14 @@ def run(spec, x0, y0=None, rule=None):
     residual later raises :class:`NonFiniteState`, and a rule's pole a
     :class:`SolverError`.  A run whose blocks are all 1-D steps on Python
     floats (see the module notes), with the same trace.  The run keeps each
-    state's values (:data:`_row`) and builds the trace's columns once it
-    stops; it builds no :class:`~splitfp.problems.TraceRecord`, except the
-    records of a state that is not finite and of the one before it, which
+    state's values (:data:`_row`); before each step, a full block of
+    :data:`splitfp.problems._BLOCK` states before the last, every one of them
+    finite, goes into float64 columns and its values are dropped, so only
+    the last state is kept as values between blocks.  When the run stops,
+    the states left go into one more block and the trace joins the blocks'
+    columns, with the bits of one build over every state.  It builds no
+    :class:`~splitfp.problems.TraceRecord`, except the records of a state
+    that is not finite and of the one before it, which
     :class:`NonFiniteState` names and keeps.
     """
     if rule is None:
@@ -510,9 +523,13 @@ def run(spec, x0, y0=None, rule=None):
         raise _breakdown(err, 0) from err
     rows, dists = [_row(state)], [_distance_to_reference(ref, state.x, state.y)]
     if not _finite(state):
-        raise _nonfinite(_trace(family, rows, dists, 0), 0)
-    stop_reason = "max_iters"
+        raise _nonfinite(_trace(family, [_block(family, rows, dists, 0)]), 0)
+    stop_reason, blocks, first = "max_iters", [], 0
     for n in range(rule.max_iters):
+        if len(rows) > problems._BLOCK:   # every row has passed _finite
+            blocks.append(_block(family, rows[:-1], dists[:-1], first))
+            first += len(rows) - 1
+            del rows[:-1], dists[:-1]
         try:
             result = step(spec, state, n)
         except _STEP_FAILURES as err:
@@ -522,7 +539,7 @@ def run(spec, x0, y0=None, rule=None):
         rows.append(_row(state))
         dists.append(dist)
         if not _finite(state):
-            raise _nonfinite(_trace(family, rows[-2:], dists[-2:], n), n)
+            raise _nonfinite(_trace(family, [_block(family, rows[-2:], dists[-2:], n)]), n)
         if rule.residual_tol is not None and state.residual_primary <= rule.residual_tol:
             stop_reason = "residual_tol"
             break
@@ -532,4 +549,4 @@ def run(spec, x0, y0=None, rule=None):
         if rule.target_tol is not None and dist is not None and dist <= rule.target_tol:
             stop_reason = "target_tol"
             break
-    return _trace(family, rows, dists, 0, stop_reason)
+    return _trace(family, [*blocks, _block(family, rows, dists, first)], stop_reason)

@@ -11,11 +11,14 @@ _spec.loader.exec_module(probes)
 
 
 def test_the_probes_print_one_json_line_keyed_by_n(capsys):
-    assert probes.main(["--rotation", "3", "5", "--orthant", "4", "--repeats", "1"]) == 0
+    assert probes.main(["--rotation", "3", "5", "--orthant", "4", "--synchronal", "6", "--repeats",
+                        "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     out = json.loads(lines[0])
     assert sorted(out["rotation_scfpp_s"]) == ["3", "5"]
     assert list(out["orthant_extragradient_ms_per_iter"]) == ["4"]
     assert all(v > 0.0 for v in out["rotation_scfpp_s"].values())
+    assert list(out["synchronal_peak_bytes_per_row"]) == ["6"]
+    assert out["synchronal_peak_bytes_per_row"]["6"] > 0.0
     assert out["repeats"] == 1 and out["python"] and out["numpy"]

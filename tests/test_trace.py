@@ -1,13 +1,16 @@
 """The columnar trace: the columns a run builds, and the records view over them.
 
-A run keeps each state's values and builds one float64 column per field
-when it stops.  ``trace.records`` builds a ``TraceRecord`` only when one is
-read, and a trace built from records holds the columns the run built.
+A run turns each full block of states into one float64 column per field
+as the block fills, and joins the blocks' columns when it stops, with the
+bits of one build over every state.  ``trace.records`` builds a
+``TraceRecord`` only when one is read, a block of fields at a time, and a
+trace built from records holds the columns the run built.
 """
 
 import contextlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -18,10 +21,12 @@ from splitfp import cli, problems
 from splitfp.cli import (build_spec_from_config, parse_trace_csv, write_trace_csv,
                          write_trace_json)
 from splitfp.diagnostics import fejer_check
+from splitfp.operators import FixedPointMap, Nonexpansive, SequenceSpec
 from splitfp.presets import catalog, run_example
-from splitfp.problems import IterationTrace, StoppingRule, TraceRecord
+from splitfp.problems import IterationTrace, ProblemSpec, StoppingRule, TraceRecord
 from splitfp.solvers import NonFiniteState, run
-from splitfp.spaces import norm, row_norms
+from splitfp.projections import WholeSpace
+from splitfp.spaces import LinearMap, norm, row_norms
 
 from helpers import array_lane
 
@@ -276,3 +281,127 @@ def test_row_norms_of_2d_points_are_norm_row_by_row():
     with np.errstate(over="ignore"):
         want = [norm(row) for row in rows]
     assert row_norms(rows).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a trace in blocks
+
+
+def test_a_trace_built_from_an_iterator_of_records_has_its_columns():
+    trace = run_example("bnm_t2")
+    for records in ((rec for rec in trace.records), iter(trace)):
+        again = IterationTrace("sffpep", records=records, stop_reason=trace.stop_reason,
+                               intermediates=trace.intermediates)
+        assert len(again.columns) == 11
+        assert_same_columns(again, trace)
+
+
+def _rotation_spec():
+    # a 2-D scfpp run on arrays, whose state never settles
+    c, s = math.cos(1.0), math.sin(1.0)
+    rotation = LinearMap([[c, -s], [s, c]])
+    plane, origin = WholeSpace(2), ([0.0, 0.0],)
+    return ProblemSpec(
+        family="scfpp", A=LinearMap([[1.0, 0.5], [0.0, 1.0]]),
+        T=FixedPointMap(lambda x: rotation.apply(x), plane, Nonexpansive(),
+                        known_fixed_points=origin),
+        G=FixedPointMap(lambda x: x, plane, Nonexpansive(), known_fixed_points=origin),
+        alpha=SequenceSpec.const(0.5), gamma=0.05, reference_solution=[0.0, 0.0])
+
+
+SYNCHRONAL = catalog()["synchronal_demo"]
+BLOCK_RUNS = {
+    "synchronal_demo": lambda: run_example("synchronal_demo"),
+    "wq_t3": lambda: run_example("wq_t3"),
+    "rotation_1100": lambda: run(_rotation_spec(), [1.0, 2.0],
+                                 rule=StoppingRule(max_iters=1100)),
+    **{"rows_%d" % (steps + 1): lambda steps=steps: run(
+        SYNCHRONAL.spec, [4.0], rule=StoppingRule(max_iters=steps))
+       for steps in (1023, 1024, 1025)},
+    "target_in_block_2": lambda: run(SYNCHRONAL.spec, [4.0],
+                                     rule=StoppingRule(max_iters=5000, target_tol=1e-3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_RUNS))
+def test_a_trace_of_many_blocks_has_the_bits_of_one_block(case, monkeypatch, tmp_path):
+    with monkeypatch.context() as m:
+        m.setattr(problems, "_BLOCK", 10 ** 9)
+        want = BLOCK_RUNS[case]()
+    got = BLOCK_RUNS[case]()
+    if case == "target_in_block_2":
+        assert got.stop_reason == "target_tol" and 1025 < len(got) <= 2048
+    assert_same_columns(got, want)
+    assert (got.stop_reason, got.intermediates) == (want.stop_reason, want.intermediates)
+    write_trace_csv(want, tmp_path / "one.csv")
+    write_trace_csv(got, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_a_state_that_overflows_at_a_block_boundary_names_the_last_finite_state(lane):
+    # x grows by 1.5 a step under U = 3x, T = I, alpha = 0.5, and the state
+    # after the 1,024th step, the first past a full block, overflows
+    doc = {"family": "scfpp_adaptive",
+           "U": {"num": [0.0, 3.0], "class": "demicontractive:0", "fixed_points": [0.0]},
+           "T": {"num": [0.0, 1.0], "class": "demicontractive:0", "fixed_points": [0.0]},
+           "A": [[1.0]], "alpha": {"constant": 0.5}, "enforce_ranges": False}
+    with _lane(lane):
+        with pytest.raises(NonFiniteState) as info:
+            run(build_spec_from_config(doc), [1.0], rule=StoppingRule(max_iters=5000))
+    err = info.value
+    assert str(err) == (
+        "iteration 1023: non-finite state x=[inf], residual=inf; last finite state n=1023: "
+        "x=[8.98846567431158e+307], residual=8.98846567431158e+307")
+    last = err.last_finite
+    assert (err.iteration, last.n, last.step, last.residual_coupling) == (1023, 1023, 0.0, 0.0)
+    assert last.x.tolist() == [8.98846567431158e+307]
+    assert last.u.tolist() == [4.49423283715579e+307]
+    assert last.residual_primary == 8.98846567431158e+307
+
+
+def _bits(rec):
+    return tuple(None if v is None else (type(v), np.asarray(v).tobytes())
+                 for v in (getattr(rec, name) for name in problems._FIELDS))
+
+
+def test_a_slice_of_the_records_reads_as_each_record_does():
+    trace = run(SYNCHRONAL.spec, [4.0], rule=StoppingRule(max_iters=3000))
+    assert len(trace) == 3001
+    for rows in (slice(None, None, -1), slice(3000, 10, -7), slice(5, 5), slice(1020, 1030),
+                 slice(None, None, 1023), slice(-5, None)):
+        want = [_bits(trace[i]) for i in range(len(trace))[rows]]
+        assert [_bits(rec) for rec in trace.records[rows]] == want
+    assert [_bits(rec) for rec in trace] == [_bits(trace[i]) for i in range(len(trace))]
+
+
+def _traced_peak(work):
+    """What ``work()`` returns, and the peak bytes it held under tracemalloc
+    above what was held when it started."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = work()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def _synchronal_demo():
+    run(SYNCHRONAL.spec, [4.0], rule=StoppingRule(max_iters=3))   # builds the power loops
+    return run(SYNCHRONAL.spec, [4.0], rule=SYNCHRONAL.default_rule)
+
+
+def test_a_long_run_holds_its_states_by_the_block():
+    # synchronal_demo records 15,001 states: kept as values until the run
+    # stops they would peak near 8 MB, and as columns they take under 1 MB
+    trace, peak = _traced_peak(_synchronal_demo)
+    assert len(trace) == 15001
+    assert peak <= 2.5e6
+
+
+def test_a_walk_of_the_records_holds_one_block_of_fields():
+    trace = _synchronal_demo()
+    count, peak = _traced_peak(lambda: sum(1 for _ in trace.records))
+    assert count == len(trace) == 15001
+    assert peak <= 1e6

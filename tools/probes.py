@@ -1,20 +1,24 @@
-"""The two scaling probes: how a run's cost grows with its length.
+"""The scaling probes: how a run's cost grows with its length.
 
 - the 2-D rotation ``scfpp`` run (T a rotation by 1 rad, G the identity,
   A = I), whose ``T^{n+1}`` is recomputed from scratch each step: seconds
   for the whole run of n iterations;
 - the 2-D orthant extra-gradient run (T(x) = (x + (1, 2)) / 2, G the
   identity, C the nonnegative orthant), whose cut set grows by three cuts
-  each step: milliseconds per iteration over n iterations.
+  each step: milliseconds per iteration over n iterations;
+- the 1-D ``synchronal_demo`` run from x = 4, whose trace holds a record
+  per step: the ``tracemalloc`` peak of the run of n iterations, in bytes
+  per row of its trace (n + 1 rows).
 
-Each figure is the best of ``--repeats`` runs in one process, which the
-script pins to one CPU.  The output is one JSON line with the figures keyed
-by n, and the Python, numpy and platform it ran on.  It measures, and does
-not gate: the exit status is 0 unless a run fails or stops short of n
-iterations.  Standard library and the checkout's ``src/splitfp`` only:
+Each time is the best of ``--repeats`` runs in one process, which the
+script pins to one CPU, and each peak is taken once, after an untraced run.
+The output is one JSON line with the figures keyed by n, and the Python,
+numpy and platform it ran on.  It measures, and does not gate: the exit
+status is 0 unless a run fails or stops short of n iterations.  Standard
+library and the checkout's ``src/splitfp`` only:
 
     python tools/probes.py                                   # n as in ROADMAP.md
-    python tools/probes.py --rotation 250 --orthant 100 --repeats 1
+    python tools/probes.py --rotation 250 --orthant 100 --synchronal 4000 --repeats 1
 """
 
 import argparse
@@ -23,6 +27,7 @@ import math
 import os
 import platform
 import sys
+import tracemalloc
 from importlib.metadata import version
 from pathlib import Path
 from time import perf_counter
@@ -37,6 +42,7 @@ IDENTITY = splitfp.FixedPointMap(lambda x: x, PLANE, Nonexpansive(),
                                  known_fixed_points=([0.0, 0.0],), name="identity2")
 ROTATION_X0 = [1.5, 0.5]
 ORTHANT_X0 = [10.0, -3.0]
+SYNCHRONAL_X0 = [4.0]
 
 
 def rotation_spec():
@@ -60,17 +66,36 @@ def orthant_spec():
         alpha=half, beta=half, gamma_seq=half)
 
 
+def run_n(spec, x0, n):
+    """The trace of ``spec``'s run of n iterations from x0; exits if it stops short."""
+    trace = splitfp.run(spec, list(x0), rule=splitfp.StoppingRule(max_iters=n))
+    if trace.stop_reason != "max_iters" or len(trace) != n + 1:
+        raise SystemExit("probes: the run stopped at %s after %d records, not at n = %d"
+                         % (trace.stop_reason, len(trace), n))
+    return trace
+
+
 def best_run_s(spec, x0, n, repeats):
     """The shortest of ``repeats`` timed runs of ``spec`` for n iterations."""
     best = math.inf
     for _ in range(repeats):
         t0 = perf_counter()
-        trace = splitfp.run(spec, list(x0), rule=splitfp.StoppingRule(max_iters=n))
+        run_n(spec, x0, n)
         best = min(best, perf_counter() - t0)
-        if trace.stop_reason != "max_iters" or len(trace) != n + 1:
-            raise SystemExit("probes: the run stopped at %s after %d records, not at n = %d"
-                             % (trace.stop_reason, len(trace), n))
     return best
+
+
+def peak_bytes_per_row(spec, x0, n):
+    """The ``tracemalloc`` peak of ``spec``'s run of n iterations, over its
+    n + 1 rows, after an untraced run that builds what a run reuses."""
+    run_n(spec, x0, 1)
+    tracemalloc.start()
+    try:
+        run_n(spec, x0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (n + 1)
 
 
 def main(argv=None):
@@ -79,15 +104,22 @@ def main(argv=None):
                         help="iterations of the rotation scfpp run")
     parser.add_argument("--orthant", type=int, nargs="+", default=[100, 200, 400, 800],
                         help="iterations of the orthant extra-gradient run")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per figure; the best counts")
+    parser.add_argument("--synchronal", type=int, nargs="+", default=[4000, 16000, 64000],
+                        help="iterations of the synchronal_demo run, traced for its peak")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="timed runs per figure; the best counts")
     args = parser.parse_args(argv)
     rotation, orthant = rotation_spec(), orthant_spec()
+    synchronal = splitfp.catalog()["synchronal_demo"].spec
     print(json.dumps({
         "rotation_scfpp_s": {n: round(best_run_s(rotation, ROTATION_X0, n, args.repeats), 5)
                              for n in args.rotation},
         "orthant_extragradient_ms_per_iter": {
             n: round(1e3 * best_run_s(orthant, ORTHANT_X0, n, args.repeats) / n, 5)
             for n in args.orthant},
+        "synchronal_peak_bytes_per_row": {
+            n: round(peak_bytes_per_row(synchronal, SYNCHRONAL_X0, n), 1)
+            for n in args.synchronal},
         "repeats": args.repeats,
         "python": platform.python_version(),
         "numpy": version("numpy"),
