@@ -152,11 +152,24 @@ def _trace_cells(trace, fmt=_fmt, absent=""):
     return zip(*([absent if v is None else fmt(v) for v in column] for column in columns))
 
 
+def _write_text(path, text):
+    """Write ``text`` to ``path`` as UTF-8 with LF endings, in a new file.
+
+    An existing file of that name is unlinked, not truncated: ext4 flushes
+    a file truncated at open when it is closed, tens of milliseconds a
+    file.  So a link to an old output keeps the old bytes, and a symlink is
+    replaced by a regular file, not written through.  Nothing is fsynced.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def write_trace_csv(trace, path):
     """Comma-separated trace, header row, LF endings, 17 significant digits."""
     lines = [",".join(_trace_columns(trace))]
     lines += map(",".join, _trace_cells(trace))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def parse_trace_csv(path):
@@ -205,7 +218,7 @@ def write_trace_json(trace, path):
               ("columns", _json_list([json.dumps(c) for c in _trace_columns(trace)], 2)),
               ("records", _json_list(records, 2)))
     text = "{\n" + ",\n".join('  "%s": %s' % field for field in fields) + "\n}\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_text(path, text)
 
 
 def write_residual_svg(trace, path, width=640, height=400):
@@ -254,7 +267,7 @@ def write_residual_svg(trace, path, width=640, height=400):
         % poly,
         "</svg>",
     ]
-    Path(path).write_text("\n".join(svg) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(svg) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +318,7 @@ def cmd_run(args):
             ),
             "final": departures[-1],
         }
+    summary_text = json.dumps(summary, indent=2)
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,12 +329,11 @@ def cmd_run(args):
         write = write_trace_json if args.format == "json" else write_trace_csv
         write(trace, out_dir / trace_name)
         write_residual_svg(trace, out_dir / outputs.get("plot", "residual.svg"))
-        (out_dir / outputs.get("summary", "summary.json")).write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        _write_text(out_dir / outputs.get("summary", "summary.json"), summary_text + "\n")
     except OSError as err:
         print("cannot write outputs: %s" % err, file=sys.stderr)
         return _EXIT_CONFIG
-    print(json.dumps(summary, indent=2))
+    print(summary_text)
     return _EXIT_OK
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -158,6 +159,45 @@ def test_run_unwritable_output_exit_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("cannot write outputs: ")
     assert err.endswith("%s'\n" % (tmp_path / "out" / "taken"))
+
+
+OUTPUT_NAMES = ("trace.csv", "residual.svg", "summary.json")
+
+
+def run_example_into(tmp_path, example, out_dir, *flags):
+    """``run`` of a preset into ``out_dir``; the bytes of each output."""
+    cfg = write_config(tmp_path, {"problem": {"example": example}}, name=example + ".json")
+    assert main(["run", "--config", cfg, "--out-dir", str(out_dir), *flags]) == 0
+    return [(out_dir / name).read_bytes() for name in OUTPUT_NAMES]
+
+
+def test_a_rerun_writes_a_shorter_trace_over_a_longer_one(tmp_path):
+    fresh = run_example_into(tmp_path, "bnm_t1", tmp_path / "fresh")
+    longer = run_example_into(tmp_path, "synchronal_demo", tmp_path / "out")
+    assert all(len(old) > len(new) for old, new in zip(longer[:2], fresh[:2]))
+    assert run_example_into(tmp_path, "bnm_t1", tmp_path / "out") == fresh
+
+
+def test_a_rerun_replaces_its_outputs_and_leaves_links_to_them(tmp_path):
+    out = tmp_path / "out"
+    old = run_example_into(tmp_path, "bnm_t1", out)
+    for name in OUTPUT_NAMES:
+        os.link(out / name, tmp_path / ("old_" + name))
+    new = run_example_into(tmp_path, "bnm_t1", out, "--max-iters", "3")
+    assert all(a != b for a, b in zip(old, new))
+    assert [(tmp_path / ("old_" + name)).read_bytes() for name in OUTPUT_NAMES] == old
+
+
+def test_an_output_that_is_a_symlink_becomes_a_regular_file(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    (out / "trace.csv").symlink_to(target)
+    fresh = run_example_into(tmp_path, "bnm_t1", tmp_path / "fresh")
+    assert run_example_into(tmp_path, "bnm_t1", out) == fresh
+    assert not (out / "trace.csv").is_symlink()
+    assert target.read_text() == "kept\n"
 
 
 def test_run_numerical_breakdown_exit_3(tmp_path):

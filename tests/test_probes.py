@@ -12,7 +12,7 @@ _spec.loader.exec_module(probes)
 
 def test_the_probes_print_one_json_line_keyed_by_n(capsys):
     assert probes.main(["--rotation", "3", "5", "--orthant", "4", "--synchronal", "6", "--repeats",
-                        "1"]) == 0
+                        "1", "--rewrite", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     out = json.loads(lines[0])
@@ -21,4 +21,6 @@ def test_the_probes_print_one_json_line_keyed_by_n(capsys):
     assert all(v > 0.0 for v in out["rotation_scfpp_s"].values())
     assert list(out["synchronal_peak_bytes_per_row"]) == ["6"]
     assert out["synchronal_peak_bytes_per_row"]["6"] > 0.0
-    assert out["repeats"] == 1 and out["python"] and out["numpy"]
+    rewrite = out["rewrite_run_s"]
+    assert rewrite["same_dir"] > 0.0 and rewrite["fresh_dir"] > 0.0 and rewrite["ratio"] > 0.0
+    assert out["rewrite"] == 2 and out["repeats"] == 1 and out["python"] and out["numpy"]

@@ -8,26 +8,34 @@
   each step: milliseconds per iteration over n iterations;
 - the 1-D ``synchronal_demo`` run from x = 4, whose trace holds a record
   per step: the ``tracemalloc`` peak of the run of n iterations, in bytes
-  per row of its trace (n + 1 rows).
+  per row of its trace (n + 1 rows);
+- ``splitfp run`` of ``bnm_t1`` through ``cli.main``, ``--rewrite`` K
+  times into one output directory that already holds its outputs and K
+  times into a fresh directory each: the median seconds of each, and
+  their ratio.
 
-Each time is the best of ``--repeats`` runs in one process, which the
-script pins to one CPU, and each peak is taken once, after an untraced run.
-The output is one JSON line with the figures keyed by n, and the Python,
-numpy and platform it ran on.  It measures, and does not gate: the exit
-status is 0 unless a run fails or stops short of n iterations.  Standard
-library and the checkout's ``src/splitfp`` only:
+Each rotation and orthant time is the best of ``--repeats`` runs in one
+process, which the script pins to one CPU, and each peak is taken once,
+after an untraced run.  The output is one JSON line with the figures keyed
+by n, and the Python, numpy and platform it ran on.  It measures, and does
+not gate: the exit status is 0 unless a run fails or stops short of n
+iterations.  Standard library and the checkout's ``src/splitfp`` only:
 
     python tools/probes.py                                   # n as in ROADMAP.md
-    python tools/probes.py --rotation 250 --orthant 100 --synchronal 4000 --repeats 1
+    python tools/probes.py --rotation 250 --orthant 100 --synchronal 4000 --repeats 1 --rewrite 5
 """
 
 import argparse
+import io
 import json
 import math
 import os
 import platform
+import statistics
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
 from importlib.metadata import version
 from pathlib import Path
 from time import perf_counter
@@ -35,6 +43,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import splitfp  # noqa: E402
+from splitfp import cli  # noqa: E402
 from splitfp.operators import Nonexpansive, QuasiNonexpansive  # noqa: E402
 
 PLANE = splitfp.WholeSpace(2)
@@ -98,6 +107,31 @@ def peak_bytes_per_row(spec, x0, n):
     return peak / (n + 1)
 
 
+def rewrite_run_s(k):
+    """The median seconds of k ``run bnm_t1`` calls into one directory that
+    holds their outputs, of k calls into a fresh directory each (the two
+    alternating, after an untimed call), and the ratio of the first to the
+    second."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "bnm_t1.json")
+        config.write_text(json.dumps({"problem": {"example": "bnm_t1"}}))
+
+        def run_s(out_dir):
+            t0 = perf_counter()
+            with redirect_stdout(io.StringIO()):   # the summary
+                code = cli.main(["run", "--config", str(config), "--out-dir", out_dir])
+            if code != 0:
+                raise SystemExit("probes: run bnm_t1 exited %d" % code)
+            return perf_counter() - t0
+
+        same = str(Path(tmp, "same"))
+        run_s(same)
+        times = [(run_s(same), run_s(str(Path(tmp, "fresh%d" % i)))) for i in range(k)]
+    same_s, fresh_s = (statistics.median(side) for side in zip(*times))
+    return {"same_dir": round(same_s, 5), "fresh_dir": round(fresh_s, 5),
+            "ratio": round(same_s / fresh_s, 3)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rotation", type=int, nargs="+", default=[250, 500, 1000, 2000],
@@ -108,6 +142,8 @@ def main(argv=None):
                         help="iterations of the synchronal_demo run, traced for its peak")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed runs per figure; the best counts")
+    parser.add_argument("--rewrite", type=int, default=10,
+                        help="run bnm_t1 calls into one directory, and into fresh ones")
     args = parser.parse_args(argv)
     rotation, orthant = rotation_spec(), orthant_spec()
     synchronal = splitfp.catalog()["synchronal_demo"].spec
@@ -120,6 +156,8 @@ def main(argv=None):
         "synchronal_peak_bytes_per_row": {
             n: round(peak_bytes_per_row(synchronal, SYNCHRONAL_X0, n), 1)
             for n in args.synchronal},
+        "rewrite_run_s": rewrite_run_s(args.rewrite),
+        "rewrite": args.rewrite,
         "repeats": args.repeats,
         "python": platform.python_version(),
         "numpy": version("numpy"),
