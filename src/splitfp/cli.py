@@ -155,13 +155,20 @@ def _trace_cells(trace, fmt=_fmt, absent=""):
 def _write_text(path, text):
     """Write ``text`` to ``path`` as UTF-8 with LF endings, in a new file.
 
-    An existing file of that name is unlinked, not truncated: ext4 flushes
-    a file truncated at open when it is closed, tens of milliseconds a
-    file.  So a link to an old output keeps the old bytes, and a symlink is
-    replaced by a regular file, not written through.  Nothing is fsynced.
+    An existing regular file of that name is unlinked, not truncated: ext4
+    flushes a file truncated at open when it is closed, tens of
+    milliseconds a file.  So a link to an old output keeps the old bytes,
+    and a symlink to a regular file is replaced by a regular file.  Any
+    other path (a device such as ``/dev/null``, a symlink to one, a FIFO)
+    is written through, and so is a file whose directory refuses the
+    unlink.  Nothing is fsynced.
     """
     path = Path(path)
-    path.unlink(missing_ok=True)
+    if path.is_file():
+        try:
+            path.unlink(missing_ok=True)
+        except PermissionError:
+            pass
     path.write_text(text, encoding="utf-8", newline="\n")
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import warnings
 import xml.etree.ElementTree as ET
 from functools import partial
@@ -198,6 +199,37 @@ def test_an_output_that_is_a_symlink_becomes_a_regular_file(tmp_path):
     assert run_example_into(tmp_path, "bnm_t1", out) == fresh
     assert not (out / "trace.csv").is_symlink()
     assert target.read_text() == "kept\n"
+
+
+def test_an_output_that_is_a_device_or_a_fifo_is_written_through(tmp_path):
+    fresh = run_example_into(tmp_path, "bnm_t1", tmp_path / "fresh")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "residual.svg").symlink_to(os.devnull)
+    os.mkfifo(out / "summary.json")
+    reader = os.open(out / "summary.json", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        cfg = write_config(tmp_path, BNM_CONFIG)
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+        piped = b"".join(iter(partial(os.read, reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert os.readlink(out / "residual.svg") == os.devnull
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert stat.S_ISFIFO(os.lstat(out / "summary.json").st_mode)
+    assert [(out / "trace.csv").read_bytes(), piped] == [fresh[0], fresh[2]]
+
+
+def test_an_output_whose_directory_refuses_the_unlink_is_written_through(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    fresh = run_example_into(tmp_path, "bnm_t1", tmp_path / "fresh")
+    run_example_into(tmp_path, "synchronal_demo", out)
+
+    def refuse(path, missing_ok=False):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "unlink", refuse)
+    assert run_example_into(tmp_path, "bnm_t1", out) == fresh
 
 
 def test_run_numerical_breakdown_exit_3(tmp_path):
